@@ -756,10 +756,8 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
 
   // Verbatim values consumed by the prefix, in stream order; they are
   // stored raw, so the plain prefix is exactly n * sizeof(T) bytes.
-  std::uint64_t n_verbatim = 0;
-  for (std::uint64_t i = 0; i < prefix_symbols; ++i) {
-    n_verbatim += codes[i] == 0 ? 1u : 0u;
-  }
+  const std::uint64_t n_verbatim = sz::count_unpredictable(
+      std::span<const std::uint16_t>(codes).first(prefix_symbols));
   const std::uint64_t verbatim_size = r.u64();
   const auto verbatim_blob = r.bytes(verbatim_size);
   std::vector<T> verbatim;

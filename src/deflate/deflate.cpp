@@ -65,24 +65,21 @@ BlockFreqs count_freqs(std::span<const Token> tokens) {
   return f;
 }
 
-std::uint64_t token_cost_bits(std::span<const Token> tokens,
+/// Bits to code a counted block (EOB included) under the given code
+/// lengths: the sum over symbols of freq x (code length + extra bits).
+std::uint64_t block_cost_bits(const BlockFreqs& f,
                               std::span<const std::uint8_t> litlen_lens,
                               std::span<const std::uint8_t> dist_lens) {
   std::uint64_t bits = 0;
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      bits += litlen_lens[t.literal];
-    } else {
-      const int lc = length_code(t.length);
-      const int dc = distance_code(t.distance);
-      bits += static_cast<std::uint64_t>(
-          litlen_lens[static_cast<std::size_t>(257 + lc)] +
-          kLengthExtra[static_cast<std::size_t>(lc)] +
-          dist_lens[static_cast<std::size_t>(dc)] +
-          kDistExtra[static_cast<std::size_t>(dc)]);
-    }
+  for (std::size_t s = 0; s < f.litlen.size(); ++s) {
+    bits += f.litlen[s] * litlen_lens[s];
   }
-  bits += litlen_lens[kEndOfBlock];
+  for (std::size_t c = 0; c < kLengthExtra.size(); ++c) {
+    bits += f.litlen[257 + c] * kLengthExtra[c];
+  }
+  for (std::size_t d = 0; d < f.dist.size(); ++d) {
+    bits += f.dist[d] * (dist_lens[d] + kDistExtra[d]);
+  }
   return bits;
 }
 
@@ -297,10 +294,10 @@ void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
     const DynamicHeader header = build_dynamic_header(dyn_ll, dyn_dd);
 
     const std::uint64_t cost_dyn =
-        3 + header.header_bits + token_cost_bits(block, dyn_ll, dyn_dd);
+        3 + header.header_bits + block_cost_bits(freqs, dyn_ll, dyn_dd);
     const auto fix_ll = fixed_litlen_lengths();
     const auto fix_dd = fixed_dist_lengths();
-    const std::uint64_t cost_fix = 3 + token_cost_bits(block, fix_ll, fix_dd);
+    const std::uint64_t cost_fix = 3 + block_cost_bits(freqs, fix_ll, fix_dd);
     const std::uint64_t cost_stored =
         (3 + 7 + 32) * ((raw_len + 65534) / 65535) +
         8ull * static_cast<std::uint64_t>(raw_len);

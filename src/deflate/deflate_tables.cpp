@@ -1,26 +1,6 @@
 #include "deflate/deflate_tables.hpp"
 
-#include "util/error.hpp"
-
 namespace wavesz::deflate {
-
-int length_code(int length) {
-  WAVESZ_ASSERT(length >= 3 && length <= 258, "match length out of range");
-  // Linear scan is fine: 29 entries, and the encoder caches frequencies.
-  for (int c = 28; c >= 0; --c) {
-    if (length >= kLengthBase[static_cast<std::size_t>(c)]) return c;
-  }
-  return 0;
-}
-
-int distance_code(int distance) {
-  WAVESZ_ASSERT(distance >= 1 && distance <= 32768,
-                "match distance out of range");
-  for (int c = 29; c >= 0; --c) {
-    if (distance >= kDistBase[static_cast<std::size_t>(c)]) return c;
-  }
-  return 0;
-}
 
 std::array<std::uint8_t, kNumLitLen> fixed_litlen_lengths() {
   std::array<std::uint8_t, kNumLitLen> lengths{};

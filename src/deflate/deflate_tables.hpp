@@ -5,6 +5,8 @@
 #include <array>
 #include <cstdint>
 
+#include "util/error.hpp"
+
 namespace wavesz::deflate {
 
 inline constexpr int kEndOfBlock = 256;
@@ -33,11 +35,54 @@ inline constexpr std::array<std::uint8_t, 30> kDistExtra = {
 inline constexpr std::array<std::uint8_t, 19> kClcOrder = {
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
 
+namespace detail {
+
+/// Index of the last entry of ascending `base` that is <= `value`.
+template <std::size_t N>
+constexpr std::uint8_t code_for(const std::array<std::uint16_t, N>& base,
+                                std::size_t value) {
+  std::size_t c = 0;
+  while (c + 1 < N && value >= base[c + 1]) ++c;
+  return static_cast<std::uint8_t>(c);
+}
+
+/// Length code index per match length, indexed by the length itself.
+inline constexpr std::array<std::uint8_t, 259> kLengthCodeOf = [] {
+  std::array<std::uint8_t, 259> t{};
+  for (std::size_t len = 3; len < t.size(); ++len) {
+    t[len] = code_for(kLengthBase, len);
+  }
+  return t;
+}();
+
+/// Distance code index in zlib's two-range layout: `distance - 1` for
+/// distances up to 256, then `256 + ((distance - 1) >> 7)`. Every code from
+/// 16 up spans a multiple of 128 distances starting at 128k + 1, so the
+/// shifted index never straddles two codes.
+inline constexpr std::array<std::uint8_t, 512> kDistCodeOf = [] {
+  std::array<std::uint8_t, 512> t{};
+  for (std::size_t d = 1; d <= 256; ++d) t[d - 1] = code_for(kDistBase, d);
+  for (std::size_t k = 2; k < 256; ++k) {
+    t[256 + k] = code_for(kDistBase, 128 * k + 1);
+  }
+  return t;
+}();
+
+}  // namespace detail
+
 /// Length code index (0-based into kLengthBase) for a match length 3..258.
-int length_code(int length);
+inline int length_code(int length) {
+  WAVESZ_ASSERT(length >= 3 && length <= 258, "match length out of range");
+  return detail::kLengthCodeOf[static_cast<std::size_t>(length)];
+}
 
 /// Distance code index for a distance 1..32768.
-int distance_code(int distance);
+inline int distance_code(int distance) {
+  WAVESZ_ASSERT(distance >= 1 && distance <= 32768,
+                "match distance out of range");
+  const auto d = static_cast<std::size_t>(distance - 1);
+  return detail::kDistCodeOf[d < 256 ? d : 256 + (d >> 7)];
+}
 
 /// Fixed lit/len code lengths per RFC 1951 §3.2.6.
 std::array<std::uint8_t, kNumLitLen> fixed_litlen_lengths();

@@ -442,10 +442,8 @@ RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
   }
 
   // Unpredictable values consumed by the slab prefix, in stream order.
-  std::uint64_t n_unpred = 0;
-  for (std::uint64_t i = 0; i < need_symbols; ++i) {
-    n_unpred += codes[i] == 0 ? 1u : 0u;
-  }
+  const std::uint64_t n_unpred = count_unpredictable(
+      std::span<const std::uint16_t>(codes).first(need_symbols));
   const std::uint64_t unpred_size = r.u64();
   const auto unpred_blob = r.bytes(unpred_size);
   std::vector<T> unpred;

@@ -94,7 +94,9 @@ void write_code_index(ByteWriter& w, const CodeChunkIndex& idx);
 /// headers without consuming bytes. Every structural invariant is validated
 /// here — exact chunk stride, strictly increasing bit offsets, per-chunk bit
 /// widths within the code-length bounds, monotonic unpredictable counts —
-/// before any decoder allocates output from the table.
+/// before any decoder allocates output from the table. The per-chunk CRCs
+/// and unpredictable counts need the decoded codes; decoders check them with
+/// verify_code_index_crcs() or chunk by chunk as they decode.
 CodeChunkIndex read_code_index(ByteReader& r, const ContainerHeader& h);
 
 /// Build the offset table for a raw-u16 code stream (huffman == false):
@@ -102,8 +104,12 @@ CodeChunkIndex read_code_index(ByteReader& r, const ContainerHeader& h);
 CodeChunkIndex build_raw_code_index(std::span<const std::uint16_t> codes,
                                     std::uint32_t chunk_symbols);
 
-/// Verify the running CRC of every complete chunk among the first
-/// `element_count` decoded codes. Throws wavesz::Error on mismatch.
+/// Number of unpredictable markers (symbol 0) among `codes`.
+std::uint64_t count_unpredictable(std::span<const std::uint16_t> codes);
+
+/// Verify the running CRC and the unpredictable count of every complete
+/// chunk among the first `element_count` decoded codes. Throws
+/// wavesz::Error on mismatch.
 void verify_code_index_crcs(std::span<const std::uint16_t> codes,
                             const CodeChunkIndex& idx,
                             std::uint64_t element_count);

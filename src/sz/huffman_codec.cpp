@@ -335,8 +335,8 @@ std::vector<std::uint16_t> huffman_decode_impl(
 /// Decode the first `chunk_count` index chunks of a parsed blob into `out`
 /// (pre-sized by the caller), chunk-parallel when `threads > 1`. Each chunk
 /// seeks to its recorded start bit, decodes to its recorded element range,
-/// and is verified against both the recorded end bit and the running
-/// CRC-32 resumed from the previous entry's digest.
+/// and is verified against the recorded end bit, the running CRC-32 resumed
+/// from the previous entry's digest, and the recorded unpredictable count.
 void decode_index_chunks(const ParsedBlob& p, const CodeChunkIndex& idx,
                          std::size_t chunk_count, bool reference, int threads,
                          std::vector<std::uint16_t>& out) {
@@ -381,10 +381,15 @@ void decode_index_chunks(const ParsedBlob& p, const CodeChunkIndex& idx,
     }
     WAVESZ_REQUIRE(br.position() == entries[k].end_bit,
                    "chunk bit offset mismatch");
+    const std::span<const std::uint16_t> chunk(dst, n);
     Crc32 crc = k == 0 ? Crc32{} : Crc32::resume(entries[k - 1].running_crc);
-    crc.update(bytes_of(std::span<const std::uint16_t>(dst, n)));
+    crc.update(bytes_of(chunk));
     WAVESZ_REQUIRE(crc.value() == entries[k].running_crc,
                    "chunk CRC mismatch");
+    const std::uint64_t start_unpred = k == 0 ? 0 : entries[k - 1].end_unpred;
+    WAVESZ_REQUIRE(count_unpredictable(chunk) ==
+                       entries[k].end_unpred - start_unpred,
+                   "chunk unpredictable count mismatch");
   };
 
   const int nt = static_cast<int>(std::min<std::size_t>(

@@ -15,12 +15,22 @@
 
 namespace wavesz {
 
+namespace detail {
+
+/// The low `n` bits set, n in [0, 32].
+inline std::uint32_t low_bits_mask(int n) {
+  return n >= 32 ? 0xffffffffu : ((1u << n) - 1u);
+}
+
+}  // namespace detail
+
 /// LSB-first bit writer (RFC 1951 convention).
 class BitWriterLSB {
  public:
   void bits(std::uint32_t value, int n) {
     WAVESZ_ASSERT(n >= 0 && n <= 32, "bit count out of range");
-    acc_ |= static_cast<std::uint64_t>(value & mask(n)) << fill_;
+    acc_ |= static_cast<std::uint64_t>(value & detail::low_bits_mask(n))
+            << fill_;
     fill_ += n;
     while (fill_ >= 8) {
       buf_.push_back(static_cast<std::uint8_t>(acc_ & 0xff));
@@ -77,9 +87,6 @@ class BitWriterLSB {
   }
 
  private:
-  static std::uint32_t mask(int n) {
-    return n >= 32 ? 0xffffffffu : ((1u << n) - 1u);
-  }
   std::vector<std::uint8_t> buf_;
   std::uint64_t acc_ = 0;
   int fill_ = 0;
@@ -195,19 +202,19 @@ class BitReaderLSB {
   int fill_ = 0;
 };
 
-/// MSB-first bit writer (customized Huffman convention).
+/// MSB-first bit writer (customized Huffman convention) over a 64-bit
+/// accumulator: each code shifts in whole, then whole bytes flush from the
+/// top of the `fill_` pending bits. Bits above those are already written
+/// and only ever shift out, so the accumulator is never masked.
 class BitWriterMSB {
  public:
   void bits(std::uint32_t value, int n) {
     WAVESZ_ASSERT(n >= 0 && n <= 32, "bit count out of range");
-    for (int i = n - 1; i >= 0; --i) {
-      cur_ = static_cast<std::uint8_t>((static_cast<std::uint32_t>(cur_) << 1) |
-                                       ((value >> i) & 1u));
-      if (++fill_ == 8) {
-        buf_.push_back(cur_);
-        cur_ = 0;
-        fill_ = 0;
-      }
+    acc_ = (acc_ << n) | (value & detail::low_bits_mask(n));
+    fill_ += n;
+    while (fill_ >= 8) {
+      fill_ -= 8;
+      buf_.push_back(static_cast<std::uint8_t>(acc_ >> fill_));
     }
     nbits_ += static_cast<std::size_t>(n);
   }
@@ -216,8 +223,8 @@ class BitWriterMSB {
 
   std::vector<std::uint8_t> take() {
     if (fill_ > 0) {
-      buf_.push_back(static_cast<std::uint8_t>(cur_ << (8 - fill_)));
-      cur_ = 0;
+      buf_.push_back(static_cast<std::uint8_t>(acc_ << (8 - fill_)));
+      acc_ = 0;
       fill_ = 0;
     }
     return std::move(buf_);
@@ -225,7 +232,7 @@ class BitWriterMSB {
 
  private:
   std::vector<std::uint8_t> buf_;
-  std::uint8_t cur_ = 0;
+  std::uint64_t acc_ = 0;
   int fill_ = 0;
   std::size_t nbits_ = 0;
 };

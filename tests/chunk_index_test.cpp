@@ -2,8 +2,9 @@
 // bit-identical parallel decode at every thread budget, v1 emission and
 // stripped-index fallback, and decode_guard behavior on forged index
 // tables (overlapping / out-of-range / non-monotonic offsets, bad per-chunk
-// CRCs, truncated tables) — every forgery must surface as wavesz::Error
-// before the decoder commits to output.
+// CRCs, unpredictable counts the codes contradict, truncated tables) —
+// every forgery must surface as wavesz::Error before the decoder commits to
+// output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -256,6 +257,57 @@ TEST_P(ForgedIndex, CorruptedTablesThrow) {
     auto f = c.bytes;
     store_le64_at(f, kHeaderEnd + 4, entries - 1);
     expect_throws(std::move(f), "short entry count");
+  }
+}
+
+TEST_P(ForgedIndex, UnpredictableCountMovedBetweenChunksThrows) {
+  // Moving one unpredictable value from chunk 1 into chunk 0 keeps the
+  // counts monotonic and their total equal to the header's, the only checks
+  // the table alone allows; the decoded codes must expose it in every
+  // decoder, serial, chunk-parallel and region.
+  const bool huffman = GetParam();
+  const Dims dims = Dims::d2(64, 64);
+  data::FieldRecipe recipe;
+  recipe.seed = 11;
+  recipe.noise_amplitude = 0.05;
+  const auto grid = data::generate(recipe, dims);
+  sz::Config cfg;
+  cfg.huffman = huffman;
+  cfg.index_chunk_symbols = 512;  // 8 chunks
+  // An absolute bound the noise overflows at a fraction of the points.
+  cfg.mode = sz::EbMode::Absolute;
+  cfg.error_bound = 1e-6;
+  auto wcfg = wave::default_config();
+  wcfg.huffman = huffman;
+  wcfg.index_chunk_symbols = cfg.index_chunk_symbols;
+  wcfg.mode = cfg.mode;
+  wcfg.error_bound = cfg.error_bound;
+  const sz::Region top{{0, 0, 0}, {16, 0, 0}};  // rows [0, 16)
+
+  const auto forge = [](std::vector<std::uint8_t> bytes) {
+    const std::size_t at = entry_field_at(0, 16);
+    const std::uint64_t u0 = load_le64(bytes.data() + at);
+    const std::uint64_t u1 = load_le64(bytes.data() + entry_field_at(1, 16));
+    EXPECT_LT(u0, u1) << "chunk 1 has no unpredictable value to move";
+    store_le64_at(bytes, at, u0 + 1);
+    return bytes;
+  };
+  const auto c_sz = sz::compress(grid, dims, cfg).bytes;
+  const auto c_wave = wave::compress(grid, dims, wcfg).bytes;
+  const auto f_sz = forge(c_sz);
+  const auto f_wave = forge(c_wave);
+  for (const int nt : {1, 4}) {
+    const sz::DecodeOptions opts{nt, 1};
+    EXPECT_NO_THROW((void)sz::decompress_region(c_sz, top, opts));
+    EXPECT_NO_THROW((void)wave::decompress_region(c_wave, top, opts));
+    EXPECT_THROW((void)sz::decompress(f_sz, opts), Error)
+        << "sz threads=" << nt << " huffman=" << huffman;
+    EXPECT_THROW((void)sz::decompress_region(f_sz, top, opts), Error)
+        << "sz region threads=" << nt << " huffman=" << huffman;
+    EXPECT_THROW((void)wave::decompress(f_wave, opts), Error)
+        << "wave threads=" << nt << " huffman=" << huffman;
+    EXPECT_THROW((void)wave::decompress_region(f_wave, top, opts), Error)
+        << "wave region threads=" << nt << " huffman=" << huffman;
   }
 }
 

@@ -11,6 +11,8 @@
 #include "deflate/deflate_tables.hpp"
 #include "deflate/lz77.hpp"
 #include "deflate/parallel.hpp"
+#include "sz/config.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/huffman.hpp"
 
@@ -109,7 +111,9 @@ TEST(Tables, EveryLengthMapsInsideItsCodeRange) {
 }
 
 TEST(Tables, EveryDistanceMapsInsideItsCodeRange) {
-  for (int dist = 1; dist <= 32768; dist += 7) {
+  // Every distance, so the lookup table's bucket edges (256 -> 257,
+  // 384 -> 385, ...) are all walked.
+  for (int dist = 1; dist <= 32768; ++dist) {
     const int c = distance_code(dist);
     const int base = kDistBase[static_cast<std::size_t>(c)];
     const int extra = kDistExtra[static_cast<std::size_t>(c)];
@@ -572,6 +576,133 @@ TEST(Gzip, FastVersusBestTradeoff) {
   EXPECT_LE(best.size(), fast.size() + 64);
   EXPECT_EQ(gzip_decompress(fast), input);
   EXPECT_EQ(gzip_decompress(best), input);
+}
+
+// ---------------------------------------------------------- golden bytes
+//
+// Exact size and CRC-32 of encoder outputs, so any change to tokens, block
+// choice or bit emission shows up across commits. Inputs use integer
+// arithmetic only (raw mt19937 words, no <random> distributions, no libm):
+// no compiler or libm difference can move a pin.
+
+/// Little-endian u16 quantization codes random-walking around the radius
+/// 32768, with a sprinkle of code 0 (unpredictable): the shape of a G*
+/// code section.
+std::vector<std::uint8_t> golden_code_section(std::size_t symbols) {
+  std::mt19937 rng(2020);
+  std::vector<std::uint8_t> out;
+  out.reserve(2 * symbols);
+  int offset = 0;
+  for (std::size_t i = 0; i < symbols; ++i) {
+    const std::uint32_t r = rng();
+    offset = std::clamp(offset + static_cast<int>(r % 5) - 2, -24, 24);
+    const auto code = (r >> 16) % 499 == 0
+                          ? std::uint16_t{0}
+                          : static_cast<std::uint16_t>(32768 + offset);
+    out.push_back(static_cast<std::uint8_t>(code & 0xff));
+    out.push_back(static_cast<std::uint8_t>(code >> 8));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> golden_text(std::size_t bytes) {
+  static const char* const kWords[] = {
+      "wavefront", "lossy",   "compression", "of",      "scientific",
+      "data",      "the",     "error",       "bound",   "holds",
+      "for",       "every",   "point",       "FPGA",    "pipeline",
+      "Lorenzo",   "predictor", "quantization", "Huffman", "gzip"};
+  std::mt19937 rng(1951);
+  std::string text;
+  int words = 0;
+  while (text.size() < bytes) {
+    text += kWords[rng() % 20];
+    text += (++words % 11 == 0) ? ".\n" : " ";
+  }
+  text.resize(bytes);
+  return bytes_of(text);
+}
+
+std::vector<std::uint8_t> golden_noise(std::size_t bytes) {
+  std::mt19937 rng(1952);
+  std::vector<std::uint8_t> out(bytes);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng() >> 24);
+  return out;
+}
+
+struct GoldenInput {
+  const char* name;
+  std::vector<std::uint8_t> bytes;
+  int first_block_type;  ///< BTYPE of compress()'s first block, either level
+};
+
+std::vector<GoldenInput> golden_inputs() {
+  return {
+      {"codes", golden_code_section(96 * 1024), 0b10},
+      {"text", golden_text(48 * 1024), 0b10},
+      {"noise", golden_noise(70000), 0b00},  // two stored blocks
+      {"short", bytes_of("waveSZ, waveSZ, waveSZ: a wavefront."), 0b01},
+      {"empty", {}, 0b01},
+  };
+}
+
+struct GoldenPin {
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+void expect_pin(const std::vector<std::uint8_t>& out, const GoldenPin& pin,
+                const std::string& what) {
+  EXPECT_EQ(out.size(), pin.size) << what;
+  EXPECT_EQ(Crc32::of(out), pin.crc) << what;
+}
+
+TEST(GoldenBytes, CompressAtBothLevels) {
+  // Per input, {Fast, Best}.
+  const GoldenPin pins[][2] = {
+      {{52762, 0x4eae0a0cu}, {52473, 0x531a6769u}},
+      {{9633, 0x07320f16u}, {7863, 0xa0ed5cd3u}},
+      {{70015, 0xde74f2ebu}, {70015, 0xde74f2ebu}},
+      {{22, 0xf31c87ceu}, {22, 0xf31c87ceu}},
+      {{2, 0x6af4413cu}, {2, 0x6af4413cu}},
+  };
+  const auto inputs = golden_inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (const Level level : {Level::Fast, Level::Best}) {
+      const auto out = compress(inputs[i].bytes, level);
+      ASSERT_FALSE(out.empty());
+      EXPECT_EQ((out[0] >> 1) & 3, inputs[i].first_block_type)
+          << inputs[i].name;
+      expect_pin(out, pins[i][level == Level::Best ? 1 : 0],
+                 std::string(inputs[i].name) +
+                     (level == Level::Best ? " best" : " fast"));
+      EXPECT_EQ(decompress(out), inputs[i].bytes) << inputs[i].name;
+    }
+  }
+}
+
+TEST(GoldenBytes, IndexedGzipAtOneAndTwoThreads) {
+  // The v2 container section encode: forced sync-flush chunking at the
+  // default index cadence. Per input, {1 thread, 2 threads}.
+  const GoldenPin pins[][2] = {
+      {{52827, 0xe2372bc7u}, {52827, 0xe2372bc7u}},
+      {{9651, 0x07b0e7d5u}, {9651, 0x07b0e7d5u}},
+      {{70038, 0x8b82e8d8u}, {70038, 0x8b82e8d8u}},
+      {{40, 0x0e4a99b6u}, {40, 0x0e4a99b6u}},
+      {{20, 0x4631be2fu}, {20, 0x4631be2fu}},
+  };
+  const auto inputs = golden_inputs();
+  ParallelOptions opts = sz::Config{}.indexed_deflate_options();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (const int threads : {1, 2}) {
+      opts.threads = threads;
+      const auto out =
+          gzip_compress_parallel(inputs[i].bytes, Level::Fast, opts);
+      expect_pin(out, pins[i][threads - 1],
+                 std::string(inputs[i].name) + " threads=" +
+                     std::to_string(threads));
+      EXPECT_EQ(gzip_decompress(out), inputs[i].bytes) << inputs[i].name;
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // the customized Huffman codec, truncation coding, and full round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "sz/predictor.hpp"
 #include "sz/quantizer.hpp"
 #include "sz/unpredictable.hpp"
+#include "util/bytes.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/float_bits.hpp"
 
@@ -327,6 +331,109 @@ TEST(HuffmanCodec, TruncatedPayloadRejected) {
   auto blob = huffman_encode(codes);
   blob.resize(blob.size() / 2);
   EXPECT_THROW(huffman_decode(blob), Error);
+}
+
+// ---------------------------------------------------------- golden bytes
+//
+// Exact size and CRC-32 of the bit-packing encoders' outputs, so any change
+// to code assignment or bit packing shows up across commits. Inputs use
+// integer arithmetic only (raw mt19937 words, no <random> distributions, no
+// libm): no compiler or libm difference can move a pin.
+
+/// Quantization codes random-walking around the radius 32768, with a
+/// sprinkle of code 0 (unpredictable).
+std::vector<std::uint16_t> golden_codes(std::size_t n) {
+  std::mt19937 rng(2020);
+  std::vector<std::uint16_t> out(n);
+  int offset = 0;
+  for (auto& c : out) {
+    const std::uint32_t r = rng();
+    offset = std::clamp(offset + static_cast<int>(r % 5) - 2, -24, 24);
+    c = (r >> 16) % 499 == 0 ? std::uint16_t{0}
+                             : static_cast<std::uint16_t>(32768 + offset);
+  }
+  return out;
+}
+
+std::vector<std::uint16_t> golden_text_symbols() {
+  const std::string text =
+      "the error bound holds for every point of the wavefront; "
+      "the Lorenzo predictor feeds the quantizer, the quantizer feeds "
+      "Huffman, and Huffman feeds gzip.";
+  return {text.begin(), text.end()};
+}
+
+/// Uniform 16-bit words: a table of tens of thousands of symbols and codes
+/// around 16 bits long.
+std::vector<std::uint16_t> golden_noise_symbols(std::size_t n) {
+  std::mt19937 rng(1952);
+  std::vector<std::uint16_t> out(n);
+  for (auto& c : out) c = static_cast<std::uint16_t>(rng() >> 16);
+  return out;
+}
+
+struct GoldenPin {
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+void expect_pin(const std::vector<std::uint8_t>& out, const GoldenPin& pin,
+                const std::string& what) {
+  EXPECT_EQ(out.size(), pin.size) << what;
+  EXPECT_EQ(Crc32::of(out), pin.crc) << what;
+}
+
+TEST(GoldenBytes, HuffmanEncode) {
+  // Inputs of at least 2 x 32768 symbols also run the two-thread chunked
+  // packer, which must splice to the same bytes.
+  const struct {
+    const char* name;
+    std::vector<std::uint16_t> codes;
+    GoldenPin pin;
+  } cases[] = {
+      {"codes", golden_codes(96 * 1024), {69822, 0x2e6386c8u}},
+      {"text", golden_text_symbols(), {188, 0xc4fd580cu}},
+      {"noise", golden_noise_symbols(80000), {292046, 0x21189346u}},
+      {"single symbol", std::vector<std::uint16_t>(1000, 32768),
+       {148, 0xb55b725fu}},
+      {"empty", {}, {20, 0x0fd59b8du}},
+  };
+  for (const auto& c : cases) {
+    for (const int threads : {1, 2}) {
+      const auto blob = huffman_encode(c.codes, threads);
+      expect_pin(blob, c.pin, std::string(c.name) + " threads=" +
+                                  std::to_string(threads));
+      EXPECT_EQ(huffman_decode(blob), c.codes) << c.name;
+    }
+  }
+}
+
+TEST(GoldenBytes, HuffmanEncodeIndexed) {
+  // The blob equals huffman_encode()'s; the pinned index serialization
+  // covers the recorded bit offsets, unpredictable counts and CRCs.
+  const auto codes = golden_codes(96 * 1024);
+  for (const int threads : {1, 2}) {
+    CodeChunkIndex idx;
+    const auto blob = huffman_encode_indexed(codes, threads, 4096, idx);
+    expect_pin(blob, {69822, 0x2e6386c8u}, "indexed blob");
+    ByteWriter w;
+    write_code_index(w, idx);
+    expect_pin(w.take(), {692, 0x04932cddu}, "indexed table");
+    EXPECT_EQ(huffman_decode_indexed(blob, idx, threads), codes);
+  }
+}
+
+TEST(GoldenBytes, TruncationEncode) {
+  // Exact binary fractions in [-2048, 2048) at a power-of-two bound.
+  std::mt19937 rng(1953);
+  std::vector<float> values(20000);
+  for (auto& v : values) {
+    v = static_cast<float>(static_cast<std::int32_t>(rng() >> 8) -
+                           (1 << 23)) /
+        4096.0f;
+  }
+  expect_pin(truncation_encode(values, 1.0 / 16), {69992, 0x73922c48u},
+             "truncation");
 }
 
 // ------------------------------------------------------------ compressor

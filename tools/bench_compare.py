@@ -9,8 +9,9 @@ Usage:
 Works against every BENCH_*.json schema in this repo without per-bench
 configuration: any top-level field holding a list of objects is treated as a
 row table, rows are matched across files by their identity fields (every
-string-valued field, plus well-known integer parameters like `threads` and
-`chunk_bytes`), and the remaining shared fields are compared as metrics.
+string-valued field, such as `input` or `level` in BENCH_deflate.json, plus
+well-known integer parameters like `threads` and `chunk_bytes`), and the
+remaining shared fields are compared as metrics.
 
 Metric policy, by field name:
   * throughput / speedup / quality (contains "mbps", "speedup", or "psnr",
@@ -247,6 +248,21 @@ def self_test():
 
     missing = {"results": [baseline["results"][0]]}
     assert len(run(missing).failures) == 1  # dropped row gates
+
+    # Rows that differ only in a string field are distinct rows: a size
+    # regression on one input gates although the other input's row, with
+    # the same parameters, is clean.
+    inputs = {"results": [
+        {"input": name, "level": "fast", "threads": 1,
+         "compressed_bytes": size}
+        for name, size in (("huffman", 1000), ("raw_u16", 300))]}
+    grown = json.loads(json.dumps(inputs))
+    grown["results"][1]["compressed_bytes"] = 330
+    per_input = Comparison(argparse.Namespace(
+        tol_speed=0.15, tol_ratio=0.02, tol_size=0.02, warn_speed=False))
+    per_input.compare(inputs, grown)
+    assert len(per_input.failures) == 1 and \
+        "input=raw_u16" in per_input.failures[0], per_input.failures
 
     print("bench_compare: self-test OK")
     return 0
