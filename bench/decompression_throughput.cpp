@@ -8,15 +8,18 @@
 //      (timed as the median of --repeat runs);
 //   2. the decode fast path vs the bit-at-a-time reference oracle on the
 //      512x512 synthetic fixture at deflate Level::Best — gzip member and
-//      full SZ container — asserting byte-identical output. This is the
-//      table recorded in EXPERIMENTS.md and dumped via --json to
-//      BENCH_decode.json.
+//      full SZ container — and on the gzip member of raw 16-bit codes
+//      that one 16-plane NYX chunk writes through waveSZ G*, asserting
+//      byte-identical output. This is the table recorded in EXPERIMENTS.md
+//      and dumped via --json to BENCH_decode.json.
 #include <cmath>
 #include <thread>
 
 #include "common.hpp"
 #include "deflate/deflate.hpp"
+#include "sz/container.hpp"
 #include "sz2/sz2.hpp"
+#include "util/bytes.hpp"
 #include "util/huffman.hpp"
 
 namespace {
@@ -106,7 +109,8 @@ void write_decode_json(const bench::Options& opts,
   std::fprintf(f, "{\n  \"bench\": \"decompression_throughput\",\n"
                "  \"version\": 2,\n"
                "  \"fixture\": \"synthetic 512x512 f32, deflate "
-               "Level::Best\",\n  \"repeat\": %u,\n"
+               "Level::Best; G* codes: one 16x128x128 NYX chunk, waveSZ "
+               "default config\",\n  \"repeat\": %u,\n"
                "  \"hardware_threads\": %u,\n  \"rows\": [",
                opts.repeat, std::thread::hardware_concurrency());
   bool first = true;
@@ -201,7 +205,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n----------------------------------------------------------------\n");
   std::printf("decode fast path vs bit-at-a-time reference "
-              "(512x512 synthetic, Level::Best)\n");
+              "(512x512 synthetic at Level::Best; one NYX G* chunk)\n");
   std::printf("----------------------------------------------------------------\n");
 
   const auto grid = make_synthetic_512();
@@ -230,13 +234,31 @@ int main(int argc, char** argv) {
     rows.push_back(time_both_paths("waveSZ H*G* container", opts.repeat,
                                    [&] { return wave::decompress(c.bytes); }));
   }
+  {
+    // The stream a nyx3d_stream decode inflates: one 16-plane chunk of a
+    // 128^3 NYX field through waveSZ G*, whose code section is a gzip
+    // member of raw 16-bit codes, coded almost entirely as short matches.
+    const auto nyx = data::fields(data::Persona::Nyx, 4).front();
+    const auto field = nyx.materialize();
+    const Dims chunk = Dims::d3(16, nyx.dims[1], nyx.dims[2]);
+    const auto c = wave::compress(
+        std::span<const float>(field).first(chunk.count()), chunk,
+        wave::default_config());
+    ByteReader r(c.bytes);
+    const auto h = sz::read_header(r);
+    (void)sz::read_code_index(r, h);
+    const auto codes = sz::read_section(r);
+    rows.push_back(time_both_paths(
+        "gzip member (G* u16 codes)", opts.repeat,
+        [&] { return deflate::gzip_decompress(codes); }));
+  }
 
-  std::printf("\n%-24s %12s %12s %10s %10s\n", "fixture", "fast MB/s",
+  std::printf("\n%-26s %12s %12s %10s %10s\n", "fixture", "fast MB/s",
               "ref MB/s", "speedup", "identical");
   bool all_identical = true;
   for (const auto& r : rows) {
     all_identical = all_identical && r.identical;
-    std::printf("%-24s %12.0f %12.0f %9.2fx %10s\n", r.fixture, r.fast_mbps(),
+    std::printf("%-26s %12.0f %12.0f %9.2fx %10s\n", r.fixture, r.fast_mbps(),
                 r.ref_mbps(), r.speedup(), r.identical ? "yes" : "NO");
   }
 

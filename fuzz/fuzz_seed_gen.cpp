@@ -19,6 +19,7 @@
 #include "core/wavesz.hpp"
 #include "data/synthetic.hpp"
 #include "deflate/deflate.hpp"
+#include "deflate_vectors.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman_codec.hpp"
 
@@ -78,6 +79,18 @@ int main(int argc, char** argv) {
   write_seed(root / "gzip", 1,
              deflate::gzip_compress(std::vector<std::uint8_t>{},
                                     deflate::Level::Best));
+
+  // Malformed on purpose, next to the decoder checks that reject them: a
+  // dynamic header declaring 287 lit/len code lengths (RFC 1951 allows
+  // 286), and a member with 3 bytes between its DEFLATE stream and trailer.
+  const auto hlit_287 = deflate::vectors::dynamic_block_with_hlit(287);
+  write_seed(root / "inflate", 3, hlit_287);
+  write_seed(root / "gzip", 2,
+             deflate::vectors::with_gap_before_trailer(
+                 deflate::gzip_compress(plain, deflate::Level::Fast), 3));
+  write_seed(root / "gzip", 3,
+             deflate::vectors::gzip_member(hlit_287,
+                                           std::vector<std::uint8_t>{'A'}));
 
   {
     sz::Config cfg;

@@ -377,21 +377,23 @@ std::vector<std::uint8_t> read_dynamic_lengths(BitReaderLSB& br,
   return lens;
 }
 
-/// Append a back-reference. The destination trails the source by `distance`
-/// bytes, so once distance >= 8 every 8-byte step reads fully-written data
-/// and the copy can run a word at a time; shorter distances (the pattern-
-/// replicating overlap case) go byte by byte.
-void copy_match(std::vector<std::uint8_t>& out, std::size_t distance,
-                std::size_t length) {
-  const std::size_t start = out.size() - distance;
-  out.resize(out.size() + length);
-  std::uint8_t* dst = out.data() + out.size() - length;
-  const std::uint8_t* src = out.data() + start;
-  std::size_t k = 0;
-  if (distance >= 8) {
-    for (; k + 8 <= length; k += 8) copy8(dst + k, src + k);
-  }
-  for (; k < length; ++k) dst[k] = src[k];
+/// Room every fast-loop symbol may write past the output cursor: a
+/// 258-byte match, plus the overrun of its 8-byte word copies (at most 6
+/// bytes; a match shorter than 16 still writes two whole words).
+constexpr std::size_t kOutputSlack = kMaxMatch + 16;
+
+/// How far past the needed room `ensure_room` extends the output.
+constexpr std::size_t kGrowStep = 16 * 1024;
+
+/// Make `out` hold at least `room` bytes past the `produced` bytes of
+/// decoded output. The vector's capacity grows by doubling, which keeps
+/// reallocation amortized; its length runs at most `room + kGrowStep`
+/// ahead of the cursor, so bytes are zero-filled and made resident just
+/// before they are written (doubling the length instead would keep up to
+/// twice the output resident).
+void ensure_room(std::vector<std::uint8_t>& out, std::size_t produced,
+                 std::size_t room) {
+  if (out.size() - produced < room) out.resize(produced + room + kGrowStep);
 }
 
 /// Reference inflate loop: one bit per decoder step. Kept bit-for-bit as
@@ -424,50 +426,136 @@ void inflate_block_reference(BitReaderLSB& br, const CanonicalDecoder& litlen,
   }
 }
 
-/// Table-driven inflate loop. Worst-case consumption per iteration is a
-/// 15-bit lit/len code + 5 extra bits + 15-bit distance code + 13 extra
-/// bits = 48 bits, within the >= 56 bits a single refill guarantees, so
-/// the reader refills at most once per peek underrun and the loop spends
-/// its time in the two table probes and the word-wise copy.
-void inflate_block_fast(BitReaderLSB& br, const CanonicalDecoder& litlen,
-                        const CanonicalDecoder& dist,
-                        std::vector<std::uint8_t>& out) {
-  const auto peek = [&](int n) { return br.peek(n); };
-  const auto consume = [&](int n) { br.consume(n); };
-  for (;;) {
-    const auto sym = litlen.decode_fast(peek, consume);
-    if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
-    } else if (sym == kEndOfBlock) {
-      return;
-    } else {
-      WAVESZ_REQUIRE(sym <= 285, "invalid length symbol");
-      const std::size_t lc = sym - 257;
-      const std::uint32_t length =
-          kLengthBase[lc] + br.bits(kLengthExtra[lc]);
-      const auto dsym = dist.decode_fast(peek, consume);
-      WAVESZ_REQUIRE(dsym < kNumDist, "invalid distance symbol");
-      const std::uint32_t distance =
-          kDistBase[dsym] + br.bits(kDistExtra[dsym]);
-      WAVESZ_REQUIRE(distance <= out.size(),
-                     "distance reaches before stream start");
-      copy_match(out, distance, length);
-    }
+/// Consume the code under the low bits of `st.acc` and return its table
+/// entry, 0 when no code reaches that slot: one root probe, a second one
+/// through a subtable link for codes longer than the root. Forced inline so
+/// the reader state stays in registers.
+[[gnu::always_inline]] inline std::uint32_t take_code(
+    BitReaderLSB::State& st, const std::uint32_t* table, int root) {
+  std::uint32_t e = table[st.acc & ((std::uint64_t{1} << root) - 1)];
+  if ((e & 0xffu) >= CanonicalDecoder::kLinkControl) {
+    const auto sub =
+        static_cast<int>((e & 0xffu) - CanonicalDecoder::kLinkControl);
+    st.acc >>= root;
+    st.fill -= root;
+    e = table[(e >> 8) + (st.acc & ((std::uint64_t{1} << sub) - 1))];
   }
+  const auto len = static_cast<int>(e & 0xffu);
+  st.acc >>= len;
+  st.fill -= len;
+  return e;
 }
 
-void inflate_block(BitReaderLSB& br, const CanonicalDecoder& litlen,
-                   const CanonicalDecoder& dist,
-                   std::vector<std::uint8_t>& out, bool reference) {
+/// Take the next `n` (at most 13) bits of `st.acc`.
+[[gnu::always_inline]] inline std::uint32_t take_bits(BitReaderLSB::State& st,
+                                                      int n) {
+  const auto v =
+      static_cast<std::uint32_t>(st.acc & ((std::uint64_t{1} << n) - 1));
+  st.acc >>= n;
+  st.fill -= n;
+  return v;
+}
+
+/// Table-driven inflate loop over one block, writing from `out[produced]`
+/// on; returns the new decoded length. The bit reader's state and the
+/// output cursor stay in locals for the whole block. Each symbol starts
+/// with one refill: an unaligned 8-byte load while 8 input bytes remain,
+/// which leaves at least 56 bits, byte by byte over the final stretch. The
+/// costliest symbol takes 15 + 5 + 15 + 13 = 48 bits, so it decodes from
+/// the accumulator alone. Past the end of the input the accumulator reads
+/// as zeros; a symbol that consumed any of them drives `fill` negative and
+/// throws, so a cut stream never ends on a zero-padded end-of-block code.
+std::size_t inflate_block_fast(BitReaderLSB& br,
+                               const CanonicalDecoder& litlen,
+                               const CanonicalDecoder& dist,
+                               std::vector<std::uint8_t>& out,
+                               std::size_t produced) {
+  const std::uint8_t* const in = br.source().data();
+  const std::size_t in_size = br.source().size();
+  BitReaderLSB::State st = br.state();
+  std::uint8_t* base = out.data();
+  std::uint8_t* op = base + produced;
+  std::uint8_t* end = base + out.size();
+  // Table pointers and widths in locals too: the output stores are byte
+  // stores, which may alias the decoders' members and would force a reload
+  // per symbol.
+  const std::uint32_t* const litlen_table = litlen.table().data();
+  const int litlen_root = litlen.root_bits();
+  const std::uint32_t* const dist_table = dist.table().data();
+  const int dist_root = dist.root_bits();
+
+  for (;;) {
+    if (static_cast<std::size_t>(end - op) < kOutputSlack) {
+      produced = static_cast<std::size_t>(op - base);
+      ensure_room(out, produced, kOutputSlack);
+      base = out.data();
+      op = base + produced;
+      end = base + out.size();
+    }
+    if (st.pos + 8 <= in_size) {
+      st.acc |= load_le64(in + st.pos) << st.fill;
+      st.pos += static_cast<std::size_t>((63 - st.fill) >> 3);
+      st.fill |= 56;
+    } else {
+      while (st.fill <= 56 && st.pos < in_size) {
+        st.acc |= static_cast<std::uint64_t>(in[st.pos++]) << st.fill;
+        st.fill += 8;
+      }
+    }
+    const std::uint32_t e = take_code(st, litlen_table, litlen_root);
+    WAVESZ_REQUIRE(e != 0, "invalid Huffman code in bitstream");
+    WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
+    const std::uint32_t sym = e >> 8;
+    if (sym < 256) {
+      *op++ = static_cast<std::uint8_t>(sym);
+      continue;
+    }
+    if (sym == kEndOfBlock) break;
+    WAVESZ_REQUIRE(sym <= 285, "invalid length symbol");
+    const std::size_t lc = sym - 257;
+    const std::size_t length =
+        kLengthBase[lc] + take_bits(st, kLengthExtra[lc]);
+    const std::uint32_t de = take_code(st, dist_table, dist_root);
+    WAVESZ_REQUIRE(de != 0, "invalid Huffman code in bitstream");
+    const std::uint32_t dsym = de >> 8;
+    WAVESZ_REQUIRE(dsym < kNumDist, "invalid distance symbol");
+    const std::size_t distance =
+        kDistBase[dsym] + take_bits(st, kDistExtra[dsym]);
+    WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
+    WAVESZ_REQUIRE(distance <= static_cast<std::size_t>(op - base),
+                   "distance reaches before stream start");
+    // Once the source trails by 8 or more, every 8-byte step reads bytes
+    // already written; shorter distances replicate a pattern byte by byte.
+    const std::uint8_t* const from = op - distance;
+    if (distance >= 8) {
+      copy8(op, from);
+      copy8(op + 8, from + 8);
+      for (std::size_t k = 16; k < length; k += 8) copy8(op + k, from + k);
+    } else {
+      for (std::size_t k = 0; k < length; ++k) op[k] = from[k];
+    }
+    op += length;
+  }
+  br.set_state(st);
+  return static_cast<std::size_t>(op - base);
+}
+
+/// Inflate one Huffman-coded block after the `produced` bytes of `out`;
+/// returns the new decoded length.
+std::size_t inflate_block(BitReaderLSB& br, const CanonicalDecoder& litlen,
+                          const CanonicalDecoder& dist,
+                          std::vector<std::uint8_t>& out, std::size_t produced,
+                          bool reference) {
   telemetry::Span span(telemetry::spans::kInflateBlock);
   telemetry::counter_add(telemetry::Counter::InflateBlocks, 1);
   // Blocks whose codes defeat the table build (over-subscribed or forged
   // headers) decode through the oracle, which throws on the first bad code.
   if (reference || !litlen.has_fast_table() || !dist.has_fast_table()) {
+    out.resize(produced);
     inflate_block_reference(br, litlen, dist, out);
-  } else {
-    inflate_block_fast(br, litlen, dist, out);
+    return out.size();
   }
+  return inflate_block_fast(br, litlen, dist, out, produced);
 }
 
 const CanonicalDecoder& fixed_litlen_decoder() {
@@ -489,12 +577,15 @@ const CanonicalDecoder& fixed_dist_decoder() {
 /// Shared block loop behind decompress() and decompress_prefix(): inflate
 /// until the final block, or — when `min_output` is not SIZE_MAX — until at
 /// least that many output bytes exist (checked between blocks, so the
-/// result may overshoot by up to one block).
+/// result may overshoot by up to one block). `out` runs ahead of the
+/// `produced` bytes decoded so far (ensure_room) and is trimmed to them at
+/// the end.
 PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
                             std::size_t min_output, bool reference) {
   BitReaderLSB br(input);
   PrefixResult run;
   std::vector<std::uint8_t>& out = run.bytes;
+  std::size_t produced = 0;
   for (;;) {
     const bool final_block = br.bit() != 0;
     const std::uint32_t type = br.bits(2);
@@ -509,17 +600,17 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
       const std::uint32_t nlen_hi = br.byte();
       const std::uint32_t nlen = nlen_lo | (nlen_hi << 8);
       WAVESZ_REQUIRE((len ^ 0xffffu) == nlen, "stored block LEN/NLEN mismatch");
-      const std::size_t old = out.size();
-      out.resize(old + len);
-      br.read_bytes(out.data() + old, len);
+      ensure_room(out, produced, len);
+      br.read_bytes(out.data() + produced, len);
+      produced += len;
     } else if (type == 0b01) {
-      inflate_block(br, fixed_litlen_decoder(), fixed_dist_decoder(), out,
-                    reference);
+      produced = inflate_block(br, fixed_litlen_decoder(), fixed_dist_decoder(),
+                               out, produced, reference);
     } else if (type == 0b10) {
       const std::uint32_t hlit = br.bits(5) + 257;
       const std::uint32_t hdist = br.bits(5) + 1;
       const std::uint32_t hclen = br.bits(4) + 4;
-      WAVESZ_REQUIRE(hlit <= kNumLitLen && hdist <= kNumDist,
+      WAVESZ_REQUIRE(hlit <= kMaxHlit && hdist <= kNumDist,
                      "dynamic header counts out of range");
       std::array<std::uint8_t, kNumClc> clc_lens{};
       for (std::uint32_t i = 0; i < hclen; ++i) {
@@ -530,8 +621,9 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
       std::vector<std::uint8_t> ll(all.begin(), all.begin() + hlit);
       std::vector<std::uint8_t> dd(all.begin() + hlit, all.end());
       WAVESZ_REQUIRE(ll[kEndOfBlock] > 0, "no end-of-block code");
-      inflate_block(br, CanonicalDecoder(ll, BitOrder::LsbFirst),
-                    CanonicalDecoder(dd, BitOrder::LsbFirst), out, reference);
+      produced = inflate_block(br, CanonicalDecoder(ll, BitOrder::LsbFirst),
+                               CanonicalDecoder(dd, BitOrder::LsbFirst), out,
+                               produced, reference);
     } else {
       throw Error("reserved DEFLATE block type");
     }
@@ -539,8 +631,9 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
       run.complete = true;
       break;
     }
-    if (out.size() >= min_output) break;
+    if (produced >= min_output) break;
   }
+  out.resize(produced);
   run.compressed_consumed = br.consumed();
   return run;
 }
@@ -548,6 +641,48 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
 std::vector<std::uint8_t> decompress_impl(std::span<const std::uint8_t> input,
                                           bool reference) {
   return inflate_blocks(input, static_cast<std::size_t>(-1), reference).bytes;
+}
+
+constexpr std::size_t kGzipHeaderBytes = 10;
+constexpr std::size_t kGzipTrailerBytes = 8;
+
+/// The DEFLATE body of a gzip member, after checking its fixed header.
+std::span<const std::uint8_t> gzip_body(std::span<const std::uint8_t> input) {
+  WAVESZ_REQUIRE(input.size() >= kGzipHeaderBytes + kGzipTrailerBytes,
+                 "gzip member too short");
+  ByteReader r(input);
+  WAVESZ_REQUIRE(r.u8() == 0x1f && r.u8() == 0x8b, "bad gzip magic");
+  WAVESZ_REQUIRE(r.u8() == 8, "unsupported gzip compression method");
+  const std::uint8_t flg = r.u8();
+  WAVESZ_REQUIRE(flg == 0, "gzip optional header fields not supported");
+  (void)r.u32();  // MTIME
+  (void)r.u8();   // XFL
+  (void)r.u8();   // OS
+  return input.subspan(kGzipHeaderBytes,
+                       input.size() - kGzipHeaderBytes - kGzipTrailerBytes);
+}
+
+/// Check a complete inflate of the member's body against its trailer: the
+/// DEFLATE stream must end exactly where the trailer starts, and the
+/// CRC-32 and ISIZE must match the decoded bytes.
+void verify_gzip_trailer(std::span<const std::uint8_t> input,
+                         const PrefixResult& run) {
+  WAVESZ_REQUIRE(run.compressed_consumed ==
+                     input.size() - kGzipHeaderBytes - kGzipTrailerBytes,
+                 "gzip member has bytes between its DEFLATE stream and "
+                 "trailer");
+  ByteReader tail(input.subspan(input.size() - kGzipTrailerBytes));
+  const std::uint32_t crc = tail.u32();
+  const std::uint32_t isize = tail.u32();
+  std::uint32_t actual_crc;
+  {
+    telemetry::Span span(telemetry::spans::kCrc32);
+    telemetry::counter_add(telemetry::Counter::CrcBytes, run.bytes.size());
+    actual_crc = Crc32::of(run.bytes);
+  }
+  WAVESZ_REQUIRE(crc == actual_crc, "gzip CRC mismatch");
+  WAVESZ_REQUIRE(isize == static_cast<std::uint32_t>(run.bytes.size()),
+                 "gzip ISIZE mismatch");
 }
 
 }  // namespace
@@ -585,66 +720,26 @@ std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> input,
 
 std::vector<std::uint8_t> gzip_decompress(
     std::span<const std::uint8_t> input) {
-  WAVESZ_REQUIRE(input.size() >= 18, "gzip member too short");
-  ByteReader r(input);
-  WAVESZ_REQUIRE(r.u8() == 0x1f && r.u8() == 0x8b, "bad gzip magic");
-  WAVESZ_REQUIRE(r.u8() == 8, "unsupported gzip compression method");
-  const std::uint8_t flg = r.u8();
-  WAVESZ_REQUIRE(flg == 0, "gzip optional header fields not supported");
-  (void)r.u32();  // MTIME
-  (void)r.u8();   // XFL
-  (void)r.u8();   // OS
-  const auto body = input.subspan(r.position(), input.size() - r.position() - 8);
-  auto out = decompress(body);
-  ByteReader tail(input.subspan(input.size() - 8));
-  const std::uint32_t crc = tail.u32();
-  const std::uint32_t isize = tail.u32();
-  std::uint32_t actual_crc;
-  {
-    telemetry::Span span(telemetry::spans::kCrc32);
-    telemetry::counter_add(telemetry::Counter::CrcBytes, out.size());
-    actual_crc = Crc32::of(out);
-  }
-  WAVESZ_REQUIRE(crc == actual_crc, "gzip CRC mismatch");
-  WAVESZ_REQUIRE(isize == static_cast<std::uint32_t>(out.size()),
-                 "gzip ISIZE mismatch");
-  return out;
+  PrefixResult run = inflate_blocks(gzip_body(input),
+                                    static_cast<std::size_t>(-1),
+                                    reference_decode_enabled());
+  verify_gzip_trailer(input, run);
+  return std::move(run.bytes);
 }
 
 PrefixResult gzip_decompress_prefix(std::span<const std::uint8_t> input,
                                     std::size_t min_output_bytes) {
   telemetry::Span span(telemetry::spans::kInflatePrefix);
-  WAVESZ_REQUIRE(input.size() >= 18, "gzip member too short");
-  ByteReader r(input);
-  WAVESZ_REQUIRE(r.u8() == 0x1f && r.u8() == 0x8b, "bad gzip magic");
-  WAVESZ_REQUIRE(r.u8() == 8, "unsupported gzip compression method");
-  const std::uint8_t flg = r.u8();
-  WAVESZ_REQUIRE(flg == 0, "gzip optional header fields not supported");
-  (void)r.u32();  // MTIME
-  (void)r.u8();   // XFL
-  (void)r.u8();   // OS
-  const auto body =
-      input.subspan(r.position(), input.size() - r.position() - 8);
-  PrefixResult run = inflate_blocks(body, min_output_bytes,
+  PrefixResult run = inflate_blocks(gzip_body(input), min_output_bytes,
                                     reference_decode_enabled());
-  run.compressed_consumed += r.position();
   if (run.complete) {
     // The whole stream came out anyway; verify the trailer as a full
     // decode would. An early stop leaves the trailer unverified by design
     // — it covers bytes that were deliberately never produced.
-    ByteReader tail(input.subspan(input.size() - 8));
-    const std::uint32_t crc = tail.u32();
-    const std::uint32_t isize = tail.u32();
-    std::uint32_t actual_crc;
-    {
-      telemetry::Span span_crc(telemetry::spans::kCrc32);
-      telemetry::counter_add(telemetry::Counter::CrcBytes, run.bytes.size());
-      actual_crc = Crc32::of(run.bytes);
-    }
-    WAVESZ_REQUIRE(crc == actual_crc, "gzip CRC mismatch");
-    WAVESZ_REQUIRE(isize == static_cast<std::uint32_t>(run.bytes.size()),
-                   "gzip ISIZE mismatch");
-    run.compressed_consumed += 8;
+    verify_gzip_trailer(input, run);
+    run.compressed_consumed = input.size();
+  } else {
+    run.compressed_consumed += kGzipHeaderBytes;
   }
   return run;
 }

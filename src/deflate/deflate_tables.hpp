@@ -11,6 +11,7 @@ namespace wavesz::deflate {
 
 inline constexpr int kEndOfBlock = 256;
 inline constexpr int kNumLitLen = 288;  // 0..287 (286/287 reserved)
+inline constexpr int kMaxHlit = 286;    // most lit/len lengths a header sends
 inline constexpr int kNumDist = 30;
 inline constexpr int kNumClc = 19;  // code-length alphabet
 

@@ -175,6 +175,22 @@ class BitReaderLSB {
   /// Bytes consumed from the underlying span (buffered bits count as read).
   std::size_t consumed() const { return pos_ - static_cast<std::size_t>(fill_) / 8; }
 
+  /// The reader's registers, for a decode loop that keeps them in locals
+  /// (the inflate fast path) and hands them back through set_state(). The
+  /// state handed back must keep the consumed-bits invariant above.
+  struct State {
+    std::size_t pos = 0;
+    std::uint64_t acc = 0;
+    int fill = 0;
+  };
+  State state() const { return {pos_, acc_, fill_}; }
+  void set_state(const State& st) {
+    pos_ = st.pos;
+    acc_ = st.acc;
+    fill_ = st.fill;
+  }
+  std::span<const std::uint8_t> source() const { return s_; }
+
  private:
   void refill() {
     if (pos_ + 8 <= s_.size()) {

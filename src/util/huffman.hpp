@@ -102,7 +102,10 @@ class CanonicalDecoder {
   int root_bits() const { return root_bits_; }
   bool empty() const { return sorted_symbols_.empty(); }
 
- private:
+  /// The flat table itself, for a decode loop that keeps its bit buffer in
+  /// locals (the inflate fast path). Empty unless has_fast_table().
+  std::span<const std::uint32_t> table() const { return table_; }
+
   // Flat table entry layout (std::uint32_t): `(payload << 8) | control`.
   // The control byte disambiguates — code lengths never exceed 31, so
   // values >= kLinkControl cannot be lengths:
@@ -117,6 +120,7 @@ class CanonicalDecoder {
   //                              with the next `b` bits
   static constexpr std::uint32_t kLinkControl = 32;
 
+ private:
   [[noreturn]] static void throw_bad_code();
 
   void build_fast_table(std::span<const std::uint8_t> lengths,

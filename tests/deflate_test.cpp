@@ -11,6 +11,7 @@
 #include "deflate/deflate_tables.hpp"
 #include "deflate/lz77.hpp"
 #include "deflate/parallel.hpp"
+#include "deflate_vectors.hpp"
 #include "sz/config.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
@@ -576,6 +577,204 @@ TEST(Gzip, FastVersusBestTradeoff) {
   EXPECT_LE(best.size(), fast.size() + 64);
   EXPECT_EQ(gzip_decompress(fast), input);
   EXPECT_EQ(gzip_decompress(best), input);
+}
+
+// --------------------------------------- header limits and gzip framing
+
+TEST(Deflate, DynamicHeaderRejectsHlitAbove286) {
+  // RFC 1951 §3.2.7: HLIT sends 257..286 lit/len code lengths. The 5-bit
+  // field can say 287 or 288; zlib rejects those as "too many length or
+  // distance symbols", and so must both decode paths.
+  const std::vector<std::uint8_t> a{'A'};
+  const auto ok = vectors::dynamic_block_with_hlit(286);
+  EXPECT_EQ(decompress(ok), a);
+  EXPECT_EQ(decompress_reference(ok), a);
+  for (const int hlit : {287, 288}) {
+    const auto bad = vectors::dynamic_block_with_hlit(hlit);
+    EXPECT_THROW(decompress(bad), Error) << "HLIT " << hlit;
+    EXPECT_THROW(decompress_reference(bad), Error) << "HLIT " << hlit;
+  }
+}
+
+TEST(Gzip, RejectsBytesBetweenStreamAndTrailer) {
+  const auto input = bytes_of("a gap before the trailer, a gap before it");
+  const auto member = gzip_compress(input, Level::Fast);
+  const auto padded = vectors::with_gap_before_trailer(member, 3);
+  for (const bool reference : {false, true}) {
+    ReferenceDecodeGuard pin(reference);
+    EXPECT_EQ(gzip_decompress(member), input);
+    EXPECT_THROW(gzip_decompress(padded), Error);
+    // A single-block member completes whatever the requested prefix.
+    EXPECT_THROW(gzip_decompress_prefix(padded, 1), Error);
+    EXPECT_THROW(gzip_decompress_prefix(padded, input.size()), Error);
+  }
+}
+
+TEST(Gzip, EveryEncoderMemberEndsAtItsTrailer) {
+  for (const std::size_t size : {0u, 1u, 5000u, 100000u}) {
+    const auto input = patterned(size, static_cast<unsigned>(size + 11));
+    for (const Level level : {Level::Fast, Level::Best}) {
+      std::vector<std::vector<std::uint8_t>> members = {
+          gzip_compress(input, level)};
+      for (const int threads : {1, 2, 4}) {
+        ParallelOptions opts{4096, threads, true};
+        opts.force_chunking = true;  // a sync-flush marker every chunk
+        members.push_back(gzip_compress_parallel(input, level, opts));
+      }
+      for (const auto& member : members) {
+        EXPECT_EQ(gzip_decompress(member), input) << size;
+        const auto run =
+            gzip_decompress_prefix(member, static_cast<std::size_t>(-1));
+        EXPECT_TRUE(run.complete) << size;
+        EXPECT_EQ(run.bytes, input) << size;
+        EXPECT_EQ(run.compressed_consumed, member.size()) << size;
+      }
+    }
+  }
+}
+
+// ------------------------------------ fast loop vs reference: edge shapes
+
+Token literal_token(int byte) {
+  Token t;
+  t.literal = static_cast<std::uint8_t>(byte);
+  return t;
+}
+
+Token match_token(int length, int distance) {
+  Token t;
+  t.length = static_cast<std::uint16_t>(length);
+  t.distance = static_cast<std::uint16_t>(distance);
+  return t;
+}
+
+/// Code `tokens` as one Huffman-coded final block and require both decode
+/// paths to reproduce their expansion.
+void expect_paths_agree(const std::vector<Token>& tokens,
+                        const std::string& what) {
+  const auto plain = expand(tokens);
+  BitWriterLSB bw;
+  detail::deflate_blocks(bw, plain, tokens, /*mark_final=*/true);
+  const auto stream = bw.take();
+  ASSERT_NE((stream[0] >> 1) & 3, 0b00) << what << ": stored, not coded";
+  EXPECT_EQ(decompress(stream), plain) << what;
+  EXPECT_EQ(decompress_reference(stream), plain) << what;
+}
+
+TEST(InflateEdges, OverlappingMatchesAtEveryShortDistance) {
+  // Distances 1..7 replicate a pattern byte by byte; 8..16 copy whole
+  // words whose source overlaps the bytes just written.
+  for (int distance = 1; distance <= 16; ++distance) {
+    std::vector<Token> tokens;
+    for (int i = 0; i < distance; ++i) tokens.push_back(literal_token('a' + i));
+    for (int length = kMinMatch; length <= kMaxMatch; ++length) {
+      tokens.push_back(match_token(length, distance));
+      tokens.push_back(literal_token(length));
+    }
+    expect_paths_agree(tokens, "distance " + std::to_string(distance));
+  }
+}
+
+TEST(InflateEdges, MatchesAtTheFullWindowDistance) {
+  std::mt19937 rng(32768);
+  std::vector<Token> tokens;
+  // A 16-letter alphabet, so the window codes cheaper than a stored block.
+  for (std::size_t i = 0; i < kWindowSize; ++i) {
+    tokens.push_back(literal_token('a' + static_cast<int>(rng() % 16)));
+  }
+  for (const int length : {3, 7, 8, 9, 15, 16, 17, 100, 257, 258}) {
+    tokens.push_back(match_token(length, 32768));
+  }
+  expect_paths_agree(tokens, "distance 32768");
+}
+
+TEST(InflateEdges, MatchEndsAtEveryOffsetAroundOutputGrowth) {
+  // The fast loop grows its output buffer when a symbol starts with fewer
+  // than 258 + 16 bytes of room left. Shifting a run of 258-byte matches
+  // by every phase 0..257 ends a match at every output offset up to 36000
+  // (past the second growth), so some match leaves exactly that room and
+  // another one byte less — for byte-wise (distance 1) and word-wise
+  // (distance 9) copies.
+  for (const int distance : {1, 9}) {
+    for (int phase = 0; phase < kMaxMatch; ++phase) {
+      std::vector<Token> tokens;
+      std::size_t produced = 0;
+      for (int i = 0; i < distance + phase; ++i, ++produced) {
+        tokens.push_back(literal_token('a' + i % 7));
+      }
+      for (; produced < 36000; produced += kMaxMatch) {
+        tokens.push_back(match_token(kMaxMatch, distance));
+      }
+      expect_paths_agree(tokens, "distance " + std::to_string(distance) +
+                                     " phase " + std::to_string(phase));
+    }
+  }
+}
+
+/// A stored block (noise), a fixed-code block (a short phrase) and a
+/// dynamic-code block (structured bytes) in one stream, the last final.
+struct MixedStream {
+  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> plain;
+};
+
+MixedStream mixed_block_stream() {
+  std::mt19937 rng(1951);
+  std::vector<std::uint8_t> noise(300);
+  for (auto& b : noise) b = static_cast<std::uint8_t>(rng() >> 24);
+  const std::vector<std::vector<std::uint8_t>> parts = {
+      noise, bytes_of("fixed, fixed, fixed codes"), patterned(3000, 12)};
+  BitWriterLSB bw;
+  MixedStream m;
+  std::vector<std::size_t> block_starts;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    block_starts.push_back(bw.bit_count());
+    detail::deflate_blocks(bw, parts[i], tokenize(parts[i], Level::Fast),
+                           /*mark_final=*/i + 1 == parts.size());
+    m.plain.insert(m.plain.end(), parts[i].begin(), parts[i].end());
+  }
+  m.body = bw.take();
+  // BTYPE is the two bits after each block's BFINAL: 00, 01, 10.
+  for (std::size_t i = 0; i < block_starts.size(); ++i) {
+    int type = 0;
+    for (int b = 0; b < 2; ++b) {
+      const std::size_t bit = block_starts[i] + 1 + static_cast<std::size_t>(b);
+      type |= ((m.body[bit / 8] >> (bit % 8)) & 1) << b;
+    }
+    EXPECT_EQ(type, static_cast<int>(i)) << "block " << i;
+  }
+  return m;
+}
+
+TEST(InflateEdges, StoredFixedAndDynamicBlocksInOneMember) {
+  const MixedStream m = mixed_block_stream();
+  EXPECT_EQ(decompress(m.body), m.plain);
+  EXPECT_EQ(decompress_reference(m.body), m.plain);
+  const auto member = vectors::gzip_member(m.body, m.plain);
+  for (const bool reference : {false, true}) {
+    ReferenceDecodeGuard pin(reference);
+    EXPECT_EQ(gzip_decompress(member), m.plain);
+  }
+}
+
+TEST(InflateEdges, EveryStrictPrefixOfAMultiBlockMemberThrows) {
+  // The final block's last code ends in the last byte, so every cut drops
+  // bits a decoder must read; the fast loop must not finish on the zeros
+  // it reads past the end.
+  const MixedStream m = mixed_block_stream();
+  const auto member = vectors::gzip_member(m.body, m.plain);
+  for (std::size_t cut = 0; cut < m.body.size(); ++cut) {
+    const std::span<const std::uint8_t> prefix(m.body.data(), cut);
+    EXPECT_THROW(decompress(prefix), Error) << "body cut at " << cut;
+    EXPECT_THROW(decompress_reference(prefix), Error) << "body cut at " << cut;
+  }
+  for (const bool reference : {false, true}) {
+    ReferenceDecodeGuard pin(reference);
+    for (std::size_t cut = 0; cut < member.size(); ++cut) {
+      const std::span<const std::uint8_t> prefix(member.data(), cut);
+      EXPECT_THROW(gzip_decompress(prefix), Error) << "member cut at " << cut;
+    }
+  }
 }
 
 // ---------------------------------------------------------- golden bytes
