@@ -22,6 +22,7 @@
 #include "deflate_vectors.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman_codec.hpp"
+#include "wave_vectors.hpp"
 
 namespace fs = std::filesystem;
 
@@ -110,6 +111,22 @@ int main(int argc, char** argv) {
     const Dims d3 = Dims::d3(8, 16, 16);
     write_seed(root / "wavesz", 1,
                wave::compress(field(d3, 23), d3, cfg).bytes);
+    // Malformed on purpose: v1 G* containers whose only defect is a nonzero
+    // code at one border point, which the decoder's border check rejects.
+    // One Flatten2D float32 field (top row), one True3D float64 field
+    // (left column of plane 2, the 3D slice kernel).
+    sz::Config gstar = wave::default_config();
+    gstar.chunk_index = false;
+    write_seed(root / "wavesz", 2,
+               wave::vectors::with_border_code(
+                   wave::compress(f32, d2, gstar).bytes, 0, 0, 9));
+    const auto narrow = field(d3, 43);
+    const std::vector<double> wide(narrow.begin(), narrow.end());
+    write_seed(root / "wavesz", 3,
+               wave::vectors::with_border_code(
+                   wave::compress(wide, d3, gstar, wave::LayoutMode::True3D)
+                       .bytes,
+                   2, 6, 0));
   }
 
   {

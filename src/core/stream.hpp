@@ -90,8 +90,8 @@ class StreamCompressor {
 };
 
 /// Decode a whole streamed archive back into the full field. `pqd_threads`
-/// is a budget (Config::pqd_threads semantics) for each chunk's Lorenzo
-/// reconstruction sweep; results are value-identical for every budget.
+/// is forwarded to each chunk's wave::decompress(), whose reconstruct is
+/// serial at every budget.
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
                                      Dims* dims_out = nullptr,
                                      int pqd_threads = 1);

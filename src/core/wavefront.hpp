@@ -13,6 +13,7 @@
 // from_wavefront are exact bijections, tested as such over many shapes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -72,17 +73,33 @@ std::vector<T> to_wavefront(std::span<const T> raster,
   return out;
 }
 
-/// Inverse of to_wavefront.
+/// Inverse of to_wavefront. Walks the raster in 32 x 32 tiles, one
+/// wavefront-column segment at a time: each segment is a contiguous read,
+/// and its stride-(d1 - 1) writes stay inside the tile.
 template <typename T>
 std::vector<T> from_wavefront(std::span<const T> wavefront,
                               const WavefrontLayout& layout) {
   WAVESZ_REQUIRE(wavefront.size() == layout.count(),
                  "wavefront size disagrees with layout");
+  constexpr std::size_t kTile = 32;
   std::vector<T> out(wavefront.size());
+  const std::size_t d0 = layout.rows();
   const std::size_t d1 = layout.cols();
-  for (std::size_t x = 0; x < layout.rows(); ++x) {
-    for (std::size_t y = 0; y < d1; ++y) {
-      out[x * d1 + y] = wavefront[layout.offset(x, y)];
+  for (std::size_t x0 = 0; x0 < d0; x0 += kTile) {
+    const std::size_t x_last = std::min(d0, x0 + kTile) - 1;
+    for (std::size_t y0 = 0; y0 < d1; y0 += kTile) {
+      const std::size_t y_last = std::min(d1, y0 + kTile) - 1;
+      for (std::size_t h = x0 + y0; h <= x_last + y_last; ++h) {
+        // Rows of column h inside the tile: y = h - x within [y0, y_last].
+        const std::size_t x_lo = std::max(x0, h > y_last ? h - y_last : 0);
+        const std::size_t x_hi = std::min(x_last, h - y0);
+        const T* src = wavefront.data() + layout.column_start(h) +
+                       (x_lo - layout.column_first_row(h));
+        T* dst = out.data() + x_lo * d1 + (h - x_lo);
+        for (std::size_t x = x_lo; x <= x_hi; ++x, dst += d1 - 1) {
+          *dst = *src++;
+        }
+      }
     }
   }
   return out;

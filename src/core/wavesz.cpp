@@ -164,96 +164,94 @@ typename FpOps<T>::Kernel wave_pqd_2d_par_t(std::span<T> wavefront,
   return out;
 }
 
+/// The one column walk behind every reconstruct: 2D full, 2D column prefix
+/// and True3D slice. Calls point(off, w, nw, code) for each interior point
+/// (x >= 1 and y >= 1) of the columns [0, h_end) whose code is nonzero;
+/// code-0 points are left as they are.
+///
+/// The layout stores each anti-diagonal h = x + y as one contiguous column
+/// (§3.1), so a column's interior points read three contiguous history
+/// runs: the W tap at `w` and the N tap at `w - 1` in column h - 1, the NW
+/// tap at `nw` in column h - 2. All three advance by one per point, so
+/// their offsets are computed once per column.
+///
+/// A column's border points are its first point when it lies on row 0 and
+/// its last when it lies on column 0. The encoder sends them verbatim
+/// (§3.2), so a nonzero code there marks a corrupt container.
+template <typename PointFn>
+void walk_columns(std::span<const std::uint16_t> codes,
+                  const WavefrontLayout& layout, std::size_t h_end,
+                  PointFn&& point) {
+  for (std::size_t h = 0; h < h_end; ++h) {
+    const std::size_t begin = layout.column_start(h);
+    const std::size_t end = layout.column_start(h + 1);
+    const std::size_t x_lo = layout.column_first_row(h);
+    const bool top = x_lo == 0;           // first point is (0, h)
+    const bool left = h < layout.rows();  // last point is (h, 0)
+    WAVESZ_REQUIRE(
+        (!top || codes[begin] == 0) && (!left || codes[end - 1] == 0),
+        "border point carries a quantization code");
+    if (h < 2) continue;  // columns 0 and 1 hold only border points
+    const std::size_t off = begin + (top ? 1 : 0);
+    const std::size_t n = end - (left ? 1 : 0) - off;
+    const std::size_t x = x_lo + (top ? 1 : 0);  // first interior row
+    const std::size_t w =
+        layout.column_start(h - 1) + (x - layout.column_first_row(h - 1));
+    const std::size_t nw =
+        layout.column_start(h - 2) + (x - 1 - layout.column_first_row(h - 2));
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint16_t code = codes[off + k];
+      if (code != 0) point(off + k, w + k, nw + k, code);
+    }
+  }
+}
+
+/// First pass of every reconstruct: the verbatim values go to the code-0
+/// slots. Storage order is stream order, so they are taken in sequence.
+template <typename T>
+void place_verbatim(std::span<const std::uint16_t> codes,
+                    std::span<const T> verbatim, std::size_t* next_verbatim,
+                    T* out) {
+  std::size_t next = *next_verbatim;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    if (codes[i] != 0) continue;
+    WAVESZ_REQUIRE(next < verbatim.size(), "verbatim stream exhausted");
+    out[i] = verbatim[next++];
+  }
+  *next_verbatim = next;
+}
+
+/// Inverse of wave_pqd_2d_t over the columns [0, h_end): the first
+/// layout.column_start(h_end) values of the wavefront-layout
+/// reconstruction, from as many codes. The Lorenzo taps reach only into
+/// columns h - 1 and h - 2, so every column prefix is dependency-closed: a
+/// full decode passes column_count(), a region decode the prefix that
+/// covers its region.
 template <typename T>
 std::vector<T> wave_reconstruct_2d_t(std::span<const std::uint16_t> codes,
                                      std::span<const T> verbatim,
                                      std::size_t* next_verbatim,
                                      const WavefrontLayout& layout,
-                                     const sz::LinearQuantizer& q) {
-  WAVESZ_REQUIRE(codes.size() == layout.count(),
+                                     const sz::LinearQuantizer& q,
+                                     std::size_t h_end) {
+  WAVESZ_REQUIRE(h_end <= layout.column_count(),
+                 "column prefix exceeds layout");
+  WAVESZ_REQUIRE(codes.size() == layout.column_start(h_end),
                  "code count disagrees with layout");
   std::vector<T> rec(codes.size());
-  const std::size_t cols = layout.column_count();
-  std::size_t i = 0;
-  for (std::size_t h = 0; h < cols; ++h) {
-    const std::size_t x_lo = layout.column_first_row(h);
-    const std::size_t len = layout.column_length(h);
-    for (std::size_t k = 0; k < len; ++k, ++i) {
-      const std::size_t x = x_lo + k;
-      const std::size_t y = h - x;
-      const std::size_t off = layout.column_start(h) + k;
-      if (codes[i] == 0) {
-        WAVESZ_REQUIRE(*next_verbatim < verbatim.size(),
-                       "verbatim stream exhausted");
-        rec[off] = verbatim[(*next_verbatim)++];
-      } else {
-        const double pred =
-            sz::lorenzo2d(rec[layout.offset(x - 1, y - 1)],
-                          rec[layout.offset(x - 1, y)],
-                          rec[layout.offset(x, y - 1)]);
-        rec[off] = FpOps<T>::reconstruct(q, pred, codes[i]);
-      }
-    }
-  }
-  return rec;
-}
-
-/// Wavefront-parallel twin of wave_reconstruct_2d_t. Verbatim points are
-/// prefilled serially (they consume the stream in storage order and depend
-/// on nothing); the tiled sweep then reads them like any completed history.
-template <typename T>
-std::vector<T> wave_reconstruct_2d_par_t(std::span<const std::uint16_t> codes,
-                                         std::span<const T> verbatim,
-                                         std::size_t* next_verbatim,
-                                         const WavefrontLayout& layout,
-                                         const sz::LinearQuantizer& q,
-                                         [[maybe_unused]] int nt) {
-  WAVESZ_REQUIRE(codes.size() == layout.count(),
-                 "code count disagrees with layout");
-  std::vector<T> rec(codes.size());
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] == 0) {
-      WAVESZ_REQUIRE(*next_verbatim < verbatim.size(),
-                     "verbatim stream exhausted");
-      rec[i] = verbatim[(*next_verbatim)++];
-    }
-  }
   T* const r = rec.data();
-  const std::size_t e0 = (layout.rows() + kTile0 - 1) / kTile0;
-  const std::size_t e1 = (layout.cols() + kTile1 - 1) / kTile1;
-  telemetry::counter_add(telemetry::Counter::PqdDiagonalBatches,
-                         e0 + e1 - 1);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nt)
-#endif
-  for (std::size_t d = 0; d < e0 + e1 - 1; ++d) {
-    const std::size_t t0_lo = d >= e1 ? d - e1 + 1 : 0;
-    const std::size_t t0_hi = std::min(e0 - 1, d);
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-    for (std::size_t t0 = t0_lo; t0 <= t0_hi; ++t0) {
-      const std::size_t t1 = d - t0;
-      const std::size_t x_hi = std::min(layout.rows(), (t0 + 1) * kTile0);
-      const std::size_t y_hi = std::min(layout.cols(), (t1 + 1) * kTile1);
-      for (std::size_t x = t0 * kTile0; x < x_hi; ++x) {
-        for (std::size_t y = t1 * kTile1; y < y_hi; ++y) {
-          const std::size_t off = layout.offset(x, y);
-          if (codes[off] == 0) continue;  // prefilled verbatim point
-          const double pred =
-              sz::lorenzo2d(r[layout.offset(x - 1, y - 1)],
-                            r[layout.offset(x - 1, y)],
-                            r[layout.offset(x, y - 1)]);
-          r[off] = FpOps<T>::reconstruct(q, pred, codes[off]);
-        }
-      }
-    }
-  }
+  place_verbatim(codes, verbatim, next_verbatim, r);
+  walk_columns(codes, layout, h_end,
+               [r, &q](std::size_t off, std::size_t w, std::size_t nw,
+                       std::uint16_t code) {
+                 const double pred = sz::lorenzo2d(r[nw], r[w - 1], r[w]);
+                 r[off] = FpOps<T>::reconstruct(q, pred, code);
+               });
   return rec;
 }
 
-/// Budget-dispatched entry points shared by the kernels' public wrappers and
-/// the compress/decompress drivers.
+/// Budget-dispatched PQD entry point shared by the kernels' public wrappers
+/// and the compress drivers.
 template <typename T>
 typename FpOps<T>::Kernel wave_pqd_2d_auto(std::span<T> wavefront,
                                            const WavefrontLayout& layout,
@@ -261,19 +259,6 @@ typename FpOps<T>::Kernel wave_pqd_2d_auto(std::span<T> wavefront,
                                            int nt) {
   return nt > 1 ? wave_pqd_2d_par_t<T>(wavefront, layout, q, nt)
                 : wave_pqd_2d_t<T>(wavefront, layout, q);
-}
-
-template <typename T>
-std::vector<T> wave_reconstruct_2d_auto(std::span<const std::uint16_t> codes,
-                                        std::span<const T> verbatim,
-                                        std::size_t* next_verbatim,
-                                        const WavefrontLayout& layout,
-                                        const sz::LinearQuantizer& q,
-                                        int nt) {
-  return nt > 1 ? wave_reconstruct_2d_par_t<T>(codes, verbatim, next_verbatim,
-                                               layout, q, nt)
-                : wave_reconstruct_2d_t<T>(codes, verbatim, next_verbatim,
-                                           layout, q);
 }
 
 /// 3D-Lorenzo PQD for one slice, the previous slice already reconstructed
@@ -314,7 +299,8 @@ void wave_pqd_slice3d(std::span<T> cur, std::span<const T> prev,
   }
 }
 
-/// Inverse of wave_pqd_slice3d.
+/// Inverse of wave_pqd_slice3d: the same column walk, with the 3D taps
+/// read from the same runs in `cur` and `prev`.
 template <typename T>
 void wave_reconstruct_slice3d(std::span<const std::uint16_t> codes,
                               std::span<const T> verbatim,
@@ -322,30 +308,17 @@ void wave_reconstruct_slice3d(std::span<const std::uint16_t> codes,
                               std::span<const T> prev, std::span<T> cur,
                               const WavefrontLayout& layout,
                               const sz::LinearQuantizer& q) {
-  const std::size_t cols = layout.column_count();
-  std::size_t i = 0;
-  for (std::size_t h = 0; h < cols; ++h) {
-    const std::size_t x_lo = layout.column_first_row(h);
-    const std::size_t len = layout.column_length(h);
-    for (std::size_t k = 0; k < len; ++k, ++i) {
-      const std::size_t x = x_lo + k;
-      const std::size_t y = h - x;
-      const std::size_t off = layout.column_start(h) + k;
-      if (codes[i] == 0) {
-        WAVESZ_REQUIRE(*next_verbatim < verbatim.size(),
-                       "verbatim stream exhausted");
-        cur[off] = verbatim[(*next_verbatim)++];
-        continue;
-      }
-      const std::size_t o_nw = layout.offset(x - 1, y - 1);
-      const std::size_t o_n = layout.offset(x - 1, y);
-      const std::size_t o_w = layout.offset(x, y - 1);
-      const double pred = sz::lorenzo3d(
-          prev[o_nw], cur[o_nw], prev[o_n], prev[o_w], cur[o_n], cur[o_w],
-          prev[off]);
-      cur[off] = FpOps<T>::reconstruct(q, pred, codes[i]);
-    }
-  }
+  T* const c = cur.data();
+  const T* const p = prev.data();
+  place_verbatim(codes, verbatim, next_verbatim, c);
+  walk_columns(codes, layout, layout.column_count(),
+               [c, p, &q](std::size_t off, std::size_t w, std::size_t nw,
+                          std::uint16_t code) {
+                 const std::size_t n = w - 1;
+                 const double pred = sz::lorenzo3d(p[nw], c[nw], p[n], p[w],
+                                                   c[n], c[w], p[off]);
+                 c[off] = FpOps<T>::reconstruct(q, pred, code);
+               });
 }
 
 /// Serialize the code stream, building the v2 chunk index alongside when
@@ -588,16 +561,12 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
   const sz::LinearQuantizer q(h.eb_absolute, h.quant_bits);
   if (dims_out != nullptr) *dims_out = h.dims;
 
-  // The wavefront reconstruction is value-identical at every budget, so the
-  // decode pool may as well drive it when it is the larger of the two.
-  const int pqd_nt =
-      std::max(sz::resolve_thread_budget(opts.pqd_threads), nt);
   std::size_t next_verbatim = 0;
   if (mode == LayoutMode::Flatten2D || h.dims.rank <= 2) {
     const Dims flat = h.dims.flatten2d();
     const WavefrontLayout layout(flat[0], flat.rank >= 2 ? flat[1] : 1);
-    auto rec_wf = wave_reconstruct_2d_auto<T>(codes, verbatim, &next_verbatim,
-                                              layout, q, pqd_nt);
+    auto rec_wf = wave_reconstruct_2d_t<T>(codes, verbatim, &next_verbatim,
+                                           layout, q, layout.column_count());
     WAVESZ_REQUIRE(next_verbatim == verbatim.size(),
                    "verbatim stream has trailing values");
     return from_wavefront(std::span<const T>(rec_wf), layout);
@@ -615,8 +584,8 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
                                                       slice_points);
     std::vector<T> cur;
     if (z == 0) {
-      cur = wave_reconstruct_2d_auto<T>(slice_codes, verbatim, &next_verbatim,
-                                        layout, q, pqd_nt);
+      cur = wave_reconstruct_2d_t<T>(slice_codes, verbatim, &next_verbatim,
+                                     layout, q, layout.column_count());
     } else {
       cur.resize(slice_points);
       wave_reconstruct_slice3d<T>(slice_codes, verbatim, &next_verbatim,
@@ -629,46 +598,6 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
   WAVESZ_REQUIRE(next_verbatim == verbatim.size(),
                  "verbatim stream has trailing values");
   return out;
-}
-
-/// Reconstruct the first `h_end` wavefront columns from a code-stream
-/// prefix. The stream is ordered column-major by h = x + y and the Lorenzo
-/// taps reach only into columns < h, so {points with x + y < h_end} is
-/// dependency-closed and this reproduces exactly the first
-/// layout.column_start(h_end) values of the full reconstruction.
-template <typename T>
-std::vector<T> wave_reconstruct_2d_prefix(
-    std::span<const std::uint16_t> codes, std::span<const T> verbatim,
-    std::size_t* next_verbatim, const WavefrontLayout& layout,
-    std::size_t h_end, const sz::LinearQuantizer& q) {
-  WAVESZ_REQUIRE(h_end <= layout.column_count(),
-                 "column prefix exceeds layout");
-  const std::size_t points = layout.column_start(h_end);
-  WAVESZ_REQUIRE(codes.size() >= points,
-                 "code prefix shorter than the column prefix");
-  std::vector<T> rec(points);
-  std::size_t i = 0;
-  for (std::size_t h = 0; h < h_end; ++h) {
-    const std::size_t x_lo = layout.column_first_row(h);
-    const std::size_t len = layout.column_length(h);
-    for (std::size_t k = 0; k < len; ++k, ++i) {
-      const std::size_t x = x_lo + k;
-      const std::size_t y = h - x;
-      const std::size_t off = layout.column_start(h) + k;
-      if (codes[i] == 0) {
-        WAVESZ_REQUIRE(*next_verbatim < verbatim.size(),
-                       "verbatim stream exhausted");
-        rec[off] = verbatim[(*next_verbatim)++];
-      } else {
-        const double pred =
-            sz::lorenzo2d(rec[layout.offset(x - 1, y - 1)],
-                          rec[layout.offset(x - 1, y)],
-                          rec[layout.offset(x, y - 1)]);
-        rec[off] = FpOps<T>::reconstruct(q, pred, codes[i]);
-      }
-    }
-  }
-  return rec;
 }
 
 template <typename T>
@@ -777,8 +706,8 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
   std::size_t next_verbatim = 0;
   res.data.reserve(rdims.count());
   if (flat2d) {
-    const auto rec = wave_reconstruct_2d_prefix<T>(
-        codes, verbatim, &next_verbatim, layout, h_end, q);
+    const auto rec = wave_reconstruct_2d_t<T>(codes, verbatim,
+                                              &next_verbatim, layout, q, h_end);
     for (std::size_t x = rg.lo[0]; x < rg.hi[0]; ++x) {
       for (std::size_t y = rg.lo[1]; y < rg.hi[1]; ++y) {
         for (std::size_t z = rg.lo[2]; z < rg.hi[2]; ++z) {
@@ -801,7 +730,7 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
       std::vector<T> cur;
       if (z == 0) {
         cur = wave_reconstruct_2d_t<T>(slice_codes, verbatim, &next_verbatim,
-                                       layout, q);
+                                       layout, q, layout.column_count());
       } else {
         cur.resize(slice_points);
         wave_reconstruct_slice3d<T>(slice_codes, verbatim, &next_verbatim,
@@ -854,10 +783,9 @@ std::vector<float> wave_reconstruct_2d(std::span<const std::uint16_t> codes,
                                        std::size_t* next_verbatim,
                                        const WavefrontLayout& layout,
                                        const sz::LinearQuantizer& q,
-                                       int threads) {
-  return wave_reconstruct_2d_auto<float>(codes, verbatim, next_verbatim,
-                                         layout, q,
-                                         sz::resolve_thread_budget(threads));
+                                       int /*threads*/) {
+  return wave_reconstruct_2d_t<float>(codes, verbatim, next_verbatim, layout,
+                                      q, layout.column_count());
 }
 
 sz::Compressed compress(std::span<const float> data, const Dims& dims,

@@ -49,9 +49,13 @@ KernelResult wave_pqd_2d(std::span<float> wavefront,
                          const WavefrontLayout& layout,
                          const sz::LinearQuantizer& q, int threads = 1);
 
-/// Inverse kernel: rebuild the wavefront-layout reconstruction. Same
-/// `threads` semantics (and the same bit-exactness guarantee) as
-/// wave_pqd_2d().
+/// Inverse kernel: rebuild the wavefront-layout reconstruction. It is serial
+/// at every budget and `threads` is ignored. Each column reads its taps
+/// from three contiguous runs of the two columns before it, and that walk
+/// beat the tiled OpenMP schedule it replaced at 2 and 4 threads on every
+/// shape measured (EXPERIMENTS.md, "Column-contiguous wavefront
+/// reconstruct"). Throws wavesz::Error when a border point carries a
+/// nonzero code.
 std::vector<float> wave_reconstruct_2d(std::span<const std::uint16_t> codes,
                                        std::span<const float> verbatim,
                                        std::size_t* next_verbatim,
@@ -90,9 +94,8 @@ std::unique_ptr<sz::StagedCompressor> make_staged(
     LayoutMode mode = LayoutMode::Flatten2D);
 
 /// Inverse for float32 containers; throws on a float64 container.
-/// `pqd_threads` parallelizes the Lorenzo reconstruction sweep
-/// (Config::pqd_threads semantics); the result is value-identical for every
-/// budget. True3D containers reconstruct slice-serially regardless.
+/// `pqd_threads` is accepted for parity with sz::decompress(); the
+/// wavefront reconstruct is serial at every budget (wave_reconstruct_2d).
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
                               Dims* dims_out = nullptr, int pqd_threads = 1);
 

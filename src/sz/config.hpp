@@ -60,7 +60,8 @@ struct Config {
   std::size_t deflate_chunk_bytes = deflate::kDefaultChunkBytes;
 
   /// Thread budget for the prediction-quantization hot path (Lorenzo PQD on
-  /// compress, Lorenzo reconstruction on decompress) plus its serial
+  /// compress, SZ-1.4's Lorenzo reconstruction on decompress; the waveSZ
+  /// reconstruct is serial at every budget) plus its serial
   /// stragglers (the Huffman encode histogram/bitpack and the value-range
   /// scan). Same semantics as codec_threads: 1 = serial raster reference
   /// (the default), 0 = all OpenMP threads, n = at most n. Budgets > 1
@@ -145,7 +146,7 @@ struct DecodeOptions {
   /// Chunk-parallel entropy decode + concurrent section inflates (see
   /// Config::decode_threads for semantics).
   int decode_threads = 1;
-  /// Reconstruction (Lorenzo / wavefront) budget, as Config::pqd_threads.
+  /// SZ-1.4 Lorenzo reconstruction budget, as Config::pqd_threads.
   int pqd_threads = 1;
 };
 

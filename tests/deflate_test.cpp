@@ -12,8 +12,8 @@
 #include "deflate/lz77.hpp"
 #include "deflate/parallel.hpp"
 #include "deflate_vectors.hpp"
+#include "golden_pin.hpp"
 #include "sz/config.hpp"
-#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/huffman.hpp"
 
@@ -844,16 +844,8 @@ std::vector<GoldenInput> golden_inputs() {
   };
 }
 
-struct GoldenPin {
-  std::size_t size;
-  std::uint32_t crc;
-};
-
-void expect_pin(const std::vector<std::uint8_t>& out, const GoldenPin& pin,
-                const std::string& what) {
-  EXPECT_EQ(out.size(), pin.size) << what;
-  EXPECT_EQ(Crc32::of(out), pin.crc) << what;
-}
+using golden::expect_pin;
+using golden::GoldenPin;
 
 TEST(GoldenBytes, CompressAtBothLevels) {
   // Per input, {Fast, Best}.

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "data/io.hpp"
 #include "deflate/deflate.hpp"
 
@@ -21,7 +23,10 @@ namespace fs = std::filesystem;
 bool have_gzip() { return std::system("gzip --version > /dev/null 2>&1") == 0; }
 
 fs::path tmp(const std::string& name) {
-  return fs::temp_directory_path() / ("wavesz_interop_" + name);
+  // ctest runs each case as its own process, several at once; the process
+  // id keeps their files apart.
+  return fs::temp_directory_path() /
+         ("wavesz_interop_" + std::to_string(::getpid()) + "_" + name);
 }
 
 std::vector<std::uint8_t> sample_payload(int flavour, std::size_t size) {

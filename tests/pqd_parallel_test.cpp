@@ -76,6 +76,8 @@ std::vector<Dims> parity_shapes() {
 template <typename T>
 void expect_same_values(const std::vector<T>& a, const std::vector<T>& b) {
   ASSERT_EQ(a.size(), b.size());
+  // An empty vector's data() may be null, which memcmp must not be given.
+  if (a.empty()) return;
   // memcmp, not ==: bit-exactness is the claim, and it must hold for -0.0
   // and any NaNs too.
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T)));

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "data/datasets.hpp"
+#include "golden_pin.hpp"
 #include "metrics/stats.hpp"
 #include "sz/compressor.hpp"
 #include "sz/config.hpp"
@@ -20,7 +21,6 @@
 #include "sz/quantizer.hpp"
 #include "sz/unpredictable.hpp"
 #include "util/bytes.hpp"
-#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/float_bits.hpp"
 
@@ -372,16 +372,8 @@ std::vector<std::uint16_t> golden_noise_symbols(std::size_t n) {
   return out;
 }
 
-struct GoldenPin {
-  std::size_t size;
-  std::uint32_t crc;
-};
-
-void expect_pin(const std::vector<std::uint8_t>& out, const GoldenPin& pin,
-                const std::string& what) {
-  EXPECT_EQ(out.size(), pin.size) << what;
-  EXPECT_EQ(Crc32::of(out), pin.crc) << what;
-}
+using golden::expect_pin;
+using golden::GoldenPin;
 
 TEST(GoldenBytes, HuffmanEncode) {
   // Inputs of at least 2 x 32768 symbols also run the two-thread chunked

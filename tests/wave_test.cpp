@@ -1,6 +1,7 @@
 // Tests for the waveSZ core: wavefront layout bijectivity and index math,
 // kernel equivalence against a raster-order reference, base-2 bound
-// tightening, and full round trips in both layout modes.
+// tightening, full round trips in both layout modes, rejection of forged
+// border codes, and pinned decoded values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,15 +9,19 @@
 #include <numeric>
 #include <span>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/wavefront.hpp"
 #include "core/wavesz.hpp"
 #include "data/datasets.hpp"
+#include "golden_pin.hpp"
 #include "metrics/stats.hpp"
 #include "sz/predictor.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/float_bits.hpp"
+#include "wave_vectors.hpp"
 
 namespace wavesz::wave {
 namespace {
@@ -96,7 +101,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<std::size_t, std::size_t>(6, 10),
                       std::make_pair<std::size_t, std::size_t>(10, 6),
                       std::make_pair<std::size_t, std::size_t>(31, 57),
-                      std::make_pair<std::size_t, std::size_t>(128, 128)));
+                      std::make_pair<std::size_t, std::size_t>(128, 128),
+                      // Partial 32 x 32 un-permute tiles in either direction.
+                      std::make_pair<std::size_t, std::size_t>(33, 65),
+                      std::make_pair<std::size_t, std::size_t>(65, 33),
+                      std::make_pair<std::size_t, std::size_t>(7, 100),
+                      std::make_pair<std::size_t, std::size_t>(100, 7),
+                      std::make_pair<std::size_t, std::size_t>(1, 1000)));
 
 // ---------------------------------------------------------------- kernel
 
@@ -156,23 +167,134 @@ TEST(WaveKernel, MatchesRasterReferenceExactly) {
   EXPECT_EQ(from_wavefront(wf, layout), ref.reconstructed);
 }
 
-TEST(WaveKernel, ReconstructInvertsKernel) {
-  const Dims dims = Dims::d2(33, 47);
+/// A field with sparse spikes, so interior points go unpredictable (code 0)
+/// next to predicted ones and both kinds meet the decoder's column walk.
+std::vector<float> spiky_grid(const Dims& dims, std::uint64_t seed) {
   data::FieldRecipe recipe;
-  recipe.seed = 4;
-  const auto grid = data::generate(recipe, dims);
-  const sz::LinearQuantizer q(0.01, 16);
+  recipe.seed = seed;
+  auto grid = data::generate(recipe, dims);
+  for (std::size_t i = 7; i < grid.size(); i += 97) grid[i] += 1.0e5f;
+  return grid;
+}
+
+sz::Config absolute_config(double eb) {
+  auto cfg = default_config();
+  cfg.mode = sz::EbMode::Absolute;
+  cfg.error_bound = eb;
+  return cfg;
+}
+
+/// The encoder's in-place writeback (Listing 1) of `grid` at `q`: exactly
+/// the values the decoder must rebuild, in wavefront order. No decoder code
+/// runs on this side, so it is the oracle for the reconstruct tests.
+template <typename T>
+std::vector<T> writeback(const std::vector<T>& grid,
+                         const WavefrontLayout& layout,
+                         const sz::LinearQuantizer& q) {
+  auto wf = to_wavefront(std::span<const T>(grid), layout);
+  if constexpr (std::is_same_v<T, float>) {
+    (void)wave_pqd_2d(wf, layout, q);
+  } else {
+    (void)wave_pqd_2d_64(wf, layout, q);
+  }
+  return wf;
+}
+
+/// wave::decompress / decompress64 of a G* container against the writeback.
+template <typename T>
+void expect_decode_matches_writeback(const Dims& dims,
+                                     const std::vector<T>& grid) {
+  const auto c = wave::compress(std::span<const T>(grid), dims,
+                                absolute_config(0.01));
+  const sz::LinearQuantizer q(c.header.eb_absolute, c.header.quant_bits);
   const WavefrontLayout layout(dims[0], dims[1]);
-  auto wf = to_wavefront(grid, layout);
-  const auto original_wf = to_wavefront(grid, layout);
-  const auto kr = wave_pqd_2d(wf, layout, q);
-  std::size_t next = 0;
-  const auto rec = wave_reconstruct_2d(kr.codes, kr.verbatim, &next, layout,
-                                       q);
-  EXPECT_EQ(next, kr.verbatim.size());
-  EXPECT_EQ(rec, std::vector<float>(wf.begin(), wf.end()));
-  // And every reconstructed value respects the bound vs the true original.
-  EXPECT_TRUE(metrics::within_bound(original_wf, rec, 0.01));
+  std::vector<T> decoded;
+  if constexpr (std::is_same_v<T, float>) {
+    decoded = decompress(c.bytes);
+  } else {
+    decoded = decompress64(c.bytes);
+  }
+  EXPECT_TRUE(to_wavefront(std::span<const T>(decoded), layout) ==
+              writeback(grid, layout, q))
+      << dims[0] << "x" << dims[1];
+}
+
+TEST(WaveKernel, ReconstructInvertsKernel) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {2, 2},   {2, 50},  {50, 2}, {1, 40},  {40, 1},
+      {33, 65}, {65, 33}, {7, 100}, {100, 7}, {31, 57}};
+  for (const auto& [d0, d1] : shapes) {
+    const Dims dims = Dims::d2(d0, d1);
+    const auto grid = spiky_grid(dims, 4 + d0 * 131 + d1);
+    // The kernel pair itself, float32.
+    const sz::LinearQuantizer q(0.01, 16);
+    const WavefrontLayout layout(d0, d1);
+    auto wf = to_wavefront(grid, layout);
+    const auto original_wf = to_wavefront(grid, layout);
+    const auto kr = wave_pqd_2d(wf, layout, q);
+    std::size_t next = 0;
+    const auto rec = wave_reconstruct_2d(kr.codes, kr.verbatim, &next,
+                                         layout, q);
+    EXPECT_EQ(next, kr.verbatim.size());
+    EXPECT_EQ(rec, std::vector<float>(wf.begin(), wf.end()))
+        << d0 << "x" << d1;
+    // And every reconstructed value respects the bound vs the original.
+    EXPECT_TRUE(metrics::within_bound(original_wf, rec, 0.01));
+    // Full container decodes in both widths.
+    expect_decode_matches_writeback(dims, grid);
+    expect_decode_matches_writeback(
+        dims, std::vector<double>(grid.begin(), grid.end()));
+  }
+}
+
+/// decompress_region on a v2 container rebuilds the column prefix
+/// [0, h_end) with h_end = hi0 + hi1 - 1. The rectangles [0, a) x [0, b)
+/// with a + b - 1 == h_end together cover that whole prefix, so checking
+/// each against the writeback checks the first column_start(h_end) values.
+template <typename T>
+void expect_every_prefix_matches_writeback(const std::vector<T>& grid) {
+  const std::size_t d0 = 9;
+  const std::size_t d1 = 13;
+  auto cfg = absolute_config(0.01);
+  cfg.index_chunk_symbols = 16;
+  const auto c = wave::compress(std::span<const T>(grid), Dims::d2(d0, d1),
+                                cfg);
+  const sz::LinearQuantizer q(c.header.eb_absolute, c.header.quant_bits);
+  const WavefrontLayout layout(d0, d1);
+  const auto wf = writeback(grid, layout, q);
+  for (std::size_t h_end = 1; h_end <= layout.column_count(); ++h_end) {
+    std::vector<bool> seen(layout.count(), false);
+    for (std::size_t a = 1; a <= std::min(d0, h_end); ++a) {
+      const std::size_t b = h_end + 1 - a;
+      if (b > d1) continue;
+      const sz::Region rg{{0, 0, 0}, {a, b, 1}};
+      std::vector<T> got;
+      if constexpr (std::is_same_v<T, float>) {
+        got = wave::decompress_region(c.bytes, rg).data;
+      } else {
+        got = wave::decompress_region64(c.bytes, rg).data;
+      }
+      ASSERT_EQ(got.size(), a * b);
+      for (std::size_t x = 0; x < a; ++x) {
+        for (std::size_t y = 0; y < b; ++y) {
+          const std::size_t off = layout.offset(x, y);
+          EXPECT_TRUE(got[x * b + y] == wf[off])
+              << "h_end " << h_end << " at (" << x << "," << y << ")";
+          seen[off] = true;
+        }
+      }
+    }
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(seen.begin(), seen.end(), true)),
+              layout.column_start(h_end));
+  }
+}
+
+TEST(WaveKernel, EveryColumnPrefixMatchesWriteback) {
+  const auto grid = spiky_grid(Dims::d2(9, 13), 71);
+  expect_every_prefix_matches_writeback(grid);
+  expect_every_prefix_matches_writeback(
+      std::vector<double>(grid.begin(), grid.end()));
 }
 
 TEST(WaveKernel, BorderCountMatchesGeometry) {
@@ -281,6 +403,114 @@ TEST(WaveCompressor, FlattensHurricaneShapeLikeArtifact) {
   const std::vector<float> field(dims.count(), 1.0f);
   const auto c = wave::compress(field, dims, default_config());
   EXPECT_EQ(c.header.unpredictable_count, 4u + 250u - 1u);
+}
+
+// ------------------------------------------------------- hostile input
+
+/// Calls `decode` and expects the decoder's own border-rule error.
+template <typename F>
+void expect_border_error(F decode, const std::string& what) {
+  try {
+    decode();
+    ADD_FAILURE() << what << ": forged border code decoded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "border point carries a quantization code"),
+              std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+template <typename T>
+void expect_forged_borders_rejected(LayoutMode mode) {
+  // Flatten2D views (12, 4, 5) as 12 x 20; True3D forges plane 2, which
+  // runs the 3D slice kernel, of the same 12 x 20 view.
+  const Dims dims = mode == LayoutMode::Flatten2D ? Dims::d3(12, 4, 5)
+                                                  : Dims::d3(4, 12, 20);
+  const std::size_t plane = mode == LayoutMode::Flatten2D ? 0 : 2;
+  data::FieldRecipe recipe;
+  recipe.seed = 83;
+  const auto narrow = data::generate(recipe, dims);
+  const std::vector<T> field(narrow.begin(), narrow.end());
+  auto cfg = default_config();
+  cfg.chunk_index = false;
+  cfg.huffman = false;
+  const auto c = wave::compress(std::span<const T>(field), dims, cfg, mode);
+  const std::pair<std::size_t, std::size_t> points[] = {
+      {0, 0}, {0, 7}, {0, 19}, {5, 0}, {11, 0}};
+  for (const auto& [x, y] : points) {
+    const auto forged = vectors::with_border_code(c.bytes, plane, x, y);
+    const std::string what = std::string(sizeof(T) == 4 ? "f32" : "f64") +
+                             (mode == LayoutMode::Flatten2D ? " Flatten2D"
+                                                            : " True3D") +
+                             " (" + std::to_string(x) + "," +
+                             std::to_string(y) + ")";
+    if constexpr (std::is_same_v<T, float>) {
+      expect_border_error([&] { (void)decompress(forged); }, what);
+      expect_border_error(
+          [&] { (void)wave::decompress_region(forged, sz::Region{}); }, what);
+    } else {
+      expect_border_error([&] { (void)decompress64(forged); }, what);
+      expect_border_error(
+          [&] { (void)wave::decompress_region64(forged, sz::Region{}); }, what);
+    }
+  }
+}
+
+TEST(ForgedBorder, NonzeroBorderCodeThrows) {
+  expect_forged_borders_rejected<float>(LayoutMode::Flatten2D);
+  expect_forged_borders_rejected<float>(LayoutMode::True3D);
+  expect_forged_borders_rejected<double>(LayoutMode::Flatten2D);
+  expect_forged_borders_rejected<double>(LayoutMode::True3D);
+}
+
+// ---------------------------------------------------------- golden bytes
+
+template <typename T>
+std::vector<std::uint8_t> value_bytes(const std::vector<T>& values) {
+  ByteWriter w;
+  if constexpr (std::is_same_v<T, float>) {
+    w.floats(values);
+  } else {
+    w.doubles(values);
+  }
+  return w.take();
+}
+
+TEST(GoldenBytes, WaveDecode) {
+  // Size and CRC-32 of the decoded values' little-endian bytes: the decoder
+  // must rebuild the same values bit for bit.
+  data::FieldRecipe recipe;
+  recipe.seed = 97;
+  const Dims d2 = Dims::d2(40, 56);
+  const Dims d3 = Dims::d3(6, 20, 24);
+  const auto f2 = data::generate(recipe, d2);
+  const auto f3 = data::generate(recipe, d3);
+  const std::vector<double> w2(f2.begin(), f2.end());
+  const std::vector<double> w3(f3.begin(), f3.end());
+  auto hstar = default_config();
+  hstar.huffman = true;
+  const auto flat32 = wave::compress(f2, d2, default_config());
+  const auto flat64 = wave::compress(w2, d2, default_config());
+  const auto vol32 = wave::compress(f3, d3, hstar, LayoutMode::True3D);
+  const auto vol64 = wave::compress(w3, d3, hstar, LayoutMode::True3D);
+  golden::expect_pin(value_bytes(decompress(flat32.bytes)), {8960, 0x21f06089u},
+                     "Flatten2D f32");
+  golden::expect_pin(value_bytes(decompress64(flat64.bytes)), {17920, 0xc530a15fu},
+                     "Flatten2D f64");
+  golden::expect_pin(value_bytes(decompress(vol32.bytes)), {11520, 0xad2ad6a0u},
+                     "True3D f32");
+  golden::expect_pin(value_bytes(decompress64(vol64.bytes)), {23040, 0x19814b3fu},
+                     "True3D f64");
+
+  // A region of a v2 container with small chunks takes the prefix decode.
+  auto indexed = default_config();
+  indexed.index_chunk_symbols = 256;
+  const auto v2 = wave::compress(f2, d2, indexed);
+  const auto region =
+      wave::decompress_region(v2.bytes, sz::Region{{8, 10, 0}, {30, 41, 1}});
+  EXPECT_LT(region.compressed_bytes_read, v2.bytes.size());
+  golden::expect_pin(value_bytes(region.data), {2728, 0x4d814860u}, "region");
 }
 
 }  // namespace
