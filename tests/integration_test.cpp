@@ -1,12 +1,14 @@
 // Cross-module integration tests: all three compressors on all three
 // dataset personas, the compression-ratio orderings the paper's Tables 1/7
-// rest on, PSNR floors, and compressor interop through the shared container.
+// rest on, PSNR floors, compressor interop through the shared container,
+// and golden pins of whole containers.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "core/stream.hpp"
 #include "core/wavesz.hpp"
 #include "data/datasets.hpp"
 #include "fpga/model.hpp"
@@ -14,6 +16,7 @@
 #include "metrics/stats.hpp"
 #include "sz/compressor.hpp"
 #include "sz/container.hpp"
+#include "golden_pin.hpp"
 #include "util/error.hpp"
 
 namespace wavesz {
@@ -195,6 +198,141 @@ TEST(EndToEnd, ThroughputModelAgreesWithCompressionRatioStory) {
   const auto ghost_t =
       fpga::ghost_throughput(data::persona_dims(data::Persona::CesmAtm));
   EXPECT_GT(wave_t.effective_mbps, ghost_t.effective_mbps * 3.0);
+}
+
+// ---------------------------------------------------------- golden bytes
+
+/// A small smooth field with a spike every 61 points. At the pins' absolute
+/// bound no quantization bin reaches a spike or the points predicted from
+/// it, so every codec sends some interior points down its unpredictable
+/// path and the pins fix that stream's order as well as the codes.
+std::vector<float> spiky_field(const Dims& dims, std::uint64_t seed) {
+  data::FieldRecipe recipe;
+  recipe.seed = seed;
+  auto f = data::generate(recipe, dims);
+  for (std::size_t i = 5; i < f.size(); i += 61) f[i] += 4.0e4f;
+  return f;
+}
+
+sz::Config pin_config(sz::Config cfg, bool v2, bool huffman) {
+  cfg.mode = sz::EbMode::Absolute;
+  cfg.error_bound = 1e-3;
+  cfg.huffman = huffman;
+  cfg.chunk_index = v2;
+  cfg.index_chunk_symbols = 512;  // several index chunks per v2 container
+  return cfg;
+}
+
+TEST(GoldenBytes, WholeContainers) {
+  // Size and CRC-32 of whole containers, recorded before the wave encoder
+  // became a column walk; a kernel rewrite must keep every byte.
+  const Dims d2 = Dims::d2(40, 56);
+  const Dims tall = Dims::d2(75, 23);
+  const Dims d3 = Dims::d3(6, 20, 24);
+  const auto f2 = spiky_field(d2, 101);
+  const auto ft = spiky_field(tall, 102);
+  const auto f3 = spiky_field(d3, 103);
+  const std::vector<double> w2(f2.begin(), f2.end());
+  const std::vector<double> wt(ft.begin(), ft.end());
+  const std::vector<double> w3(f3.begin(), f3.end());
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> got;
+  for (const bool v2 : {false, true}) {
+    for (const bool huffman : {false, true}) {
+      const std::string tag = std::string(v2 ? "v2" : "v1") +
+                              (huffman ? " H*G*" : " G*");
+      const auto sc = pin_config(sz::Config{}, v2, huffman);
+      const auto wc = pin_config(wave::default_config(), v2, huffman);
+      const auto flat = wave::LayoutMode::Flatten2D;
+      const auto vol = wave::LayoutMode::True3D;
+      got.emplace_back("sz f32 " + tag, sz::compress(f2, d2, sc).bytes);
+      got.emplace_back("sz f64 " + tag,
+                       sz::compress(std::span<const double>(w2), d2, sc).bytes);
+      got.emplace_back("wave Flatten2D f32 " + tag,
+                       wave::compress(f2, d2, wc, flat).bytes);
+      got.emplace_back(
+          "wave Flatten2D f64 " + tag,
+          wave::compress(std::span<const double>(w2), d2, wc, flat).bytes);
+      got.emplace_back("wave tall f32 " + tag,
+                       wave::compress(ft, tall, wc, flat).bytes);
+      got.emplace_back(
+          "wave tall f64 " + tag,
+          wave::compress(std::span<const double>(wt), tall, wc, flat).bytes);
+      got.emplace_back("wave Flatten2D 3D f32 " + tag,
+                       wave::compress(f3, d3, wc, flat).bytes);
+      got.emplace_back("wave True3D f32 " + tag,
+                       wave::compress(f3, d3, wc, vol).bytes);
+      got.emplace_back(
+          "wave True3D f64 " + tag,
+          wave::compress(std::span<const double>(w3), d3, wc, vol).bytes);
+    }
+  }
+  const auto gc = pin_config(sz::Config{}, false, false);
+  got.emplace_back("ghost f32 G*", ghost::compress(f2, d2, gc).bytes);
+  const auto xc = pin_config(sz::Config::ultrafast(), false, false);
+  got.emplace_back("szx f32", sz::compress(f2, d2, xc).bytes);
+  got.emplace_back("szx f64",
+                   sz::compress(std::span<const double>(w2), d2, xc).bytes);
+  {
+    // The perfbench NYX deployment in miniature: G* wave chunks of two
+    // planes through the staged pipeline at depth 2.
+    auto cfg = pin_config(wave::default_config(), true, false);
+    cfg.pipeline_depth = 2;
+    wave::StreamCompressor stream(d3, cfg, 2);
+    stream.feed(std::span<const float>(f3));
+    got.emplace_back("stream archive", stream.finish());
+  }
+
+  // Interior spikes reach the verbatim stream, not only the borders.
+  EXPECT_GT(sz::inspect(got[2].second).unpredictable_count,
+            d2[0] + d2[1] - 1);
+
+  const std::vector<std::pair<std::string, golden::GoldenPin>> pins = {
+      {"sz f32 v1 G*", {3725, 0xd1e9b8aeu}},
+      {"sz f64 v1 G*", {3787, 0x54129daau}},
+      {"wave Flatten2D f32 v1 G*", {4150, 0xa6754445u}},
+      {"wave Flatten2D f64 v1 G*", {4362, 0x1fae55deu}},
+      {"wave tall f32 v1 G*", {3428, 0x8c19277du}},
+      {"wave tall f64 v1 G*", {3634, 0xa70fbec0u}},
+      {"wave Flatten2D 3D f32 v1 G*", {6635, 0x3fdbc7cfu}},
+      {"wave True3D f32 v1 G*", {6344, 0xb03306bdu}},
+      {"wave True3D f64 v1 G*", {6878, 0xdbe64420u}},
+      {"sz f32 v1 H*G*", {3855, 0xbe5a1605u}},
+      {"sz f64 v1 H*G*", {3917, 0xb3e32349u}},
+      {"wave Flatten2D f32 v1 H*G*", {4174, 0xea6fbe99u}},
+      {"wave Flatten2D f64 v1 H*G*", {4386, 0x6b1ac507u}},
+      {"wave tall f32 v1 H*G*", {4179, 0x78a90c9du}},
+      {"wave tall f64 v1 H*G*", {4385, 0xcc478e77u}},
+      {"wave Flatten2D 3D f32 v1 H*G*", {7785, 0x5c9f44f3u}},
+      {"wave True3D f32 v1 H*G*", {7325, 0xb1a2ab6cu}},
+      {"wave True3D f64 v1 H*G*", {7869, 0x082a3648u}},
+      {"sz f32 v2 G*", {3936, 0xcc04bea4u}},
+      {"sz f64 v2 G*", {3998, 0x7157023du}},
+      {"wave Flatten2D f32 v2 G*", {4355, 0xf9adaa54u}},
+      {"wave Flatten2D f64 v2 G*", {4567, 0x8773a046u}},
+      {"wave tall f32 v2 G*", {3560, 0xfcf4dfc9u}},
+      {"wave tall f64 v2 G*", {3766, 0x3c3eb406u}},
+      {"wave Flatten2D 3D f32 v2 G*", {6896, 0xb4c86fb7u}},
+      {"wave True3D f32 v2 G*", {6587, 0x004d040cu}},
+      {"wave True3D f64 v2 G*", {7172, 0x379d8e79u}},
+      {"sz f32 v2 H*G*", {4015, 0x55786c1du}},
+      {"sz f64 v2 H*G*", {4077, 0x06546b0eu}},
+      {"wave Flatten2D f32 v2 H*G*", {4334, 0x6e0cbe20u}},
+      {"wave Flatten2D f64 v2 H*G*", {4546, 0x9bcb1acfu}},
+      {"wave tall f32 v2 H*G*", {4311, 0x2d628ac1u}},
+      {"wave tall f64 v2 H*G*", {4517, 0x3adc608au}},
+      {"wave Flatten2D 3D f32 v2 H*G*", {7846, 0x0971ebbbu}},
+      {"wave True3D f32 v2 H*G*", {7425, 0x8e9f1627u}},
+      {"wave True3D f64 v2 H*G*", {8009, 0x143c936fu}},
+      {"ghost f32 G*", {4135, 0xfb1f6ba4u}},
+      {"szx f32", {7174, 0x2b91cdc3u}},
+      {"szx f64", {7174, 0x1fb6ad63u}},
+      {"stream archive", {9378, 0x7236763eu}}};
+  ASSERT_EQ(got.size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(got[i].first, pins[i].first);
+    golden::expect_pin(got[i].second, pins[i].second, pins[i].first);
+  }
 }
 
 }  // namespace
