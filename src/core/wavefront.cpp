@@ -25,10 +25,6 @@ std::size_t WavefrontLayout::column_length(std::size_t h) const {
   return x_hi - x_lo + 1;
 }
 
-std::size_t WavefrontLayout::column_first_row(std::size_t h) const {
-  return h >= d1_ ? h - (d1_ - 1) : 0;
-}
-
 std::size_t WavefrontLayout::offset(std::size_t x, std::size_t y) const {
   WAVESZ_ASSERT(x < d0_ && y < d1_, "point outside the grid");
   const std::size_t h = x + y;

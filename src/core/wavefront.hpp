@@ -38,7 +38,9 @@ class WavefrontLayout {
   std::size_t column_length(std::size_t h) const;
 
   /// Smallest row index x present in column h.
-  std::size_t column_first_row(std::size_t h) const;
+  std::size_t column_first_row(std::size_t h) const {
+    return h >= d1_ ? h - (d1_ - 1) : 0;
+  }
 
   /// Storage offset of column h's first point.
   std::size_t column_start(std::size_t h) const { return col_start_[h]; }
@@ -56,33 +58,17 @@ class WavefrontLayout {
   std::vector<std::size_t> col_start_;  // prefix sums, size column_count()+1
 };
 
-/// Reorder a raster-major grid into the wavefront layout ("basically a
-/// memory copy", §3.3). Works for float32 and float64 fields.
-template <typename T>
-std::vector<T> to_wavefront(std::span<const T> raster,
-                            const WavefrontLayout& layout) {
-  WAVESZ_REQUIRE(raster.size() == layout.count(),
-                 "raster size disagrees with layout");
-  std::vector<T> out(raster.size());
-  const std::size_t d1 = layout.cols();
-  for (std::size_t x = 0; x < layout.rows(); ++x) {
-    for (std::size_t y = 0; y < d1; ++y) {
-      out[layout.offset(x, y)] = raster[x * d1 + y];
-    }
-  }
-  return out;
-}
+namespace detail {
 
-/// Inverse of to_wavefront. Walks the raster in 32 x 32 tiles, one
-/// wavefront-column segment at a time: each segment is a contiguous read,
-/// and its stride-(d1 - 1) writes stay inside the tile.
-template <typename T>
-std::vector<T> from_wavefront(std::span<const T> wavefront,
-                              const WavefrontLayout& layout) {
-  WAVESZ_REQUIRE(wavefront.size() == layout.count(),
-                 "wavefront size disagrees with layout");
+/// The tile loop behind both permutes. Walks the raster in 32 x 32 tiles,
+/// one wavefront-column segment at a time, and calls
+/// segment(wf, raster, n) for each: the segment's n points sit at
+/// wf, wf + 1, ... in the wavefront layout and at raster, raster +
+/// (d1 - 1), ... in the raster, so the strided side stays inside the tile.
+template <typename SegmentFn>
+void for_each_tile_segment(const WavefrontLayout& layout,
+                           SegmentFn&& segment) {
   constexpr std::size_t kTile = 32;
-  std::vector<T> out(wavefront.size());
   const std::size_t d0 = layout.rows();
   const std::size_t d1 = layout.cols();
   for (std::size_t x0 = 0; x0 < d0; x0 += kTile) {
@@ -93,15 +79,49 @@ std::vector<T> from_wavefront(std::span<const T> wavefront,
         // Rows of column h inside the tile: y = h - x within [y0, y_last].
         const std::size_t x_lo = std::max(x0, h > y_last ? h - y_last : 0);
         const std::size_t x_hi = std::min(x_last, h - y0);
-        const T* src = wavefront.data() + layout.column_start(h) +
-                       (x_lo - layout.column_first_row(h));
-        T* dst = out.data() + x_lo * d1 + (h - x_lo);
-        for (std::size_t x = x_lo; x <= x_hi; ++x, dst += d1 - 1) {
-          *dst = *src++;
-        }
+        segment(layout.column_start(h) + (x_lo - layout.column_first_row(h)),
+                x_lo * d1 + (h - x_lo), x_hi - x_lo + 1);
       }
     }
   }
+}
+
+}  // namespace detail
+
+/// Reorder a raster-major grid into the wavefront layout ("basically a
+/// memory copy", §3.3): strided reads inside each tile, contiguous writes.
+/// Works for float32 and float64 fields.
+template <typename T>
+std::vector<T> to_wavefront(std::span<const T> raster,
+                            const WavefrontLayout& layout) {
+  WAVESZ_REQUIRE(raster.size() == layout.count(),
+                 "raster size disagrees with layout");
+  std::vector<T> out(raster.size());
+  const std::size_t step = layout.cols() - 1;
+  detail::for_each_tile_segment(
+      layout, [in = raster.data(), to = out.data(), step](
+                  std::size_t wf, std::size_t r, std::size_t n) {
+        const T* src = in + r;
+        for (std::size_t i = 0; i < n; ++i, src += step) to[wf + i] = *src;
+      });
+  return out;
+}
+
+/// Inverse of to_wavefront over the same tiles: contiguous reads, strided
+/// writes inside each tile.
+template <typename T>
+std::vector<T> from_wavefront(std::span<const T> wavefront,
+                              const WavefrontLayout& layout) {
+  WAVESZ_REQUIRE(wavefront.size() == layout.count(),
+                 "wavefront size disagrees with layout");
+  std::vector<T> out(wavefront.size());
+  const std::size_t step = layout.cols() - 1;
+  detail::for_each_tile_segment(
+      layout, [in = wavefront.data(), to = out.data(), step](
+                  std::size_t wf, std::size_t r, std::size_t n) {
+        T* dst = to + r;
+        for (std::size_t i = 0; i < n; ++i, dst += step) *dst = in[wf + i];
+      });
   return out;
 }
 

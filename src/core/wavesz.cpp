@@ -59,149 +59,127 @@ struct FpOps<double> {
   }
 };
 
-/// The fully pipelined 2D kernel (Listing 1 semantics: column-major walk of
-/// the wavefront layout, in-place decompression writeback).
-template <typename T>
-typename FpOps<T>::Kernel wave_pqd_2d_t(std::span<T> wavefront,
-                                        const WavefrontLayout& layout,
-                                        const sz::LinearQuantizer& q) {
-  WAVESZ_REQUIRE(wavefront.size() == layout.count(),
-                 "wavefront size disagrees with layout");
-  typename FpOps<T>::Kernel out;
-  out.codes.reserve(wavefront.size());
-  const std::size_t cols = layout.column_count();
-  for (std::size_t h = 0; h < cols; ++h) {
-    const std::size_t x_lo = layout.column_first_row(h);
-    const std::size_t len = layout.column_length(h);
-    for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t x = x_lo + k;
-      const std::size_t y = h - x;
-      const std::size_t off = layout.column_start(h) + k;
-      if (x == 0 || y == 0) {
-        // Border: passed to the lossless compressor verbatim (§3.2); the
-        // exact original stays in place as downstream history.
-        out.codes.push_back(0);
-        out.verbatim.push_back(wavefront[off]);
-        continue;
-      }
-      const double pred = sz::lorenzo2d(wavefront[layout.offset(x - 1, y - 1)],
-                                        wavefront[layout.offset(x - 1, y)],
-                                        wavefront[layout.offset(x, y - 1)]);
-      const auto r = FpOps<T>::quantize(q, pred, wavefront[off]);
-      if (r.code != 0) {
-        out.codes.push_back(r.code);
-        wavefront[off] = r.reconstructed;  // in-place decompression writeback
-      } else {
-        out.codes.push_back(0);
-        out.verbatim.push_back(wavefront[off]);
-      }
-    }
-  }
-  return out;
+/// Geometry of wavefront column h, shared by the encoder and decoder walks.
+///
+/// The layout stores each anti-diagonal h = x + y as one contiguous column
+/// (§3.1), so the interior points (x >= 1 and y >= 1) of a column read
+/// three contiguous history runs: the W tap at `w + k` and the N tap at
+/// `w + k - 1` in column h - 1, the NW tap at `nw + k` in column h - 2.
+/// A column's border points are its first point when it lies on row 0 and
+/// its last when it lies on column 0; columns 0 and 1 hold only border
+/// points, so their interior run is empty.
+struct ColumnRuns {
+  std::size_t begin;  ///< storage offset of the column's first point
+  std::size_t end;    ///< one past its last point
+  bool top;           ///< the first point is (0, h)
+  bool left;          ///< the last point is (h, 0)
+  std::size_t off;    ///< interior run [off, off + n)
+  std::size_t n;
+  std::size_t w;      ///< W tap of the run's first point
+  std::size_t nw;     ///< NW tap of the run's first point
+};
+
+ColumnRuns column_runs(const WavefrontLayout& layout, std::size_t h) {
+  ColumnRuns c{};
+  c.begin = layout.column_start(h);
+  c.end = layout.column_start(h + 1);
+  const std::size_t x_lo = layout.column_first_row(h);
+  c.top = x_lo == 0;
+  c.left = h < layout.rows();
+  if (h < 2) return c;
+  c.off = c.begin + (c.top ? 1 : 0);
+  c.n = c.end - (c.left ? 1 : 0) - c.off;
+  const std::size_t x = x_lo + (c.top ? 1 : 0);  // first interior row
+  c.w = layout.column_start(h - 1) + (x - layout.column_first_row(h - 1));
+  c.nw = layout.column_start(h - 2) + (x - 1 - layout.column_first_row(h - 2));
+  return c;
 }
 
-// Tiled anti-diagonal schedule over the (x, y) grid, mirroring the sz::
-// wavefront kernels: the 2D Lorenzo taps reach only coordinate-wise smaller
-// points, so a tile's dependencies live in coordinate-wise <= tiles — all on
-// strictly earlier diagonals t0 + t1. Each diagonal is one parallel batch;
-// the implicit barrier of the omp-for is the hyperplane boundary.
-constexpr std::size_t kTile0 = 64;
-constexpr std::size_t kTile1 = 64;
-
-/// Wavefront-parallel twin of wave_pqd_2d_t. Codes are written by storage
-/// offset (the serial kernel's push order *is* storage order), the verbatim
-/// stream is rebuilt by a post-scan: code-0 points never get a writeback, so
-/// `wavefront` still holds their exact originals.
-template <typename T>
-typename FpOps<T>::Kernel wave_pqd_2d_par_t(std::span<T> wavefront,
-                                            const WavefrontLayout& layout,
-                                            const sz::LinearQuantizer& q,
-                                            [[maybe_unused]] int nt) {
-  WAVESZ_REQUIRE(wavefront.size() == layout.count(),
+/// The one column walk behind every PQD: 2D grid, True3D plane 0 and
+/// True3D planes >= 1 (Listing 1: column-major over the wavefront layout,
+/// in-place decompression writeback). Writes one code per point of `wf` to
+/// `codes`, by storage offset, and appends the verbatim values to
+/// `verbatim` in storage order, which is stream order. Border points go
+/// verbatim with code 0 (§3.2) and keep their exact original as history;
+/// interior points quantize against predict(off, w, nw).
+template <typename T, typename PredictFn>
+void encode_columns(std::span<T> wf, const WavefrontLayout& layout,
+                    const sz::LinearQuantizer& q, std::uint16_t* codes,
+                    std::vector<T>& verbatim, PredictFn&& predict) {
+  WAVESZ_REQUIRE(wf.size() == layout.count(),
                  "wavefront size disagrees with layout");
-  typename FpOps<T>::Kernel out;
-  out.codes.assign(wavefront.size(), 0);
-  std::uint16_t* const codes = out.codes.data();
-  T* const wf = wavefront.data();
-  const std::size_t e0 = (layout.rows() + kTile0 - 1) / kTile0;
-  const std::size_t e1 = (layout.cols() + kTile1 - 1) / kTile1;
-  telemetry::counter_add(telemetry::Counter::PqdDiagonalBatches,
-                         e0 + e1 - 1);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nt)
-#endif
-  for (std::size_t d = 0; d < e0 + e1 - 1; ++d) {
-    const std::size_t t0_lo = d >= e1 ? d - e1 + 1 : 0;
-    const std::size_t t0_hi = std::min(e0 - 1, d);
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-    for (std::size_t t0 = t0_lo; t0 <= t0_hi; ++t0) {
-      const std::size_t t1 = d - t0;
-      const std::size_t x_hi = std::min(layout.rows(), (t0 + 1) * kTile0);
-      const std::size_t y_hi = std::min(layout.cols(), (t1 + 1) * kTile1);
-      for (std::size_t x = t0 * kTile0; x < x_hi; ++x) {
-        for (std::size_t y = t1 * kTile1; y < y_hi; ++y) {
-          if (x == 0 || y == 0) continue;  // border: code 0, original stays
-          const std::size_t off = layout.offset(x, y);
-          const double pred =
-              sz::lorenzo2d(wf[layout.offset(x - 1, y - 1)],
-                            wf[layout.offset(x - 1, y)],
-                            wf[layout.offset(x, y - 1)]);
-          const auto r = FpOps<T>::quantize(q, pred, wf[off]);
-          if (r.code != 0) {
-            codes[off] = r.code;
-            wf[off] = r.reconstructed;
-          }
-        }
+  T* const v = wf.data();
+  const auto border = [&](std::size_t i) {
+    codes[i] = 0;
+    verbatim.push_back(v[i]);
+  };
+  for (std::size_t h = 0; h < layout.column_count(); ++h) {
+    const ColumnRuns c = column_runs(layout, h);
+    if (c.n == 0) {  // a column without interior points is all border
+      for (std::size_t i = c.begin; i < c.end; ++i) border(i);
+      continue;
+    }
+    if (c.top) border(c.begin);
+    for (std::size_t k = 0; k < c.n; ++k) {
+      const std::size_t i = c.off + k;
+      const auto r = FpOps<T>::quantize(q, predict(i, c.w + k, c.nw + k), v[i]);
+      codes[i] = r.code;
+      if (r.code != 0) {
+        v[i] = r.reconstructed;  // in-place decompression writeback
+      } else {
+        verbatim.push_back(v[i]);
       }
     }
-    // implicit omp-for barrier: diagonal d is complete before d + 1 starts
+    if (c.left) border(c.end - 1);
   }
-  for (std::size_t i = 0; i < out.codes.size(); ++i) {
-    if (codes[i] == 0) out.verbatim.push_back(wavefront[i]);
-  }
-  return out;
+}
+
+/// The fully pipelined 2D kernel, 2D Lorenzo over the column runs.
+template <typename T>
+void wave_pqd_2d_t(std::span<T> wf, const WavefrontLayout& layout,
+                   const sz::LinearQuantizer& q, std::uint16_t* codes,
+                   std::vector<T>& verbatim) {
+  const T* const v = wf.data();
+  encode_columns(wf, layout, q, codes, verbatim,
+                 [v](std::size_t, std::size_t w, std::size_t nw) {
+                   return sz::lorenzo2d(v[nw], v[w - 1], v[w]);
+                 });
+}
+
+/// 3D-Lorenzo PQD for one slice, the previous slice already reconstructed
+/// (both in wavefront layout). Used by LayoutMode::True3D.
+template <typename T>
+void wave_pqd_slice3d(std::span<T> cur, std::span<const T> prev,
+                      const WavefrontLayout& layout,
+                      const sz::LinearQuantizer& q, std::uint16_t* codes,
+                      std::vector<T>& verbatim) {
+  const T* const c = cur.data();
+  const T* const p = prev.data();
+  encode_columns(cur, layout, q, codes, verbatim,
+                 [c, p](std::size_t off, std::size_t w, std::size_t nw) {
+                   const std::size_t n = w - 1;
+                   return sz::lorenzo3d(p[nw], c[nw], p[n], p[w], c[n], c[w],
+                                        p[off]);
+                 });
 }
 
 /// The one column walk behind every reconstruct: 2D full, 2D column prefix
 /// and True3D slice. Calls point(off, w, nw, code) for each interior point
-/// (x >= 1 and y >= 1) of the columns [0, h_end) whose code is nonzero;
-/// code-0 points are left as they are.
-///
-/// The layout stores each anti-diagonal h = x + y as one contiguous column
-/// (§3.1), so a column's interior points read three contiguous history
-/// runs: the W tap at `w` and the N tap at `w - 1` in column h - 1, the NW
-/// tap at `nw` in column h - 2. All three advance by one per point, so
-/// their offsets are computed once per column.
-///
-/// A column's border points are its first point when it lies on row 0 and
-/// its last when it lies on column 0. The encoder sends them verbatim
-/// (§3.2), so a nonzero code there marks a corrupt container.
+/// of the columns [0, h_end) whose code is nonzero; code-0 points are left
+/// as they are. The encoder sends border points verbatim, so a nonzero code
+/// there marks a corrupt container.
 template <typename PointFn>
 void walk_columns(std::span<const std::uint16_t> codes,
                   const WavefrontLayout& layout, std::size_t h_end,
                   PointFn&& point) {
   for (std::size_t h = 0; h < h_end; ++h) {
-    const std::size_t begin = layout.column_start(h);
-    const std::size_t end = layout.column_start(h + 1);
-    const std::size_t x_lo = layout.column_first_row(h);
-    const bool top = x_lo == 0;           // first point is (0, h)
-    const bool left = h < layout.rows();  // last point is (h, 0)
-    WAVESZ_REQUIRE(
-        (!top || codes[begin] == 0) && (!left || codes[end - 1] == 0),
-        "border point carries a quantization code");
-    if (h < 2) continue;  // columns 0 and 1 hold only border points
-    const std::size_t off = begin + (top ? 1 : 0);
-    const std::size_t n = end - (left ? 1 : 0) - off;
-    const std::size_t x = x_lo + (top ? 1 : 0);  // first interior row
-    const std::size_t w =
-        layout.column_start(h - 1) + (x - layout.column_first_row(h - 1));
-    const std::size_t nw =
-        layout.column_start(h - 2) + (x - 1 - layout.column_first_row(h - 2));
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::uint16_t code = codes[off + k];
-      if (code != 0) point(off + k, w + k, nw + k, code);
+    const ColumnRuns c = column_runs(layout, h);
+    WAVESZ_REQUIRE((!c.top || codes[c.begin] == 0) &&
+                       (!c.left || codes[c.end - 1] == 0),
+                   "border point carries a quantization code");
+    for (std::size_t k = 0; k < c.n; ++k) {
+      const std::uint16_t code = codes[c.off + k];
+      if (code != 0) point(c.off + k, c.w + k, c.nw + k, code);
     }
   }
 }
@@ -248,55 +226,6 @@ std::vector<T> wave_reconstruct_2d_t(std::span<const std::uint16_t> codes,
                  r[off] = FpOps<T>::reconstruct(q, pred, code);
                });
   return rec;
-}
-
-/// Budget-dispatched PQD entry point shared by the kernels' public wrappers
-/// and the compress drivers.
-template <typename T>
-typename FpOps<T>::Kernel wave_pqd_2d_auto(std::span<T> wavefront,
-                                           const WavefrontLayout& layout,
-                                           const sz::LinearQuantizer& q,
-                                           int nt) {
-  return nt > 1 ? wave_pqd_2d_par_t<T>(wavefront, layout, q, nt)
-                : wave_pqd_2d_t<T>(wavefront, layout, q);
-}
-
-/// 3D-Lorenzo PQD for one slice, the previous slice already reconstructed
-/// (both in wavefront layout). Used by LayoutMode::True3D.
-template <typename T>
-void wave_pqd_slice3d(std::span<T> cur, std::span<const T> prev,
-                      const WavefrontLayout& layout,
-                      const sz::LinearQuantizer& q,
-                      typename FpOps<T>::Kernel& out) {
-  const std::size_t cols = layout.column_count();
-  for (std::size_t h = 0; h < cols; ++h) {
-    const std::size_t x_lo = layout.column_first_row(h);
-    const std::size_t len = layout.column_length(h);
-    for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t x = x_lo + k;
-      const std::size_t y = h - x;
-      const std::size_t off = layout.column_start(h) + k;
-      if (x == 0 || y == 0) {
-        out.codes.push_back(0);
-        out.verbatim.push_back(cur[off]);
-        continue;  // cur[off] keeps the exact original as history
-      }
-      const std::size_t o_nw = layout.offset(x - 1, y - 1);
-      const std::size_t o_n = layout.offset(x - 1, y);
-      const std::size_t o_w = layout.offset(x, y - 1);
-      const double pred = sz::lorenzo3d(
-          prev[o_nw], cur[o_nw], prev[o_n], prev[o_w], cur[o_n], cur[o_w],
-          prev[off]);
-      const auto r = FpOps<T>::quantize(q, pred, cur[off]);
-      if (r.code != 0) {
-        out.codes.push_back(r.code);
-        cur[off] = r.reconstructed;
-      } else {
-        out.codes.push_back(0);
-        out.verbatim.push_back(cur[off]);
-      }
-    }
-  }
 }
 
 /// Inverse of wave_pqd_slice3d: the same column walk, with the 3D taps
@@ -373,31 +302,27 @@ class WaveStaged final : public sz::StagedCompressor {
       WAVESZ_REQUIRE(dims_.rank == 3, "True3D layout requires a 3D dataset");
     }
 
+    kr_.codes.resize(data_.size());
     if (mode_ == LayoutMode::Flatten2D || dims_.rank <= 2) {
       telemetry::Span span_pqd(telemetry::spans::kWavePqd);
       const Dims flat = dims_.flatten2d();
       const WavefrontLayout layout(flat[0], flat[1]);
       auto wf = to_wavefront(data_, layout);
-      kr_ = wave_pqd_2d_auto<T>(std::span<T>(wf), layout, q, pqd_nt_);
+      wave_pqd_2d_t<T>(wf, layout, q, kr_.codes.data(), kr_.verbatim);
     } else {
       telemetry::Span span_pqd(telemetry::spans::kWavePqd3d);
       const std::size_t planes = dims_[0];
       const WavefrontLayout layout(dims_[1], dims_[2]);
       const std::size_t slice_points = layout.count();
-      kr_.codes.reserve(data_.size());
       std::vector<T> prev;
       for (std::size_t z = 0; z < planes; ++z) {
         auto cur = to_wavefront(data_.subspan(z * slice_points, slice_points),
                                 layout);
+        std::uint16_t* const codes = kr_.codes.data() + z * slice_points;
         if (z == 0) {
-          auto first = wave_pqd_2d_auto<T>(std::span<T>(cur), layout, q,
-                                           pqd_nt_);
-          kr_.codes.insert(kr_.codes.end(), first.codes.begin(),
-                           first.codes.end());
-          kr_.verbatim.insert(kr_.verbatim.end(), first.verbatim.begin(),
-                              first.verbatim.end());
+          wave_pqd_2d_t<T>(cur, layout, q, codes, kr_.verbatim);
         } else {
-          wave_pqd_slice3d<T>(cur, prev, layout, q, kr_);
+          wave_pqd_slice3d<T>(cur, prev, layout, q, codes, kr_.verbatim);
         }
         prev = std::move(cur);
       }
@@ -766,16 +691,21 @@ sz::Config default_config() {
 
 KernelResult wave_pqd_2d(std::span<float> wavefront,
                          const WavefrontLayout& layout,
-                         const sz::LinearQuantizer& q, int threads) {
-  return wave_pqd_2d_auto<float>(wavefront, layout, q,
-                                 sz::resolve_thread_budget(threads));
+                         const sz::LinearQuantizer& q) {
+  KernelResult out;
+  out.codes.resize(wavefront.size());
+  wave_pqd_2d_t<float>(wavefront, layout, q, out.codes.data(), out.verbatim);
+  return out;
 }
 
 KernelResult64 wave_pqd_2d_64(std::span<double> wavefront,
                               const WavefrontLayout& layout,
-                              const sz::LinearQuantizer& q, int threads) {
-  return wave_pqd_2d_auto<double>(wavefront, layout, q,
-                                  sz::resolve_thread_budget(threads));
+                              const sz::LinearQuantizer& q) {
+  KernelResult64 out;
+  out.codes.resize(wavefront.size());
+  wave_pqd_2d_t<double>(wavefront, layout, q, out.codes.data(),
+                        out.verbatim);
+  return out;
 }
 
 std::vector<float> wave_reconstruct_2d(std::span<const std::uint16_t> codes,

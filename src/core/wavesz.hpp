@@ -42,12 +42,13 @@ struct KernelResult {
 /// Run prediction-quantization-decompression over `wavefront` (mutated in
 /// place to hold decompressor-visible values, as the HLS kernel writes back
 /// d_re — Listing 1). 2D Lorenzo only; borders x==0 / y==0 go verbatim.
-/// `threads` is a budget with Config::pqd_threads semantics; budgets > 1
-/// run the grid as a tiled anti-diagonal wavefront (paper §3.2 on CPU) with
-/// bit-identical codes, writeback and verbatim stream.
+/// Serial at every budget: each column reads its taps from three contiguous
+/// runs of the two columns before it, the walk the reconstruct uses, and
+/// that walk beat the tiled OpenMP schedule it replaced at 2 and 4 threads
+/// on every shape measured (EXPERIMENTS.md, "Column-walk wave encoder").
 KernelResult wave_pqd_2d(std::span<float> wavefront,
                          const WavefrontLayout& layout,
-                         const sz::LinearQuantizer& q, int threads = 1);
+                         const sz::LinearQuantizer& q);
 
 /// Inverse kernel: rebuild the wavefront-layout reconstruction. It is serial
 /// at every budget and `threads` is ignored. Each column reads its taps
@@ -71,7 +72,7 @@ struct KernelResult64 {
 
 KernelResult64 wave_pqd_2d_64(std::span<double> wavefront,
                               const WavefrontLayout& layout,
-                              const sz::LinearQuantizer& q, int threads = 1);
+                              const sz::LinearQuantizer& q);
 
 /// Full waveSZ compression (float32).
 sz::Compressed compress(std::span<const float> data, const Dims& dims,

@@ -59,17 +59,18 @@ struct Config {
   /// Worker granularity of the chunked DEFLATE engine.
   std::size_t deflate_chunk_bytes = deflate::kDefaultChunkBytes;
 
-  /// Thread budget for the prediction-quantization hot path (Lorenzo PQD on
-  /// compress, SZ-1.4's Lorenzo reconstruction on decompress; the waveSZ
-  /// reconstruct is serial at every budget) plus its serial
+  /// Thread budget for the prediction-quantization hot path (SZ-1.4's
+  /// Lorenzo PQD on compress and reconstruction on decompress; the waveSZ
+  /// PQD and reconstruct are serial at every budget) plus its serial
   /// stragglers (the Huffman encode histogram/bitpack and the value-range
-  /// scan). Same semantics as codec_threads: 1 = serial raster reference
-  /// (the default), 0 = all OpenMP threads, n = at most n. Budgets > 1
-  /// switch the kernels to the tiled anti-diagonal wavefront schedule
-  /// (paper §3.2 on CPU); the output container is bit-identical either way
-  /// — only the visit order moves — so the knob is not recorded in the
-  /// header. compress_omp() owns the threads at slab level and pins the
-  /// per-slab PQD to 1 so the two levels never multiply.
+  /// scan, for waveSZ too). Same semantics as codec_threads: 1 = serial
+  /// raster reference (the default), 0 = all OpenMP threads, n = at most n.
+  /// Budgets > 1 switch the SZ-1.4 kernels to the tiled anti-diagonal
+  /// wavefront schedule (paper §3.2 on CPU); the output container is
+  /// bit-identical either way — only the visit order moves — so the knob
+  /// is not recorded in the header. compress_omp() owns the threads at
+  /// slab level and pins the per-slab PQD to 1 so the two levels never
+  /// multiply.
   int pqd_threads = 1;
 
   /// Emit the container v2 per-chunk offset table (end bit offset into the

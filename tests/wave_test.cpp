@@ -1,11 +1,13 @@
 // Tests for the waveSZ core: wavefront layout bijectivity and index math,
-// kernel equivalence against a raster-order reference, base-2 bound
-// tightening, full round trips in both layout modes, rejection of forged
-// border codes, and pinned decoded values.
+// kernel equivalence against a raster-order reference and a per-point
+// oracle, base-2 bound tightening, full round trips in both layout modes,
+// rejection of forged border codes, and pinned decoded values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <tuple>
@@ -15,8 +17,10 @@
 #include "core/wavefront.hpp"
 #include "core/wavesz.hpp"
 #include "data/datasets.hpp"
+#include "deflate/deflate.hpp"
 #include "golden_pin.hpp"
 #include "metrics/stats.hpp"
+#include "sz/container.hpp"
 #include "sz/predictor.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -81,6 +85,25 @@ TEST_P(WavefrontShapes, TransformIsABijection) {
   EXPECT_EQ(sorted, raster);
 }
 
+TEST_P(WavefrontShapes, PermuteMatchesOffset) {
+  // Each direction against offset() on its own: a tile loop shared by both
+  // permutes could misplace points the same way twice and still round-trip.
+  const auto [d0, d1] = GetParam();
+  const WavefrontLayout layout(d0, d1);
+  std::vector<float> values(d0 * d1);
+  std::iota(values.begin(), values.end(), 0.0f);
+  const auto wf = to_wavefront(values, layout);
+  const auto raster = from_wavefront(values, layout);
+  for (std::size_t x = 0; x < d0; ++x) {
+    for (std::size_t y = 0; y < d1; ++y) {
+      const std::size_t off = layout.offset(x, y);
+      ASSERT_EQ(wf[off], values[x * d1 + y]) << "(" << x << "," << y << ")";
+      ASSERT_EQ(raster[x * d1 + y], values[off])
+          << "(" << x << "," << y << ")";
+    }
+  }
+}
+
 TEST_P(WavefrontShapes, ColumnsHoldEqualManhattanDistance) {
   const auto [d0, d1] = GetParam();
   const WavefrontLayout layout(d0, d1);
@@ -107,7 +130,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<std::size_t, std::size_t>(65, 33),
                       std::make_pair<std::size_t, std::size_t>(7, 100),
                       std::make_pair<std::size_t, std::size_t>(100, 7),
-                      std::make_pair<std::size_t, std::size_t>(1, 1000)));
+                      // Whole tiles only.
+                      std::make_pair<std::size_t, std::size_t>(64, 96),
+                      std::make_pair<std::size_t, std::size_t>(1, 1000),
+                      std::make_pair<std::size_t, std::size_t>(1000, 1)));
 
 // ---------------------------------------------------------------- kernel
 
@@ -184,20 +210,140 @@ sz::Config absolute_config(double eb) {
   return cfg;
 }
 
-/// The encoder's in-place writeback (Listing 1) of `grid` at `q`: exactly
-/// the values the decoder must rebuild, in wavefront order. No decoder code
-/// runs on this side, so it is the oracle for the reconstruct tests.
+/// The in-place writeback (Listing 1) of `grid` at `q`: exactly the values
+/// the decoder must rebuild, in wavefront order. It comes from the
+/// per-point oracle, not from the encoder, because the encoder and decoder
+/// share one column helper and a geometry error there would cancel out.
 template <typename T>
 std::vector<T> writeback(const std::vector<T>& grid,
                          const WavefrontLayout& layout,
                          const sz::LinearQuantizer& q) {
   auto wf = to_wavefront(std::span<const T>(grid), layout);
-  if constexpr (std::is_same_v<T, float>) {
-    (void)wave_pqd_2d(wf, layout, q);
-  } else {
-    (void)wave_pqd_2d_64(wf, layout, q);
-  }
+  (void)vectors::point_oracle_2d(std::span<T>(wf), layout, q);
   return wf;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// wave_pqd_2d / wave_pqd_2d_64 against the per-point oracle on one grid:
+/// codes, verbatim values and writeback byte for byte, NaN payloads too.
+template <typename T>
+void expect_kernel_matches_oracle(const std::vector<T>& grid,
+                                  const WavefrontLayout& layout,
+                                  const sz::LinearQuantizer& q,
+                                  const std::string& what) {
+  auto oracle_wf = to_wavefront(std::span<const T>(grid), layout);
+  const auto oracle =
+      vectors::point_oracle_2d(std::span<T>(oracle_wf), layout, q);
+  auto wf = to_wavefront(std::span<const T>(grid), layout);
+  const auto kr = [&] {
+    if constexpr (std::is_same_v<T, float>) {
+      return wave_pqd_2d(wf, layout, q);
+    } else {
+      return wave_pqd_2d_64(wf, layout, q);
+    }
+  }();
+  EXPECT_TRUE(same_bytes(kr.codes, oracle.codes)) << what << ": codes";
+  EXPECT_TRUE(same_bytes(kr.verbatim, oracle.verbatim))
+      << what << ": verbatim";
+  EXPECT_TRUE(same_bytes(wf, oracle_wf)) << what << ": writeback";
+}
+
+TEST(WaveKernel, ColumnWalkMatchesPointOracle) {
+  // Short columns (2 x 50, 16 x 300 as in a stream chunk), long ones
+  // (50 x 2, 100 x 7) and single rows and columns, all with spikes; one
+  // NaN and one +Inf ride through the verbatim path under a fixed bound.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1},   {1, 40},   {40, 1},  {2, 2},   {2, 50},  {50, 2},
+      {31, 57}, {33, 65},  {65, 33}, {7, 100}, {100, 7}, {16, 300}};
+  const sz::LinearQuantizer q(0.01, 16);
+  for (const auto& [d0, d1] : shapes) {
+    const WavefrontLayout layout(d0, d1);
+    auto grid = spiky_grid(Dims::d2(d0, d1), 9 + d0 * 37 + d1);
+    grid[grid.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+    grid[grid.size() / 3] = std::numeric_limits<float>::infinity();
+    const std::string shape = std::to_string(d0) + "x" + std::to_string(d1);
+    expect_kernel_matches_oracle(grid, layout, q, "f32 " + shape);
+    expect_kernel_matches_oracle(
+        std::vector<double>(grid.begin(), grid.end()), layout, q,
+        "f64 " + shape);
+  }
+}
+
+template <typename T>
+std::vector<std::uint8_t> value_bytes(const std::vector<T>& values) {
+  ByteWriter w;
+  if constexpr (std::is_same_v<T, float>) {
+    w.floats(values);
+  } else {
+    w.doubles(values);
+  }
+  return w.take();
+}
+
+/// A v1 G* True3D container against the per-point oracle run plane by
+/// plane: plane 0 through the 2D kernel, the rest through the 3D slice
+/// kernel. Compares the plain code and verbatim sections byte for byte.
+template <typename T>
+void expect_true3d_matches_oracle(const Dims& dims,
+                                  const std::vector<T>& field) {
+  auto cfg = absolute_config(0.01);
+  cfg.chunk_index = false;
+  const auto c = wave::compress(std::span<const T>(field), dims, cfg,
+                                LayoutMode::True3D);
+  ByteReader r(c.bytes);
+  (void)sz::read_header(r);
+  const auto code_plain = deflate::gzip_decompress(sz::read_section(r));
+  const auto verbatim_plain = deflate::gzip_decompress(sz::read_section(r));
+
+  const sz::LinearQuantizer q(c.header.eb_absolute, c.header.quant_bits);
+  const WavefrontLayout layout(dims[1], dims[2]);
+  const std::size_t plane = layout.count();
+  vectors::OraclePqd<T> oracle;
+  std::vector<T> prev;
+  for (std::size_t z = 0; z < dims[0]; ++z) {
+    auto cur = to_wavefront(
+        std::span<const T>(field).subspan(z * plane, plane), layout);
+    if (z == 0) {
+      oracle = vectors::point_oracle_2d(std::span<T>(cur), layout, q);
+    } else {
+      vectors::point_oracle_slice3d(std::span<T>(cur),
+                                    std::span<const T>(prev), layout, q,
+                                    oracle);
+    }
+    prev = std::move(cur);
+  }
+  ByteWriter cw;
+  cw.u16s(oracle.codes);
+  const std::string what = std::to_string(dims[0]) + "x" +
+                           std::to_string(dims[1]) + "x" +
+                           std::to_string(dims[2]) +
+                           (sizeof(T) == 4 ? " f32" : " f64");
+  EXPECT_TRUE(cw.take() == code_plain) << what << ": codes";
+  EXPECT_TRUE(value_bytes(oracle.verbatim) == verbatim_plain)
+      << what << ": verbatim";
+}
+
+TEST(WaveKernel, True3DContainerMatchesPointOracle) {
+  const Dims shapes[] = {Dims::d3(3, 1, 1), Dims::d3(4, 1, 30),
+                         Dims::d3(4, 30, 1), Dims::d3(3, 2, 2),
+                         Dims::d3(5, 16, 40), Dims::d3(3, 33, 17)};
+  for (const Dims& dims : shapes) {
+    data::FieldRecipe recipe;
+    recipe.seed = 5 + dims[1] * 7 + dims[2];
+    auto field = data::generate(recipe, dims);
+    for (std::size_t i = 3; i < field.size(); i += 41) field[i] += 1.0e5f;
+    field[field.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+    field[field.size() / 3] = std::numeric_limits<float>::infinity();
+    expect_true3d_matches_oracle(dims, field);
+    expect_true3d_matches_oracle(
+        dims, std::vector<double>(field.begin(), field.end()));
+  }
 }
 
 /// wave::decompress / decompress64 of a G* container against the writeback.
@@ -465,17 +611,6 @@ TEST(ForgedBorder, NonzeroBorderCodeThrows) {
 }
 
 // ---------------------------------------------------------- golden bytes
-
-template <typename T>
-std::vector<std::uint8_t> value_bytes(const std::vector<T>& values) {
-  ByteWriter w;
-  if constexpr (std::is_same_v<T, float>) {
-    w.floats(values);
-  } else {
-    w.doubles(values);
-  }
-  return w.take();
-}
 
 TEST(GoldenBytes, WaveDecode) {
   // Size and CRC-32 of the decoded values' little-endian bytes: the decoder
