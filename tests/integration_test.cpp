@@ -225,7 +225,8 @@ sz::Config pin_config(sz::Config cfg, bool v2, bool huffman) {
 
 TEST(GoldenBytes, WholeContainers) {
   // Size and CRC-32 of whole containers, recorded before the wave encoder
-  // became a column walk; a kernel rewrite must keep every byte.
+  // became a column walk (the two chunked pins before GhostSZ moved to
+  // per-section gzip); a kernel rewrite must keep every byte.
   const Dims d2 = Dims::d2(40, 56);
   const Dims tall = Dims::d2(75, 23);
   const Dims d3 = Dims::d3(6, 20, 24);
@@ -269,6 +270,16 @@ TEST(GoldenBytes, WholeContainers) {
   }
   const auto gc = pin_config(sz::Config{}, false, false);
   got.emplace_back("ghost f32 G*", ghost::compress(f2, d2, gc).bytes);
+  {
+    // 40x56 raw u16 codes are 4,480 bytes: two DEFLATE chunks of 4 KiB,
+    // deflated on four threads.
+    auto cc = gc;
+    cc.codec_threads = 4;
+    cc.deflate_chunk_bytes = 4096;
+    got.emplace_back("ghost f32 G* chunked",
+                     ghost::compress(f2, d2, cc).bytes);
+    got.emplace_back("sz f32 v1 G* chunked", sz::compress(f2, d2, cc).bytes);
+  }
   const auto xc = pin_config(sz::Config::ultrafast(), false, false);
   got.emplace_back("szx f32", sz::compress(f2, d2, xc).bytes);
   got.emplace_back("szx f64",
@@ -325,6 +336,8 @@ TEST(GoldenBytes, WholeContainers) {
       {"wave True3D f32 v2 H*G*", {7425, 0x8e9f1627u}},
       {"wave True3D f64 v2 H*G*", {8009, 0x143c936fu}},
       {"ghost f32 G*", {4135, 0xfb1f6ba4u}},
+      {"ghost f32 G* chunked", {4190, 0xfc87b547u}},
+      {"sz f32 v1 G* chunked", {3776, 0x7a5b72e2u}},
       {"szx f32", {7174, 0x2b91cdc3u}},
       {"szx f64", {7174, 0x1fb6ad63u}},
       {"stream archive", {9378, 0x7236763eu}}};
