@@ -4,7 +4,6 @@
 // gen3 x4 rooflines. 3D datasets only, as in the paper.
 #include "common.hpp"
 #include "fpga/model.hpp"
-#include "sz/omp.hpp"
 
 int main(int argc, char** argv) {
   using namespace wavesz;

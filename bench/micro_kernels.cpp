@@ -179,8 +179,8 @@ void BM_DeflateParallel(benchmark::State& state) {
   for (std::size_t i = 0; i < input.size(); ++i) {
     input[i] = static_cast<std::uint8_t>((i / 64) % 23);
   }
-  const deflate::ParallelOptions opts{
-      256 * 1024, static_cast<int>(state.range(0)), true};
+  const deflate::ParallelOptions opts{256 * 1024,
+                                     static_cast<int>(state.range(0))};
   for (auto _ : state) {
     auto out = deflate::compress_parallel(input, deflate::Level::Fast, opts);
     benchmark::DoNotOptimize(out.data());
@@ -303,25 +303,6 @@ void BM_SimdLorenzoPqd2D(benchmark::State& state) {
   leave_level();
 }
 BENCHMARK(BM_SimdLorenzoPqd2D)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_SimdHistogram(benchmark::State& state) {
-  if (!enter_level(state, state.range(0))) return;
-  std::mt19937 rng(17);
-  std::vector<std::uint16_t> codes(1 << 20);
-  for (auto& c : codes) {
-    c = static_cast<std::uint16_t>(32768 + static_cast<int>(rng() % 9) - 4);
-  }
-  std::vector<std::uint64_t> freq(1 << 16);
-  for (auto _ : state) {
-    std::fill(freq.begin(), freq.end(), 0);
-    simd::histogram_u16(codes.data(), codes.size(), freq.data());
-    benchmark::DoNotOptimize(freq.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(codes.size() * 2));
-  leave_level();
-}
-BENCHMARK(BM_SimdHistogram)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdMinmax(benchmark::State& state) {
   if (!enter_level(state, state.range(0))) return;

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
 
       for (std::size_t chunk : {64u * 1024u, 256u * 1024u, 1024u * 1024u}) {
         for (int threads : {1, 2, 4, 8}) {
-          deflate::ParallelOptions popts{chunk, threads, true};
+          deflate::ParallelOptions popts{chunk, threads};
           std::vector<std::uint8_t> par;
           const double par_s = bench::median_seconds(opts.repeat, [&] {
             par = deflate::gzip_compress_parallel(input, level, popts);

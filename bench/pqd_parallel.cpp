@@ -155,8 +155,8 @@ std::vector<simd::Level> sweep_levels() {
 
 // Per-kernel simd dispatch sweep on the serial entry points (the production
 // path: lorenzo_pqd_t / lorenzo_reconstruct_t pick the vectorized tile
-// schedule from simd::active()), plus the standalone histogram kernel the
-// Huffman encoder leans on. Emits the "simd_levels" rows of BENCH_pqd.json.
+// schedule from simd::active()). Emits the "simd_levels" rows of
+// BENCH_pqd.json.
 template <typename T>
 bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
                       bool* first_row) {
@@ -171,14 +171,12 @@ bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
   for (auto& v : unpred) {
     v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
   }
-  std::vector<std::uint64_t> ref_freq(1u << 16, 0);
-  simd::histogram_u16(ref.codes.data(), ref.codes.size(), ref_freq.data());
 
   std::printf("%s %s (%.1f MB) — simd dispatch sweep (serial kernels)\n",
               dims.str().c_str(), dtype, mb);
 
   bool all_ok = true;
-  double scalar_pqd = 0, scalar_rec = 0, scalar_hist = 0;
+  double scalar_pqd = 0, scalar_rec = 0;
   Stopwatch sw;
   for (const simd::Level level : sweep_levels()) {
     simd::set_level(level);
@@ -196,48 +194,32 @@ bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
       rec = sz::detail::lorenzo_reconstruct_t<T>(pqd.codes, unpred, dims, q);
       rec_s = std::min(rec_s, sw.seconds());
     }
-    double hist_s = 1e30;
-    std::vector<std::uint64_t> freq(1u << 16);
-    for (int r = 0; r < kReps; ++r) {
-      std::fill(freq.begin(), freq.end(), 0);
-      sw.reset();
-      simd::histogram_u16(pqd.codes.data(), pqd.codes.size(), freq.data());
-      hist_s = std::min(hist_s, sw.seconds());
-    }
     const bool exact =
         pqd.codes == ref.codes &&
         std::memcmp(pqd.reconstructed.data(), ref.reconstructed.data(),
                     ref.reconstructed.size() * sizeof(T)) == 0 &&
         std::memcmp(rec.data(), ref.reconstructed.data(),
-                    ref.reconstructed.size() * sizeof(T)) == 0 &&
-        freq == ref_freq;
+                    ref.reconstructed.size() * sizeof(T)) == 0;
     all_ok = all_ok && exact;
     if (level == simd::Level::Scalar) {
       scalar_pqd = pqd_s;
       scalar_rec = rec_s;
-      scalar_hist = hist_s;
     }
     std::printf(
         "  level=%-6s pqd %7.1f MB/s (%.2fx)  reconstruct %7.1f MB/s "
-        "(%.2fx)  histogram %7.1f MB/s (%.2fx)  parity %s\n",
+        "(%.2fx)  parity %s\n",
         simd::level_name(level), mb / pqd_s, scalar_pqd / pqd_s, mb / rec_s,
-        scalar_rec / rec_s,
-        static_cast<double>(pqd.codes.size() * 2) / 1e6 / hist_s,
-        scalar_hist / hist_s, exact ? "ok" : "FAIL");
+        scalar_rec / rec_s, exact ? "ok" : "FAIL");
     if (json != nullptr) {
       std::fprintf(
           json,
           "%s    {\"shape\": \"%s\", \"dtype\": \"%s\", \"level\": \"%s\", "
           "\"pqd_mbps\": %.2f, \"pqd_speedup_vs_scalar\": %.3f, "
           "\"reconstruct_mbps\": %.2f, "
-          "\"reconstruct_speedup_vs_scalar\": %.3f, "
-          "\"histogram_mbps\": %.2f, \"histogram_speedup_vs_scalar\": %.3f, "
-          "\"bit_exact\": %s}",
+          "\"reconstruct_speedup_vs_scalar\": %.3f, \"bit_exact\": %s}",
           *first_row ? "" : ",\n", dims.str().c_str(), dtype,
           simd::level_name(level), mb / pqd_s, scalar_pqd / pqd_s, mb / rec_s,
-          scalar_rec / rec_s,
-          static_cast<double>(pqd.codes.size() * 2) / 1e6 / hist_s,
-          scalar_hist / hist_s, exact ? "true" : "false");
+          scalar_rec / rec_s, exact ? "true" : "false");
       *first_row = false;
     }
   }

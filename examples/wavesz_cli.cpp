@@ -44,7 +44,7 @@ int usage() {
                "  wavesz_cli compress   <in.f32> <out.wsz> <d0> [d1 [d2]]\n"
                "             [--mode wave|ghost|sz|szx] [--eb 1e-3] [--abs]\n"
                "             [--base10] [--huffman] [--best] [--no-index]\n"
-               "             [--ultrafast] [--pipeline <depth>]\n"
+               "             [--ultrafast]\n"
                "  wavesz_cli decompress <in.wsz> <out.f32>\n"
                "             [--decode-threads <n>] [--region "
                "lo:hi[,lo:hi[,lo:hi]]]\n"
@@ -57,10 +57,7 @@ int usage() {
                "workers (0 = all cores); --region decodes only the given\n"
                "hyperslab (half-open per-axis intervals, raster order);\n"
                "--ultrafast (same as --mode szx) selects the SZx-style\n"
-               "block codec: highest throughput, no entropy stage;\n"
-               "--pipeline n overlaps the compress stages (PQD / entropy /\n"
-               "deflate+frame) with up to n slabs in flight — output bytes\n"
-               "are identical to the default barrier execution (n = 0).\n");
+               "block codec: highest throughput, no entropy stage.\n");
   return 2;
 }
 
@@ -115,8 +112,6 @@ int do_compress(int argc, char** argv) {
       cfg.chunk_index = false;
     } else if (a == "--ultrafast") {
       mode = "szx";
-    } else if (a == "--pipeline" && i + 1 < argc) {
-      cfg.pipeline_depth = std::stoi(argv[++i]);
     } else {
       return usage();
     }
@@ -156,7 +151,6 @@ int do_compress(int argc, char** argv) {
     wcfg.mode = cfg.mode;
     wcfg.gzip_level = cfg.gzip_level;
     wcfg.chunk_index = cfg.chunk_index;
-    wcfg.pipeline_depth = cfg.pipeline_depth;
     if (base10) wcfg.base = sz::EbBase::Ten;
     wcfg.huffman = huffman;
     c = f64 ? wave::compress(std::span<const double>(field64), dims, wcfg)

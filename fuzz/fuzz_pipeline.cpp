@@ -1,12 +1,13 @@
-// Fuzz target: pipelined-vs-barrier compression equivalence.
+// Fuzz target: pipelined-vs-barrier StreamCompressor equivalence.
 //
-// Contract: for ANY config/field the staged slab pipeline (pipeline_depth
-// >= 1) must produce exactly the bytes of the barrier path (depth 0) — or
+// Contract: for ANY config/field the staged chunk pipeline (pipeline_depth
+// >= 1) must write exactly the archive of the barrier path (depth 0) — or
 // fail with wavesz::Error exactly when the barrier path fails. The input
 // bytes are a recipe, not a container: they pick the depth, the codec /
-// container variant, the grid shape and the error bound, and the remainder
-// becomes the field (non-finite values included, so NaN/Inf rejection has
-// to agree between the two paths too). Any divergence aborts.
+// container variant, the grid shape, the chunk height and the error bound,
+// and the remainder becomes the field (non-finite values included, so
+// NaN/Inf rejection has to agree between the two paths too). Any divergence
+// aborts.
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -16,14 +17,13 @@
 #include "core/stream.hpp"
 #include "core/wavesz.hpp"
 #include "fuzz_common.hpp"
-#include "sz/compressor.hpp"
 #include "sz/config.hpp"
 #include "util/dims.hpp"
 #include "util/error.hpp"
 
 namespace {
 
-/// Outcome of one compress attempt: the container bytes, or "it threw".
+/// Outcome of one compress attempt: the archive bytes, or "it threw".
 struct Outcome {
   bool ok = false;
   std::vector<std::uint8_t> bytes;
@@ -53,6 +53,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::size_t rows = 4 + data[2] % 44u;
   const std::size_t cols = 4 + data[3] % 44u;
   const Dims dims = Dims::d2(rows, cols);
+  const std::size_t chunk_planes = 1 + data[5] % 4u;
 
   sz::Config cfg;
   cfg.error_bound = (1 + data[4] % 9) * 1e-4;
@@ -70,90 +71,67 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     field[i] = std::bit_cast<float>(u);
   }
+  const std::vector<double> wide(field.begin(), field.end());
 
-  const std::span<const float> fs(field);
-  auto sz_run = [&](int d) {
-    return attempt([&] {
-      sz::Config c = cfg;
-      c.pipeline_depth = d;
-      return sz::compress(fs, dims, c).bytes;
-    });
+  auto wave_defaults = [&] {
+    sz::Config w = wave::default_config();
+    w.error_bound = cfg.error_bound;
+    w.index_chunk_symbols = cfg.index_chunk_symbols;
+    return w;
   };
-  auto wave_run = [&](int d) {
+  bool f64 = false;
+  bool plane_feeds = false;
+  switch (variant) {
+    case 0:  // H*G* chunks with the v2 index (the SZ-1.4 defaults)
+      break;
+    case 1:  // raw codes, G*
+      cfg.huffman = false;
+      break;
+    case 2:  // v1 containers (no chunk index)
+      cfg.chunk_index = false;
+      break;
+    case 3:  // float64 feeds
+      f64 = true;
+      break;
+    case 4:  // waveSZ defaults (base-2, G*)
+      cfg = wave_defaults();
+      break;
+    case 5:  // waveSZ with the customized Huffman stage
+      cfg = wave_defaults();
+      cfg.huffman = true;
+      break;
+    case 6:  // waveSZ v1 containers
+      cfg = wave_defaults();
+      cfg.chunk_index = false;
+      break;
+    case 7:  // SZx ultra-fast block codec chunks
+      cfg.codec = sz::Codec::Szx;
+      cfg.huffman = false;
+      cfg.chunk_index = false;
+      break;
+    default:  // one plane per feed(), so feeds never align with chunks
+      plane_feeds = true;
+      break;
+  }
+
+  auto run = [&](int d) {
     return attempt([&] {
       sz::Config c = cfg;
       c.pipeline_depth = d;
-      return wave::compress(fs, dims, c).bytes;
-    });
-  };
-  auto stream_run = [&](int d) {
-    return attempt([&] {
-      sz::Config c = cfg;
-      c.pipeline_depth = d;
-      wave::StreamCompressor sc(dims, c, 1 + data[5] % 4u);
-      sc.feed(fs);
+      wave::StreamCompressor sc(dims, c, chunk_planes);
+      if (f64) {
+        sc.feed(std::span<const double>(wide));
+      } else if (plane_feeds) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          sc.feed(std::span<const float>(field).subspan(r * cols, cols));
+        }
+      } else {
+        sc.feed(std::span<const float>(field));
+      }
       return sc.finish();
     });
   };
 
-  Outcome barrier, piped;
-  switch (variant) {
-    case 0:  // SZ-1.4, Huffman + v2 index (the defaults)
-      barrier = sz_run(0);
-      piped = sz_run(depth);
-      break;
-    case 1:  // SZ-1.4, raw codes
-      cfg.huffman = false;
-      barrier = sz_run(0);
-      piped = sz_run(depth);
-      break;
-    case 2:  // SZ-1.4, v1 container (no chunk index)
-      cfg.chunk_index = false;
-      barrier = sz_run(0);
-      piped = sz_run(depth);
-      break;
-    case 3: {  // SZ-1.4 float64
-      const std::vector<double> wide(field.begin(), field.end());
-      auto run64 = [&](int d) {
-        return attempt([&] {
-          sz::Config c = cfg;
-          c.pipeline_depth = d;
-          return sz::compress(std::span<const double>(wide), dims, c).bytes;
-        });
-      };
-      barrier = run64(0);
-      piped = run64(depth);
-      break;
-    }
-    case 4:  // waveSZ defaults (base-2, gzip only)
-      cfg = wave::default_config();
-      cfg.pipeline_depth = 0;
-      barrier = wave_run(0);
-      piped = wave_run(depth);
-      break;
-    case 5:  // waveSZ with the customized Huffman stage
-      cfg.huffman = true;
-      barrier = wave_run(0);
-      piped = wave_run(depth);
-      break;
-    case 6:  // waveSZ v1 container
-      cfg.chunk_index = false;
-      barrier = wave_run(0);
-      piped = wave_run(depth);
-      break;
-    case 7:  // SZx ultra-fast block codec (single fused section)
-      cfg.codec = sz::Codec::Szx;
-      cfg.huffman = false;
-      cfg.chunk_index = false;
-      barrier = sz_run(0);
-      piped = sz_run(depth);
-      break;
-    default:  // streaming archive, whole chunks through the 3-stage pipe
-      barrier = stream_run(0);
-      piped = stream_run(depth);
-      break;
-  }
-
-  if (!(barrier == piped)) std::abort();
+  if (!(run(0) == run(depth))) std::abort();
   return 0;
 }

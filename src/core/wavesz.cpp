@@ -269,10 +269,9 @@ std::vector<std::uint8_t> plain_codes(std::span<const std::uint16_t> codes,
   return cw.take();
 }
 
-/// The waveSZ compress phases, split for the staged pipeline exactly like
-/// sz::Sz14Staged: the bodies are the former compress_t monolith relocated
-/// verbatim per phase, so run() is the historical barrier path byte-for-byte
-/// and the pipelined interleavings cannot change the output.
+/// The waveSZ compress phases, split for StreamCompressor's chunk pipeline
+/// exactly like sz::Sz14Staged: run() executes them in order, and the
+/// pipelined schedule runs the same bodies, so it cannot change the output.
 template <typename T>
 class WaveStaged final : public sz::StagedCompressor {
  public:
@@ -346,9 +345,6 @@ class WaveStaged final : public sz::StagedCompressor {
   }
 
   void deflate_section(std::size_t s) override {
-    // Per-section gzip: bit-identical to the section's slot in the former
-    // gzip_compress_batch call (chunking, priming and stitching are
-    // per-input), so barrier and pipelined schedules emit the same bytes.
     telemetry::Span span(telemetry::spans::kDeflateSerialize);
     const auto& plain = s == 0 ? code_plain_ : verbatim_plain_;
     blobs_[s] = deflate::gzip_compress_parallel(
@@ -417,8 +413,7 @@ sz::Compressed compress_t(std::span<const T> data, const Dims& dims,
                           const sz::Config& cfg, LayoutMode mode) {
   telemetry::Span span_all(telemetry::spans::kWaveCompress,
                            telemetry::Histo::CompressNs, telemetry::kSampleHw);
-  WaveStaged<T> job(data, dims, cfg, mode);
-  return sz::run_staged(job, cfg.pipeline_depth);
+  return WaveStaged<T>(data, dims, cfg, mode).run();
 }
 
 template <typename T>

@@ -25,15 +25,6 @@ int resolve_threads(int requested) {
 #endif
 }
 
-/// One chunk of one input buffer, scheduled as an independent task.
-struct ChunkTask {
-  std::size_t input_index = 0;
-  std::size_t chunk_index = 0;
-  std::size_t offset = 0;  ///< chunk start within its input
-  std::size_t length = 0;
-  bool final_chunk = false;
-};
-
 /// A chunk's emitted bit string. Non-final chunks end with a sync-flush
 /// marker, so nbits is a multiple of 8 for them and the stitcher's append
 /// stays on its memcpy fast path; the machinery handles any phase.
@@ -42,93 +33,20 @@ struct ChunkBits {
   std::size_t nbits = 0;
 };
 
+/// Chunk [offset, offset + length) of `whole`, its matcher primed with the
+/// previous kWindowSize bytes so cross-chunk matches survive.
 ChunkBits compress_chunk(std::span<const std::uint8_t> whole,
-                         const ChunkTask& t, Level level,
-                         bool prime_dictionary) {
-  const std::size_t dict =
-      prime_dictionary ? std::min(kWindowSize, t.offset) : 0;
-  const auto window = whole.subspan(t.offset - dict, dict + t.length);
+                         std::size_t offset, std::size_t length, Level level,
+                         bool final_chunk) {
+  const std::size_t dict = std::min(kWindowSize, offset);
+  const auto window = whole.subspan(offset - dict, dict + length);
   const auto tokens = tokenize(window, level, dict);
   BitWriterLSB bw;
-  detail::deflate_blocks(bw, window.subspan(dict), tokens, t.final_chunk);
-  if (!t.final_chunk) detail::sync_flush(bw);
+  detail::deflate_blocks(bw, window.subspan(dict), tokens, final_chunk);
+  if (!final_chunk) detail::sync_flush(bw);
   ChunkBits out;
   out.nbits = bw.bit_count();
   out.bytes = bw.take();
-  return out;
-}
-
-/// Raw DEFLATE streams for every input, all chunks through one task list.
-std::vector<std::vector<std::uint8_t>> deflate_batch(
-    std::span<const std::span<const std::uint8_t>> inputs, Level level,
-    const ParallelOptions& opts) {
-  WAVESZ_REQUIRE(opts.chunk_bytes > 0, "chunk size must be positive");
-  const int threads = resolve_threads(opts.threads);
-  std::vector<std::vector<std::uint8_t>> out(inputs.size());
-
-  if (threads == 1 && !opts.force_chunking) {
-    // Serial reference path: bit-identical to compress().
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      telemetry::Span span(telemetry::spans::kDeflateChunk);
-      telemetry::counter_add(telemetry::Counter::DeflateChunks, 1);
-      out[i] = compress(inputs[i], level);
-      telemetry::observe(telemetry::Histo::DeflateChunkBytes, out[i].size());
-    }
-    return out;
-  }
-
-  std::vector<ChunkTask> tasks;
-  std::vector<std::vector<ChunkBits>> pieces(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const std::size_t n = inputs[i].size();
-    const std::size_t chunks =
-        std::max<std::size_t>(1, (n + opts.chunk_bytes - 1) / opts.chunk_bytes);
-    pieces[i].resize(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      ChunkTask t;
-      t.input_index = i;
-      t.chunk_index = c;
-      t.offset = c * opts.chunk_bytes;
-      t.length = std::min(opts.chunk_bytes, n - t.offset);
-      t.final_chunk = (c + 1 == chunks);
-      tasks.push_back(t);
-    }
-  }
-
-  // Exceptions must not escape an OpenMP region (that terminates the
-  // process); capture the first one and rethrow it afterwards.
-  std::exception_ptr failure;
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(threads) schedule(dynamic)
-#endif
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    try {
-      telemetry::Span span(telemetry::spans::kDeflateChunk);
-      const ChunkTask& task = tasks[t];
-      ChunkBits& piece = pieces[task.input_index][task.chunk_index];
-      piece = compress_chunk(inputs[task.input_index], task, level,
-                             opts.prime_dictionary);
-      telemetry::observe(telemetry::Histo::DeflateChunkBytes,
-                         piece.bytes.size());
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
-  telemetry::counter_add(telemetry::Counter::DeflateChunks, tasks.size());
-
-  // Stitch: bit-level concatenation of the chunk streams. Chunk k+1 was
-  // emitted assuming it starts byte-aligned, which the sync-flush tail of
-  // chunk k guarantees.
-  telemetry::Span span_stitch(telemetry::spans::kDeflateStitch);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    BitWriterLSB bw;
-    for (const ChunkBits& p : pieces[i]) bw.append(p.bytes, p.nbits);
-    out[i] = bw.take();
-  }
   return out;
 }
 
@@ -154,25 +72,59 @@ std::vector<std::uint8_t> gzip_wrap(std::span<const std::uint8_t> input,
 std::vector<std::uint8_t> compress_parallel(
     std::span<const std::uint8_t> input, Level level,
     const ParallelOptions& opts) {
-  const std::span<const std::uint8_t> one[] = {input};
-  return std::move(deflate_batch(one, level, opts)[0]);
+  WAVESZ_REQUIRE(opts.chunk_bytes > 0, "chunk size must be positive");
+  const int threads = resolve_threads(opts.threads);
+  if (threads == 1 && !opts.force_chunking) {
+    // Serial reference path: bit-identical to compress().
+    telemetry::Span span(telemetry::spans::kDeflateChunk);
+    telemetry::counter_add(telemetry::Counter::DeflateChunks, 1);
+    auto out = compress(input, level);
+    telemetry::observe(telemetry::Histo::DeflateChunkBytes, out.size());
+    return out;
+  }
+
+  const std::size_t n = input.size();
+  const std::size_t chunks =
+      std::max<std::size_t>(1, (n + opts.chunk_bytes - 1) / opts.chunk_bytes);
+  std::vector<ChunkBits> pieces(chunks);
+  // Exceptions must not escape an OpenMP region (that terminates the
+  // process); capture the first one and rethrow it afterwards.
+  std::exception_ptr failure;
+#ifdef _OPENMP
+#pragma omp parallel for num_threads(threads) schedule(dynamic)
+#endif
+  for (std::size_t c = 0; c < chunks; ++c) {
+    try {
+      telemetry::Span span(telemetry::spans::kDeflateChunk);
+      const std::size_t offset = c * opts.chunk_bytes;
+      pieces[c] = compress_chunk(input, offset,
+                                 std::min(opts.chunk_bytes, n - offset),
+                                 level, c + 1 == chunks);
+      telemetry::observe(telemetry::Histo::DeflateChunkBytes,
+                         pieces[c].bytes.size());
+    } catch (...) {
+#ifdef _OPENMP
+#pragma omp critical
+#endif
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
+  telemetry::counter_add(telemetry::Counter::DeflateChunks, chunks);
+
+  // Stitch: bit-level concatenation of the chunk streams. Chunk k+1 was
+  // emitted assuming it starts byte-aligned, which the sync-flush tail of
+  // chunk k guarantees.
+  telemetry::Span span_stitch(telemetry::spans::kDeflateStitch);
+  BitWriterLSB bw;
+  for (const ChunkBits& p : pieces) bw.append(p.bytes, p.nbits);
+  return bw.take();
 }
 
 std::vector<std::uint8_t> gzip_compress_parallel(
     std::span<const std::uint8_t> input, Level level,
     const ParallelOptions& opts) {
   return gzip_wrap(input, level, compress_parallel(input, level, opts));
-}
-
-std::vector<std::vector<std::uint8_t>> gzip_compress_batch(
-    std::span<const std::span<const std::uint8_t>> inputs, Level level,
-    const ParallelOptions& opts) {
-  auto bodies = deflate_batch(inputs, level, opts);
-  std::vector<std::vector<std::uint8_t>> out(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    out[i] = gzip_wrap(inputs[i], level, std::move(bodies[i]));
-  }
-  return out;
 }
 
 std::vector<std::vector<std::uint8_t>> gzip_decompress_batch(
@@ -187,9 +139,9 @@ std::vector<std::vector<std::uint8_t>> gzip_decompress_batch(
     }
     return out;
   }
-  // Same containment contract as deflate_batch: an exception escaping an
-  // OpenMP region terminates the process, so the first failure is captured
-  // and rethrown after the barrier.
+  // Same containment contract as compress_parallel: an exception escaping
+  // an OpenMP region terminates the process, so the first failure is
+  // captured and rethrown after the barrier.
   std::exception_ptr failure;
 #ifdef _OPENMP
 #pragma omp parallel for num_threads(nt) schedule(dynamic)

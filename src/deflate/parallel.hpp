@@ -2,9 +2,9 @@
 //
 // The input is split into fixed-size chunks; each chunk is tokenized with
 // its own hash-chain matcher on a worker thread (OpenMP) and emitted as one
-// or more complete DEFLATE blocks, optionally priming the matcher with the
-// previous kWindowSize bytes so cross-chunk matches survive and the ratio
-// stays within noise of the serial stream. The per-chunk bit strings are
+// or more complete DEFLATE blocks, priming the matcher with the previous
+// kWindowSize bytes so cross-chunk matches survive and the ratio stays
+// within noise of the serial stream. The per-chunk bit strings are
 // then stitched into a single valid DEFLATE stream / gzip member: every
 // non-final chunk ends with a Z_SYNC_FLUSH marker (an empty stored block,
 // byte-aligning the stream), and a bit-level concatenator joins the pieces.
@@ -32,10 +32,6 @@ struct ParallelOptions {
   std::size_t chunk_bytes = kDefaultChunkBytes;
   /// 0 = all OpenMP threads, 1 = serial reference path, n = at most n.
   int threads = 0;
-  /// Prime each chunk's matcher with the previous kWindowSize bytes.
-  /// Costs a little tokenization time, buys back nearly all of the ratio
-  /// loss from independent chunks; disable only for benchmarking.
-  bool prime_dictionary = true;
   /// Take the chunked path even at threads == 1, so every chunk_bytes of
   /// input ends on a sync-flush marker (a byte-aligned block boundary).
   /// The markers cost ~5 bytes each and let a prefix inflate stop within
@@ -53,15 +49,6 @@ std::vector<std::uint8_t> compress_parallel(
 /// gzip member (RFC 1952), chunk-parallel body.
 std::vector<std::uint8_t> gzip_compress_parallel(
     std::span<const std::uint8_t> input, Level level,
-    const ParallelOptions& opts = {});
-
-/// Compress several independent buffers into gzip members over ONE thread
-/// pool: all (buffer, chunk) pairs become a single task list, so a large
-/// section keeps the threads that finished a small section busy. This is
-/// how the SZ compressors run their code-section and unpredictable-section
-/// encodes concurrently without nesting parallel regions.
-std::vector<std::vector<std::uint8_t>> gzip_compress_batch(
-    std::span<const std::span<const std::uint8_t>> inputs, Level level,
     const ParallelOptions& opts = {});
 
 /// Inflate several independent gzip members concurrently, one worker per

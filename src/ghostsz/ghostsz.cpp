@@ -141,13 +141,12 @@ sz::Compressed compress(std::span<const float> data, const Dims& dims,
   cw.u16s(pqd.codes);
   ByteWriter uw;
   uw.floats(pqd.unpredictable);
-  // Both sections through one chunked-DEFLATE task pool (serial and
-  // bit-identical at the default codec_threads == 1).
-  const std::span<const std::uint8_t> sections[] = {cw.data(), uw.data()};
-  auto blobs = deflate::gzip_compress_batch(sections, cfg.gzip_level,
-                                            cfg.deflate_options());
-  const auto code_blob = std::move(blobs[0]);
-  const auto unpred_blob = std::move(blobs[1]);
+  // Each section through the chunked DEFLATE engine, as in SZ-1.4 (serial
+  // and bit-identical to gzip_compress at the default codec_threads == 1).
+  const auto code_blob = deflate::gzip_compress_parallel(
+      cw.data(), cfg.gzip_level, cfg.deflate_options());
+  const auto unpred_blob = deflate::gzip_compress_parallel(
+      uw.data(), cfg.gzip_level, cfg.deflate_options());
 
   sz::Compressed out;
   out.header.variant = sz::Variant::GhostSz;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/pipeline.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/parallel.hpp"
 #include "metrics/stats.hpp"
@@ -145,10 +144,7 @@ class Sz14Staged final : public StagedCompressor {
   void deflate_section(std::size_t s) override {
     // Per-section gzip through the chunked engine: each section's chunking,
     // dictionary priming and stitching depend only on that section's plain
-    // bytes, so the member here is bit-identical to its slot in the former
-    // gzip_compress_batch call — the sections merely lose the shared task
-    // pool (a wash at the default codec_threads == 1, and the pipelined
-    // mode overlaps them across stages instead).
+    // bytes.
     telemetry::Span span(telemetry::spans::kDeflateSerialize);
     const auto& plain = s == 0 ? code_plain_ : unpred_plain_;
     blobs_[s] = deflate::gzip_compress_parallel(
@@ -258,8 +254,7 @@ Compressed compress_t(std::span<const T> data, const Dims& dims,
   }
   telemetry::Span span_all(telemetry::spans::kSzCompress,
                            telemetry::Histo::CompressNs, telemetry::kSampleHw);
-  Sz14Staged<T> job(data, dims, cfg);
-  return run_staged(job, cfg.pipeline_depth);
+  return Sz14Staged<T>(data, dims, cfg).run();
 }
 
 template <typename T>
@@ -531,34 +526,6 @@ std::unique_ptr<StagedCompressor> make_staged(std::span<const double> data,
                                               const Dims& dims,
                                               const Config& cfg) {
   return make_staged_t<double>(data, dims, cfg);
-}
-
-Compressed run_staged(StagedCompressor& job, int pipeline_depth) {
-  if (pipeline_depth <= 0) return job.run();
-  // Overlapped single-shot schedule: PQD on the calling thread (everything
-  // downstream depends on all of it), then the independent sections stream
-  // through a two-stage executor — the DEFLATE of section s runs while
-  // section s+1 is still entropy-encoding. Sections are the finest
-  // independent units of one container, so depth beyond their count buys
-  // nothing.
-  {
-    telemetry::Span span(telemetry::spans::kPipelineSlabPqd);
-    job.pqd();
-  }
-  const std::size_t depth = std::min<std::size_t>(
-      static_cast<std::size_t>(pipeline_depth), job.sections());
-  pipeline::Executor ex(
-      {{telemetry::spans::kPipelineSlabEntropy,
-        [&job](std::size_t s) { job.encode_section(s); }},
-       {telemetry::spans::kPipelineSlabFrame,
-        [&job](std::size_t s) { job.deflate_section(s); }}},
-      depth);
-  for (std::size_t s = 0; s < job.sections(); ++s) {
-    ex.acquire();
-    ex.submit();
-  }
-  ex.drain();
-  return job.assemble();
 }
 
 Compressed compress(std::span<const float> data, const Dims& dims,

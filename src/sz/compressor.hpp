@@ -72,16 +72,15 @@ struct Compressed {
   std::size_t unpred_blob_bytes = 0;
 };
 
-/// One compress call split into the phases the staged pipeline
-/// (core/pipeline.hpp) schedules: prediction-quantization, per-section
-/// entropy encode, per-section DEFLATE, final container assembly. The
-/// barrier path is run() — every phase back-to-back on the calling thread —
-/// and the pipelined paths call the same phase bodies in a different
-/// interleaving, so the output bytes are identical by construction. Sections
-/// (the code stream and the unpredictable/verbatim stream) are mutually
-/// independent after pqd(); phases of *different* sections may overlap,
-/// phases of one section must run in encode -> deflate order, and assemble()
-/// requires every deflate to have finished.
+/// One compress call split into phases: prediction-quantization,
+/// per-section entropy encode, per-section DEFLATE, final container
+/// assembly. run() executes every phase back-to-back on the calling thread;
+/// wave::StreamCompressor's chunk pipeline (core/pipeline.hpp) runs pqd(),
+/// entropy() and frame() of different chunks on its stage threads, so the
+/// archive bytes are identical by construction. Sections (the code stream
+/// and the unpredictable/verbatim stream) are mutually independent after
+/// pqd(); phases of one section must run in encode -> deflate order, and
+/// assemble() requires every deflate to have finished.
 class StagedCompressor {
  public:
   virtual ~StagedCompressor() = default;
@@ -107,7 +106,7 @@ class StagedCompressor {
     for (std::size_t s = 0; s < sections(); ++s) deflate_section(s);
     return assemble();
   }
-  /// The barrier reference path.
+  /// Every phase in order on the calling thread.
   Compressed run() {
     pqd();
     entropy();
@@ -123,13 +122,6 @@ std::unique_ptr<StagedCompressor> make_staged(std::span<const float> data,
 std::unique_ptr<StagedCompressor> make_staged(std::span<const double> data,
                                               const Dims& dims,
                                               const Config& cfg);
-
-/// Execute a staged job under Config::pipeline_depth semantics: depth <= 0
-/// runs the barrier path; otherwise pqd() runs on the calling thread and the
-/// independent sections stream through a two-stage entropy/frame executor so
-/// the DEFLATE of section s overlaps the entropy encode of section s+1.
-/// Output bytes are identical either way.
-Compressed run_staged(StagedCompressor& job, int pipeline_depth);
 
 /// Full SZ-1.4 compression of a float32 field.
 Compressed compress(std::span<const float> data, const Dims& dims,

@@ -51,10 +51,8 @@ struct Config {
   /// Thread budget for the entropy back-end (chunked DEFLATE over the code
   /// and unpredictable sections): 1 = serial reference stream (the default;
   /// bit-identical to the historical output), 0 = all OpenMP threads, n =
-  /// at most n. This is a *budget*, shared with slab-level parallelism:
-  /// compress_omp() owns the threads and pins the per-slab back-end to 1 so
-  /// the two levels never multiply. Not recorded in the container — the
-  /// emitted stream is plain gzip either way.
+  /// at most n. Not recorded in the container — the emitted stream is plain
+  /// gzip either way.
   int codec_threads = 1;
   /// Worker granularity of the chunked DEFLATE engine.
   std::size_t deflate_chunk_bytes = deflate::kDefaultChunkBytes;
@@ -68,9 +66,7 @@ struct Config {
   /// Budgets > 1 switch the SZ-1.4 kernels to the tiled anti-diagonal
   /// wavefront schedule (paper §3.2 on CPU); the output container is
   /// bit-identical either way — only the visit order moves — so the knob
-  /// is not recorded in the header. compress_omp() owns the threads at
-  /// slab level and pins the per-slab PQD to 1 so the two levels never
-  /// multiply.
+  /// is not recorded in the header.
   int pqd_threads = 1;
 
   /// Emit the container v2 per-chunk offset table (end bit offset into the
@@ -92,14 +88,12 @@ struct Config {
   /// bit-identical at every setting.
   int decode_threads = 1;
 
-  /// Slabs in flight for the staged producer-consumer pipeline
-  /// (core/pipeline.hpp): 0 = barrier execution (the default; phases run
-  /// back-to-back on the calling thread), n >= 1 = overlapped execution
-  /// with at most n slabs between the PQD, entropy and DEFLATE/frame
-  /// stages — the software form of the paper's pII=1 datapath at slab
-  /// granularity. StreamCompressor pipelines whole chunks; single-shot
-  /// compress() overlaps the two independent container sections. Output
-  /// bytes are identical to the barrier path at every depth and thread
+  /// Chunks in flight in wave::StreamCompressor's staged pipeline
+  /// (core/pipeline.hpp): 0 = barrier execution (the default; each chunk
+  /// compresses on the feeding thread), n >= 1 = at most n chunks between
+  /// the PQD, entropy and DEFLATE/frame stages — the software form of the
+  /// paper's pII=1 datapath at chunk granularity. Single-shot compress()
+  /// ignores it. Archive bytes are identical at every depth and thread
   /// budget, so the knob is not recorded in the container.
   int pipeline_depth = 0;
 
@@ -121,7 +115,7 @@ struct Config {
   }
 
   deflate::ParallelOptions deflate_options() const {
-    return {deflate_chunk_bytes, codec_threads, /*prime_dictionary=*/true};
+    return {deflate_chunk_bytes, codec_threads};
   }
 
   /// Section-encode options for v2 chunk-indexed containers: chunking is

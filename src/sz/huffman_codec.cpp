@@ -13,7 +13,6 @@
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/huffman.hpp"
-#include "util/simd.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -44,13 +43,12 @@ std::vector<std::size_t> chunk_bounds(std::size_t n, int parts) {
   return b;
 }
 
+/// Below this many symbols the plain counting loop wins.
+constexpr std::size_t kStripedCutoff = std::size_t{1} << 14;
+
 std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
                                        int nt) {
-  std::vector<std::uint64_t> freq(kAlphabet, 0);
-  if (nt <= 1) {
-    simd::histogram_u16(codes.data(), codes.size(), freq.data());
-    return freq;
-  }
+  if (nt <= 1) return count_symbols(codes);
   // Per-thread histograms, reduced serially: 65536 * nt adds, trivial next
   // to the counting pass itself.
   const auto bounds = chunk_bounds(codes.size(), nt);
@@ -60,12 +58,12 @@ std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
 #pragma omp parallel for num_threads(nt) schedule(static)
 #endif
   for (int t = 0; t < nt; ++t) {
-    auto& mine = local[static_cast<std::size_t>(t)];
-    mine.assign(kAlphabet, 0);
     const std::size_t lo = bounds[static_cast<std::size_t>(t)];
     const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    simd::histogram_u16(codes.data() + lo, hi - lo, mine.data());
+    local[static_cast<std::size_t>(t)] =
+        count_symbols(codes.subspan(lo, hi - lo));
   }
+  std::vector<std::uint64_t> freq(kAlphabet, 0);
   for (const auto& mine : local) {
     for (std::size_t s = 0; s < kAlphabet; ++s) freq[s] += mine[s];
   }
@@ -220,6 +218,35 @@ std::vector<std::uint8_t> huffman_encode_impl(
 }
 
 }  // namespace
+
+std::vector<std::uint64_t> count_symbols(
+    std::span<const std::uint16_t> codes) {
+  const std::size_t n = codes.size();
+  if (n < kStripedCutoff) {
+    std::vector<std::uint64_t> freq(kAlphabet, 0);
+    for (const std::uint16_t c : codes) ++freq[c];
+    return freq;
+  }
+  // Four interleaved sub-tables, so runs of one symbol (the zero-residual
+  // bin dominates smooth fields) do not serialize on one store-forwarded
+  // counter; table 0 then takes the sum.
+  std::vector<std::uint64_t> t(4 * kAlphabet, 0);
+  std::uint64_t* t0 = t.data();
+  std::uint64_t* t1 = t0 + kAlphabet;
+  std::uint64_t* t2 = t1 + kAlphabet;
+  std::uint64_t* t3 = t2 + kAlphabet;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++t0[codes[i]];
+    ++t1[codes[i + 1]];
+    ++t2[codes[i + 2]];
+    ++t3[codes[i + 3]];
+  }
+  for (; i < n; ++i) ++t0[codes[i]];
+  for (std::size_t s = 0; s < kAlphabet; ++s) t0[s] += t1[s] + t2[s] + t3[s];
+  t.resize(kAlphabet);
+  return t;
+}
 
 std::vector<std::uint8_t> huffman_encode(std::span<const std::uint16_t> codes,
                                          int threads) {

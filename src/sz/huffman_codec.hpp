@@ -69,4 +69,9 @@ std::vector<std::uint16_t> huffman_decode_reference(
 /// Mean code length in bits for the given stream (diagnostics/benches).
 double huffman_mean_bits(std::span<const std::uint16_t> codes);
 
+/// The symbol histogram behind huffman_encode(): 65,536 counts, entry c
+/// holding the number of c in `codes`. Each encode thread counts its own
+/// contiguous share through this.
+std::vector<std::uint64_t> count_symbols(std::span<const std::uint16_t> codes);
+
 }  // namespace wavesz::sz

@@ -41,7 +41,6 @@ enum class Counter : std::uint32_t {
   HuffmanTableBuildNs, ///< wall time spent building Huffman code tables
   DeflateChunks,       ///< DEFLATE chunks encoded (1 per input when serial)
   PqdDiagonalBatches,  ///< anti-diagonal hyperplane batches swept
-  OmpSlabs,            ///< slabs processed by compress_omp/decompress_omp
   StreamChunks,        ///< chunks emitted/decoded by the streaming API
   InflateBlocks,       ///< DEFLATE blocks inflated (fast or reference path)
   CrcBytes,            ///< bytes checksummed while verifying gzip members
@@ -70,8 +69,6 @@ inline constexpr MetricInfo kCounterInfo[] = {
     {"deflate_chunks", "chunks", "DEFLATE chunks encoded"},
     {"pqd_diagonal_batches", "batches",
      "anti-diagonal hyperplane batches swept"},
-    {"omp_slabs", "slabs",
-     "slabs processed by compress_omp/decompress_omp"},
     {"stream_chunks", "chunks",
      "chunks emitted/decoded by the streaming API"},
     {"inflate_blocks", "blocks",

@@ -39,12 +39,6 @@ inline constexpr const char* kDecodeRegion = "decode.region";
 inline constexpr const char* kInflatePrefix = "inflate.prefix";
 inline constexpr const char* kStreamDecodeParallel = "stream.decode_parallel";
 
-// OpenMP slab engine (src/sz/omp.cpp).
-inline constexpr const char* kSzCompressOmp = "sz::compress_omp";
-inline constexpr const char* kSzDecompressOmp = "sz::decompress_omp";
-inline constexpr const char* kSlabCompress = "slab.compress";
-inline constexpr const char* kSlabDecompress = "slab.decompress";
-
 // DEFLATE back end (src/deflate/).
 inline constexpr const char* kDeflateChunk = "deflate.chunk";
 inline constexpr const char* kDeflateStitch = "deflate.stitch";
@@ -60,10 +54,11 @@ inline constexpr const char* kWaveReconstruct = "wave.reconstruct";
 inline constexpr const char* kStreamChunk = "stream.chunk";
 inline constexpr const char* kStreamDecodeChunk = "stream.decode_chunk";
 
-// Staged slab pipeline (src/core/pipeline.cpp and its users). The three
-// slab spans name the stages of the head/body/tail schedule; kPipelineStall
-// wraps only the waits where a stage ran dry (ring empty) or acquire()
-// found every slot in flight — the bubbles the overlap is meant to hide.
+// Staged chunk pipeline (src/core/pipeline.cpp and src/core/stream.cpp).
+// The three slab spans name the stages of the head/body/tail schedule;
+// kPipelineStall wraps only the waits where a stage ran dry (ring empty) or
+// acquire() found every slot in flight — the bubbles the overlap is meant
+// to hide.
 inline constexpr const char* kPipelineSlabPqd = "pipeline.slab.pqd";
 inline constexpr const char* kPipelineSlabEntropy = "pipeline.slab.entropy";
 inline constexpr const char* kPipelineSlabFrame = "pipeline.slab.frame";

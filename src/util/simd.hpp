@@ -1,6 +1,8 @@
 // Runtime-dispatched SIMD kernel layer (vecSZ-style, PAPERS.md).
 //
-// Every kernel here has three implementations — scalar, SSE2 and AVX2 —
+// Every kernel here has a scalar and an SSE2 implementation, and the
+// contiguous scans (minmax, bound_scan) an AVX2 one as well; the diagonal
+// kernels run their SSE2 body at the AVX2 level. The implementation is
 // selected once per call from a process-wide level. The level defaults to
 // the widest ISA the CPU reports (probed once via cpuid), can be capped
 // with the WAVESZ_SIMD environment variable (`scalar`, `sse2` or `avx2`)
@@ -89,13 +91,6 @@ void reconstruct2d_diag(const std::uint16_t* codes, float* rec,
 void reconstruct2d_diag(const std::uint16_t* codes, double* rec,
                         std::size_t base, std::size_t s0, std::size_t n,
                         const QuantSpec& q);
-
-/// freq[c] += count of c in codes[0, n) for every 16-bit symbol. The
-/// vectorized paths count into interleaved sub-tables (dodging
-/// store-forward stalls on skewed symbol distributions) and reduce them
-/// with wide adds; counts are integers, so the result is exact.
-void histogram_u16(const std::uint16_t* codes, std::size_t n,
-                   std::uint64_t* freq);
 
 /// Fold min/max over data[0, n) into *lo / *hi (callers seed both, usually
 /// with data[0], matching the serial scan's NaN-poisoning semantics): NaN

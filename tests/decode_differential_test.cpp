@@ -16,7 +16,6 @@
 #include "ghostsz/ghostsz.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman_codec.hpp"
-#include "sz/omp.hpp"
 #include "sz2/sz2.hpp"
 #include "util/error.hpp"
 #include "util/huffman.hpp"
@@ -84,9 +83,6 @@ TEST(DecodeDifferential, EveryContainerVariant) {
   sz2::Config cfg2;
   const auto c_sz2 = sz2::compress(grid, dims, cfg2);
   both_paths_identical([&] { return sz2::decompress(c_sz2.bytes); });
-
-  const auto c_omp = sz::compress_omp(grid, dims, sz::Config{}, 3);
-  both_paths_identical([&] { return sz::decompress_omp(c_omp.bytes); });
 }
 
 TEST(DecodeDifferential, HuffmanBlobSkewedAlphabets) {

@@ -15,7 +15,6 @@
 #include "ghostsz/ghostsz.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman_codec.hpp"
-#include "sz/omp.hpp"
 #include "sz2/sz2.hpp"
 #include "util/error.hpp"
 #include "util/huffman.hpp"
@@ -114,15 +113,6 @@ TEST_P(MutationSweep, Sz2DecoderIsContained) {
   expect_contained(c.bytes,
                    [](const auto& b) { return sz2::decompress(b); },
                    GetParam() + 3000);
-}
-
-TEST_P(MutationSweep, OmpDecoderIsContained) {
-  const Dims dims = Dims::d2(40, 40);
-  const auto c =
-      sz::compress_omp(small_field(dims), dims, sz::Config{}, 3);
-  expect_contained(c.bytes,
-                   [](const auto& b) { return sz::decompress_omp(b); },
-                   GetParam() + 4000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationSweep,

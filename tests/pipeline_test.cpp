@@ -1,7 +1,8 @@
-// Staged slab pipeline (core/pipeline.hpp): executor ordering, backpressure
-// and error propagation; arena pooling; and the load-bearing guarantee —
-// pipelined compression is byte-identical to the barrier path for every
-// codec, container variant and depth, for single-shot and streaming alike.
+// Staged chunk pipeline (core/pipeline.hpp): executor ordering,
+// backpressure and error propagation; arena pooling; and the load-bearing
+// guarantee — a pipelined StreamCompressor writes the barrier path's archive
+// byte for byte for every codec, container variant, depth and thread
+// budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -214,119 +215,6 @@ TEST(Arena, VecPoolRecyclesCapacity) {
   EXPECT_EQ(st.fresh, 2u);
 }
 
-// ----------------------------------------------- single-shot byte identity
-
-void expect_identical_at_every_depth(const std::vector<float>& field,
-                                     const Dims& dims, sz::Config cfg) {
-  cfg.pipeline_depth = 0;
-  const auto barrier = sz::compress(std::span<const float>(field), dims, cfg);
-  for (int depth = 1; depth <= 4; ++depth) {
-    cfg.pipeline_depth = depth;
-    const auto piped = sz::compress(std::span<const float>(field), dims, cfg);
-    ASSERT_EQ(piped.bytes, barrier.bytes) << "sz depth " << depth;
-  }
-  const auto restored = sz::decompress(barrier.bytes);
-  EXPECT_EQ(restored.size(), field.size());
-}
-
-void expect_wave_identical_at_every_depth(
-    const std::vector<float>& field, const Dims& dims, sz::Config cfg,
-    wave::LayoutMode mode = wave::LayoutMode::Flatten2D) {
-  cfg.pipeline_depth = 0;
-  const auto barrier =
-      wave::compress(std::span<const float>(field), dims, cfg, mode);
-  for (int depth = 1; depth <= 4; ++depth) {
-    cfg.pipeline_depth = depth;
-    const auto piped =
-        wave::compress(std::span<const float>(field), dims, cfg, mode);
-    ASSERT_EQ(piped.bytes, barrier.bytes) << "wave depth " << depth;
-  }
-  const auto restored = wave::decompress(barrier.bytes);
-  EXPECT_EQ(restored.size(), field.size());
-}
-
-TEST(PipelineIdentity, SzHuffmanIndexed) {
-  const Dims dims = Dims::d2(96, 128);
-  const auto field = volume(dims, 11);
-  sz::Config cfg;
-  cfg.huffman = true;
-  expect_identical_at_every_depth(field, dims, cfg);
-}
-
-TEST(PipelineIdentity, SzRawCodes) {
-  const Dims dims = Dims::d2(96, 128);
-  const auto field = volume(dims, 12);
-  sz::Config cfg;
-  cfg.huffman = false;
-  expect_identical_at_every_depth(field, dims, cfg);
-}
-
-TEST(PipelineIdentity, SzV1NoIndex) {
-  const Dims dims = Dims::d2(80, 100);
-  const auto field = volume(dims, 13);
-  sz::Config cfg;
-  cfg.chunk_index = false;
-  expect_identical_at_every_depth(field, dims, cfg);
-}
-
-TEST(PipelineIdentity, SzFloat64) {
-  const Dims dims = Dims::d2(64, 96);
-  const auto field = volume64(dims, 14);
-  sz::Config cfg;
-  cfg.pipeline_depth = 0;
-  const auto barrier = sz::compress(std::span<const double>(field), dims, cfg);
-  for (int depth = 1; depth <= 4; ++depth) {
-    cfg.pipeline_depth = depth;
-    const auto piped = sz::compress(std::span<const double>(field), dims, cfg);
-    ASSERT_EQ(piped.bytes, barrier.bytes) << "depth " << depth;
-  }
-  EXPECT_EQ(sz::decompress64(barrier.bytes).size(), field.size());
-}
-
-TEST(PipelineIdentity, SzxCodec) {
-  const Dims dims = Dims::d2(96, 128);
-  const auto field = volume(dims, 15);
-  expect_identical_at_every_depth(field, dims, sz::Config::ultrafast());
-}
-
-TEST(PipelineIdentity, WaveDefault) {
-  const Dims dims = Dims::d2(96, 128);
-  const auto field = volume(dims, 16);
-  expect_wave_identical_at_every_depth(field, dims, wave::default_config());
-}
-
-TEST(PipelineIdentity, WaveHuffman) {
-  const Dims dims = Dims::d2(96, 128);
-  const auto field = volume(dims, 17);
-  auto cfg = wave::default_config();
-  cfg.huffman = true;
-  expect_wave_identical_at_every_depth(field, dims, cfg);
-}
-
-TEST(PipelineIdentity, WaveV1NoIndex) {
-  const Dims dims = Dims::d2(96, 128);
-  const auto field = volume(dims, 18);
-  auto cfg = wave::default_config();
-  cfg.chunk_index = false;
-  expect_wave_identical_at_every_depth(field, dims, cfg);
-}
-
-TEST(PipelineIdentity, WaveTrue3D) {
-  const Dims dims = Dims::d3(12, 24, 24);
-  const auto field = volume(dims, 19);
-  expect_wave_identical_at_every_depth(field, dims, wave::default_config(),
-                                       wave::LayoutMode::True3D);
-}
-
-TEST(PipelineIdentity, ThreadBudgetsComposeWithDepth) {
-  const Dims dims = Dims::d2(128, 128);
-  const auto field = volume(dims, 20);
-  auto cfg = wave::default_config();
-  cfg.pqd_threads = 4;
-  cfg.codec_threads = 2;
-  expect_wave_identical_at_every_depth(field, dims, cfg);
-}
-
 // ------------------------------------------------- stream archive identity
 
 std::vector<std::uint8_t> stream_archive(const std::vector<float>& field,
@@ -369,6 +257,26 @@ TEST(PipelineStream, WaveHuffmanIndexedArchiveIdentical) {
   auto cfg = wave::default_config();
   cfg.huffman = true;
   expect_stream_identical(Dims::d3(10, 20, 20), cfg, 32);
+}
+
+TEST(PipelineStream, V1HuffmanArchiveIdentical) {
+  sz::Config cfg;  // base-10 H*G* chunks without the chunk index
+  cfg.chunk_index = false;
+  expect_stream_identical(Dims::d3(10, 20, 20), cfg, 38);
+}
+
+TEST(PipelineStream, WaveV1ArchiveIdentical) {
+  auto cfg = wave::default_config();
+  cfg.chunk_index = false;
+  expect_stream_identical(Dims::d3(11, 24, 24), cfg, 39);
+}
+
+TEST(PipelineStream, ThreadBudgetsComposeWithDepth) {
+  auto cfg = wave::default_config();
+  cfg.pqd_threads = 4;
+  cfg.codec_threads = 2;
+  cfg.deflate_chunk_bytes = 4096;  // several DEFLATE chunks per section
+  expect_stream_identical(Dims::d3(12, 48, 48), cfg, 40);
 }
 
 TEST(PipelineStream, SzxChunksArchiveIdentical) {

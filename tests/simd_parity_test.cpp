@@ -175,36 +175,6 @@ void reconstruct_diag_parity(unsigned seed) {
 TEST(SimdParity, ReconstructDiagF32) { reconstruct_diag_parity<float>(107); }
 TEST(SimdParity, ReconstructDiagF64) { reconstruct_diag_parity<double>(109); }
 
-// ------------------------------------------------------------- histogram
-
-TEST(SimdParity, HistogramAllLevels) {
-  std::mt19937 rng(113);
-  std::geometric_distribution<int> gd(0.13);
-  // Big enough to clear the vectorized path's cutoff, odd length, plus a
-  // tiny tail-only case.
-  for (std::size_t n : {std::size_t{37}, (std::size_t{1} << 15) + 7}) {
-    std::vector<std::uint16_t> codes(n);
-    for (auto& c : codes) {
-      c = static_cast<std::uint16_t>(32768 + gd(rng) - gd(rng));
-    }
-    codes[n / 2] = 0;
-    codes[n - 1] = 0xffff;
-    std::vector<std::uint64_t> ref(65536, 0);
-    {
-      LevelOverride guard(simd::Level::Scalar);
-      simd::histogram_u16(codes.data(), codes.size(), ref.data());
-    }
-    for (simd::Level l : sweep_levels()) {
-      SCOPED_TRACE(std::string(simd::level_name(l)) +
-                   " n=" + std::to_string(n));
-      std::vector<std::uint64_t> freq(65536, 0);
-      LevelOverride guard(l);
-      simd::histogram_u16(codes.data(), codes.size(), freq.data());
-      EXPECT_EQ(ref, freq);
-    }
-  }
-}
-
 // --------------------------------------------------------------- minmax
 
 template <typename T>

@@ -16,7 +16,6 @@
 #include "sz/compressor.hpp"
 #include "sz/config.hpp"
 #include "sz/huffman_codec.hpp"
-#include "sz/omp.hpp"
 #include "sz/predictor.hpp"
 #include "sz/quantizer.hpp"
 #include "sz/unpredictable.hpp"
@@ -333,6 +332,24 @@ TEST(HuffmanCodec, TruncatedPayloadRejected) {
   EXPECT_THROW(huffman_decode(blob), Error);
 }
 
+TEST(HuffmanCodec, SymbolCountsMatchPlainLoop) {
+  std::mt19937 rng(113);
+  std::geometric_distribution<int> gd(0.13);
+  // A tiny input under the striped count's cutoff, and an odd length above
+  // it so the four-way loop leaves a tail.
+  for (std::size_t n : {std::size_t{37}, (std::size_t{1} << 15) + 7}) {
+    std::vector<std::uint16_t> codes(n);
+    for (auto& c : codes) {
+      c = static_cast<std::uint16_t>(32768 + gd(rng) - gd(rng));
+    }
+    codes[n / 2] = 0;
+    codes[n - 1] = 0xffff;
+    std::vector<std::uint64_t> ref(65536, 0);
+    for (const std::uint16_t c : codes) ++ref[c];
+    EXPECT_EQ(count_symbols(codes), ref) << "n=" << n;
+  }
+}
+
 // ---------------------------------------------------------- golden bytes
 //
 // Exact size and CRC-32 of the bit-packing encoders' outputs, so any change
@@ -621,68 +638,6 @@ TEST(SzCompressor, PqdHistoryIsDecoderVisible) {
   const auto rec =
       lorenzo_reconstruct(pqd.codes, unpred_decoder_visible, dims, q);
   EXPECT_EQ(rec, pqd.reconstructed);
-}
-
-// ---------------------------------------------------------------- OpenMP
-
-TEST(SzOmp, MatchesSequentialSemantics) {
-  const Dims dims = Dims::d3(16, 24, 20);
-  const auto field = smooth_grid(dims, 55);
-  Config cfg;
-  const auto c = compress_omp(field, dims, cfg, 4);
-  EXPECT_GE(c.block_count, 1u);
-  Dims out_dims;
-  const auto decoded = decompress_omp(c.bytes, &out_dims);
-  EXPECT_EQ(out_dims, dims);
-  const double bound = 1e-3 * metrics::value_range(field).span();
-  EXPECT_TRUE(metrics::within_bound(field, decoded, bound));
-}
-
-TEST(SzOmp, MoreBlocksThanRowsClamps) {
-  const Dims dims = Dims::d2(3, 50);
-  const auto field = smooth_grid(dims, 2);
-  const auto c = compress_omp(field, dims, Config{}, 16);
-  EXPECT_LE(c.block_count, 3u);
-  EXPECT_EQ(decompress_omp(c.bytes).size(), field.size());
-}
-
-TEST(SzOmp, SingleBlockEqualsPlainCompressorOutput) {
-  const Dims dims = Dims::d2(32, 32);
-  const auto field = smooth_grid(dims, 8);
-  const auto omp1 = compress_omp(field, dims, Config{}, 1);
-  const auto plain = compress(field, dims, Config{});
-  EXPECT_EQ(decompress_omp(omp1.bytes), decompress(plain.bytes));
-}
-
-TEST(SzOmp, ThreadsExceedingRowsRoundTripsExactly) {
-  // threads > dims[0]: the partition clamps to one slab per row and the
-  // reassembly must place every row at its exact offset.
-  const Dims dims = Dims::d2(5, 64);
-  const auto field = smooth_grid(dims, 12);
-  const auto c = compress_omp(field, dims, Config{}, 12);
-  EXPECT_LE(c.block_count, 5u);
-  const auto decoded = decompress_omp(c.bytes);
-  const auto reference = decompress(compress(field, dims, Config{}).bytes);
-  // Slab-local prediction differs from whole-field prediction at slab
-  // borders, so compare against the bound, and check exact reassembly by
-  // decoding twice (deterministic).
-  const double bound = 1e-3 * metrics::value_range(field).span();
-  EXPECT_TRUE(metrics::within_bound(field, decoded, bound));
-  EXPECT_EQ(decoded, decompress_omp(c.bytes));
-  EXPECT_EQ(decoded.size(), reference.size());
-}
-
-TEST(SzOmp, CodecThreadBudgetDoesNotChangeValues) {
-  // Slab parallelism pins the per-slab entropy back-end to serial; the
-  // decoded field must match the default configuration exactly.
-  const Dims dims = Dims::d3(8, 16, 16);
-  const auto field = smooth_grid(dims, 21);
-  Config budget;
-  budget.codec_threads = 4;
-  budget.deflate_chunk_bytes = 2048;
-  const auto with = compress_omp(field, dims, budget, 4);
-  const auto without = compress_omp(field, dims, Config{}, 4);
-  EXPECT_EQ(decompress_omp(with.bytes), decompress_omp(without.bytes));
 }
 
 TEST(SzCompressor, ParallelCodecProducesIdenticalValues) {

@@ -20,8 +20,8 @@
 
 #include "core/wavesz.hpp"
 #include "data/synthetic.hpp"
+#include "deflate/parallel.hpp"
 #include "sz/compressor.hpp"
-#include "sz/omp.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -220,7 +220,6 @@ TEST(Telemetry, CounterAggregation) {
 #ifndef WAVESZ_TELEMETRY_DISABLED
   EXPECT_EQ(r.counter(Counter::DeflateChunks), 7u);
   EXPECT_EQ(r.counter(Counter::QuantPredictable), 100u);
-  EXPECT_EQ(r.counter(Counter::OmpSlabs), 0u);
 #endif
   // A new session starts from zero, not from the previous totals.
   Session again;
@@ -317,23 +316,28 @@ TEST(Telemetry, CompressPipelineEmitsStageSpans) {
 }
 
 TEST(Telemetry, OmpDriverSpansCarryWorkerThreads) {
-  const Dims dims = Dims::d2(96, 128);
-  data::FieldRecipe recipe;
-  recipe.seed = 11;
-  const auto field = data::generate(recipe, dims);
+  // Chunked DEFLATE on four OpenMP threads: every chunk records one
+  // deflate.chunk span on the worker that encoded it.
+  std::vector<std::uint8_t> input(64 * 1024);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<std::uint8_t>((i / 64) % 23);
+  }
+  const deflate::ParallelOptions opts{4096, 4};
 
   Session session;
-  const auto c = sz::compress_omp(field, dims, sz::Config{}, 4);
+  const auto gz =
+      deflate::gzip_compress_parallel(input, deflate::Level::Fast, opts);
   const Report r = session.stop();
+  EXPECT_EQ(deflate::gzip_decompress(gz), input);
 #ifdef WAVESZ_TELEMETRY_DISABLED
   EXPECT_TRUE(r.events.empty());
 #else
-  std::size_t slab_spans = 0;
+  std::size_t chunk_spans = 0;
   for (const auto& e : r.events) {
-    if (std::string(e.name) == "slab.compress") ++slab_spans;
+    if (std::string(e.name) == "deflate.chunk") ++chunk_spans;
   }
-  EXPECT_EQ(slab_spans, c.block_count);
-  EXPECT_EQ(r.counter(Counter::OmpSlabs), c.block_count);
+  EXPECT_EQ(chunk_spans, input.size() / opts.chunk_bytes);
+  EXPECT_EQ(r.counter(Counter::DeflateChunks), chunk_spans);
 #endif
 }
 
