@@ -18,7 +18,7 @@
 #include "core/stream.hpp"
 #include "core/wavesz.hpp"
 #include "data/synthetic.hpp"
-#include "sz/compressor.hpp"
+#include "sz/config.hpp"
 #include "util/arena.hpp"
 #include "util/error.hpp"
 
