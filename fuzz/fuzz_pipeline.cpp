@@ -109,7 +109,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       cfg.huffman = false;
       cfg.chunk_index = false;
       break;
-    default:  // one plane per feed(), so feeds never align with chunks
+    default:  // one plane per feed(): every chunk fills across feeds
       plane_feeds = true;
       break;
   }
