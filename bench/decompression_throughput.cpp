@@ -8,16 +8,19 @@
 //      (timed as the median of --repeat runs);
 //   2. the decode fast path vs the bit-at-a-time reference oracle on the
 //      512x512 synthetic fixture at deflate Level::Best — gzip member and
-//      full SZ container — and on the gzip member of raw 16-bit codes
-//      that one 16-plane NYX chunk writes through waveSZ G*, asserting
-//      byte-identical output. This is the table recorded in EXPERIMENTS.md
-//      and dumped via --json to BENCH_decode.json.
+//      full SZ container — on the gzip member of raw 16-bit codes that one
+//      16-plane NYX chunk writes through waveSZ G*, and on the H* code
+//      stream of one 900x1800 CESM field through waveSZ H*G*, whose row
+//      also times the H* encoder, asserting byte-identical output. This is
+//      the table recorded in EXPERIMENTS.md and dumped via --json to
+//      BENCH_decode.json.
 #include <cmath>
 #include <thread>
 
 #include "common.hpp"
 #include "deflate/deflate.hpp"
 #include "sz/container.hpp"
+#include "sz/huffman_codec.hpp"
 #include "sz2/sz2.hpp"
 #include "util/bytes.hpp"
 #include "util/huffman.hpp"
@@ -41,6 +44,7 @@ struct DecodeRow {
   const char* fixture;
   std::size_t out_bytes = 0;
   double fast_s = 0, ref_s = 0;
+  double encode_s = 0;  ///< H* row only: encoding the decoded stream back
   bool identical = false;
 
   double speedup() const { return fast_s > 0 ? ref_s / fast_s : 0.0; }
@@ -49,6 +53,9 @@ struct DecodeRow {
   }
   double ref_mbps() const {
     return static_cast<double>(out_bytes) / 1e6 / ref_s;
+  }
+  double encode_mbps() const {
+    return static_cast<double>(out_bytes) / 1e6 / encode_s;
   }
 };
 
@@ -110,7 +117,8 @@ void write_decode_json(const bench::Options& opts,
                "  \"version\": 2,\n"
                "  \"fixture\": \"synthetic 512x512 f32, deflate "
                "Level::Best; G* codes: one 16x128x128 NYX chunk, waveSZ "
-               "default config\",\n  \"repeat\": %u,\n"
+               "default config; H* codes: one 900x1800 CESM-ATM field, "
+               "waveSZ H*G*\",\n  \"repeat\": %u,\n"
                "  \"hardware_threads\": %u,\n  \"rows\": [",
                opts.repeat, std::thread::hardware_concurrency());
   bool first = true;
@@ -118,11 +126,14 @@ void write_decode_json(const bench::Options& opts,
     std::fprintf(f, "%s\n    {\"fixture\": \"", first ? "" : ",");
     first = false;
     bench::detail::json_escape_to(f, r.fixture);
+    std::fprintf(f, "\", \"out_bytes\": %zu, ", r.out_bytes);
+    if (r.encode_s > 0) {
+      std::fprintf(f, "\"encode_mbps\": %.10g, ", r.encode_mbps());
+    }
     std::fprintf(f,
-                 "\", \"out_bytes\": %zu, \"fast_mbps\": %.10g, "
-                 "\"reference_mbps\": %.10g, \"speedup\": %.10g, "
-                 "\"identical\": %s}",
-                 r.out_bytes, r.fast_mbps(), r.ref_mbps(), r.speedup(),
+                 "\"fast_mbps\": %.10g, \"reference_mbps\": %.10g, "
+                 "\"speedup\": %.10g, \"identical\": %s}",
+                 r.fast_mbps(), r.ref_mbps(), r.speedup(),
                  r.identical ? "true" : "false");
   }
   std::fprintf(f, "\n  ],\n  \"parallel_rows\": [");
@@ -205,7 +216,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n----------------------------------------------------------------\n");
   std::printf("decode fast path vs bit-at-a-time reference "
-              "(512x512 synthetic at Level::Best; one NYX G* chunk)\n");
+              "(512x512 synthetic at Level::Best; one NYX G* chunk;\n"
+              "one CESM H* code stream)\n");
   std::printf("----------------------------------------------------------------\n");
 
   const auto grid = make_synthetic_512();
@@ -253,13 +265,40 @@ int main(int argc, char** argv) {
         [&] { return deflate::gzip_decompress(codes); }));
   }
 
-  std::printf("\n%-26s %12s %12s %10s %10s\n", "fixture", "fast MB/s",
-              "ref MB/s", "speedup", "identical");
+  {
+    // The code stream a climate2d_serial decode runs through H*: one
+    // 900x1800 CESM field through waveSZ H*G*, its Huffman blob and chunk
+    // index taken from the container. The row times huffman_encode() on the
+    // decoded codes as well, which must give back the container's blob.
+    const auto cesm = data::fields(data::Persona::CesmAtm, 2).front();
+    const auto field = cesm.materialize();
+    auto wcfg = wave::default_config();
+    wcfg.huffman = true;
+    const auto c = wave::compress(field, cesm.dims, wcfg);
+    ByteReader r(c.bytes);
+    const auto h = sz::read_header(r);
+    const auto idx = sz::read_code_index(r, h);
+    const auto blob = deflate::gzip_decompress(sz::read_section(r));
+    auto row = time_both_paths(
+        "H* code stream (CESM codes)", opts.repeat,
+        [&] { return sz::huffman_decode_indexed(blob, idx, 1); });
+    const auto codes = sz::huffman_decode_indexed(blob, idx, 1);
+    auto again = sz::huffman_encode(codes, 1);
+    row.encode_s = bench::median_seconds(
+        opts.repeat, [&] { again = sz::huffman_encode(codes, 1); });
+    row.identical = row.identical && again == blob;
+    rows.push_back(row);
+  }
+
+  std::printf("\n%-27s %12s %12s %10s %10s %10s\n", "fixture", "fast MB/s",
+              "ref MB/s", "speedup", "identical", "enc MB/s");
   bool all_identical = true;
   for (const auto& r : rows) {
     all_identical = all_identical && r.identical;
-    std::printf("%-26s %12.0f %12.0f %9.2fx %10s\n", r.fixture, r.fast_mbps(),
+    std::printf("%-27s %12.0f %12.0f %9.2fx %10s", r.fixture, r.fast_mbps(),
                 r.ref_mbps(), r.speedup(), r.identical ? "yes" : "NO");
+    if (r.encode_s > 0) std::printf(" %10.0f", r.encode_mbps());
+    std::printf("\n");
   }
 
   std::printf("\n----------------------------------------------------------------\n");

@@ -3,7 +3,8 @@
 //
 //   wavesz_cli compress   <in.f32> <out.wsz> <d0> [d1 [d2]]
 //              [--mode wave|ghost|sz] [--eb 1e-3] [--abs] [--base10]
-//              [--huffman] [--best] [--f64]
+//              [--huffman] [--best] [--f64] [--pqd-threads n]
+//              [--codec-threads n]
 //   wavesz_cli decompress <in.wsz> <out.f32>
 //   wavesz_cli info       <in.wsz>
 //
@@ -44,7 +45,8 @@ int usage() {
                "  wavesz_cli compress   <in.f32> <out.wsz> <d0> [d1 [d2]]\n"
                "             [--mode wave|ghost|sz|szx] [--eb 1e-3] [--abs]\n"
                "             [--base10] [--huffman] [--best] [--no-index]\n"
-               "             [--ultrafast]\n"
+               "             [--ultrafast] [--f64] [--pqd-threads <n>]\n"
+               "             [--codec-threads <n>]\n"
                "  wavesz_cli decompress <in.wsz> <out.f32>\n"
                "             [--decode-threads <n>] [--region "
                "lo:hi[,lo:hi[,lo:hi]]]\n"
@@ -57,7 +59,12 @@ int usage() {
                "workers (0 = all cores); --region decodes only the given\n"
                "hyperslab (half-open per-axis intervals, raster order);\n"
                "--ultrafast (same as --mode szx) selects the SZx-style\n"
-               "block codec: highest throughput, no entropy stage.\n");
+               "block codec: highest throughput, no entropy stage;\n"
+               "--f64 reads <in> as float64; --pqd-threads and\n"
+               "--codec-threads set the compress thread budgets of the\n"
+               "prediction/quantization and the Huffman/DEFLATE stages\n"
+               "(1 = serial, the default; 0 = all cores). Every budget\n"
+               "writes the same bytes.\n");
   return 2;
 }
 
@@ -110,6 +117,10 @@ int do_compress(int argc, char** argv) {
       f64 = true;
     } else if (a == "--no-index") {
       cfg.chunk_index = false;
+    } else if (a == "--pqd-threads" && i + 1 < argc) {
+      cfg.pqd_threads = std::stoi(argv[++i]);
+    } else if (a == "--codec-threads" && i + 1 < argc) {
+      cfg.codec_threads = std::stoi(argv[++i]);
     } else if (a == "--ultrafast") {
       mode = "szx";
     } else {
@@ -151,6 +162,8 @@ int do_compress(int argc, char** argv) {
     wcfg.mode = cfg.mode;
     wcfg.gzip_level = cfg.gzip_level;
     wcfg.chunk_index = cfg.chunk_index;
+    wcfg.pqd_threads = cfg.pqd_threads;
+    wcfg.codec_threads = cfg.codec_threads;
     if (base10) wcfg.base = sz::EbBase::Ten;
     wcfg.huffman = huffman;
     c = f64 ? wave::compress(std::span<const double>(field64), dims, wcfg)

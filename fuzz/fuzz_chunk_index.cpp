@@ -4,11 +4,14 @@
 // mutator's job is to forge the index block — overlapping / out-of-range /
 // non-monotonic offsets, corrupted per-chunk CRCs, truncated entry tables —
 // and every forgery must surface as wavesz::Error before the decoder
-// allocates or writes output. On top of containment, the harness checks two
-// invariants the index exists to uphold:
+// allocates or writes output. On top of containment, the harness checks
+// three invariants the index exists to uphold:
 //
 //   * serial and thread-parallel decode agree exactly: the same inputs are
 //     accepted, and accepted inputs decode bit-identically at any budget;
+//   * the bit-at-a-time reference decoders (set_reference_decode) accept
+//     and reject the same inputs as the table-driven fast paths, with the
+//     same bytes;
 //   * a leading-slab region decode equals the prefix of the full field.
 #include <cstdint>
 #include <cstdlib>
@@ -21,14 +24,15 @@
 #include "sz/container.hpp"
 #include "util/dims.hpp"
 #include "util/error.hpp"
+#include "util/huffman.hpp"
 
 namespace {
 
 using namespace wavesz;
 
-/// Serial vs parallel decode of one variant: both reject, or both accept
-/// with identical bytes. `Decode(bytes, opts, dims*)` is sz::decompress or
-/// wave::decompress (float32 or float64).
+/// Serial vs parallel vs reference-path decode of one variant: all reject,
+/// or all accept with identical bytes. `Decode(bytes, opts, dims*)` is
+/// sz::decompress or wave::decompress (float32 or float64).
 template <typename Decode>
 auto check_parallel_agreement(std::span<const std::uint8_t> input,
                               Decode decode, Dims& dims, bool& ok) {
@@ -49,6 +53,17 @@ auto check_parallel_agreement(std::span<const std::uint8_t> input,
   } catch (const Error&) {
   }
   if (ok != par_ok) std::abort();
+  bool ref_ok = false;
+  set_reference_decode(true);
+  try {
+    Dims rdims;
+    const auto ref = decode(input, sz::DecodeOptions{1, 1}, &rdims);
+    ref_ok = true;
+    if (!ok || ref != serial || !(rdims == dims)) std::abort();
+  } catch (const Error&) {
+  }
+  set_reference_decode(false);
+  if (ok != ref_ok) std::abort();
   return serial;
 }
 

@@ -20,6 +20,7 @@
 #include "data/synthetic.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate_vectors.hpp"
+#include "huffman_vectors.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman_codec.hpp"
 #include "wave_vectors.hpp"
@@ -146,6 +147,16 @@ int main(int argc, char** argv) {
     write_seed(root / "chunk_index", 3, sz::compress(wide, d2, cfg).bytes);
     cfg.chunk_index = false;
     write_seed(root / "chunk_index", 4, sz::compress(f32, d2, cfg).bytes);
+    // Window-edge code streams (tests/huffman_vectors.hpp) in v2
+    // containers: an all-1-bit code, codes at 10, 11 and 12 bits around the
+    // decoder's 11-bit window, and 24-bit codes.
+    using namespace huffman_vectors;
+    write_seed(root / "chunk_index", 5,
+               container_with_codes(two_symbol_stream(), 256));
+    write_seed(root / "chunk_index", 6,
+               container_with_codes(geometric_stream(), 256));
+    write_seed(root / "chunk_index", 7,
+               container_with_codes(fibonacci_stream(), 4096));
   }
 
   {
@@ -207,6 +218,11 @@ int main(int argc, char** argv) {
                sz::huffman_encode(std::vector<std::uint16_t>(64, 7), 1));
     write_seed(root / "huffman", 2,
                sz::huffman_encode(std::vector<std::uint16_t>{}, 1));
+    // The same window-edge streams as the chunk_index seeds, as bare blobs.
+    using namespace huffman_vectors;
+    write_seed(root / "huffman", 3, sz::huffman_encode(two_symbol_stream(), 1));
+    write_seed(root / "huffman", 4, sz::huffman_encode(geometric_stream(), 1));
+    write_seed(root / "huffman", 5, sz::huffman_encode(fibonacci_stream(), 1));
   }
 
   std::printf("seed corpus written under %s\n", root.string().c_str());

@@ -46,64 +46,134 @@ std::vector<std::size_t> chunk_bounds(std::size_t n, int parts) {
 /// Below this many symbols the plain counting loop wins.
 constexpr std::size_t kStripedCutoff = std::size_t{1} << 14;
 
-std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
-                                       int nt) {
-  if (nt <= 1) return count_symbols(codes);
+/// The symbol histogram of a code stream and, at budgets above one, the
+/// histograms of the contiguous shares chunk_bounds() cuts it into, one per
+/// encode worker. A worker's start bit is the price of the shares before
+/// it, so the packer needs no second pass to find it.
+struct Histograms {
+  std::vector<std::uint64_t> total;
+  std::vector<std::vector<std::uint64_t>> shares;
+};
+
+Histograms frequencies(std::span<const std::uint16_t> codes, int nt) {
+  Histograms h;
+  if (nt <= 1) {
+    h.total = count_symbols(codes);
+    return h;
+  }
   // Per-thread histograms, reduced serially: 65536 * nt adds, trivial next
   // to the counting pass itself.
   const auto bounds = chunk_bounds(codes.size(), nt);
-  std::vector<std::vector<std::uint64_t>> local(
-      static_cast<std::size_t>(nt));
+  h.shares.resize(static_cast<std::size_t>(nt));
 #ifdef _OPENMP
 #pragma omp parallel for num_threads(nt) schedule(static)
 #endif
   for (int t = 0; t < nt; ++t) {
     const std::size_t lo = bounds[static_cast<std::size_t>(t)];
     const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    local[static_cast<std::size_t>(t)] =
+    h.shares[static_cast<std::size_t>(t)] =
         count_symbols(codes.subspan(lo, hi - lo));
   }
-  std::vector<std::uint64_t> freq(kAlphabet, 0);
-  for (const auto& mine : local) {
-    for (std::size_t s = 0; s < kAlphabet; ++s) freq[s] += mine[s];
+  h.total.assign(kAlphabet, 0);
+  for (const auto& mine : h.shares) {
+    for (std::size_t s = 0; s < kAlphabet; ++s) h.total[s] += mine[s];
   }
-  return freq;
+  return h;
 }
 
-/// MSB-first bit-pack of the payload in `nt` independent chunks. Each chunk
-/// is packed locally with its global bit phase (start % 8) as leading zero
-/// bits, then spliced at byte granularity: OR for the boundary byte shared
-/// with the previous chunk, copy for the rest. The concatenated bit
-/// sequence — hence the byte stream — is identical to one serial
-/// BitWriterMSB pass.
-std::vector<std::uint8_t> pack_payload(std::span<const std::uint16_t> codes,
-                                       std::span<const std::uint32_t> canon,
-                                       std::span<const std::uint8_t> lengths,
-                                       int nt, std::uint64_t* payload_bits) {
-  if (nt <= 1) {
-    BitWriterMSB bw;
-    for (std::uint16_t c : codes) bw.bits(canon[c], lengths[c]);
-    *payload_bits = bw.bit_count();
-    return bw.take();
+/// MSB-first packer over a 64-bit accumulator into a pre-sized buffer: each
+/// code shifts in whole, and once 32 bits are pending they leave as one
+/// big-endian word. The pending `fill` (< 32) bits sit at the bottom of
+/// `acc`; the bits above them were already written and only shift out.
+struct WordPacker {
+  std::uint8_t* out;
+  std::uint64_t acc = 0;
+  int fill = 0;
+
+  /// Append `code`'s low `len` (at most 24) bits.
+  [[gnu::always_inline]] void put(std::uint32_t code, int len) {
+    acc = (acc << len) | code;
+    fill += len;
+    if (fill >= 32) {
+      fill -= 32;
+      store_word(static_cast<std::uint32_t>(acc >> fill));
+    }
   }
+
+  /// Store the pending bits, zero-padded, as one more word: the buffer
+  /// holds 4 bytes past the last payload byte for it.
+  void flush() {
+    if (fill > 0) store_word(static_cast<std::uint32_t>(acc << (32 - fill)));
+  }
+
+  /// Big-endian store; gcc and clang merge the four byte stores into one
+  /// byte swap and one 32-bit store.
+  void store_word(std::uint32_t w) {
+    out[0] = static_cast<std::uint8_t>(w >> 24);
+    out[1] = static_cast<std::uint8_t>(w >> 16);
+    out[2] = static_cast<std::uint8_t>(w >> 8);
+    out[3] = static_cast<std::uint8_t>(w);
+    out += 4;
+  }
+
+  /// Bits written since `begin`, the packer's first byte.
+  std::uint64_t bit_position(const std::uint8_t* begin) const {
+    return static_cast<std::uint64_t>(out - begin) * 8 +
+           static_cast<std::uint64_t>(fill);
+  }
+};
+
+/// Serial pack of `codes` into `payload`; `enc[c]` holds `(code << 8) | len`
+/// for symbol c. With `idx`, the chunk index is recorded in the same pass:
+/// at every `chunk_symbols` boundary an entry takes the packer's bit
+/// position, the unpredictable (symbol 0) count so far and the running
+/// CRC-32 of the codes' little-endian bytes, hashed while the chunk is
+/// still in cache.
+void pack_serial(std::span<const std::uint16_t> codes,
+                 const std::uint32_t* enc, std::uint32_t chunk_symbols,
+                 CodeChunkIndex* idx, std::uint8_t* payload) {
+  WordPacker pk{payload};
+  const std::size_t step = idx != nullptr ? chunk_symbols : codes.size();
+  Crc32 crc;
+  std::uint64_t unpred = 0;
+  for (std::size_t at = 0; at < codes.size(); at += step) {
+    const auto chunk = codes.subspan(at, std::min(step, codes.size() - at));
+    for (const std::uint16_t c : chunk) {
+      unpred += c == 0 ? 1 : 0;
+      pk.put(enc[c] >> 8, static_cast<int>(enc[c] & 0xffu));
+    }
+    if (idx == nullptr) continue;
+    crc.update(bytes_of(chunk));
+    ChunkEntry e;
+    e.end_bit = pk.bit_position(payload);
+    e.end_element = at + chunk.size();
+    e.end_unpred = unpred;
+    e.running_crc = crc.value();
+    idx->entries.push_back(e);
+  }
+  pk.flush();
+}
+
+/// Parallel pack of `codes` into `payload` over the shares `h` counted.
+/// Each worker packs its share with its global bit phase (start % 8) as
+/// leading zero bits into a buffer of its own; the pieces are then spliced
+/// at byte granularity: OR for the boundary byte shared with the previous
+/// share, copy for the rest. The bit sequence — hence the bytes — is the
+/// serial pack's.
+void pack_parallel(std::span<const std::uint16_t> codes,
+                   const std::uint32_t* enc,
+                   std::span<const std::uint16_t> used, const Histograms& h,
+                   std::uint8_t* payload) {
+  const int nt = static_cast<int>(h.shares.size());
   const auto bounds = chunk_bounds(codes.size(), nt);
-  // Exclusive prefix of per-chunk bit counts gives every chunk's start bit.
   std::vector<std::uint64_t> start(static_cast<std::size_t>(nt) + 1, 0);
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(nt) schedule(static)
-#endif
   for (int t = 0; t < nt; ++t) {
+    const auto& mine = h.shares[static_cast<std::size_t>(t)];
     std::uint64_t bits = 0;
-    const std::size_t lo = bounds[static_cast<std::size_t>(t)];
-    const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    for (std::size_t i = lo; i < hi; ++i) bits += lengths[codes[i]];
-    start[static_cast<std::size_t>(t) + 1] = bits;
+    for (const std::uint16_t s : used) bits += mine[s] * (enc[s] & 0xffu);
+    start[static_cast<std::size_t>(t) + 1] =
+        start[static_cast<std::size_t>(t)] + bits;
   }
-  for (int t = 0; t < nt; ++t) {
-    start[static_cast<std::size_t>(t) + 1] +=
-        start[static_cast<std::size_t>(t)];
-  }
-  const std::uint64_t total = start[static_cast<std::size_t>(nt)];
 
   std::vector<std::vector<std::uint8_t>> local(
       static_cast<std::size_t>(nt));
@@ -111,28 +181,28 @@ std::vector<std::uint8_t> pack_payload(std::span<const std::uint16_t> codes,
 #pragma omp parallel for num_threads(nt) schedule(static)
 #endif
   for (int t = 0; t < nt; ++t) {
-    BitWriterMSB bw;
-    bw.bits(0, static_cast<int>(start[static_cast<std::size_t>(t)] % 8));
-    const std::size_t lo = bounds[static_cast<std::size_t>(t)];
-    const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    for (std::size_t i = lo; i < hi; ++i) {
-      bw.bits(canon[codes[i]], lengths[codes[i]]);
+    const auto k = static_cast<std::size_t>(t);
+    const int phase = static_cast<int>(start[k] % 8);
+    auto& piece = local[k];
+    piece.resize((static_cast<std::uint64_t>(phase) + start[k + 1] -
+                  start[k] + 7) / 8 + 4);
+    WordPacker pk{piece.data()};
+    pk.put(0, phase);
+    for (std::size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
+      pk.put(enc[codes[i]] >> 8, static_cast<int>(enc[codes[i]] & 0xffu));
     }
-    local[static_cast<std::size_t>(t)] = bw.take();
+    pk.flush();
+    piece.resize(piece.size() - 4);
   }
 
-  std::vector<std::uint8_t> out((total + 7) / 8, 0);
   for (int t = 0; t < nt; ++t) {
     const auto& piece = local[static_cast<std::size_t>(t)];
     if (piece.empty()) continue;
-    const std::size_t byte0 =
-        static_cast<std::size_t>(start[static_cast<std::size_t>(t)] / 8);
-    out[byte0] |= piece[0];  // shared boundary byte with the previous chunk
-    std::copy(piece.begin() + 1, piece.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(byte0) + 1);
+    std::uint8_t* const dst =
+        payload + start[static_cast<std::size_t>(t)] / 8;
+    dst[0] |= piece[0];  // shared boundary byte with the previous share
+    copy_bytes(dst + 1, piece.data() + 1, piece.size() - 1);
   }
-  *payload_bits = total;
-  return out;
 }
 
 /// Byte offset of the payload within a serialized blob with `distinct`
@@ -154,67 +224,68 @@ std::vector<std::uint8_t> huffman_encode_impl(
     return w.take();
   }
   const int nt = clamp_threads(threads, codes.size());
-  std::vector<std::uint64_t> freq;
+  Histograms freq;
   std::vector<std::uint8_t> lengths;
-  std::vector<std::uint32_t> canon;
+  std::vector<std::uint32_t> enc;  // (canonical code << 8) | length
   {
     telemetry::Span span(telemetry::spans::kHuffmanTable);
     const std::uint64_t t0 =
         telemetry::enabled() ? telemetry::detail::now_ns() : 0;
     freq = frequencies(codes, nt);
-    lengths = huffman_code_lengths(freq, kMaxCodeLength);
-    canon = canonical_codes(lengths);
+    lengths = huffman_code_lengths(freq.total, kMaxCodeLength);
+    enc = canonical_codes(lengths);
+    for (std::size_t s = 0; s < kAlphabet; ++s) {
+      enc[s] = (enc[s] << 8) | lengths[s];
+    }
     if (telemetry::enabled()) {
       telemetry::counter_add(telemetry::Counter::HuffmanTableBuildNs,
                              telemetry::detail::now_ns() - t0);
     }
   }
 
-  std::uint32_t distinct = 0;
-  for (auto l : lengths) {
-    if (l > 0) ++distinct;
+  // The table lists the coded symbols in order; their counts times their
+  // lengths price the payload before a bit of it is packed.
+  std::vector<std::uint16_t> used;
+  std::uint64_t payload_bits = 0;
+  for (std::size_t s = 0; s < kAlphabet; ++s) {
+    if (lengths[s] == 0) continue;
+    used.push_back(static_cast<std::uint16_t>(s));
+    payload_bits += freq.total[s] * lengths[s];
   }
+  const auto distinct = static_cast<std::uint32_t>(used.size());
   w.u32(distinct);
   w.u64(codes.size());
-  for (std::size_t s = 0; s < kAlphabet; ++s) {
-    if (lengths[s] > 0) {
-      w.u16(static_cast<std::uint16_t>(s));
-      w.u8(lengths[s]);
-    }
+  for (const std::uint16_t s : used) {
+    w.u16(s);
+    w.u8(lengths[s]);
   }
+  w.u64(payload_bits);
+  std::vector<std::uint8_t> out = w.take();
+  const std::size_t payload_at = out.size();
+  const auto payload_bytes = static_cast<std::size_t>((payload_bits + 7) / 8);
+  out.resize(payload_at + payload_bytes + 4);  // + the packer's last word
+
   if (idx != nullptr) {
-    // One streaming pass records the chunk-aligned encode flush points:
-    // cumulative payload bits, unpredictable (symbol 0) count and running
-    // CRC-32 at every chunk_symbols boundary of the output element stream.
     idx->chunk_symbols = chunk_symbols;
     idx->payload_byte_offset = payload_offset_for(distinct);
     idx->entries.clear();
-    Crc32 crc;
-    std::uint64_t bits = 0;
-    std::uint64_t unpred = 0;
-    for (std::size_t at = 0; at < codes.size(); at += chunk_symbols) {
-      const std::size_t n =
-          std::min<std::size_t>(chunk_symbols, codes.size() - at);
-      const auto chunk = codes.subspan(at, n);
-      for (const std::uint16_t c : chunk) {
-        bits += lengths[c];
-        unpred += c == 0 ? 1 : 0;
-      }
-      crc.update(bytes_of(chunk));
-      ChunkEntry e;
-      e.end_bit = bits;
-      e.end_element = at + n;
-      e.end_unpred = unpred;
-      e.running_crc = crc.value();
-      idx->entries.push_back(e);
+  }
+  {
+    // An indexed encode packs serially at every budget: the index's running
+    // CRC-32 takes the chunks in order, and one fused pass costs what a
+    // separate index pass ahead of the parallel pack did.
+    telemetry::Span span_pack(telemetry::spans::kHuffmanPack);
+    std::uint8_t* const payload = out.data() + payload_at;
+    if (nt <= 1 || idx != nullptr) {
+      pack_serial(codes, enc.data(), chunk_symbols, idx, payload);
+    } else {
+      pack_parallel(codes, enc.data(), used, freq, payload);
     }
   }
-  telemetry::Span span_pack(telemetry::spans::kHuffmanPack);
-  std::uint64_t payload_bits = 0;
-  const auto payload = pack_payload(codes, canon, lengths, nt, &payload_bits);
-  w.u64(payload_bits);
-  w.bytes(payload);
-  return w.take();
+  out.resize(payload_at + payload_bytes);
+  telemetry::counter_add(telemetry::Counter::HuffmanSymbols, codes.size());
+  telemetry::counter_add(telemetry::Counter::HuffmanPayloadBits, payload_bits);
+  return out;
 }
 
 }  // namespace
@@ -318,43 +389,200 @@ std::uint16_t degenerate_symbol(const std::vector<std::uint8_t>& lengths) {
   return only;
 }
 
+/// Window of the multi-symbol decode table, in stream bits.
+constexpr int kWindowBits = 11;
+/// Most symbols one window entry emits: four u16 lanes, one 8-byte store.
+constexpr int kRunSymbols = 4;
+
+/// A decode loop's bit reader, kept in locals: `acc` holds the next stream
+/// bit in bit 63 with `fill` of its bits valid, and `pos * 8 - fill` bits
+/// of the payload are consumed. Same invariant as BitReaderMSB, so a word
+/// load only ever ORs fresh bits or copies of bits already held.
+struct BitState {
+  std::size_t pos = 0;
+  std::uint64_t acc = 0;
+  int fill = 0;
+};
+
+/// Top `st` up to at least 56 valid bits: one big-endian word load while 8
+/// payload bytes remain, byte by byte over the last stretch. Past the end
+/// the accumulator reads as zeros; a code that consumed any of them drives
+/// `fill` negative, which the loops report as truncation.
+[[gnu::always_inline]] inline void refill(BitState& st, const std::uint8_t* in,
+                                          std::size_t size) {
+  if (st.pos + 8 <= size) {
+    st.acc |= load_be64(in + st.pos) >> st.fill;
+    st.pos += static_cast<std::size_t>((63 - st.fill) >> 3);
+    st.fill |= 56;
+  } else {
+    while (st.fill <= 56 && st.pos < size) {
+      st.acc |= static_cast<std::uint64_t>(in[st.pos++]) << (56 - st.fill);
+      st.fill += 8;
+    }
+  }
+}
+
+/// The two-level table's entry for the code at the top of `acc`, with the
+/// code's whole length in the control byte; 0 when no code reaches it.
+[[gnu::always_inline]] inline std::uint32_t lookup(std::uint64_t acc,
+                                                   const std::uint32_t* table,
+                                                   int root) {
+  const std::uint32_t e = table[acc >> (64 - root)];
+  if ((e & 0xffu) < CanonicalDecoder::kLinkControl) return e;
+  const auto sub =
+      static_cast<int>((e & 0xffu) - CanonicalDecoder::kLinkControl);
+  const std::uint32_t tail = table[(e >> 8) + ((acc << root) >> (64 - sub))];
+  // A subtable length excludes the root bits; codes stay below 32 bits, so
+  // adding them back cannot carry out of the control byte.
+  return tail == 0 ? 0 : tail + static_cast<std::uint32_t>(root);
+}
+
+/// The decode tables of one blob's code: the canonical decoder, whose
+/// bit-at-a-time walk is the oracle and whose two-level table takes codes
+/// longer than the window, and the multi-symbol window table.
+class BlobDecoder {
+ public:
+  /// The window table is left out under `reference`, and when the
+  /// two-level table cannot be built (a forged header): the oracle decodes.
+  BlobDecoder(std::span<const std::uint8_t> lengths, bool reference)
+      : dec_(lengths) {
+    if (!reference && dec_.has_fast_table()) build_window();
+  }
+
+  /// Decode `n` symbols into `dst` from absolute bit `start_bit` of
+  /// `payload`; returns the bit position after the last one.
+  std::uint64_t run(std::span<const std::uint8_t> payload,
+                    std::uint64_t start_bit, std::uint16_t* dst,
+                    std::uint64_t n) const {
+    if (lanes_.empty()) {
+      BitReaderMSB br(payload, start_bit);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        dst[i] = static_cast<std::uint16_t>(
+            dec_.decode([&] { return br.bit(); }));
+      }
+      return br.position();
+    }
+    return run_fast(payload, start_bit, dst, n);
+  }
+
+ private:
+  void build_window() {
+    const std::uint32_t* const table = dec_.table().data();
+    const int root = dec_.root_bits();
+    lanes_.assign(std::size_t{1} << kWindowBits, 0);
+    spans_.assign(lanes_.size(), 0);
+    for (std::size_t w = 0; w < lanes_.size(); ++w) {
+      // Decode the window's bits, zero-padded past it, and keep every code
+      // that ends inside it.
+      std::uint64_t acc = std::uint64_t{w} << (64 - kWindowBits);
+      int used = 0;
+      int count = 0;
+      while (count < kRunSymbols) {
+        const std::uint32_t e = lookup(acc, table, root);
+        const auto len = static_cast<int>(e & 0xffu);
+        if (e == 0 || used + len > kWindowBits) break;
+        lanes_[w] |= std::uint64_t{e >> 8} << (16 * count++);
+        used += len;
+        acc <<= len;
+      }
+      spans_[w] = static_cast<std::uint16_t>(used | count << 8);
+    }
+  }
+
+  /// One refill per lookup. While four or more symbols remain, a window
+  /// entry stores all four of its lanes and advances by its count; the
+  /// last few symbols, and codes longer than the window, go through the
+  /// two-level table one at a time.
+  std::uint64_t run_fast(std::span<const std::uint8_t> payload,
+                         std::uint64_t start_bit, std::uint16_t* dst,
+                         std::uint64_t n) const {
+    WAVESZ_REQUIRE(start_bit <= payload.size() * 8,
+                   "bit seek past end of stream");
+    const std::uint8_t* const in = payload.data();
+    const std::size_t size = payload.size();
+    const std::uint64_t* const lanes = lanes_.data();
+    const std::uint16_t* const spans = spans_.data();
+    const std::uint32_t* const table = dec_.table().data();
+    const int root = dec_.root_bits();
+    const auto take_code = [&](BitState& st) {
+      const std::uint32_t e = lookup(st.acc, table, root);
+      WAVESZ_REQUIRE(e != 0, "invalid Huffman code in bitstream");
+      const auto len = static_cast<int>(e & 0xffu);
+      st.acc <<= len;
+      st.fill -= len;
+      return static_cast<std::uint16_t>(e >> 8);
+    };
+
+    BitState st{static_cast<std::size_t>(start_bit / 8), 0, 0};
+    refill(st, in, size);
+    const auto phase = static_cast<int>(start_bit % 8);
+    st.acc <<= phase;
+    st.fill -= phase;
+    std::uint16_t* op = dst;
+    std::uint16_t* const end = dst + n;
+    while (end - op >= kRunSymbols) {
+      refill(st, in, size);
+      const std::size_t w = st.acc >> (64 - kWindowBits);
+      const std::uint32_t span = spans[w];
+      if (span > 0xffu) {
+        copy_bytes(op, &lanes[w], sizeof lanes[w]);
+        op += span >> 8;
+        st.acc <<= span & 0xffu;
+        st.fill -= static_cast<int>(span & 0xffu);
+      } else {
+        *op++ = take_code(st);
+      }
+      WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
+    }
+    while (op < end) {
+      refill(st, in, size);
+      *op++ = take_code(st);
+      WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
+    }
+    return st.pos * 8 - static_cast<std::uint64_t>(st.fill);
+  }
+
+  CanonicalDecoder dec_;
+  /// The window table, one slot per kWindowBits-bit window: the symbols
+  /// whose codes complete inside it, in stream order and at most
+  /// kRunSymbols of them, as u16 lanes with the first symbol lowest (so an
+  /// 8-byte store on the little-endian hosts the containers assume writes
+  /// them in order), and `bits | count << 8` for them. A count of 0 means
+  /// the first code is longer than the window.
+  std::vector<std::uint64_t> lanes_;
+  std::vector<std::uint16_t> spans_;
+};
+
+/// Build a blob's decode tables, timed into huffman_table_ns.
+BlobDecoder make_decoder(const ParsedBlob& p, bool reference) {
+  const std::uint64_t t0 =
+      telemetry::enabled() ? telemetry::detail::now_ns() : 0;
+  BlobDecoder dec(p.lengths, reference);
+  if (telemetry::enabled()) {
+    telemetry::counter_add(telemetry::Counter::HuffmanTableBuildNs,
+                           telemetry::detail::now_ns() - t0);
+  }
+  return dec;
+}
+
 std::vector<std::uint16_t> huffman_decode_impl(
     std::span<const std::uint8_t> blob, bool reference) {
   telemetry::Span span(telemetry::spans::kHuffmanDecode);
   const ParsedBlob p = parse_blob(blob, /*allow_truncated_payload=*/false);
-
-  std::vector<std::uint16_t> out;
-  out.reserve(p.count);
-  if (p.count == 0) return out;
+  if (p.count == 0) return {};
   if (p.distinct == 1) {
     // Degenerate single-symbol stream: each symbol is one bit.
     WAVESZ_REQUIRE(p.payload_bits == p.count, "payload size mismatch");
-    out.assign(p.count, degenerate_symbol(p.lengths));
-    return out;
+    return std::vector<std::uint16_t>(p.count, degenerate_symbol(p.lengths));
   }
-  const CanonicalDecoder dec(p.lengths);
-  BitReaderMSB br(p.payload);
   // This entry point stays serial even though the encoder packs in parallel
   // chunks: without an index, recovering the chunk boundaries takes a
   // serial table walk that costs as much as the decode itself. Containers
   // carrying the v2 offset table go through huffman_decode_indexed(), whose
-  // workers seek straight to their recorded start bits. If a forged header
-  // defeats the table build (over-subscribed or absurdly deep), the oracle
-  // decodes it instead.
-  if (reference || !dec.has_fast_table()) {
-    for (std::uint64_t i = 0; i < p.count; ++i) {
-      out.push_back(static_cast<std::uint16_t>(
-          dec.decode([&] { return br.bit(); })));
-    }
-  } else {
-    out.resize(p.count);
-    const auto peek = [&](int n) { return br.peek(n); };
-    const auto consume = [&](int n) { br.consume(n); };
-    for (std::uint64_t i = 0; i < p.count; ++i) {
-      out[i] = static_cast<std::uint16_t>(dec.decode_fast(peek, consume));
-    }
-  }
-  WAVESZ_REQUIRE(br.position() == p.payload_bits,
+  // workers seek straight to their recorded start bits.
+  const BlobDecoder dec = make_decoder(p, reference);
+  std::vector<std::uint16_t> out(p.count);
+  WAVESZ_REQUIRE(dec.run(p.payload, 0, out.data(), p.count) == p.payload_bits,
                  "Huffman payload has trailing data");
   return out;
 }
@@ -386,27 +614,13 @@ void decode_index_chunks(const ParsedBlob& p, const CodeChunkIndex& idx,
     return;
   }
 
-  const CanonicalDecoder dec(p.lengths);
-  const bool fast = !reference && dec.has_fast_table();
+  const BlobDecoder dec = make_decoder(p, reference);
   const auto decode_chunk = [&](std::size_t k) {
     const std::uint64_t start_bit = k == 0 ? 0 : entries[k - 1].end_bit;
     const std::uint64_t start_elem = k == 0 ? 0 : entries[k - 1].end_element;
     const std::uint64_t n = entries[k].end_element - start_elem;
-    BitReaderMSB br(p.payload, start_bit);
     std::uint16_t* dst = out.data() + start_elem;
-    if (fast) {
-      const auto peek = [&](int b) { return br.peek(b); };
-      const auto consume = [&](int b) { br.consume(b); };
-      for (std::uint64_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::uint16_t>(dec.decode_fast(peek, consume));
-      }
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::uint16_t>(
-            dec.decode([&] { return br.bit(); }));
-      }
-    }
-    WAVESZ_REQUIRE(br.position() == entries[k].end_bit,
+    WAVESZ_REQUIRE(dec.run(p.payload, start_bit, dst, n) == entries[k].end_bit,
                    "chunk bit offset mismatch");
     const std::span<const std::uint16_t> chunk(dst, n);
     Crc32 crc = k == 0 ? Crc32{} : Crc32::resume(entries[k - 1].running_crc);
@@ -507,7 +721,7 @@ std::vector<std::uint16_t> huffman_decode_prefix(
 
 double huffman_mean_bits(std::span<const std::uint16_t> codes) {
   if (codes.empty()) return 0.0;
-  const auto freq = frequencies(codes, 1);
+  const auto freq = count_symbols(codes);
   const auto lengths = huffman_code_lengths(freq, kMaxCodeLength);
   std::uint64_t bits = 0;
   for (std::size_t s = 0; s < kAlphabet; ++s) {

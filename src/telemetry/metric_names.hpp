@@ -39,6 +39,8 @@ enum class Counter : std::uint32_t {
   QuantPredictable,    ///< points whose quantization hit (code != 0)
   QuantUnpredictable,  ///< points falling back to the unpredictable stream
   HuffmanTableBuildNs, ///< wall time spent building Huffman code tables
+  HuffmanSymbols,      ///< symbols the customized Huffman coder encoded
+  HuffmanPayloadBits,  ///< payload bits those symbols were packed into
   DeflateChunks,       ///< DEFLATE chunks encoded (1 per input when serial)
   PqdDiagonalBatches,  ///< anti-diagonal hyperplane batches swept
   StreamChunks,        ///< chunks emitted/decoded by the streaming API
@@ -66,6 +68,11 @@ inline constexpr MetricInfo kCounterInfo[] = {
      "points falling back to the unpredictable stream"},
     {"huffman_table_ns", "ns",
      "wall time spent building Huffman code tables"},
+    {"huffman_symbols", "symbols",
+     "symbols the customized Huffman coder encoded"},
+    {"huffman_payload_bits", "bits",
+     "payload bits the customized Huffman coder wrote (per "
+     "huffman_symbols: achieved bits/symbol)"},
     {"deflate_chunks", "chunks", "DEFLATE chunks encoded"},
     {"pqd_diagonal_batches", "batches",
      "anti-diagonal hyperplane batches swept"},

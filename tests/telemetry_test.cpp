@@ -22,6 +22,7 @@
 #include "data/synthetic.hpp"
 #include "deflate/parallel.hpp"
 #include "sz/compressor.hpp"
+#include "sz/huffman_codec.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -625,6 +626,56 @@ TEST(Telemetry, PrometheusTextParsesAndCarriesSeries) {
             std::string::npos);
   EXPECT_NE(text.find("wavesz_stage_calls_total{stage=\"sz::compress\"}"),
             std::string::npos);
+#endif
+}
+
+TEST(Telemetry, HuffmanCountersGiveBitsPerSymbol) {
+  // The encoder counts symbols in and payload bits out, so achieved
+  // bits/symbol reads off the exported series; a decode counts its table
+  // build in huffman_table_ns.
+  std::vector<std::uint16_t> codes(50000);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<std::uint16_t>(32768 + (i * i % 7 == 0 ? i % 5 : 0));
+  }
+  Session encode;
+  const auto blob = sz::huffman_encode(codes, 1);
+  const Report r = encode.stop();
+  // The blob records its payload bits just ahead of the payload.
+  ByteReader br(blob);
+  const std::uint32_t distinct = br.u32();
+  (void)br.u64();
+  for (std::uint32_t k = 0; k < distinct; ++k) {
+    (void)br.u16();
+    (void)br.u8();
+  }
+  const std::uint64_t payload_bits = br.u64();
+  const std::string text = prometheus_text(r);
+  std::string why;
+  EXPECT_TRUE(prometheus_format_ok(text, &why)) << why;
+  EXPECT_NE(text.find("# TYPE wavesz_huffman_symbols_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE wavesz_huffman_payload_bits_total counter"),
+            std::string::npos);
+#ifndef WAVESZ_TELEMETRY_DISABLED
+  EXPECT_EQ(r.counter(Counter::HuffmanSymbols), codes.size());
+  EXPECT_EQ(r.counter(Counter::HuffmanPayloadBits), payload_bits);
+  EXPECT_NE(text.find("\nwavesz_huffman_symbols_total " +
+                      std::to_string(codes.size()) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nwavesz_huffman_payload_bits_total " +
+                      std::to_string(payload_bits) + "\n"),
+            std::string::npos);
+  EXPECT_NEAR(static_cast<double>(payload_bits) /
+                  static_cast<double>(codes.size()),
+              sz::huffman_mean_bits(codes), 1e-12);
+#endif
+
+  Session decode;
+  EXPECT_EQ(sz::huffman_decode(blob), codes);
+  const Report d = decode.stop();
+  EXPECT_EQ(d.counter(Counter::HuffmanSymbols), 0u);
+#ifndef WAVESZ_TELEMETRY_DISABLED
+  EXPECT_GT(d.counter(Counter::HuffmanTableBuildNs), 0u);
 #endif
 }
 
