@@ -60,8 +60,8 @@ struct Config {
   /// Thread budget for the prediction-quantization hot path (SZ-1.4's
   /// Lorenzo PQD on compress and reconstruction on decompress; the waveSZ
   /// PQD and reconstruct are serial at every budget) plus its serial
-  /// stragglers (the Huffman encode histogram/bitpack and the value-range
-  /// scan, for waveSZ too). Same semantics as codec_threads: 1 = serial
+  /// stragglers (the Huffman encode histogram and the value-range scan,
+  /// for waveSZ too). Same semantics as codec_threads: 1 = serial
   /// raster reference (the default), 0 = all OpenMP threads, n = at most n.
   /// Budgets > 1 switch the SZ-1.4 kernels to the tiled anti-diagonal
   /// wavefront schedule (paper §3.2 on CPU); the output container is

@@ -46,39 +46,28 @@ std::vector<std::size_t> chunk_bounds(std::size_t n, int parts) {
 /// Below this many symbols the plain counting loop wins.
 constexpr std::size_t kStripedCutoff = std::size_t{1} << 14;
 
-/// The symbol histogram of a code stream and, at budgets above one, the
-/// histograms of the contiguous shares chunk_bounds() cuts it into, one per
-/// encode worker. A worker's start bit is the price of the shares before
-/// it, so the packer needs no second pass to find it.
-struct Histograms {
-  std::vector<std::uint64_t> total;
-  std::vector<std::vector<std::uint64_t>> shares;
-};
-
-Histograms frequencies(std::span<const std::uint16_t> codes, int nt) {
-  Histograms h;
-  if (nt <= 1) {
-    h.total = count_symbols(codes);
-    return h;
-  }
+std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
+                                       int nt) {
+  if (nt <= 1) return count_symbols(codes);
   // Per-thread histograms, reduced serially: 65536 * nt adds, trivial next
   // to the counting pass itself.
   const auto bounds = chunk_bounds(codes.size(), nt);
-  h.shares.resize(static_cast<std::size_t>(nt));
+  std::vector<std::vector<std::uint64_t>> local(
+      static_cast<std::size_t>(nt));
 #ifdef _OPENMP
 #pragma omp parallel for num_threads(nt) schedule(static)
 #endif
   for (int t = 0; t < nt; ++t) {
     const std::size_t lo = bounds[static_cast<std::size_t>(t)];
     const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    h.shares[static_cast<std::size_t>(t)] =
+    local[static_cast<std::size_t>(t)] =
         count_symbols(codes.subspan(lo, hi - lo));
   }
-  h.total.assign(kAlphabet, 0);
-  for (const auto& mine : h.shares) {
-    for (std::size_t s = 0; s < kAlphabet; ++s) h.total[s] += mine[s];
+  std::vector<std::uint64_t> freq(kAlphabet, 0);
+  for (const auto& mine : local) {
+    for (std::size_t s = 0; s < kAlphabet; ++s) freq[s] += mine[s];
   }
-  return h;
+  return freq;
 }
 
 /// MSB-first packer over a 64-bit accumulator into a pre-sized buffer: each
@@ -123,15 +112,14 @@ struct WordPacker {
   }
 };
 
-/// Serial pack of `codes` into `payload`; `enc[c]` holds `(code << 8) | len`
-/// for symbol c. With `idx`, the chunk index is recorded in the same pass:
-/// at every `chunk_symbols` boundary an entry takes the packer's bit
-/// position, the unpredictable (symbol 0) count so far and the running
-/// CRC-32 of the codes' little-endian bytes, hashed while the chunk is
-/// still in cache.
-void pack_serial(std::span<const std::uint16_t> codes,
-                 const std::uint32_t* enc, std::uint32_t chunk_symbols,
-                 CodeChunkIndex* idx, std::uint8_t* payload) {
+/// Pack `codes` into `payload`; `enc[c]` holds `(code << 8) | len` for
+/// symbol c. With `idx`, the chunk index is recorded in the same pass: at
+/// every `chunk_symbols` boundary an entry takes the packer's bit position,
+/// the unpredictable (symbol 0) count so far and the running CRC-32 of the
+/// codes' little-endian bytes, hashed while the chunk is still in cache.
+void pack_payload(std::span<const std::uint16_t> codes,
+                  const std::uint32_t* enc, std::uint32_t chunk_symbols,
+                  CodeChunkIndex* idx, std::uint8_t* payload) {
   WordPacker pk{payload};
   const std::size_t step = idx != nullptr ? chunk_symbols : codes.size();
   Crc32 crc;
@@ -154,57 +142,6 @@ void pack_serial(std::span<const std::uint16_t> codes,
   pk.flush();
 }
 
-/// Parallel pack of `codes` into `payload` over the shares `h` counted.
-/// Each worker packs its share with its global bit phase (start % 8) as
-/// leading zero bits into a buffer of its own; the pieces are then spliced
-/// at byte granularity: OR for the boundary byte shared with the previous
-/// share, copy for the rest. The bit sequence — hence the bytes — is the
-/// serial pack's.
-void pack_parallel(std::span<const std::uint16_t> codes,
-                   const std::uint32_t* enc,
-                   std::span<const std::uint16_t> used, const Histograms& h,
-                   std::uint8_t* payload) {
-  const int nt = static_cast<int>(h.shares.size());
-  const auto bounds = chunk_bounds(codes.size(), nt);
-  std::vector<std::uint64_t> start(static_cast<std::size_t>(nt) + 1, 0);
-  for (int t = 0; t < nt; ++t) {
-    const auto& mine = h.shares[static_cast<std::size_t>(t)];
-    std::uint64_t bits = 0;
-    for (const std::uint16_t s : used) bits += mine[s] * (enc[s] & 0xffu);
-    start[static_cast<std::size_t>(t) + 1] =
-        start[static_cast<std::size_t>(t)] + bits;
-  }
-
-  std::vector<std::vector<std::uint8_t>> local(
-      static_cast<std::size_t>(nt));
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(nt) schedule(static)
-#endif
-  for (int t = 0; t < nt; ++t) {
-    const auto k = static_cast<std::size_t>(t);
-    const int phase = static_cast<int>(start[k] % 8);
-    auto& piece = local[k];
-    piece.resize((static_cast<std::uint64_t>(phase) + start[k + 1] -
-                  start[k] + 7) / 8 + 4);
-    WordPacker pk{piece.data()};
-    pk.put(0, phase);
-    for (std::size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
-      pk.put(enc[codes[i]] >> 8, static_cast<int>(enc[codes[i]] & 0xffu));
-    }
-    pk.flush();
-    piece.resize(piece.size() - 4);
-  }
-
-  for (int t = 0; t < nt; ++t) {
-    const auto& piece = local[static_cast<std::size_t>(t)];
-    if (piece.empty()) continue;
-    std::uint8_t* const dst =
-        payload + start[static_cast<std::size_t>(t)] / 8;
-    dst[0] |= piece[0];  // shared boundary byte with the previous share
-    copy_bytes(dst + 1, piece.data() + 1, piece.size() - 1);
-  }
-}
-
 /// Byte offset of the payload within a serialized blob with `distinct`
 /// table entries: u32 distinct + u64 count + (u16, u8) pairs + u64 bits.
 std::uint64_t payload_offset_for(std::uint32_t distinct) {
@@ -224,7 +161,7 @@ std::vector<std::uint8_t> huffman_encode_impl(
     return w.take();
   }
   const int nt = clamp_threads(threads, codes.size());
-  Histograms freq;
+  std::vector<std::uint64_t> freq;
   std::vector<std::uint8_t> lengths;
   std::vector<std::uint32_t> enc;  // (canonical code << 8) | length
   {
@@ -232,7 +169,7 @@ std::vector<std::uint8_t> huffman_encode_impl(
     const std::uint64_t t0 =
         telemetry::enabled() ? telemetry::detail::now_ns() : 0;
     freq = frequencies(codes, nt);
-    lengths = huffman_code_lengths(freq.total, kMaxCodeLength);
+    lengths = huffman_code_lengths(freq, kMaxCodeLength);
     enc = canonical_codes(lengths);
     for (std::size_t s = 0; s < kAlphabet; ++s) {
       enc[s] = (enc[s] << 8) | lengths[s];
@@ -243,21 +180,22 @@ std::vector<std::uint8_t> huffman_encode_impl(
     }
   }
 
-  // The table lists the coded symbols in order; their counts times their
-  // lengths price the payload before a bit of it is packed.
-  std::vector<std::uint16_t> used;
+  // The coded symbols' counts times their lengths price the payload before
+  // a bit of it is packed.
+  std::uint32_t distinct = 0;
   std::uint64_t payload_bits = 0;
   for (std::size_t s = 0; s < kAlphabet; ++s) {
     if (lengths[s] == 0) continue;
-    used.push_back(static_cast<std::uint16_t>(s));
-    payload_bits += freq.total[s] * lengths[s];
+    ++distinct;
+    payload_bits += freq[s] * lengths[s];
   }
-  const auto distinct = static_cast<std::uint32_t>(used.size());
   w.u32(distinct);
   w.u64(codes.size());
-  for (const std::uint16_t s : used) {
-    w.u16(s);
-    w.u8(lengths[s]);
+  for (std::size_t s = 0; s < kAlphabet; ++s) {
+    if (lengths[s] > 0) {
+      w.u16(static_cast<std::uint16_t>(s));
+      w.u8(lengths[s]);
+    }
   }
   w.u64(payload_bits);
   std::vector<std::uint8_t> out = w.take();
@@ -271,16 +209,12 @@ std::vector<std::uint8_t> huffman_encode_impl(
     idx->entries.clear();
   }
   {
-    // An indexed encode packs serially at every budget: the index's running
-    // CRC-32 takes the chunks in order, and one fused pass costs what a
-    // separate index pass ahead of the parallel pack did.
+    // The pack is serial at every budget: the index's running CRC-32 takes
+    // the chunks in order, and on the CESM code stream the fused pass cost
+    // what a separate index pass plus a parallel pack did at budget 2.
     telemetry::Span span_pack(telemetry::spans::kHuffmanPack);
-    std::uint8_t* const payload = out.data() + payload_at;
-    if (nt <= 1 || idx != nullptr) {
-      pack_serial(codes, enc.data(), chunk_symbols, idx, payload);
-    } else {
-      pack_parallel(codes, enc.data(), used, freq, payload);
-    }
+    pack_payload(codes, enc.data(), chunk_symbols, idx,
+                 out.data() + payload_at);
   }
   out.resize(payload_at + payload_bytes);
   telemetry::counter_add(telemetry::Counter::HuffmanSymbols, codes.size());
@@ -394,49 +328,6 @@ constexpr int kWindowBits = 11;
 /// Most symbols one window entry emits: four u16 lanes, one 8-byte store.
 constexpr int kRunSymbols = 4;
 
-/// A decode loop's bit reader, kept in locals: `acc` holds the next stream
-/// bit in bit 63 with `fill` of its bits valid, and `pos * 8 - fill` bits
-/// of the payload are consumed. Same invariant as BitReaderMSB, so a word
-/// load only ever ORs fresh bits or copies of bits already held.
-struct BitState {
-  std::size_t pos = 0;
-  std::uint64_t acc = 0;
-  int fill = 0;
-};
-
-/// Top `st` up to at least 56 valid bits: one big-endian word load while 8
-/// payload bytes remain, byte by byte over the last stretch. Past the end
-/// the accumulator reads as zeros; a code that consumed any of them drives
-/// `fill` negative, which the loops report as truncation.
-[[gnu::always_inline]] inline void refill(BitState& st, const std::uint8_t* in,
-                                          std::size_t size) {
-  if (st.pos + 8 <= size) {
-    st.acc |= load_be64(in + st.pos) >> st.fill;
-    st.pos += static_cast<std::size_t>((63 - st.fill) >> 3);
-    st.fill |= 56;
-  } else {
-    while (st.fill <= 56 && st.pos < size) {
-      st.acc |= static_cast<std::uint64_t>(in[st.pos++]) << (56 - st.fill);
-      st.fill += 8;
-    }
-  }
-}
-
-/// The two-level table's entry for the code at the top of `acc`, with the
-/// code's whole length in the control byte; 0 when no code reaches it.
-[[gnu::always_inline]] inline std::uint32_t lookup(std::uint64_t acc,
-                                                   const std::uint32_t* table,
-                                                   int root) {
-  const std::uint32_t e = table[acc >> (64 - root)];
-  if ((e & 0xffu) < CanonicalDecoder::kLinkControl) return e;
-  const auto sub =
-      static_cast<int>((e & 0xffu) - CanonicalDecoder::kLinkControl);
-  const std::uint32_t tail = table[(e >> 8) + ((acc << root) >> (64 - sub))];
-  // A subtable length excludes the root bits; codes stay below 32 bits, so
-  // adding them back cannot carry out of the control byte.
-  return tail == 0 ? 0 : tail + static_cast<std::uint32_t>(root);
-}
-
 /// The decode tables of one blob's code: the canonical decoder, whose
 /// bit-at-a-time walk is the oracle and whose two-level table takes codes
 /// longer than the window, and the multi-symbol window table.
@@ -467,8 +358,7 @@ class BlobDecoder {
 
  private:
   void build_window() {
-    const std::uint32_t* const table = dec_.table().data();
-    const int root = dec_.root_bits();
+    const CanonicalDecoder::MsbTable table = dec_.msb_table();
     lanes_.assign(std::size_t{1} << kWindowBits, 0);
     spans_.assign(lanes_.size(), 0);
     for (std::size_t w = 0; w < lanes_.size(); ++w) {
@@ -478,7 +368,7 @@ class BlobDecoder {
       int used = 0;
       int count = 0;
       while (count < kRunSymbols) {
-        const std::uint32_t e = lookup(acc, table, root);
+        const std::uint32_t e = table.lookup(acc);
         const auto len = static_cast<int>(e & 0xffu);
         if (e == 0 || used + len > kWindowBits) break;
         lanes_[w] |= std::uint64_t{e >> 8} << (16 * count++);
@@ -489,23 +379,20 @@ class BlobDecoder {
     }
   }
 
-  /// One refill per lookup. While four or more symbols remain, a window
-  /// entry stores all four of its lanes and advances by its count; the
-  /// last few symbols, and codes longer than the window, go through the
-  /// two-level table one at a time.
+  /// One refill per lookup, with the reader's registers in locals. While
+  /// four or more symbols remain, a window entry stores all four of its
+  /// lanes and advances by its count; the last few symbols, and codes
+  /// longer than the window, go through the two-level table one at a time.
   std::uint64_t run_fast(std::span<const std::uint8_t> payload,
                          std::uint64_t start_bit, std::uint16_t* dst,
                          std::uint64_t n) const {
-    WAVESZ_REQUIRE(start_bit <= payload.size() * 8,
-                   "bit seek past end of stream");
-    const std::uint8_t* const in = payload.data();
-    const std::size_t size = payload.size();
+    BitReaderMSB br(payload, start_bit);
+    const std::span<const std::uint8_t> in = br.source();
     const std::uint64_t* const lanes = lanes_.data();
     const std::uint16_t* const spans = spans_.data();
-    const std::uint32_t* const table = dec_.table().data();
-    const int root = dec_.root_bits();
-    const auto take_code = [&](BitState& st) {
-      const std::uint32_t e = lookup(st.acc, table, root);
+    const CanonicalDecoder::MsbTable table = dec_.msb_table();
+    const auto take_code = [&](BitReaderMSB::State& st) {
+      const std::uint32_t e = table.lookup(st.acc);
       WAVESZ_REQUIRE(e != 0, "invalid Huffman code in bitstream");
       const auto len = static_cast<int>(e & 0xffu);
       st.acc <<= len;
@@ -513,15 +400,11 @@ class BlobDecoder {
       return static_cast<std::uint16_t>(e >> 8);
     };
 
-    BitState st{static_cast<std::size_t>(start_bit / 8), 0, 0};
-    refill(st, in, size);
-    const auto phase = static_cast<int>(start_bit % 8);
-    st.acc <<= phase;
-    st.fill -= phase;
+    BitReaderMSB::State st = br.state();
     std::uint16_t* op = dst;
     std::uint16_t* const end = dst + n;
     while (end - op >= kRunSymbols) {
-      refill(st, in, size);
+      BitReaderMSB::refill(st, in);
       const std::size_t w = st.acc >> (64 - kWindowBits);
       const std::uint32_t span = spans[w];
       if (span > 0xffu) {
@@ -535,11 +418,12 @@ class BlobDecoder {
       WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
     }
     while (op < end) {
-      refill(st, in, size);
+      BitReaderMSB::refill(st, in);
       *op++ = take_code(st);
       WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
     }
-    return st.pos * 8 - static_cast<std::uint64_t>(st.fill);
+    br.set_state(st);
+    return br.position();
   }
 
   CanonicalDecoder dec_;
@@ -575,11 +459,11 @@ std::vector<std::uint16_t> huffman_decode_impl(
     WAVESZ_REQUIRE(p.payload_bits == p.count, "payload size mismatch");
     return std::vector<std::uint16_t>(p.count, degenerate_symbol(p.lengths));
   }
-  // This entry point stays serial even though the encoder packs in parallel
-  // chunks: without an index, recovering the chunk boundaries takes a
-  // serial table walk that costs as much as the decode itself. Containers
-  // carrying the v2 offset table go through huffman_decode_indexed(), whose
-  // workers seek straight to their recorded start bits.
+  // This entry point stays serial: without an index, finding chunk
+  // boundaries takes a serial table walk that costs as much as the decode
+  // itself. Containers carrying the v2 offset table go through
+  // huffman_decode_indexed(), whose workers seek straight to their recorded
+  // start bits.
   const BlobDecoder dec = make_decoder(p, reference);
   std::vector<std::uint16_t> out(p.count);
   WAVESZ_REQUIRE(dec.run(p.payload, 0, out.data(), p.count) == p.payload_bits,

@@ -17,11 +17,9 @@ namespace wavesz::sz {
 /// Self-contained encoding: [u32 distinct][u64 count][(u16 sym, u8 len)...]
 /// [u64 payload bits][payload bytes]. `threads` is a budget with
 /// Config::pqd_threads semantics (0 = all OpenMP threads, 1 = serial): the
-/// symbol histogram is built as a per-thread reduction, each thread's
-/// histogram prices its share of the payload, and the shares are bit-packed
-/// in parallel and spliced at byte granularity, producing the serial byte
-/// stream bit-for-bit at every budget. Empty inputs skip the 512 KiB
-/// frequency table entirely.
+/// symbol histogram is built as a per-thread reduction; the payload is
+/// packed in one serial pass, so the bytes are the same at every budget.
+/// Empty inputs skip the 512 KiB frequency table entirely.
 std::vector<std::uint8_t> huffman_encode(std::span<const std::uint16_t> codes,
                                          int threads = 1);
 
@@ -29,9 +27,8 @@ std::vector<std::uint8_t> huffman_encode(std::span<const std::uint16_t> codes,
 /// after every `chunk_symbols` output elements, `idx` gets the cumulative
 /// payload bit offset, element offset, unpredictable (symbol 0) count and
 /// running CRC-32 of the code stream's little-endian bytes, in the same
-/// pass that packs the payload (serially; `threads` still splits the
-/// histogram). The returned blob is byte-identical to huffman_encode() on
-/// the same input.
+/// pass that packs the payload. The returned blob is byte-identical to
+/// huffman_encode() on the same input.
 std::vector<std::uint8_t> huffman_encode_indexed(
     std::span<const std::uint16_t> codes, int threads,
     std::uint32_t chunk_symbols, CodeChunkIndex& idx);
@@ -41,11 +38,11 @@ std::vector<std::uint8_t> huffman_encode_indexed(
 /// lookup, one bit-buffer refill each) with the flat two-level table behind
 /// it for longer codes, unless WAVESZ_REFERENCE_DECODE /
 /// set_reference_decode() selects the bit-at-a-time oracle; outputs are
-/// identical. This entry point is serial:
-/// without a chunk index, recovering the encoder's chunk boundaries costs a
-/// full serial table walk, which makes any two-pass parallel scheme slower
-/// than one pass through the table. Containers that do carry the v2 index
-/// decode through huffman_decode_indexed() instead.
+/// identical. This entry point is serial: without a chunk index, finding
+/// chunk boundaries costs a full serial table walk, which makes any
+/// two-pass parallel scheme slower than one pass through the table.
+/// Containers that do carry the v2 index decode through
+/// huffman_decode_indexed() instead.
 std::vector<std::uint16_t> huffman_decode(std::span<const std::uint8_t> blob);
 
 /// Index-driven decode: every chunk is checked against its recorded end bit

@@ -307,22 +307,50 @@ class BitReaderMSB {
     return base_bits_ + pos_ * 8 - static_cast<std::size_t>(fill_);
   }
 
- private:
-  void refill() {
-    if (pos_ + 8 <= s_.size()) {
+  /// The reader's registers, for a decode loop that keeps them in locals
+  /// (the H⋆ fast path) and hands them back through set_state(). `pos`
+  /// indexes source(), which starts at the seek byte. The state handed back
+  /// must keep the consumed-bits invariant above.
+  struct State {
+    std::size_t pos = 0;
+    std::uint64_t acc = 0;
+    int fill = 0;
+  };
+  State state() const { return {pos_, acc_, fill_}; }
+  void set_state(const State& st) {
+    pos_ = st.pos;
+    acc_ = st.acc;
+    fill_ = st.fill;
+  }
+  std::span<const std::uint8_t> source() const { return s_; }
+
+  /// Top `st` up to at least 56 valid bits from `s`: one 8-byte load while
+  /// 8 bytes remain, byte by byte over the final stretch. Past the end the
+  /// accumulator reads as zeros; a loop that consumes any of them drives
+  /// `fill` negative, which is how it detects truncation.
+  [[gnu::always_inline]] static void refill(State& st,
+                                            std::span<const std::uint8_t> s) {
+    if (st.pos + 8 <= s.size()) {
       // Same GCC 12 -Warray-bounds false positive as BitReaderLSB::refill.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Warray-bounds"
-      acc_ |= load_be64(s_.data() + pos_) >> fill_;
+      st.acc |= load_be64(s.data() + st.pos) >> st.fill;
 #pragma GCC diagnostic pop
-      pos_ += static_cast<std::size_t>((63 - fill_) >> 3);
-      fill_ |= 56;
+      st.pos += static_cast<std::size_t>((63 - st.fill) >> 3);
+      st.fill |= 56;
     } else {
-      while (fill_ <= 56 && pos_ < s_.size()) {
-        acc_ |= static_cast<std::uint64_t>(s_[pos_++]) << (56 - fill_);
-        fill_ += 8;
+      while (st.fill <= 56 && st.pos < s.size()) {
+        st.acc |= static_cast<std::uint64_t>(s[st.pos++]) << (56 - st.fill);
+        st.fill += 8;
       }
     }
+  }
+
+ private:
+  void refill() {
+    State st = state();
+    refill(st, s_);
+    set_state(st);
   }
 
   std::span<const std::uint8_t> s_;

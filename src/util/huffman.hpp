@@ -55,7 +55,9 @@ enum class BitOrder : std::uint8_t {
 ///  * decode_fast(peek, consume) — one or two flat table lookups per symbol
 ///                              (zlib-style two-level scheme: a root table
 ///                              over the next kRootBits bits, subtables for
-///                              longer codes).
+///                              longer codes). msb_table().lookup(acc) is
+///                              the same walk over an MSB-first 64-bit bit
+///                              buffer held in the caller's locals.
 class CanonicalDecoder {
  public:
   explicit CanonicalDecoder(std::span<const std::uint8_t> lengths,
@@ -97,6 +99,30 @@ class CanonicalDecoder {
     consume(static_cast<int>(e & 0xffu));
     return e >> 8;
   }
+
+  /// The flat table's base and root width by value, so that a decode loop
+  /// keeping its MSB-first bit buffer in locals (the H⋆ fast path) holds
+  /// them in registers too.
+  struct MsbTable {
+    const std::uint32_t* table;
+    int root;
+
+    /// The entry for the code at the top of `acc`, whose bit 63 is the next
+    /// stream bit (BitReaderMSB::State), with the code's whole length in
+    /// the control byte; 0 when no code reaches it. Consumes nothing.
+    [[gnu::always_inline]] std::uint32_t lookup(std::uint64_t acc) const {
+      const std::uint32_t e = table[acc >> (64 - root)];
+      if ((e & 0xffu) < kLinkControl) return e;
+      const auto sub = static_cast<int>((e & 0xffu) - kLinkControl);
+      const std::uint32_t tail =
+          table[(e >> 8) + ((acc << root) >> (64 - sub))];
+      // A subtable length excludes the root bits; codes stay below 32 bits,
+      // so adding them back cannot carry out of the control byte.
+      return tail == 0 ? 0 : tail + static_cast<std::uint32_t>(root);
+    }
+  };
+  /// Requires an MsbFirst decoder with has_fast_table().
+  MsbTable msb_table() const { return {table_.data(), root_bits_}; }
 
   int max_length() const { return max_len_; }
   int root_bits() const { return root_bits_; }

@@ -268,8 +268,8 @@ TEST(WindowEdges, ForgedCountRunsOffThePayloadOnBothPaths) {
 }
 
 TEST(WindowEdges, EncoderIdenticalAtEveryBudget) {
-  // 196,417 symbols give budgets 2 and 4 their full worker counts; the
-  // one-pass index of budget 1 must match the separate pass of the others.
+  // 196,417 symbols give budgets 2 and 4 their full histogram worker
+  // counts; every budget must write the blob and index of budget 1.
   const auto codes = fibonacci_stream();
   const auto serial = sz::huffman_encode(codes, 1);
   sz::CodeChunkIndex ref;

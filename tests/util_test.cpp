@@ -581,6 +581,23 @@ TEST(Huffman, DecodeFastMatchesOracleBothOrders) {
       EXPECT_EQ(fast.position(), oracle.position());
     }
 
+    // The same walk over the reader's registers held in locals, refilled
+    // once per symbol and probed through msb_table(), as the H* decode loop
+    // does.
+    BitReaderMSB regs(msb_bytes);
+    BitReaderMSB::State st = regs.state();
+    for (auto expected : message) {
+      BitReaderMSB::refill(st, regs.source());
+      const std::uint32_t e = dec_msb.msb_table().lookup(st.acc);
+      ASSERT_NE(e, 0u);
+      EXPECT_EQ(e >> 8, expected);
+      st.acc <<= e & 0xffu;
+      st.fill -= static_cast<int>(e & 0xffu);
+      ASSERT_GE(st.fill, 0);
+    }
+    regs.set_state(st);
+    EXPECT_EQ(regs.position(), oracle.position());
+
     // Same message through the DEFLATE bit order: reversed code bits packed
     // LSB-first, decoded with an LsbFirst table.
     BitWriterLSB lw;
@@ -612,6 +629,8 @@ TEST(Huffman, DecodeFastRejectsInvalidCodeAndTruncation) {
   EXPECT_THROW(dec.decode_fast([&](int n) { return bad.peek(n); },
                                [&](int n) { bad.consume(n); }),
                Error);
+  EXPECT_EQ(dec.msb_table().lookup(~std::uint64_t{0}), 0u);
+  EXPECT_EQ(dec.msb_table().lookup(0), 3u);  // symbol 0, three bits
 
   // A stream that ends mid-code must surface the truncation Error from
   // consume() — peek() zero-pads, so the thrower is the reader, not UB.
