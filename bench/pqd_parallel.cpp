@@ -1,19 +1,26 @@
 // Wavefront-parallel PQD sweep: threads x shape x dtype on the Lorenzo
 // prediction-quantization hot path (compress kernel) and the reconstruction
 // sweep (decompress kernel), serial raster reference vs the tiled
-// anti-diagonal schedule of sz/wavefront_pqd.hpp. Verifies bit-exact parity
-// on every configuration and emits machine-readable results to
-// BENCH_pqd.json in the working directory (schema in EXPERIMENTS.md).
+// anti-diagonal schedule of sz/wavefront_pqd.hpp, then the waveSZ column
+// walks per SIMD level. Verifies bit-exact parity on every configuration and
+// emits machine-readable results to BENCH_pqd.json in the working directory
+// (schema in EXPERIMENTS.md).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
+#include "core/wavefront.hpp"
+#include "core/wavesz.hpp"
+#include "data/datasets.hpp"
 #include "sz/wavefront_pqd.hpp"
+#include "telemetry/span_names.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/simd.hpp"
 
 #ifdef _OPENMP
@@ -227,6 +234,136 @@ bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
   return all_ok;
 }
 
+/// Seconds of the `name` span in a stopped session's report; 0 when the
+/// span is missing (telemetry compiled out).
+double span_seconds(const telemetry::Report& report, const char* name) {
+  for (const auto& e : report.events) {
+    if (std::strcmp(e.name, name) == 0) {
+      return static_cast<double>(e.duration_ns) * 1e-9;
+    }
+  }
+  return 0.0;
+}
+
+// waveSZ column-walk sweep per SIMD level. Encode times wave_pqd_2d{,_64}
+// on a wavefront-layout copy: the walk, its code vector and the verbatim
+// gather. Reconstruct is the wave.reconstruct span of a region read of the
+// far corner point, which rebuilds the column prefix of every point but the
+// last: the walk and its output vector. Neither includes the permutes into
+// and out of the wavefront layout. The levels take turns within each
+// repeat, so host drift and allocator state hit them alike, and each row
+// reports the median. Bit-exact means the same codes, verbatim values and
+// writeback, the same G* container bytes and the same decoded bits as at
+// Level::Scalar. Emits the "wave_columns" rows of BENCH_pqd.json; returns
+// false on a parity failure or without telemetry.
+template <typename T>
+bool sweep_wave_shape(const std::vector<float>& values, const Dims& dims,
+                      const char* dtype, std::FILE* json, bool* first_row) {
+  constexpr int kWaveReps = 9;
+  const std::vector<T> data(values.begin(), values.end());
+  const std::span<const T> span(data);
+  const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
+  const wave::WavefrontLayout layout(dims[0], dims[1]);
+  const auto wf = wave::to_wavefront(span, layout);
+  sz::Config cfg = wave::default_config();  // G*, v2 index
+  const sz::Region corner{{dims[0] - 1, dims[1] - 2, 0},
+                          {dims[0], dims[1] - 1, 1}};
+  std::printf("%s %s (%.1f MB) — waveSZ column walk per simd level\n",
+              dims.str().c_str(), dtype, mb);
+
+  struct Run {
+    std::vector<double> enc_s, rec_s;
+    std::vector<std::uint8_t> codes, verbatim, writeback, container, decoded;
+  };
+  const auto levels = sweep_levels();
+  std::vector<Run> runs(levels.size());
+  const auto bits = [](const auto& v) {
+    std::vector<std::uint8_t> out(v.size() * sizeof(v[0]));
+    if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
+    return out;
+  };
+  Stopwatch sw;
+  for (int r = 0; r < kWaveReps; ++r) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      simd::set_level(levels[l]);
+      Run& run = runs[l];
+      const auto c = wave::compress(span, dims, cfg);
+      const sz::LinearQuantizer q(c.header.eb_absolute, c.header.quant_bits);
+      auto walk = wf;
+      sw.reset();
+      const auto kr = [&] {
+        if constexpr (std::is_same_v<T, float>) {
+          return wave::wave_pqd_2d(walk, layout, q);
+        } else {
+          return wave::wave_pqd_2d_64(walk, layout, q);
+        }
+      }();
+      run.enc_s.push_back(sw.seconds());
+      telemetry::Session session;
+      if constexpr (std::is_same_v<T, float>) {
+        (void)wave::decompress_region(c.bytes, corner);
+      } else {
+        (void)wave::decompress_region64(c.bytes, corner);
+      }
+      run.rec_s.push_back(
+          span_seconds(session.stop(), telemetry::spans::kWaveReconstruct));
+      if (r == 0) {
+        run.codes = bits(kr.codes);
+        run.verbatim = bits(kr.verbatim);
+        run.writeback = bits(walk);
+        run.container = c.bytes;
+        if constexpr (std::is_same_v<T, float>) {
+          run.decoded = bits(wave::decompress(c.bytes));
+        } else {
+          run.decoded = bits(wave::decompress64(c.bytes));
+        }
+      }
+    }
+  }
+  simd::set_level(simd::detected());
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+
+  bool all_ok = true;
+  const double scalar_enc = median(runs[0].enc_s);
+  const double scalar_rec = median(runs[0].rec_s);
+  if (scalar_rec <= 0.0) {
+    std::printf("  no wave.reconstruct span (telemetry compiled out)\n");
+    return false;
+  }
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const Run& run = runs[l];
+    const double enc = median(run.enc_s);
+    const double rec = median(run.rec_s);
+    const bool exact = run.codes == runs[0].codes &&
+                       run.verbatim == runs[0].verbatim &&
+                       run.writeback == runs[0].writeback &&
+                       run.container == runs[0].container &&
+                       run.decoded == runs[0].decoded;
+    all_ok = all_ok && exact;
+    std::printf(
+        "  level=%-6s encode %7.1f MB/s (%.2fx)  reconstruct %7.1f MB/s "
+        "(%.2fx)  parity %s\n",
+        simd::level_name(levels[l]), mb / enc, scalar_enc / enc, mb / rec,
+        scalar_rec / rec, exact ? "ok" : "FAIL");
+    if (json != nullptr) {
+      std::fprintf(
+          json,
+          "%s    {\"shape\": \"%s\", \"dtype\": \"%s\", \"level\": \"%s\", "
+          "\"encode_mbps\": %.2f, \"encode_speedup_vs_scalar\": %.3f, "
+          "\"reconstruct_mbps\": %.2f, "
+          "\"reconstruct_speedup_vs_scalar\": %.3f, \"bit_exact\": %s}",
+          *first_row ? "" : ",\n", dims.str().c_str(), dtype,
+          simd::level_name(levels[l]), mb / enc, scalar_enc / enc, mb / rec,
+          scalar_rec / rec, exact ? "true" : "false");
+      *first_row = false;
+    }
+  }
+  return all_ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -277,6 +414,22 @@ int main(int argc, char** argv) {
                                      &first_simd);
 
   sz::set_wavefront_min_points_per_thread(saved_floor);
+
+  // One CESM field (the climate2d_serial shape), and the same values as a
+  // 16-row grid: the column height of a 16-plane stream chunk.
+  if (json != nullptr) {
+    std::fprintf(json, "\n  ],\n  \"wave_columns\": [\n");
+  }
+  std::printf("\n");
+  const auto cesm = data::fields(data::Persona::CesmAtm, 2).front();
+  const auto values = cesm.materialize();
+  const Dims tall = cesm.dims;
+  const Dims chunk = Dims::d2(16, tall.count() / 16);
+  bool first_wave = true;
+  for (const Dims& dims : {tall, chunk}) {
+    all_ok &= sweep_wave_shape<float>(values, dims, "f32", json, &first_wave);
+    all_ok &= sweep_wave_shape<double>(values, dims, "f64", json, &first_wave);
+  }
 
   if (json != nullptr) {
     std::fprintf(json, "\n  ]\n}\n");

@@ -5,11 +5,13 @@
 #include "deflate/deflate.hpp"
 #include "deflate/parallel.hpp"
 #include "sz/huffman_codec.hpp"
+#include "sz/pqd_detail.hpp"
 #include "sz/predictor.hpp"
 #include "sz/szx.hpp"
 #include "telemetry/span_names.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace wavesz::wave {
 namespace {
@@ -72,7 +74,7 @@ struct ColumnRuns {
   std::size_t begin;  ///< storage offset of the column's first point
   std::size_t end;    ///< one past its last point
   bool top;           ///< the first point is (0, h)
-  bool left;          ///< the last point is (h, 0)
+  bool left;          ///< the last point is (h, 0), h > 0 (the pivot is top)
   std::size_t off;    ///< interior run [off, off + n)
   std::size_t n;
   std::size_t w;      ///< W tap of the run's first point
@@ -85,7 +87,7 @@ ColumnRuns column_runs(const WavefrontLayout& layout, std::size_t h) {
   c.end = layout.column_start(h + 1);
   const std::size_t x_lo = layout.column_first_row(h);
   c.top = x_lo == 0;
-  c.left = h < layout.rows();
+  c.left = h > 0 && h < layout.rows();
   if (h < 2) return c;
   c.off = c.begin + (c.top ? 1 : 0);
   c.n = c.end - (c.left ? 1 : 0) - c.off;
@@ -95,55 +97,83 @@ ColumnRuns column_runs(const WavefrontLayout& layout, std::size_t h) {
   return c;
 }
 
-/// The one column walk behind every PQD: 2D grid, True3D plane 0 and
-/// True3D planes >= 1 (Listing 1: column-major over the wavefront layout,
-/// in-place decompression writeback). Writes one code per point of `wf` to
-/// `codes`, by storage offset, and appends the verbatim values to
-/// `verbatim` in storage order, which is stream order. Border points go
-/// verbatim with code 0 (§3.2) and keep their exact original as history;
-/// interior points quantize against predict(off, w, nw).
-template <typename T, typename PredictFn>
-void encode_columns(std::span<T> wf, const WavefrontLayout& layout,
-                    const sz::LinearQuantizer& q, std::uint16_t* codes,
-                    std::vector<T>& verbatim, PredictFn&& predict) {
-  WAVESZ_REQUIRE(wf.size() == layout.count(),
-                 "wavefront size disagrees with layout");
-  T* const v = wf.data();
-  const auto border = [&](std::size_t i) {
-    codes[i] = 0;
-    verbatim.push_back(v[i]);
-  };
-  for (std::size_t h = 0; h < layout.column_count(); ++h) {
-    const ColumnRuns c = column_runs(layout, h);
-    if (c.n == 0) {  // a column without interior points is all border
-      for (std::size_t i = c.begin; i < c.end; ++i) border(i);
-      continue;
+/// The interior run [0, n) of one column. With lanes on (a 2D plane at
+/// Level::Avx2), lanes(k) does whole simd::kWaveLanes blocks from point k
+/// and returns how many points it did; point(k) finishes in default-target
+/// code what they leave: the run's tail, and in the decoder each block that
+/// stopped them. With lanes off, point(k) does the whole run.
+template <typename LanesFn, typename PointFn>
+void interior_run(std::size_t n, bool lanes_on, LanesFn&& lanes,
+                  PointFn&& point) {
+  std::size_t k = 0;
+  while (k < n) {
+    std::size_t stop = n;
+    if (lanes_on) {
+      k += lanes(k);
+      stop = std::min(n, k + simd::kWaveLanes);
     }
-    if (c.top) border(c.begin);
-    for (std::size_t k = 0; k < c.n; ++k) {
-      const std::size_t i = c.off + k;
-      const auto r = FpOps<T>::quantize(q, predict(i, c.w + k, c.nw + k), v[i]);
-      codes[i] = r.code;
-      if (r.code != 0) {
-        v[i] = r.reconstructed;  // in-place decompression writeback
-      } else {
-        verbatim.push_back(v[i]);
-      }
-    }
-    if (c.left) border(c.end - 1);
+    for (; k < stop; ++k) point(k);
   }
 }
 
-/// The fully pipelined 2D kernel, 2D Lorenzo over the column runs.
+/// Lanes of the walks that have no run kernel: True3D planes >= 1.
+constexpr auto kNoLanes = [](const ColumnRuns&, std::size_t) {
+  return std::size_t{0};
+};
+
+/// The one column walk behind every PQD: 2D grid, True3D plane 0 and
+/// True3D planes >= 1 (Listing 1: column-major over the wavefront layout,
+/// in-place decompression writeback). Writes one code per point of `wf` to
+/// `codes`, by storage offset. Border points go verbatim with code 0 (§3.2)
+/// and keep their exact original as history; interior points quantize
+/// against predict(off, w, nw), lanes(c, k) first (see interior_run). After
+/// the walk every code-0 slot still holds its original, so the verbatim
+/// values are gathered from them in storage order, which is stream order.
+template <typename T, typename LanesFn, typename PredictFn>
+void encode_columns(std::span<T> wf, const WavefrontLayout& layout,
+                    const sz::LinearQuantizer& q, std::uint16_t* codes,
+                    std::vector<T>& verbatim, bool lanes_on, LanesFn&& lanes,
+                    PredictFn&& predict) {
+  WAVESZ_REQUIRE(wf.size() == layout.count(),
+                 "wavefront size disagrees with layout");
+  T* const v = wf.data();
+  for (std::size_t h = 0; h < layout.column_count(); ++h) {
+    const ColumnRuns c = column_runs(layout, h);
+    if (c.top) codes[c.begin] = 0;
+    interior_run(
+        c.n, lanes_on, [&](std::size_t k) { return lanes(c, k); },
+        [&](std::size_t k) {
+          const std::size_t i = c.off + k;
+          const auto r =
+              FpOps<T>::quantize(q, predict(i, c.w + k, c.nw + k), v[i]);
+          codes[i] = r.code;
+          if (r.code != 0) v[i] = r.reconstructed;  // in-place writeback
+        });
+    if (c.left) codes[c.end - 1] = 0;
+  }
+  for (std::size_t i = 0; i < wf.size(); ++i) {
+    if (codes[i] == 0) verbatim.push_back(v[i]);
+  }
+}
+
+/// The fully pipelined 2D kernel, 2D Lorenzo over the column runs; the SIMD
+/// level is read once for the whole walk.
 template <typename T>
 void wave_pqd_2d_t(std::span<T> wf, const WavefrontLayout& layout,
                    const sz::LinearQuantizer& q, std::uint16_t* codes,
                    std::vector<T>& verbatim) {
-  const T* const v = wf.data();
-  encode_columns(wf, layout, q, codes, verbatim,
-                 [v](std::size_t, std::size_t w, std::size_t nw) {
-                   return sz::lorenzo2d(v[nw], v[w - 1], v[w]);
-                 });
+  T* const v = wf.data();
+  const simd::Level level = simd::active();
+  const simd::QuantSpec qs = sz::detail::quant_spec(q);
+  encode_columns(
+      wf, layout, q, codes, verbatim, level == simd::Level::Avx2,
+      [=](const ColumnRuns& c, std::size_t k) {
+        return simd::wave_pqd_run(level, v + c.off + k, codes + c.off + k,
+                                  v + c.w + k, v + c.nw + k, c.n - k, qs);
+      },
+      [v](std::size_t, std::size_t w, std::size_t nw) {
+        return sz::lorenzo2d(v[nw], v[w - 1], v[w]);
+      });
 }
 
 /// 3D-Lorenzo PQD for one slice, the previous slice already reconstructed
@@ -155,7 +185,7 @@ void wave_pqd_slice3d(std::span<T> cur, std::span<const T> prev,
                       std::vector<T>& verbatim) {
   const T* const c = cur.data();
   const T* const p = prev.data();
-  encode_columns(cur, layout, q, codes, verbatim,
+  encode_columns(cur, layout, q, codes, verbatim, false, kNoLanes,
                  [c, p](std::size_t off, std::size_t w, std::size_t nw) {
                    const std::size_t n = w - 1;
                    return sz::lorenzo3d(p[nw], c[nw], p[n], p[w], c[n], c[w],
@@ -164,37 +194,41 @@ void wave_pqd_slice3d(std::span<T> cur, std::span<const T> prev,
 }
 
 /// The one column walk behind every reconstruct: 2D full, 2D column prefix
-/// and True3D slice. Calls point(off, w, nw, code) for each interior point
-/// of the columns [0, h_end) whose code is nonzero; code-0 points are left
-/// as they are. The encoder sends border points verbatim, so a nonzero code
-/// there marks a corrupt container.
-template <typename PointFn>
+/// and True3D slice, over the columns [0, h_end) of `out`. A code-0 point
+/// takes the next verbatim value as the walk reaches it: storage order is
+/// stream order. The encoder sends border points verbatim, so a nonzero
+/// code there marks a corrupt container. point(off, w, nw, code) rebuilds
+/// an interior point with a nonzero code, lanes(c, k) first (see
+/// interior_run).
+template <typename T, typename LanesFn, typename PointFn>
 void walk_columns(std::span<const std::uint16_t> codes,
-                  const WavefrontLayout& layout, std::size_t h_end,
-                  PointFn&& point) {
-  for (std::size_t h = 0; h < h_end; ++h) {
-    const ColumnRuns c = column_runs(layout, h);
-    WAVESZ_REQUIRE((!c.top || codes[c.begin] == 0) &&
-                       (!c.left || codes[c.end - 1] == 0),
-                   "border point carries a quantization code");
-    for (std::size_t k = 0; k < c.n; ++k) {
-      const std::uint16_t code = codes[c.off + k];
-      if (code != 0) point(c.off + k, c.w + k, c.nw + k, code);
-    }
-  }
-}
-
-/// First pass of every reconstruct: the verbatim values go to the code-0
-/// slots. Storage order is stream order, so they are taken in sequence.
-template <typename T>
-void place_verbatim(std::span<const std::uint16_t> codes,
-                    std::span<const T> verbatim, std::size_t* next_verbatim,
-                    T* out) {
+                  std::span<const T> verbatim, std::size_t* next_verbatim,
+                  T* out, const WavefrontLayout& layout, std::size_t h_end,
+                  bool lanes_on, LanesFn&& lanes, PointFn&& point) {
   std::size_t next = *next_verbatim;
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] != 0) continue;
+  const auto take = [&](std::size_t i) {
     WAVESZ_REQUIRE(next < verbatim.size(), "verbatim stream exhausted");
     out[i] = verbatim[next++];
+  };
+  const auto border = [&](std::size_t i) {
+    WAVESZ_REQUIRE(codes[i] == 0, "border point carries a quantization code");
+    take(i);
+  };
+  for (std::size_t h = 0; h < h_end; ++h) {
+    const ColumnRuns c = column_runs(layout, h);
+    if (c.top) border(c.begin);
+    interior_run(
+        c.n, lanes_on, [&](std::size_t k) { return lanes(c, k); },
+        [&](std::size_t k) {
+          const std::size_t i = c.off + k;
+          const std::uint16_t code = codes[i];
+          if (code != 0) {
+            point(i, c.w + k, c.nw + k, code);
+          } else {
+            take(i);
+          }
+        });
+    if (c.left) border(c.end - 1);
   }
   *next_verbatim = next;
 }
@@ -204,7 +238,7 @@ void place_verbatim(std::span<const std::uint16_t> codes,
 /// reconstruction, from as many codes. The Lorenzo taps reach only into
 /// columns h - 1 and h - 2, so every column prefix is dependency-closed: a
 /// full decode passes column_count(), a region decode the prefix that
-/// covers its region.
+/// covers its region. The SIMD level is read once for the whole walk.
 template <typename T>
 std::vector<T> wave_reconstruct_2d_t(std::span<const std::uint16_t> codes,
                                      std::span<const T> verbatim,
@@ -218,13 +252,21 @@ std::vector<T> wave_reconstruct_2d_t(std::span<const std::uint16_t> codes,
                  "code count disagrees with layout");
   std::vector<T> rec(codes.size());
   T* const r = rec.data();
-  place_verbatim(codes, verbatim, next_verbatim, r);
-  walk_columns(codes, layout, h_end,
-               [r, &q](std::size_t off, std::size_t w, std::size_t nw,
-                       std::uint16_t code) {
-                 const double pred = sz::lorenzo2d(r[nw], r[w - 1], r[w]);
-                 r[off] = FpOps<T>::reconstruct(q, pred, code);
-               });
+  const simd::Level level = simd::active();
+  const simd::QuantSpec qs = sz::detail::quant_spec(q);
+  walk_columns(
+      codes, verbatim, next_verbatim, r, layout, h_end,
+      level == simd::Level::Avx2,
+      [=, cs = codes.data()](const ColumnRuns& c, std::size_t k) {
+        return simd::wave_reconstruct_run(level, cs + c.off + k, r + c.off + k,
+                                          r + c.w + k, r + c.nw + k, c.n - k,
+                                          qs);
+      },
+      [r, &q](std::size_t off, std::size_t w, std::size_t nw,
+              std::uint16_t code) {
+        const double pred = sz::lorenzo2d(r[nw], r[w - 1], r[w]);
+        r[off] = FpOps<T>::reconstruct(q, pred, code);
+      });
   return rec;
 }
 
@@ -239,8 +281,8 @@ void wave_reconstruct_slice3d(std::span<const std::uint16_t> codes,
                               const sz::LinearQuantizer& q) {
   T* const c = cur.data();
   const T* const p = prev.data();
-  place_verbatim(codes, verbatim, next_verbatim, c);
-  walk_columns(codes, layout, layout.column_count(),
+  walk_columns(codes, verbatim, next_verbatim, c, layout,
+               layout.column_count(), false, kNoLanes,
                [c, p, &q](std::size_t off, std::size_t w, std::size_t nw,
                           std::uint16_t code) {
                  const std::size_t n = w - 1;

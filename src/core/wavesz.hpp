@@ -46,6 +46,8 @@ struct KernelResult {
 /// runs of the two columns before it, the walk the reconstruct uses, and
 /// that walk beat the tiled OpenMP schedule it replaced at 2 and 4 threads
 /// on every shape measured (EXPERIMENTS.md, "Column-walk wave encoder").
+/// At simd::Level::Avx2 the walk takes each run in 4-lane blocks
+/// (simd::wave_pqd_run), bit-identical to the scalar body.
 KernelResult wave_pqd_2d(std::span<float> wavefront,
                          const WavefrontLayout& layout,
                          const sz::LinearQuantizer& q);
@@ -55,8 +57,11 @@ KernelResult wave_pqd_2d(std::span<float> wavefront,
 /// from three contiguous runs of the two columns before it, and that walk
 /// beat the tiled OpenMP schedule it replaced at 2 and 4 threads on every
 /// shape measured (EXPERIMENTS.md, "Column-contiguous wavefront
-/// reconstruct"). Throws wavesz::Error when a border point carries a
-/// nonzero code.
+/// reconstruct"); at simd::Level::Avx2 it takes each run in 4-lane blocks
+/// (simd::wave_reconstruct_run), bit-identical to the scalar body. The
+/// verbatim values are taken in order as the walk reaches their code-0
+/// points, from `*next_verbatim` on. Throws wavesz::Error when a border
+/// point carries a nonzero code or the verbatim values run out.
 std::vector<float> wave_reconstruct_2d(std::span<const std::uint16_t> codes,
                                        std::span<const float> verbatim,
                                        std::size_t* next_verbatim,

@@ -176,13 +176,20 @@ bool kraft_complete(std::span<const std::uint8_t> lengths) {
 
 CanonicalDecoder::CanonicalDecoder(std::span<const std::uint8_t> lengths,
                                    BitOrder order) {
-  for (auto l : lengths) max_len_ = std::max(max_len_, static_cast<int>(l));
+  // One pass over the length table collects the used symbols; the counts,
+  // the canonical order and the flat table run over them alone, which
+  // matters for the 65,536-entry H⋆ alphabet of which a few hundred are
+  // used.
+  std::vector<std::uint32_t> used;
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    if (lengths[s] == 0) continue;
+    used.push_back(static_cast<std::uint32_t>(s));
+    max_len_ = std::max(max_len_, static_cast<int>(lengths[s]));
+  }
   first_code_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
   count_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
   first_index_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
-  for (auto l : lengths) {
-    if (l > 0) ++count_[l];
-  }
+  for (const std::uint32_t s : used) ++count_[lengths[s]];
   std::uint32_t code = 0, index = 0;
   for (int len = 1; len <= max_len_; ++len) {
     code = (code + (len > 1 ? count_[static_cast<std::size_t>(len) - 1] : 0))
@@ -193,11 +200,7 @@ CanonicalDecoder::CanonicalDecoder(std::span<const std::uint8_t> lengths,
   }
   sorted_symbols_.resize(index);
   std::vector<std::uint32_t> next(first_index_);
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s] > 0) {
-      sorted_symbols_[next[lengths[s]]++] = static_cast<std::uint32_t>(s);
-    }
-  }
+  for (const std::uint32_t s : used) sorted_symbols_[next[lengths[s]]++] = s;
   build_fast_table(lengths, order);
 }
 
@@ -206,23 +209,29 @@ void CanonicalDecoder::build_fast_table(std::span<const std::uint8_t> lengths,
   if (max_len_ == 0 || max_len_ > 31) return;
   root_bits_ = std::min(max_len_, kRootBits);
   const std::size_t root_size = std::size_t{1} << root_bits_;
-  const auto codes = canonical_codes(lengths);
+  // The used symbols in canonical order: sorted_symbols_[k] has length
+  // len and code first_code_[len] + (k - first_index_[len]), the values
+  // canonical_codes() assigns.
+  const auto code_of = [this](std::size_t k, int len) {
+    const auto l = static_cast<std::size_t>(len);
+    return first_code_[l] + static_cast<std::uint32_t>(k - first_index_[l]);
+  };
 
   // Pass 1: per-root-prefix subtable width (the longest tail under that
   // prefix), plus the over-subscription guard — an over-full length set
-  // makes canonical_codes() overflow some code past its own width, which
+  // makes the canonical codes overflow some code past its own width, which
   // would index out of the table. Such streams stay on the reference
   // decoder, which walks them memory-safely and throws on the first gap.
   std::vector<std::uint8_t> sub_bits(root_size, 0);
   std::size_t total = root_size;
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    const int len = lengths[s];
-    if (len == 0) continue;
-    if ((codes[s] >> len) != 0) return;  // over-subscribed
+  for (std::size_t k = 0; k < sorted_symbols_.size(); ++k) {
+    const int len = lengths[sorted_symbols_[k]];
+    const std::uint32_t code = code_of(k, len);
+    if ((code >> len) != 0) return;  // over-subscribed
     if (len > root_bits_) {
       const std::uint32_t c = order == BitOrder::MsbFirst
-                                  ? codes[s]
-                                  : reverse_code_bits(codes[s], len);
+                                  ? code
+                                  : reverse_code_bits(code, len);
       const std::uint32_t prefix =
           order == BitOrder::MsbFirst
               ? c >> (len - root_bits_)
@@ -254,15 +263,15 @@ void CanonicalDecoder::build_fast_table(std::span<const std::uint8_t> lengths,
   // orientation (DEFLATE) the code occupies the *low* bits of the index,
   // so its slots stride by 2^len. Longer codes fill their subtable the
   // same way with the tail bits.
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
+  for (std::size_t k = 0; k < sorted_symbols_.size(); ++k) {
+    const std::uint32_t s = sorted_symbols_[k];
     const int len = lengths[s];
-    if (len == 0) continue;
+    const std::uint32_t code = code_of(k, len);
     const std::uint32_t c = order == BitOrder::MsbFirst
-                                ? codes[s]
-                                : reverse_code_bits(codes[s], len);
+                                ? code
+                                : reverse_code_bits(code, len);
     if (len <= root_bits_) {
-      const std::uint32_t e =
-          (static_cast<std::uint32_t>(s) << 8) | static_cast<std::uint32_t>(len);
+      const std::uint32_t e = (s << 8) | static_cast<std::uint32_t>(len);
       if (order == BitOrder::MsbFirst) {
         const int pad = root_bits_ - len;
         const std::uint32_t base = c << pad;
@@ -283,8 +292,7 @@ void CanonicalDecoder::build_fast_table(std::span<const std::uint8_t> lengths,
         tail = c >> root_bits_;
       }
       const int sb = sub_bits[prefix];
-      const std::uint32_t e =
-          (static_cast<std::uint32_t>(s) << 8) | static_cast<std::uint32_t>(rem);
+      const std::uint32_t e = (s << 8) | static_cast<std::uint32_t>(rem);
       if (order == BitOrder::MsbFirst) {
         const int pad = sb - rem;
         const std::uint32_t base = sub_base[prefix] + (tail << pad);

@@ -445,6 +445,137 @@ __attribute__((target("avx2"))) std::size_t bound_scan_avx2(
   return tail == static_cast<std::size_t>(-1) ? tail : i + tail;
 }
 
+// Wavefront column runs. Every tap of a column's interior run is a
+// contiguous load from an earlier column, so four points are four
+// independent double lanes. The kernels do whole blocks only; the run's
+// tail, the verbatim values and the True3D planes stay in the default-target
+// scalar body of core/wavesz.cpp, which these lanes reproduce bit for bit.
+
+/// Four values of a run widened to double lanes (exact for float).
+template <typename T>
+__attribute__((target("avx2"))) inline __m256d load_lanes(const T* p) {
+  if constexpr (std::is_same_v<T, float>) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  } else {
+    return _mm256_loadu_pd(p);
+  }
+}
+
+/// A 4 x 64-bit compare mask narrowed to 4 x 32-bit lanes.
+__attribute__((target("avx2"))) inline __m128i narrow_mask(__m256d m) {
+  return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+      _mm256_castpd_si256(m), _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
+}
+
+/// lorenzo2d(nw, n, w) = (n + w) - nw over the block at j.
+template <typename T>
+__attribute__((target("avx2"))) inline __m256d lorenzo_lanes(
+    const T* west, const T* nw, std::size_t j) {
+  return _mm256_sub_pd(
+      _mm256_add_pd(load_lanes(west + j - 1), load_lanes(west + j)),
+      load_lanes(nw + j));
+}
+
+template <typename T>
+__attribute__((target("avx2"))) std::size_t wave_pqd_run_avx2(
+    T* cur, std::uint16_t* codes, const T* west, const T* nw, std::size_t n,
+    const QuantSpec& qs) {
+  const __m256d vinvp = _mm256_set1_pd(qs.inv_precision);
+  const __m256d vp = _mm256_set1_pd(qs.precision);
+  const __m256d vcapm1 = _mm256_set1_pd(static_cast<double>(qs.capacity - 1));
+  const __m256d absmask = _mm256_castsi256_pd(
+      _mm256_set1_epi64x(static_cast<long long>(0x7fffffffffffffffULL)));
+  const __m128i one = _mm_set1_epi32(1);
+  const __m128i radius = _mm_set1_epi32(static_cast<int>(qs.radius));
+  const __m128i capacity = _mm_set1_epi32(static_cast<int>(qs.capacity));
+  const std::size_t end = n - n % kWaveLanes;
+  for (std::size_t j = 0; j < end; j += kWaveLanes) {
+    const __m256d o = load_lanes(cur + j);
+    const __m256d pred = lorenzo_lanes(west, nw, j);
+    const __m256d diff = _mm256_sub_pd(o, pred);
+    const __m256d scaled = _mm256_mul_pd(_mm256_and_pd(diff, absmask), vinvp);
+    // Ordered compares: a NaN lane fails, as !(scaled < capacity - 1) and
+    // the overbound check fail it in the scalar body.
+    const __m256d fits = _mm256_cmp_pd(scaled, vcapm1, _CMP_LT_OQ);
+    // q = signed0 / 2 with signed0 = ±(trunc(scaled) + 1) >= 1 in magnitude
+    // is ±((trunc(scaled) + 1) >> 1); lanes that do not fit are masked off.
+    const __m128i mag =
+        _mm_srli_epi32(_mm_add_epi32(_mm256_cvttpd_epi32(scaled), one), 1);
+    const __m128i neg = narrow_mask(
+        _mm256_cmp_pd(diff, _mm256_setzero_pd(), _CMP_LT_OQ));
+    const __m128i q = _mm_sub_epi32(_mm_xor_si128(mag, neg), neg);
+    const __m128i c = _mm_add_epi32(q, radius);
+    const __m128i c_ok = _mm_and_si128(_mm_cmpgt_epi32(c, _mm_setzero_si128()),
+                                       _mm_cmpgt_epi32(capacity, c));
+    const __m256d qd = _mm256_cvtepi32_pd(q);
+    const __m256d recd = _mm256_add_pd(
+        pred, _mm256_mul_pd(_mm256_add_pd(qd, qd), vp));
+    // The overbound check runs on the value the decoder will rebuild.
+    __m256d rebuilt = recd;
+    if constexpr (std::is_same_v<T, float>) {
+      rebuilt = _mm256_cvtps_pd(_mm256_cvtpd_ps(recd));
+    }
+    const __m256d within = _mm256_cmp_pd(
+        _mm256_and_pd(_mm256_sub_pd(rebuilt, o), absmask), vp, _CMP_LE_OQ);
+    const __m128i ok =
+        _mm_and_si128(narrow_mask(_mm256_and_pd(fits, within)), c_ok);
+    const __m128i code = _mm_and_si128(c, ok);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(codes + j),
+                     _mm_packus_epi32(code, code));
+    // Blends keep a code-0 lane's original bits, NaN payloads included.
+    if constexpr (std::is_same_v<T, float>) {
+      _mm_storeu_ps(cur + j,
+                    _mm_blendv_ps(_mm_loadu_ps(cur + j), _mm256_cvtpd_ps(recd),
+                                  _mm_castsi128_ps(ok)));
+    } else {
+      _mm256_storeu_pd(
+          cur + j,
+          _mm256_blendv_pd(o, recd,
+                           _mm256_castsi256_pd(_mm256_cvtepi32_epi64(ok))));
+    }
+  }
+  return end;
+}
+
+template <typename T>
+__attribute__((target("avx2"))) std::size_t wave_reconstruct_run_avx2(
+    const std::uint16_t* codes, T* cur, const T* west, const T* nw,
+    std::size_t n, const QuantSpec& qs) {
+  const __m256d vp = _mm256_set1_pd(qs.precision);
+  const __m128i radius = _mm_set1_epi32(static_cast<int>(qs.radius));
+  std::size_t j = 0;
+  for (; j + kWaveLanes <= n; j += kWaveLanes) {
+    const __m128i c16 =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + j));
+    // Bytes 0..7 hold the block's four codes.
+    if ((_mm_movemask_epi8(_mm_cmpeq_epi16(c16, _mm_setzero_si128())) &
+         0xff) != 0) {
+      break;
+    }
+    const __m256d qd =
+        _mm256_cvtepi32_pd(_mm_sub_epi32(_mm_cvtepu16_epi32(c16), radius));
+    const __m256d recd = _mm256_add_pd(
+        lorenzo_lanes(west, nw, j),
+        _mm256_mul_pd(_mm256_add_pd(qd, qd), vp));
+    // Without a NaN operand every lane's arithmetic is order-exact; with
+    // one, the NaN the scalar body returns depends on its operand order.
+    if (_mm256_movemask_pd(_mm256_cmp_pd(recd, recd, _CMP_UNORD_Q)) != 0) {
+      break;
+    }
+    if constexpr (std::is_same_v<T, float>) {
+      _mm_storeu_ps(cur + j, _mm256_cvtpd_ps(recd));
+    } else {
+      _mm256_storeu_pd(cur + j, recd);
+    }
+  }
+  return j;
+}
+
+/// True when `level` runs the AVX2 column-run kernels on this CPU.
+bool wave_lanes(Level level) {
+  return level == Level::Avx2 && detected() == Level::Avx2;
+}
+
 #endif  // WAVESZ_SIMD_X86
 
 template <typename T>
@@ -558,6 +689,48 @@ void reconstruct2d_diag(const std::uint16_t* codes, double* rec,
                         std::size_t base, std::size_t s0, std::size_t n,
                         const QuantSpec& q) {
   reconstruct2d_diag_t<double>(codes, rec, base, s0, n, q);
+}
+
+std::size_t wave_pqd_run(Level level, float* cur, std::uint16_t* codes,
+                         const float* west, const float* nw, std::size_t n,
+                         const QuantSpec& q) {
+#if WAVESZ_SIMD_X86
+  if (wave_lanes(level)) return wave_pqd_run_avx2(cur, codes, west, nw, n, q);
+#endif
+  return 0;
+}
+
+std::size_t wave_pqd_run(Level level, double* cur, std::uint16_t* codes,
+                         const double* west, const double* nw, std::size_t n,
+                         const QuantSpec& q) {
+#if WAVESZ_SIMD_X86
+  if (wave_lanes(level)) return wave_pqd_run_avx2(cur, codes, west, nw, n, q);
+#endif
+  return 0;
+}
+
+std::size_t wave_reconstruct_run(Level level, const std::uint16_t* codes,
+                                 float* cur, const float* west,
+                                 const float* nw, std::size_t n,
+                                 const QuantSpec& q) {
+#if WAVESZ_SIMD_X86
+  if (wave_lanes(level)) {
+    return wave_reconstruct_run_avx2(codes, cur, west, nw, n, q);
+  }
+#endif
+  return 0;
+}
+
+std::size_t wave_reconstruct_run(Level level, const std::uint16_t* codes,
+                                 double* cur, const double* west,
+                                 const double* nw, std::size_t n,
+                                 const QuantSpec& q) {
+#if WAVESZ_SIMD_X86
+  if (wave_lanes(level)) {
+    return wave_reconstruct_run_avx2(codes, cur, west, nw, n, q);
+  }
+#endif
+  return 0;
 }
 
 void minmax(const float* data, std::size_t n, double* lo, double* hi) {

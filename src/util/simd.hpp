@@ -1,9 +1,12 @@
 // Runtime-dispatched SIMD kernel layer (vecSZ-style, PAPERS.md).
 //
-// Every kernel here has a scalar and an SSE2 implementation, and the
-// contiguous scans (minmax, bound_scan) an AVX2 one as well; the diagonal
-// kernels run their SSE2 body at the AVX2 level. The implementation is
-// selected once per call from a process-wide level. The level defaults to
+// The diagonal kernels and the contiguous scans (minmax, bound_scan) have a
+// scalar and an SSE2 implementation, and the scans an AVX2 one as well; the
+// diagonal kernels run their SSE2 body at the AVX2 level. The wavefront
+// column-run kernels exist at the AVX2 level only and take the level from
+// their caller, who reads it once per walk and keeps the scalar body. The
+// implementation is otherwise selected once per call from a process-wide
+// level. The level defaults to
 // the widest ISA the CPU reports (probed once via cpuid), can be capped
 // with the WAVESZ_SIMD environment variable (`scalar`, `sse2` or `avx2`)
 // and overridden from code with set_level(); requests above the detected
@@ -91,6 +94,42 @@ void reconstruct2d_diag(const std::uint16_t* codes, float* rec,
 void reconstruct2d_diag(const std::uint16_t* codes, double* rec,
                         std::size_t base, std::size_t s0, std::size_t n,
                         const QuantSpec& q);
+
+/// Lane width of the wavefront column-run kernels below.
+inline constexpr std::size_t kWaveLanes = 4;
+
+/// 2D-Lorenzo PQD over the whole kWaveLanes-point blocks of one wavefront
+/// column's interior run (DESIGN.md, "Wavefront column walk"). Point j of
+/// the run is cur[j]; its W tap is west[j], its N tap west[j - 1] and its
+/// NW tap nw[j], all in earlier columns, so the points of a run are
+/// independent lanes over contiguous loads. Per point, codes[j] receives
+/// the quantizer symbol (0 = unpredictable) and a quantized point's cur[j]
+/// the in-place decompression writeback; a code-0 point keeps its original
+/// bits. Returns the points done: n rounded down to a whole block at
+/// Level::Avx2, 0 below it. The caller's scalar body does the rest of the
+/// run, and each lane is bit-identical to it (LinearQuantizer::quantize /
+/// quantize64 after lorenzo2d). Requires q.capacity <= 65536.
+std::size_t wave_pqd_run(Level level, float* cur, std::uint16_t* codes,
+                         const float* west, const float* nw, std::size_t n,
+                         const QuantSpec& q);
+std::size_t wave_pqd_run(Level level, double* cur, std::uint16_t* codes,
+                         const double* west, const double* nw, std::size_t n,
+                         const QuantSpec& q);
+
+/// Decode-side twin: rebuilds cur[j] from codes[j] with the same taps, one
+/// whole block at a time, and stops at the first block holding a code-0
+/// point (its verbatim value is the caller's to place) or a NaN result
+/// (which only a forged container produces; the scalar body then decides
+/// its payload). Returns the points done, a multiple of kWaveLanes; 0 below
+/// Level::Avx2.
+std::size_t wave_reconstruct_run(Level level, const std::uint16_t* codes,
+                                 float* cur, const float* west,
+                                 const float* nw, std::size_t n,
+                                 const QuantSpec& q);
+std::size_t wave_reconstruct_run(Level level, const std::uint16_t* codes,
+                                 double* cur, const double* west,
+                                 const double* nw, std::size_t n,
+                                 const QuantSpec& q);
 
 /// Fold min/max over data[0, n) into *lo / *hi (callers seed both, usually
 /// with data[0], matching the serial scan's NaN-poisoning semantics): NaN

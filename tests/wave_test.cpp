@@ -1,7 +1,8 @@
 // Tests for the waveSZ core: wavefront layout bijectivity and index math,
 // kernel equivalence against a raster-order reference and a per-point
-// oracle, base-2 bound tightening, full round trips in both layout modes,
-// rejection of forged border codes, and pinned decoded values.
+// oracle (at every runtime SIMD level), base-2 bound tightening, full round
+// trips in both layout modes, rejection of forged border codes, and pinned
+// decoded values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <limits>
 #include <numeric>
 #include <span>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/float_bits.hpp"
+#include "util/simd.hpp"
 #include "wave_vectors.hpp"
 
 namespace wavesz::wave {
@@ -360,8 +363,8 @@ void expect_decode_matches_writeback(const Dims& dims,
   } else {
     decoded = decompress64(c.bytes);
   }
-  EXPECT_TRUE(to_wavefront(std::span<const T>(decoded), layout) ==
-              writeback(grid, layout, q))
+  EXPECT_TRUE(same_bytes(to_wavefront(std::span<const T>(decoded), layout),
+                         writeback(grid, layout, q)))
       << dims[0] << "x" << dims[1];
 }
 
@@ -398,9 +401,8 @@ TEST(WaveKernel, ReconstructInvertsKernel) {
 /// with a + b - 1 == h_end together cover that whole prefix, so checking
 /// each against the writeback checks the first column_start(h_end) values.
 template <typename T>
-void expect_every_prefix_matches_writeback(const std::vector<T>& grid) {
-  const std::size_t d0 = 9;
-  const std::size_t d1 = 13;
+void expect_every_prefix_matches_writeback(const std::vector<T>& grid,
+                                           std::size_t d0, std::size_t d1) {
   auto cfg = absolute_config(0.01);
   cfg.index_chunk_symbols = 16;
   const auto c = wave::compress(std::span<const T>(grid), Dims::d2(d0, d1),
@@ -438,9 +440,51 @@ void expect_every_prefix_matches_writeback(const std::vector<T>& grid) {
 
 TEST(WaveKernel, EveryColumnPrefixMatchesWriteback) {
   const auto grid = spiky_grid(Dims::d2(9, 13), 71);
-  expect_every_prefix_matches_writeback(grid);
+  expect_every_prefix_matches_writeback(grid, 9, 13);
   expect_every_prefix_matches_writeback(
-      std::vector<double>(grid.begin(), grid.end()));
+      std::vector<double>(grid.begin(), grid.end()), 9, 13);
+}
+
+/// Sets the process SIMD level for a scope (clamped to the host's).
+struct LevelOverride {
+  simd::Level saved = simd::active();
+  explicit LevelOverride(simd::Level l) { simd::set_level(l); }
+  ~LevelOverride() { simd::set_level(saved); }
+};
+
+TEST(WaveKernel, EveryLevelMatchesPointOracle) {
+  // The 2D walks run the AVX2 run kernels at Level::Avx2 and the scalar
+  // body below it; both must give the per-point oracle's codes, verbatim
+  // values and writeback, and decode to it. Columns of 2, 3 and 16 rows
+  // (a stream chunk), a tall grid, and long columns whose runs hold many
+  // whole blocks with spikes, a NaN and an Inf inside them.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {2, 300}, {3, 200}, {16, 300}, {400, 9}, {300, 290}};
+  const sz::LinearQuantizer q(0.01, 16);
+  for (const simd::Level level :
+       {simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2}) {
+    if (level > simd::detected()) continue;
+    const LevelOverride guard(level);
+    const std::string at = std::string(simd::level_name(level)) + " ";
+    for (const auto& [d0, d1] : shapes) {
+      const Dims dims = Dims::d2(d0, d1);
+      const WavefrontLayout layout(d0, d1);
+      auto grid = spiky_grid(dims, 3 + d0 * 17 + d1);
+      grid[grid.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+      grid[grid.size() / 3] = std::numeric_limits<float>::infinity();
+      const std::vector<double> grid64(grid.begin(), grid.end());
+      const std::string shape = std::to_string(d0) + "x" + std::to_string(d1);
+      expect_kernel_matches_oracle(grid, layout, q, at + "f32 " + shape);
+      expect_kernel_matches_oracle(grid64, layout, q, at + "f64 " + shape);
+      expect_decode_matches_writeback(dims, grid);
+      expect_decode_matches_writeback(dims, grid64);
+    }
+    // Region reads rebuild column prefixes, which stop runs mid-grid.
+    const auto grid = spiky_grid(Dims::d2(16, 24), 29);
+    expect_every_prefix_matches_writeback(grid, 16, 24);
+    expect_every_prefix_matches_writeback(
+        std::vector<double>(grid.begin(), grid.end()), 16, 24);
+  }
 }
 
 TEST(WaveKernel, BorderCountMatchesGeometry) {
@@ -553,18 +597,23 @@ TEST(WaveCompressor, FlattensHurricaneShapeLikeArtifact) {
 
 // ------------------------------------------------------- hostile input
 
-/// Calls `decode` and expects the decoder's own border-rule error.
+/// Calls `decode` and expects the decoder's own error `message`.
 template <typename F>
-void expect_border_error(F decode, const std::string& what) {
+void expect_decode_error(F decode, const std::string& message,
+                         const std::string& what) {
   try {
     decode();
-    ADD_FAILURE() << what << ": forged border code decoded";
+    ADD_FAILURE() << what << ": forged container decoded";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "border point carries a quantization code"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
         << what << ": " << e.what();
   }
+}
+
+template <typename F>
+void expect_border_error(F decode, const std::string& what) {
+  expect_decode_error(decode, "border point carries a quantization code",
+                      what);
 }
 
 template <typename T>
@@ -608,6 +657,69 @@ TEST(ForgedBorder, NonzeroBorderCodeThrows) {
   expect_forged_borders_rejected<float>(LayoutMode::True3D);
   expect_forged_borders_rejected<double>(LayoutMode::Flatten2D);
   expect_forged_borders_rejected<double>(LayoutMode::True3D);
+}
+
+/// `container`, a v1 waveSZ container, with its verbatim stream one value
+/// short (delta -1) or one value long (delta +1) and `unpredictable_count`
+/// to match: every section parses, and only the decode walk's count checks
+/// can notice.
+std::vector<std::uint8_t> with_verbatim_delta(
+    std::span<const std::uint8_t> container, int delta) {
+  ByteReader r(container);
+  sz::ContainerHeader h = sz::read_header(r);
+  const auto code_blob = sz::read_section(r);
+  auto verbatim_plain = deflate::gzip_decompress(sz::read_section(r));
+  const std::size_t width = h.dtype == 0 ? sizeof(float) : sizeof(double);
+  verbatim_plain.resize(delta < 0 ? verbatim_plain.size() - width
+                                  : verbatim_plain.size() + width);
+  h.unpredictable_count = delta < 0 ? h.unpredictable_count - 1
+                                    : h.unpredictable_count + 1;
+  ByteWriter w;
+  sz::write_header(w, h);
+  sz::write_section(w, code_blob);
+  sz::write_section(w, deflate::gzip_compress(verbatim_plain, h.gzip_level));
+  return w.take();
+}
+
+template <typename T>
+void expect_verbatim_counts_checked(LayoutMode mode) {
+  const Dims dims = mode == LayoutMode::Flatten2D ? Dims::d3(12, 4, 5)
+                                                  : Dims::d3(4, 12, 20);
+  const auto narrow = spiky_grid(dims, 89);
+  const std::vector<T> field(narrow.begin(), narrow.end());
+  auto cfg = absolute_config(0.01);
+  cfg.chunk_index = false;
+  const auto c = wave::compress(std::span<const T>(field), dims, cfg, mode);
+  const std::string what = std::string(sizeof(T) == 4 ? "f32" : "f64") +
+                           (mode == LayoutMode::Flatten2D ? " Flatten2D"
+                                                          : " True3D");
+  const auto decode = [](const std::vector<std::uint8_t>& bytes) {
+    if constexpr (std::is_same_v<T, float>) {
+      return decompress(bytes);
+    } else {
+      return decompress64(bytes);
+    }
+  };
+  const auto short_stream = with_verbatim_delta(c.bytes, -1);
+  const auto long_stream = with_verbatim_delta(c.bytes, +1);
+  expect_decode_error([&] { (void)decode(short_stream); },
+                      "verbatim stream exhausted", what + " short");
+  expect_decode_error([&] { (void)decode(long_stream); },
+                      "verbatim stream has trailing values", what + " long");
+}
+
+TEST(ForgedVerbatim, CountMismatchThrowsAtEveryLevel) {
+  // The decode walk takes verbatim values inline at every level, the AVX2
+  // run kernels stopping at each block that holds one.
+  for (const simd::Level level :
+       {simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2}) {
+    if (level > simd::detected()) continue;
+    const LevelOverride guard(level);
+    expect_verbatim_counts_checked<float>(LayoutMode::Flatten2D);
+    expect_verbatim_counts_checked<float>(LayoutMode::True3D);
+    expect_verbatim_counts_checked<double>(LayoutMode::Flatten2D);
+    expect_verbatim_counts_checked<double>(LayoutMode::True3D);
+  }
 }
 
 // ---------------------------------------------------------- golden bytes
