@@ -377,7 +377,7 @@ std::size_t stream_chunk_count(std::span<const std::uint8_t> bytes) {
 }
 
 StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
-                                    std::size_t index, int pqd_threads) {
+                                    std::size_t index, int /*pqd_threads*/) {
   telemetry::Span span(telemetry::spans::kStreamDecodeChunk);
   telemetry::counter_add(telemetry::Counter::StreamChunks, 1);
   ByteReader r(bytes);
@@ -388,7 +388,7 @@ StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
   out.first_plane = index * idx.chunk_planes;
   Dims cdims;
   out.data = wave::decompress(bytes.subspan(idx.payload_base + offset, size),
-                              &cdims, pqd_threads);
+                              &cdims);
   out.plane_count = cdims[0];
   WAVESZ_REQUIRE(out.first_plane + out.plane_count <= idx.dims[0],
                  "chunk exceeds archive geometry");
@@ -396,13 +396,13 @@ StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
-                                     Dims* dims_out, int pqd_threads) {
+                                     Dims* dims_out) {
   ByteReader r(bytes);
   const auto idx = parse_index(bytes, r);
   std::vector<float> out;
   std::size_t planes_seen = 0;
   for (std::size_t i = 0; i < idx.chunks.size(); ++i) {
-    const auto chunk = stream_decompress_chunk(bytes, i, pqd_threads);
+    const auto chunk = stream_decompress_chunk(bytes, i);
     WAVESZ_REQUIRE(chunk.first_plane == planes_seen,
                    "chunk sequence is not contiguous");
     planes_seen += chunk.plane_count;
@@ -414,18 +414,17 @@ std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
-                                        Dims* dims_out, int pqd_threads) {
+                                        Dims* dims_out) {
   ByteReader r(bytes);
   const auto idx = parse_index(bytes, r);
   std::vector<double> out;
-  std::size_t planes_seen = 0, col = 0;
+  std::size_t planes_seen = 0;
   for (const auto& [offset, size] : idx.chunks) {
     Dims cdims;
     const auto chunk = wave::decompress64(
-        bytes.subspan(idx.payload_base + offset, size), &cdims, pqd_threads);
+        bytes.subspan(idx.payload_base + offset, size), &cdims);
     planes_seen += cdims[0];
     out.insert(out.end(), chunk.begin(), chunk.end());
-    (void)col;
   }
   WAVESZ_REQUIRE(planes_seen == idx.dims[0], "archive is missing planes");
   if (dims_out != nullptr) *dims_out = idx.dims;

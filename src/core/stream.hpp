@@ -89,17 +89,13 @@ class StreamCompressor {
   std::unique_ptr<Pipe> pipe_;  ///< null when cfg.pipeline_depth <= 0
 };
 
-/// Decode a whole streamed archive back into the full field. `pqd_threads`
-/// is forwarded to each chunk's wave::decompress(), whose reconstruct is
-/// serial at every budget.
+/// Decode a whole streamed archive back into the full field, serially.
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
-                                     Dims* dims_out = nullptr,
-                                     int pqd_threads = 1);
+                                     Dims* dims_out = nullptr);
 
 /// float64 counterpart (archives written from double feeds).
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
-                                        Dims* dims_out = nullptr,
-                                        int pqd_threads = 1);
+                                        Dims* dims_out = nullptr);
 
 /// stream_decompress() with decode-side control: the archive's chunks are
 /// independent wave containers, so `opts.decode_threads > 1` assigns whole
@@ -122,6 +118,8 @@ struct StreamChunk {
   std::size_t plane_count = 0;
   std::vector<float> data;
 };
+/// `pqd_threads` is ignored: the wavefront reconstruct is serial at every
+/// budget.
 StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
                                     std::size_t index, int pqd_threads = 1);
 

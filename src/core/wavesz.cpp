@@ -1,12 +1,11 @@
 #include "core/wavesz.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
-#include "deflate/deflate.hpp"
-#include "deflate/parallel.hpp"
-#include "sz/huffman_codec.hpp"
 #include "sz/pqd_detail.hpp"
 #include "sz/predictor.hpp"
+#include "sz/sections.hpp"
 #include "sz/szx.hpp"
 #include "telemetry/span_names.hpp"
 #include "telemetry/telemetry.hpp"
@@ -16,48 +15,25 @@
 namespace wavesz::wave {
 namespace {
 
-/// Width-generic glue between the kernels and the float32/float64 entry
-/// points of the quantizer and serializers.
+using sz::detail::FpOps;
+
+/// waveSZ's unpredictable-value codec: border and non-quantizable points
+/// go verbatim as raw little-endian T (§3.2), sizeof(T) bytes each.
 template <typename T>
-struct FpOps;
-
-template <>
-struct FpOps<float> {
-  using Kernel = KernelResult;
-  static constexpr std::uint8_t kDtype = 0;
-  static auto quantize(const sz::LinearQuantizer& q, double pred,
-                       float orig) {
-    return q.quantize(pred, orig);
+struct Verbatim {
+  static void write(ByteWriter& w, std::span<const T> v) {
+    if constexpr (std::is_same_v<T, float>) {
+      w.floats(v);
+    } else {
+      w.doubles(v);
+    }
   }
-  static float reconstruct(const sz::LinearQuantizer& q, double pred,
-                           std::uint16_t code) {
-    return q.reconstruct(pred, code);
-  }
-  static void write_values(ByteWriter& w, std::span<const float> v) {
-    w.floats(v);
-  }
-  static std::vector<float> read_values(ByteReader& r, std::size_t n) {
-    return r.floats(n);
-  }
-};
-
-template <>
-struct FpOps<double> {
-  using Kernel = KernelResult64;
-  static constexpr std::uint8_t kDtype = 1;
-  static auto quantize(const sz::LinearQuantizer& q, double pred,
-                       double orig) {
-    return q.quantize64(pred, orig);
-  }
-  static double reconstruct(const sz::LinearQuantizer& q, double pred,
-                            std::uint16_t code) {
-    return q.reconstruct64(pred, code);
-  }
-  static void write_values(ByteWriter& w, std::span<const double> v) {
-    w.doubles(v);
-  }
-  static std::vector<double> read_values(ByteReader& r, std::size_t n) {
-    return r.doubles(n);
+  static std::vector<T> read(ByteReader& r, std::size_t n) {
+    if constexpr (std::is_same_v<T, float>) {
+      return r.floats(n);
+    } else {
+      return r.doubles(n);
+    }
   }
 };
 
@@ -292,42 +268,27 @@ void wave_reconstruct_slice3d(std::span<const std::uint16_t> codes,
                });
 }
 
-/// Serialize the code stream, building the v2 chunk index alongside when
-/// cfg.chunk_index is set (idx stays empty otherwise).
-std::vector<std::uint8_t> plain_codes(std::span<const std::uint16_t> codes,
-                                      const sz::Config& cfg, int threads,
-                                      sz::CodeChunkIndex& idx) {
-  if (cfg.huffman) {
-    return cfg.chunk_index
-               ? sz::huffman_encode_indexed(codes, threads,
-                                            cfg.index_chunk_symbols, idx)
-               : sz::huffman_encode(codes, threads);
-  }
-  if (cfg.chunk_index) {
-    idx = sz::build_raw_code_index(codes, cfg.index_chunk_symbols);
-  }
-  ByteWriter cw;
-  cw.u16s(codes);
-  return cw.take();
-}
-
 /// The waveSZ compress phases, split for StreamCompressor's chunk pipeline
-/// exactly like sz::Sz14Staged: run() executes them in order, and the
-/// pipelined schedule runs the same bodies, so it cannot change the output.
+/// like sz::Sz14Staged: the wavefront PQD here, the verbatim values as the
+/// unpredictable section, and the shared back end (sz/sections.hpp) for
+/// everything after.
 template <typename T>
-class WaveStaged final : public sz::StagedCompressor {
+class WaveStaged final : public sz::SectionStaged {
  public:
   WaveStaged(std::span<const T> data, const Dims& dims, const sz::Config& cfg,
              LayoutMode mode)
-      : data_(data), dims_(dims), cfg_(cfg), mode_(mode) {}
-
-  std::size_t sections() const override { return 2; }
+      : SectionStaged(cfg, sz::Variant::WaveSz,
+                      static_cast<std::uint8_t>(mode), FpOps<T>::kDtype, dims,
+                      data.size()),
+        data_(data),
+        mode_(mode) {}
 
   void pqd() override {
-    WAVESZ_REQUIRE(data_.size() == dims_.count(),
+    const Dims& dims = head_.dims;
+    WAVESZ_REQUIRE(data_.size() == dims.count(),
                    "data size disagrees with dims");
     WAVESZ_REQUIRE(
-        dims_.rank >= 2,
+        dims.rank >= 2,
         "waveSZ targets 2D+ datasets (1D degenerates to all-border)");
     WAVESZ_REQUIRE(!cfg_.chunk_index || cfg_.index_chunk_symbols > 0,
                    "index_chunk_symbols must be positive");
@@ -337,117 +298,55 @@ class WaveStaged final : public sz::StagedCompressor {
       telemetry::Span span(telemetry::spans::kValueRange);
       range = sz::value_range(data_, pqd_nt_);
     }
-    bound_ = resolve_bound(cfg_, range);
-    const sz::LinearQuantizer q(bound_, cfg_.quant_bits);
+    head_.eb_absolute = resolve_bound(cfg_, range);
+    const sz::LinearQuantizer q(head_.eb_absolute, cfg_.quant_bits);
     if (mode_ == LayoutMode::True3D) {
-      WAVESZ_REQUIRE(dims_.rank == 3, "True3D layout requires a 3D dataset");
+      WAVESZ_REQUIRE(dims.rank == 3, "True3D layout requires a 3D dataset");
     }
 
-    kr_.codes.resize(data_.size());
-    if (mode_ == LayoutMode::Flatten2D || dims_.rank <= 2) {
+    codes_.resize(data_.size());
+    if (mode_ == LayoutMode::Flatten2D || dims.rank <= 2) {
       telemetry::Span span_pqd(telemetry::spans::kWavePqd);
-      const Dims flat = dims_.flatten2d();
+      const Dims flat = dims.flatten2d();
       const WavefrontLayout layout(flat[0], flat[1]);
       auto wf = to_wavefront(data_, layout);
-      wave_pqd_2d_t<T>(wf, layout, q, kr_.codes.data(), kr_.verbatim);
+      wave_pqd_2d_t<T>(wf, layout, q, codes_.data(), verbatim_);
     } else {
       telemetry::Span span_pqd(telemetry::spans::kWavePqd3d);
-      const std::size_t planes = dims_[0];
-      const WavefrontLayout layout(dims_[1], dims_[2]);
+      const std::size_t planes = dims[0];
+      const WavefrontLayout layout(dims[1], dims[2]);
       const std::size_t slice_points = layout.count();
       std::vector<T> prev;
       for (std::size_t z = 0; z < planes; ++z) {
         auto cur = to_wavefront(data_.subspan(z * slice_points, slice_points),
                                 layout);
-        std::uint16_t* const codes = kr_.codes.data() + z * slice_points;
+        std::uint16_t* const codes = codes_.data() + z * slice_points;
         if (z == 0) {
-          wave_pqd_2d_t<T>(cur, layout, q, codes, kr_.verbatim);
+          wave_pqd_2d_t<T>(cur, layout, q, codes, verbatim_);
         } else {
-          wave_pqd_slice3d<T>(cur, prev, layout, q, codes, kr_.verbatim);
+          wave_pqd_slice3d<T>(cur, prev, layout, q, codes, verbatim_);
         }
         prev = std::move(cur);
       }
     }
 
+    head_.unpredictable_count = verbatim_.size();
     telemetry::counter_add(telemetry::Counter::QuantUnpredictable,
-                           kr_.verbatim.size());
+                           verbatim_.size());
     telemetry::counter_add(telemetry::Counter::QuantPredictable,
-                           kr_.codes.size() - kr_.verbatim.size());
-  }
-
-  void encode_section(std::size_t s) override {
-    if (s == 0) {
-      telemetry::Span span(telemetry::spans::kEncodeCodes);
-      code_plain_ = plain_codes(kr_.codes, cfg_, pqd_nt_, idx_);
-    } else {
-      ByteWriter vw;
-      FpOps<T>::write_values(vw, kr_.verbatim);
-      verbatim_plain_ = vw.take();
-    }
-  }
-
-  void deflate_section(std::size_t s) override {
-    telemetry::Span span(telemetry::spans::kDeflateSerialize);
-    const auto& plain = s == 0 ? code_plain_ : verbatim_plain_;
-    blobs_[s] = deflate::gzip_compress_parallel(
-        plain, cfg_.gzip_level,
-        cfg_.chunk_index ? cfg_.indexed_deflate_options()
-                         : cfg_.deflate_options());
-    if (s == 0) {
-      telemetry::counter_add(telemetry::Counter::CodeBytesIn, plain.size());
-      telemetry::counter_add(telemetry::Counter::CodeBytesOut,
-                             blobs_[0].size());
-    } else {
-      telemetry::counter_add(telemetry::Counter::UnpredBytesIn, plain.size());
-      telemetry::counter_add(telemetry::Counter::UnpredBytesOut,
-                             blobs_[1].size());
-    }
-  }
-
-  sz::Compressed assemble() override {
-    sz::Compressed out;
-    out.header.variant = sz::Variant::WaveSz;
-    out.header.dims = dims_;
-    out.header.mode = cfg_.mode;
-    out.header.base = cfg_.base;
-    out.header.eb_requested = cfg_.error_bound;
-    out.header.eb_absolute = bound_;
-    out.header.quant_bits = cfg_.quant_bits;
-    out.header.huffman = cfg_.huffman;
-    out.header.gzip_level = cfg_.gzip_level;
-    out.header.aux = static_cast<std::uint8_t>(mode_);
-    out.header.dtype = FpOps<T>::kDtype;
-    out.header.point_count = data_.size();
-    out.header.unpredictable_count = kr_.verbatim.size();
-    out.header.version = cfg_.chunk_index ? 2 : 1;
-    out.code_blob_bytes = blobs_[0].size();
-    out.unpred_blob_bytes = blobs_[1].size();
-
-    ByteWriter w;
-    sz::write_header(w, out.header);
-    if (cfg_.chunk_index) sz::write_code_index(w, idx_);
-    sz::write_section(w, blobs_[0]);
-    sz::write_section(w, blobs_[1]);
-    out.bytes = w.take();
-    if (!out.bytes.empty()) {
-      telemetry::observe(telemetry::Histo::CompressRatioMilli,
-                         data_.size_bytes() * 1000 / out.bytes.size());
-    }
-    return out;
+                           codes_.size() - verbatim_.size());
   }
 
  private:
+  std::vector<std::uint8_t> encode_unpredictable() override {
+    ByteWriter vw;
+    Verbatim<T>::write(vw, verbatim_);
+    return vw.take();
+  }
+
   std::span<const T> data_;
-  Dims dims_;
-  sz::Config cfg_;
   LayoutMode mode_;
-  int pqd_nt_ = 1;
-  double bound_ = 0.0;
-  typename FpOps<T>::Kernel kr_;
-  sz::CodeChunkIndex idx_;
-  std::vector<std::uint8_t> code_plain_;
-  std::vector<std::uint8_t> verbatim_plain_;
-  std::vector<std::uint8_t> blobs_[2];
+  std::vector<T> verbatim_;
 };
 
 template <typename T>
@@ -456,6 +355,48 @@ sz::Compressed compress_t(std::span<const T> data, const Dims& dims,
   telemetry::Span span_all(telemetry::spans::kWaveCompress,
                            telemetry::Histo::CompressNs, telemetry::kSampleHw);
   return WaveStaged<T>(data, dims, cfg, mode).run();
+}
+
+/// Throws unless `h` heads a waveSZ container of T values; returns its
+/// layout mode.
+template <typename T>
+LayoutMode expect_wave(const sz::ContainerHeader& h) {
+  sz::expect_variant(h, sz::Variant::WaveSz, FpOps<T>::kDtype,
+                     "container is not a waveSZ stream");
+  WAVESZ_REQUIRE(h.aux <= 1, "unknown waveSZ layout mode");
+  return static_cast<LayoutMode>(h.aux);
+}
+
+/// The first `planes` planes of a True3D field, in raster order: plane 0
+/// by the 2D walk, each later plane by the 3D slice walk over the plane
+/// before it, exactly as the encoder ran them.
+template <typename T>
+std::vector<T> reconstruct_true3d(std::span<const std::uint16_t> codes,
+                                  std::span<const T> verbatim,
+                                  std::size_t* next_verbatim,
+                                  const WavefrontLayout& layout,
+                                  const sz::LinearQuantizer& q,
+                                  std::size_t planes) {
+  const std::size_t slice_points = layout.count();
+  std::vector<T> out;
+  out.reserve(planes * slice_points);
+  std::vector<T> prev;
+  for (std::size_t z = 0; z < planes; ++z) {
+    const auto slice_codes = codes.subspan(z * slice_points, slice_points);
+    std::vector<T> cur;
+    if (z == 0) {
+      cur = wave_reconstruct_2d_t<T>(slice_codes, verbatim, next_verbatim,
+                                     layout, q, layout.column_count());
+    } else {
+      cur.resize(slice_points);
+      wave_reconstruct_slice3d<T>(slice_codes, verbatim, next_verbatim, prev,
+                                  cur, layout, q);
+    }
+    const auto raster = from_wavefront(std::span<const T>(cur), layout);
+    out.insert(out.end(), raster.begin(), raster.end());
+    prev = std::move(cur);
+  }
+  return out;
 }
 
 template <typename T>
@@ -471,94 +412,30 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
   if (h.variant == sz::Variant::SzxFast) {
     return sz::detail::szx_decompress_t<T>(bytes, dims_out);
   }
-  WAVESZ_REQUIRE(h.variant == sz::Variant::WaveSz,
-                 "container is not a waveSZ stream");
-  WAVESZ_REQUIRE(h.dtype == FpOps<T>::kDtype,
-                 "container value type mismatch (float32 vs float64)");
-  WAVESZ_REQUIRE(h.aux <= 1, "unknown waveSZ layout mode");
-  const auto mode = static_cast<LayoutMode>(h.aux);
-  const sz::CodeChunkIndex idx = sz::read_code_index(r, h);
-  const auto code_blob = sz::read_section(r);
-  const auto verbatim_blob = sz::read_section(r);
-
-  // decode_threads only has purchase with a chunk index: v1 streams and
-  // stripped-index v2 streams take the serial section-by-section path.
-  const int nt =
-      idx.present() ? sz::resolve_thread_budget(opts.decode_threads) : 1;
-
-  std::vector<std::uint8_t> code_plain;
-  std::vector<std::uint8_t> verbatim_plain;
-  if (nt > 1) {
-    telemetry::Span span(telemetry::spans::kDecodeParallel);
-    const std::span<const std::uint8_t> sections[] = {code_blob,
-                                                      verbatim_blob};
-    auto plains = deflate::gzip_decompress_batch(sections, nt);
-    code_plain = std::move(plains[0]);
-    verbatim_plain = std::move(plains[1]);
-  } else {
-    code_plain = deflate::gzip_decompress(code_blob);
-    verbatim_plain = deflate::gzip_decompress(verbatim_blob);
-  }
-
-  std::vector<std::uint16_t> codes;
-  {
-    telemetry::Span span(telemetry::spans::kDecodeCodes);
-    if (h.huffman) {
-      codes = idx.present() ? sz::huffman_decode_indexed(code_plain, idx, nt)
-                            : sz::huffman_decode(code_plain);
-    } else {
-      ByteReader cr(code_plain);
-      codes = cr.u16s(h.point_count);
-      if (idx.present()) {
-        sz::verify_code_index_crcs(codes, idx, codes.size());
-      }
-    }
-  }
-  WAVESZ_REQUIRE(codes.size() == h.point_count, "code count mismatch");
+  const LayoutMode mode = expect_wave<T>(h);
+  const sz::SectionsDecoded d =
+      sz::decode_sections(sz::read_sections(r, h), opts);
 
   telemetry::Span span_body(telemetry::spans::kWaveReconstruct);
-  ByteReader ur(verbatim_plain);
-  const auto verbatim = FpOps<T>::read_values(ur, h.unpredictable_count);
-
+  ByteReader ur(d.unpred);
+  const auto verbatim = Verbatim<T>::read(ur, d.unpred_count);
   const sz::LinearQuantizer q(h.eb_absolute, h.quant_bits);
-  if (dims_out != nullptr) *dims_out = h.dims;
-
   std::size_t next_verbatim = 0;
+  std::vector<T> out;
   if (mode == LayoutMode::Flatten2D || h.dims.rank <= 2) {
     const Dims flat = h.dims.flatten2d();
     const WavefrontLayout layout(flat[0], flat.rank >= 2 ? flat[1] : 1);
-    auto rec_wf = wave_reconstruct_2d_t<T>(codes, verbatim, &next_verbatim,
+    auto rec_wf = wave_reconstruct_2d_t<T>(d.codes, verbatim, &next_verbatim,
                                            layout, q, layout.column_count());
-    WAVESZ_REQUIRE(next_verbatim == verbatim.size(),
-                   "verbatim stream has trailing values");
-    return from_wavefront(std::span<const T>(rec_wf), layout);
-  }
-
-  const std::size_t planes = h.dims[0];
-  const WavefrontLayout layout(h.dims[1], h.dims[2]);
-  const std::size_t slice_points = layout.count();
-  std::vector<T> out;
-  out.reserve(h.dims.count());
-  std::vector<T> prev;
-  for (std::size_t z = 0; z < planes; ++z) {
-    const auto slice_codes =
-        std::span<const std::uint16_t>(codes).subspan(z * slice_points,
-                                                      slice_points);
-    std::vector<T> cur;
-    if (z == 0) {
-      cur = wave_reconstruct_2d_t<T>(slice_codes, verbatim, &next_verbatim,
-                                     layout, q, layout.column_count());
-    } else {
-      cur.resize(slice_points);
-      wave_reconstruct_slice3d<T>(slice_codes, verbatim, &next_verbatim,
-                                  prev, cur, layout, q);
-    }
-    const auto raster = from_wavefront(std::span<const T>(cur), layout);
-    out.insert(out.end(), raster.begin(), raster.end());
-    prev = std::move(cur);
+    out = from_wavefront(std::span<const T>(rec_wf), layout);
+  } else {
+    const WavefrontLayout layout(h.dims[1], h.dims[2]);
+    out = reconstruct_true3d<T>(d.codes, verbatim, &next_verbatim, layout, q,
+                                h.dims[0]);
   }
   WAVESZ_REQUIRE(next_verbatim == verbatim.size(),
                  "verbatim stream has trailing values");
+  if (dims_out != nullptr) *dims_out = h.dims;
   return out;
 }
 
@@ -569,21 +446,14 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
   telemetry::Span span_all(telemetry::spans::kDecodeRegion);
   ByteReader r(bytes);
   const sz::ContainerHeader h = sz::read_header(r);
-  WAVESZ_REQUIRE(h.variant == sz::Variant::WaveSz,
-                 "container is not a waveSZ stream");
-  WAVESZ_REQUIRE(h.dtype == FpOps<T>::kDtype,
-                 "container value type mismatch (float32 vs float64)");
-  WAVESZ_REQUIRE(h.aux <= 1, "unknown waveSZ layout mode");
+  const LayoutMode mode = expect_wave<T>(h);
   WAVESZ_REQUIRE(h.dims.rank >= 2, "waveSZ containers are 2D+");
-  const auto mode = static_cast<LayoutMode>(h.aux);
-  const sz::CodeChunkIndex idx = sz::read_code_index(r, h);
-  const std::size_t meta_bytes = r.position();
+  const sz::Sections s = sz::read_sections(r, h);
 
   sz::Region rg = region;
-  const Dims rdims = sz::normalize_region(rg, h.dims);
   sz::RegionResultT<T> res;
   res.field_dims = h.dims;
-  res.region_dims = rdims;
+  res.region_dims = sz::normalize_region(rg, h.dims);
 
   const bool flat2d = mode == LayoutMode::Flatten2D || h.dims.rank <= 2;
   const Dims flat = h.dims.flatten2d();
@@ -599,119 +469,45 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
       flat2d ? layout.column_start(h_end)
              : static_cast<std::uint64_t>(rg.hi[0]) * layout.count();
 
-  if (!idx.present() || prefix_symbols == h.point_count) {
+  if (!s.idx.present() || prefix_symbols == h.point_count) {
     // Index-less stream, or the prefix is the whole stream anyway.
-    Dims fd;
-    const auto field = decompress_t<T>(bytes, &fd, opts);
-    const std::size_t s0 = h.dims.extent[1] * h.dims.extent[2];
-    const std::size_t s1 = h.dims.extent[2];
-    res.data.reserve(rdims.count());
-    for (std::size_t x = rg.lo[0]; x < rg.hi[0]; ++x) {
-      for (std::size_t y = rg.lo[1]; y < rg.hi[1]; ++y) {
-        for (std::size_t z = rg.lo[2]; z < rg.hi[2]; ++z) {
-          res.data.push_back(field[x * s0 + y * s1 + z]);
-        }
-      }
-    }
+    res.data = sz::gather_region<T>(decompress_t<T>(bytes, nullptr, opts),
+                                    h.dims, rg, res.region_dims);
     res.compressed_bytes_read = bytes.size();
-    telemetry::counter_add(telemetry::Counter::RegionBytesRead,
-                           res.compressed_bytes_read);
-    return res;
-  }
-
-  const int nt = sz::resolve_thread_budget(opts.decode_threads);
-  const std::size_t chunks = sz::chunks_covering(idx, prefix_symbols);
-  const sz::ChunkEntry& last = idx.entries[chunks - 1];
-
-  const std::uint64_t code_plain_need =
-      h.huffman ? idx.payload_byte_offset + (last.end_bit + 7) / 8
-                : 2 * last.end_element;
-  const std::uint64_t code_size = r.u64();
-  const auto code_blob = r.bytes(code_size);
-  std::vector<std::uint16_t> codes;
-  std::size_t code_consumed = 0;
-  {
-    telemetry::Span span(telemetry::spans::kDecodeCodes);
-    auto run = deflate::gzip_decompress_prefix(code_blob, code_plain_need);
-    WAVESZ_REQUIRE(run.bytes.size() >= code_plain_need,
-                   "code stream shorter than its chunk index claims");
-    code_consumed = run.compressed_consumed;
-    if (h.huffman) {
-      codes = sz::huffman_decode_prefix(run.bytes, idx, last.end_element, nt);
-    } else {
-      ByteReader cr(run.bytes);
-      codes = cr.u16s(last.end_element);
-      sz::verify_code_index_crcs(codes, idx, codes.size());
-    }
-  }
-
-  // Verbatim values consumed by the prefix, in stream order; they are
-  // stored raw, so the plain prefix is exactly n * sizeof(T) bytes.
-  const std::uint64_t n_verbatim = sz::count_unpredictable(
-      std::span<const std::uint16_t>(codes).first(prefix_symbols));
-  const std::uint64_t verbatim_size = r.u64();
-  const auto verbatim_blob = r.bytes(verbatim_size);
-  std::vector<T> verbatim;
-  std::size_t verbatim_consumed = 0;
-  if (n_verbatim > 0) {
-    auto run =
-        deflate::gzip_decompress_prefix(verbatim_blob,
-                                        n_verbatim * sizeof(T));
-    ByteReader ur(run.bytes);
-    verbatim = FpOps<T>::read_values(ur, n_verbatim);
-    verbatim_consumed = run.compressed_consumed;
-  }
-
-  telemetry::Span span_body(telemetry::spans::kWaveReconstruct);
-  const sz::LinearQuantizer q(h.eb_absolute, h.quant_bits);
-  codes.resize(prefix_symbols);
-  std::size_t next_verbatim = 0;
-  res.data.reserve(rdims.count());
-  if (flat2d) {
-    const auto rec = wave_reconstruct_2d_t<T>(codes, verbatim,
-                                              &next_verbatim, layout, q, h_end);
-    for (std::size_t x = rg.lo[0]; x < rg.hi[0]; ++x) {
-      for (std::size_t y = rg.lo[1]; y < rg.hi[1]; ++y) {
-        for (std::size_t z = rg.lo[2]; z < rg.hi[2]; ++z) {
-          const std::size_t col =
-              h.dims.rank == 3 ? y * h.dims[2] + z : y;
-          res.data.push_back(rec[layout.offset(x, col)]);
-        }
-      }
-    }
   } else {
-    // True3D: reconstruct the complete planes [0, hi[0]) slice by slice,
-    // exactly as the full decoder would, then gather.
-    const std::size_t slice_points = layout.count();
-    std::vector<T> prev;
-    std::vector<std::vector<T>> rasters;
-    rasters.reserve(rg.hi[0]);
-    for (std::size_t z = 0; z < rg.hi[0]; ++z) {
-      const auto slice_codes = std::span<const std::uint16_t>(codes).subspan(
-          z * slice_points, slice_points);
-      std::vector<T> cur;
-      if (z == 0) {
-        cur = wave_reconstruct_2d_t<T>(slice_codes, verbatim, &next_verbatim,
-                                       layout, q, layout.column_count());
-      } else {
-        cur.resize(slice_points);
-        wave_reconstruct_slice3d<T>(slice_codes, verbatim, &next_verbatim,
-                                    prev, cur, layout, q);
-      }
-      rasters.push_back(from_wavefront(std::span<const T>(cur), layout));
-      prev = std::move(cur);
-    }
-    const std::size_t s1 = h.dims.extent[2];
-    for (std::size_t x = rg.lo[0]; x < rg.hi[0]; ++x) {
-      for (std::size_t y = rg.lo[1]; y < rg.hi[1]; ++y) {
-        for (std::size_t z = rg.lo[2]; z < rg.hi[2]; ++z) {
-          res.data.push_back(rasters[x][y * s1 + z]);
+    const sz::SectionsDecoded d = sz::decode_section_prefix(
+        s, prefix_symbols, opts, 8 * sizeof(T));
+    ByteReader ur(d.unpred);
+    const auto verbatim = Verbatim<T>::read(ur, d.unpred_count);
+
+    telemetry::Span span_body(telemetry::spans::kWaveReconstruct);
+    const sz::LinearQuantizer q(h.eb_absolute, h.quant_bits);
+    std::size_t next_verbatim = 0;
+    if (flat2d) {
+      const auto rec = wave_reconstruct_2d_t<T>(d.codes, verbatim,
+                                                &next_verbatim, layout, q,
+                                                h_end);
+      res.data.reserve(res.region_dims.count());
+      for (std::size_t x = rg.lo[0]; x < rg.hi[0]; ++x) {
+        for (std::size_t y = rg.lo[1]; y < rg.hi[1]; ++y) {
+          for (std::size_t z = rg.lo[2]; z < rg.hi[2]; ++z) {
+            const std::size_t col = h.dims.rank == 3 ? y * h.dims[2] + z : y;
+            res.data.push_back(rec[layout.offset(x, col)]);
+          }
         }
       }
+    } else {
+      // True3D: the complete planes [0, hi[0]) slice by slice, exactly as
+      // the full decoder rebuilds them.
+      Dims pdims = h.dims;
+      pdims.extent[0] = rg.hi[0];
+      res.data = sz::gather_region<T>(
+          reconstruct_true3d<T>(d.codes, verbatim, &next_verbatim, layout, q,
+                                rg.hi[0]),
+          pdims, rg, res.region_dims);
     }
+    res.compressed_bytes_read = d.bytes_read;
   }
-  res.compressed_bytes_read =
-      meta_bytes + 8 + code_consumed + 8 + verbatim_consumed;
   telemetry::counter_add(telemetry::Counter::RegionBytesRead,
                          res.compressed_bytes_read);
   return res;
@@ -782,15 +578,13 @@ std::unique_ptr<sz::StagedCompressor> make_staged(std::span<const double> data,
 }
 
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              Dims* dims_out, int pqd_threads) {
-  return decompress_t<float>(bytes, dims_out,
-                             sz::DecodeOptions{1, pqd_threads});
+                              Dims* dims_out) {
+  return decompress_t<float>(bytes, dims_out, {});
 }
 
 std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 Dims* dims_out, int pqd_threads) {
-  return decompress_t<double>(bytes, dims_out,
-                              sz::DecodeOptions{1, pqd_threads});
+                                 Dims* dims_out) {
+  return decompress_t<double>(bytes, dims_out, {});
 }
 
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,

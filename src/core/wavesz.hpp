@@ -99,22 +99,22 @@ std::unique_ptr<sz::StagedCompressor> make_staged(
     std::span<const double> data, const Dims& dims, const sz::Config& cfg,
     LayoutMode mode = LayoutMode::Flatten2D);
 
-/// Inverse for float32 containers; throws on a float64 container.
-/// `pqd_threads` is accepted for parity with sz::decompress(); the
-/// wavefront reconstruct is serial at every budget (wave_reconstruct_2d).
+/// Inverse for float32 containers, serially; throws on a float64
+/// container.
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              Dims* dims_out = nullptr, int pqd_threads = 1);
+                              Dims* dims_out = nullptr);
 
 /// Inverse for float64 containers.
 std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 Dims* dims_out = nullptr,
-                                 int pqd_threads = 1);
+                                 Dims* dims_out = nullptr);
 
 /// decompress() with decode-side control: `opts.decode_threads > 1` runs
 /// the v2 chunk-index parallel path (concurrent section inflates +
 /// chunk-parallel Huffman decode with per-chunk CRC verification), falling
-/// back to the serial decode for v1 streams or a stripped index. The output
-/// is bit-identical to the serial path at every setting.
+/// back to the serial decode for v1 streams or a stripped index. The
+/// wavefront reconstruct is serial at every budget, so `opts.pqd_threads`
+/// has no effect. The output is bit-identical to the serial path at every
+/// setting.
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
                               const sz::DecodeOptions& opts,
                               Dims* dims_out = nullptr);

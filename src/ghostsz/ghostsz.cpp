@@ -1,9 +1,8 @@
 #include "ghostsz/ghostsz.hpp"
 
-#include "deflate/deflate.hpp"
-#include "deflate/parallel.hpp"
 #include "metrics/stats.hpp"
 #include "sz/predictor.hpp"
+#include "sz/sections.hpp"
 #include "util/error.hpp"
 
 namespace wavesz::ghost {
@@ -128,69 +127,74 @@ std::vector<float> ghost_reconstruct(std::span<const std::uint16_t> symbols,
   return rec;
 }
 
+namespace {
+
+/// GhostSZ's back-end settings: 14-bit bins, G* only (no customized
+/// Huffman), and no chunk index.
+sz::Config ghost_config(sz::Config cfg) {
+  cfg.quant_bits = kGhostQuantBits;
+  cfg.huffman = false;
+  cfg.chunk_index = false;
+  return cfg;
+}
+
+/// The GhostSZ compress phases: the row-wise PQD here, its row seeds and
+/// unpredictable values verbatim as raw float32, and the shared back end
+/// (sz/sections.hpp) for everything after.
+class GhostStaged final : public sz::SectionStaged {
+ public:
+  GhostStaged(std::span<const float> data, const Dims& dims,
+              const sz::Config& cfg)
+      : SectionStaged(ghost_config(cfg), sz::Variant::GhostSz, 0, 0, dims,
+                      data.size()),
+        data_(data) {}
+
+  void pqd() override {
+    WAVESZ_REQUIRE(!data_.empty(), "cannot compress an empty field");
+    const double range = metrics::value_range(data_).span();
+    head_.eb_absolute = resolve_bound(cfg_, range);
+    sz::Pqd result = ghost_pqd(
+        data_, head_.dims,
+        sz::LinearQuantizer(head_.eb_absolute, kGhostQuantBits));
+    codes_ = std::move(result.codes);
+    unpred_ = std::move(result.unpredictable);
+    head_.unpredictable_count = unpred_.size();
+  }
+
+ private:
+  std::vector<std::uint8_t> encode_unpredictable() override {
+    ByteWriter uw;
+    uw.floats(unpred_);
+    return uw.take();
+  }
+
+  std::span<const float> data_;
+  std::vector<float> unpred_;
+};
+
+}  // namespace
+
 sz::Compressed compress(std::span<const float> data, const Dims& dims,
                         const sz::Config& cfg) {
-  WAVESZ_REQUIRE(!data.empty(), "cannot compress an empty field");
-  const double range = metrics::value_range(data).span();
-  const double bound = resolve_bound(cfg, range);
-  const sz::LinearQuantizer q(bound, kGhostQuantBits);
-
-  sz::Pqd pqd = ghost_pqd(data, dims, q);
-
-  ByteWriter cw;
-  cw.u16s(pqd.codes);
-  ByteWriter uw;
-  uw.floats(pqd.unpredictable);
-  // Each section through the chunked DEFLATE engine, as in SZ-1.4 (serial
-  // and bit-identical to gzip_compress at the default codec_threads == 1).
-  const auto code_blob = deflate::gzip_compress_parallel(
-      cw.data(), cfg.gzip_level, cfg.deflate_options());
-  const auto unpred_blob = deflate::gzip_compress_parallel(
-      uw.data(), cfg.gzip_level, cfg.deflate_options());
-
-  sz::Compressed out;
-  out.header.variant = sz::Variant::GhostSz;
-  out.header.dims = dims;
-  out.header.mode = cfg.mode;
-  out.header.base = cfg.base;
-  out.header.eb_requested = cfg.error_bound;
-  out.header.eb_absolute = bound;
-  out.header.quant_bits = kGhostQuantBits;
-  out.header.huffman = false;  // no customized Huffman on GhostSZ
-  out.header.gzip_level = cfg.gzip_level;
-  out.header.point_count = data.size();
-  out.header.unpredictable_count = pqd.unpredictable.size();
-  out.code_blob_bytes = code_blob.size();
-  out.unpred_blob_bytes = unpred_blob.size();
-
-  ByteWriter w;
-  sz::write_header(w, out.header);
-  sz::write_section(w, code_blob);
-  sz::write_section(w, unpred_blob);
-  out.bytes = w.take();
-  return out;
+  return GhostStaged(data, dims, cfg).run();
 }
 
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
                               Dims* dims_out) {
   ByteReader r(bytes);
   const sz::ContainerHeader h = sz::read_header(r);
-  WAVESZ_REQUIRE(h.variant == sz::Variant::GhostSz,
-                 "container is not a GhostSZ stream");
-  const auto code_blob = sz::read_section(r);
-  const auto unpred_blob = sz::read_section(r);
-
-  const auto code_plain = deflate::gzip_decompress(code_blob);
-  ByteReader cr(code_plain);
-  const auto symbols = cr.u16s(h.point_count);
-
-  const auto unpred_plain = deflate::gzip_decompress(unpred_blob);
-  ByteReader ur(unpred_plain);
-  const auto unpred = ur.floats(h.unpredictable_count);
-
+  sz::expect_variant(h, sz::Variant::GhostSz, 0,
+                     "container is not a GhostSZ stream");
+  // The encoder writes index-less G* containers only (ghost_config).
+  WAVESZ_REQUIRE(h.version == 1 && !h.huffman,
+                 "GhostSZ containers are index-less G* streams");
+  const sz::SectionsDecoded d =
+      sz::decode_sections(sz::read_sections(r, h), {});
+  ByteReader ur(d.unpred);
+  const auto unpred = ur.floats(d.unpred_count);
   const sz::LinearQuantizer q(h.eb_absolute, h.quant_bits);
   if (dims_out != nullptr) *dims_out = h.dims;
-  return ghost_reconstruct(symbols, unpred, h.dims, q);
+  return ghost_reconstruct(d.codes, unpred, h.dims, q);
 }
 
 }  // namespace wavesz::ghost

@@ -131,23 +131,21 @@ Compressed compress(std::span<const float> data, const Dims& dims,
 Compressed compress(std::span<const double> data, const Dims& dims,
                     const Config& cfg);
 
-/// Inverse of compress() for float32 containers; optionally reports dims.
-/// Throws wavesz::Error when applied to a float64 container. `pqd_threads`
-/// is a thread budget for the Lorenzo reconstruction (Config::pqd_threads
-/// semantics); the result is value-identical for every budget.
+/// Inverse of compress() for float32 containers, serially; optionally
+/// reports dims. Throws wavesz::Error when applied to a float64 container.
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              Dims* dims_out = nullptr, int pqd_threads = 1);
+                              Dims* dims_out = nullptr);
 
 /// Inverse of compress() for float64 containers.
 std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 Dims* dims_out = nullptr,
-                                 int pqd_threads = 1);
+                                 Dims* dims_out = nullptr);
 
-/// decompress() with full decode-side control: `opts.decode_threads > 1`
-/// runs the v2 chunk-index parallel path (concurrent section inflates +
-/// chunk-parallel Huffman decode with per-chunk CRC verification), falling
-/// back to the serial full decode for v1 streams or a stripped index. The
-/// output is bit-identical to the serial path at every setting.
+/// decompress() with decode budgets: `opts.decode_threads > 1` runs the v2
+/// chunk-index parallel path (concurrent section inflates + chunk-parallel
+/// Huffman decode with per-chunk CRC verification), falling back to the
+/// serial full decode for v1 streams or a stripped index;
+/// `opts.pqd_threads` budgets the Lorenzo reconstruction. The output is
+/// bit-identical to the serial path at every setting.
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
                               const DecodeOptions& opts,
                               Dims* dims_out = nullptr);

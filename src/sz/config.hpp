@@ -80,12 +80,9 @@ struct Config {
   /// 4-8-way decode split on a 512^2 slice.
   std::uint32_t index_chunk_symbols = 1u << 15;
 
-  /// Thread budget for the container *decoder* (chunk-parallel Huffman
-  /// decode from the v2 index plus concurrent section inflates). Same
-  /// semantics as codec_threads: 1 = serial (the default), 0 = all OpenMP
-  /// threads, n = at most n. Ignored — with a silent serial fallback — for
-  /// v1 streams and v2 streams whose index was stripped. Decode output is
-  /// bit-identical at every setting.
+  /// A decode thread budget for callers that keep one Config for both
+  /// directions. No decoder reads it: decoders take DecodeOptions, whose
+  /// decode_threads it would be copied into.
   int decode_threads = 1;
 
   /// Chunks in flight in wave::StreamCompressor's staged pipeline
@@ -138,8 +135,12 @@ struct Config {
 /// Decode-side knobs, decoupled from Config so pure consumers don't have to
 /// fabricate compression settings to pick a thread budget.
 struct DecodeOptions {
-  /// Chunk-parallel entropy decode + concurrent section inflates (see
-  /// Config::decode_threads for semantics).
+  /// Thread budget for the chunk-parallel Huffman decode from the v2 index
+  /// plus concurrent section inflates. Same semantics as
+  /// Config::codec_threads: 1 = serial (the default), 0 = all OpenMP
+  /// threads, n = at most n. Ignored — with a silent serial fallback — for
+  /// v1 streams and v2 streams whose index was stripped. Decode output is
+  /// bit-identical at every setting.
   int decode_threads = 1;
   /// SZ-1.4 Lorenzo reconstruction budget, as Config::pqd_threads.
   int pqd_threads = 1;

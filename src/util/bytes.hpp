@@ -171,7 +171,9 @@ class ByteReader {
                        " but only " + std::to_string(remaining()) +
                        " bytes remain");
     std::vector<T> out(n);
-    std::memcpy(out.data(), s_.data() + pos_, n * sizeof(T));
+    // memcpy needs valid pointers even for n == 0, and an empty vector's or
+    // an empty input's data() is null.
+    if (n > 0) std::memcpy(out.data(), s_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return out;
   }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.hpp"
@@ -180,6 +181,25 @@ TEST(GhostCompressor, WrongVariantRejected) {
   auto bad = c.bytes;
   bad[4] = 1;  // variant byte: claim SZ-1.4
   EXPECT_THROW(decompress(bad), Error);
+}
+
+TEST(GhostCompressor, ForgedIndexDtypeOrHuffmanRejected) {
+  // The encoder writes index-less float32 G* containers only. A copy
+  // relabelled as indexed (magic "WSZI"), as float64, or as H* coded must
+  // fail, not decode its sections as if nothing had changed.
+  const Dims dims = Dims::d2(8, 8);
+  const std::vector<float> field(dims.count(), 2.0f);
+  const auto c = ghost::compress(field, dims, abs_config(0.1));
+  ASSERT_EQ(decompress(c.bytes), field);
+  const std::pair<std::size_t, std::uint8_t> forgeries[] = {
+      {3, 'I'},  // magic byte 3: "WSZ1" -> "WSZI"
+      {52, 1},   // dtype byte: float64
+      {49, 1}};  // huffman byte: H*
+  for (const auto& [offset, value] : forgeries) {
+    auto bad = c.bytes;
+    bad[offset] = value;
+    EXPECT_THROW(decompress(bad), Error) << "byte " << offset;
+  }
 }
 
 TEST(GhostCompressor, Flattens3dLikeTheArtifact) {

@@ -4,6 +4,8 @@
 // and golden pins of whole containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "sz/compressor.hpp"
 #include "sz/container.hpp"
 #include "golden_pin.hpp"
+#include "util/bytes.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 
 namespace wavesz {
@@ -223,10 +227,15 @@ sz::Config pin_config(sz::Config cfg, bool v2, bool huffman) {
   return cfg;
 }
 
-TEST(GoldenBytes, WholeContainers) {
-  // Size and CRC-32 of whole containers, recorded before the wave encoder
-  // became a column walk (the two chunked pins before GhostSZ moved to
-  // per-section gzip); a kernel rewrite must keep every byte.
+/// A pinned container: its label and the dims it was compressed from.
+struct PinContainer {
+  std::string name;
+  Dims dims;
+  std::vector<std::uint8_t> bytes;
+};
+
+/// The containers of GoldenBytes.WholeContainers, in pin order.
+std::vector<PinContainer> pin_containers() {
   const Dims d2 = Dims::d2(40, 56);
   const Dims tall = Dims::d2(75, 23);
   const Dims d3 = Dims::d3(6, 20, 24);
@@ -237,7 +246,11 @@ TEST(GoldenBytes, WholeContainers) {
   const std::vector<double> wt(ft.begin(), ft.end());
   const std::vector<double> w3(f3.begin(), f3.end());
 
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> got;
+  std::vector<PinContainer> got;
+  const auto add = [&](std::string name, const Dims& dims,
+                       std::vector<std::uint8_t> bytes) {
+    got.push_back({std::move(name), dims, std::move(bytes)});
+  };
   for (const bool v2 : {false, true}) {
     for (const bool huffman : {false, true}) {
       const std::string tag = std::string(v2 ? "v2" : "v1") +
@@ -246,44 +259,40 @@ TEST(GoldenBytes, WholeContainers) {
       const auto wc = pin_config(wave::default_config(), v2, huffman);
       const auto flat = wave::LayoutMode::Flatten2D;
       const auto vol = wave::LayoutMode::True3D;
-      got.emplace_back("sz f32 " + tag, sz::compress(f2, d2, sc).bytes);
-      got.emplace_back("sz f64 " + tag,
-                       sz::compress(std::span<const double>(w2), d2, sc).bytes);
-      got.emplace_back("wave Flatten2D f32 " + tag,
-                       wave::compress(f2, d2, wc, flat).bytes);
-      got.emplace_back(
-          "wave Flatten2D f64 " + tag,
+      add("sz f32 " + tag, d2, sz::compress(f2, d2, sc).bytes);
+      add("sz f64 " + tag, d2,
+          sz::compress(std::span<const double>(w2), d2, sc).bytes);
+      add("wave Flatten2D f32 " + tag, d2,
+          wave::compress(f2, d2, wc, flat).bytes);
+      add("wave Flatten2D f64 " + tag, d2,
           wave::compress(std::span<const double>(w2), d2, wc, flat).bytes);
-      got.emplace_back("wave tall f32 " + tag,
-                       wave::compress(ft, tall, wc, flat).bytes);
-      got.emplace_back(
-          "wave tall f64 " + tag,
+      add("wave tall f32 " + tag, tall,
+          wave::compress(ft, tall, wc, flat).bytes);
+      add("wave tall f64 " + tag, tall,
           wave::compress(std::span<const double>(wt), tall, wc, flat).bytes);
-      got.emplace_back("wave Flatten2D 3D f32 " + tag,
-                       wave::compress(f3, d3, wc, flat).bytes);
-      got.emplace_back("wave True3D f32 " + tag,
-                       wave::compress(f3, d3, wc, vol).bytes);
-      got.emplace_back(
-          "wave True3D f64 " + tag,
+      add("wave Flatten2D 3D f32 " + tag, d3,
+          wave::compress(f3, d3, wc, flat).bytes);
+      add("wave True3D f32 " + tag, d3,
+          wave::compress(f3, d3, wc, vol).bytes);
+      add("wave True3D f64 " + tag, d3,
           wave::compress(std::span<const double>(w3), d3, wc, vol).bytes);
     }
   }
   const auto gc = pin_config(sz::Config{}, false, false);
-  got.emplace_back("ghost f32 G*", ghost::compress(f2, d2, gc).bytes);
+  add("ghost f32 G*", d2, ghost::compress(f2, d2, gc).bytes);
   {
     // 40x56 raw u16 codes are 4,480 bytes: two DEFLATE chunks of 4 KiB,
     // deflated on four threads.
     auto cc = gc;
     cc.codec_threads = 4;
     cc.deflate_chunk_bytes = 4096;
-    got.emplace_back("ghost f32 G* chunked",
-                     ghost::compress(f2, d2, cc).bytes);
-    got.emplace_back("sz f32 v1 G* chunked", sz::compress(f2, d2, cc).bytes);
+    add("ghost f32 G* chunked", d2, ghost::compress(f2, d2, cc).bytes);
+    add("sz f32 v1 G* chunked", d2, sz::compress(f2, d2, cc).bytes);
   }
   const auto xc = pin_config(sz::Config::ultrafast(), false, false);
-  got.emplace_back("szx f32", sz::compress(f2, d2, xc).bytes);
-  got.emplace_back("szx f64",
-                   sz::compress(std::span<const double>(w2), d2, xc).bytes);
+  add("szx f32", d2, sz::compress(f2, d2, xc).bytes);
+  add("szx f64", d2,
+      sz::compress(std::span<const double>(w2), d2, xc).bytes);
   {
     // The perfbench NYX deployment in miniature: G* wave chunks of two
     // planes through the staged pipeline at depth 2.
@@ -291,12 +300,20 @@ TEST(GoldenBytes, WholeContainers) {
     cfg.pipeline_depth = 2;
     wave::StreamCompressor stream(d3, cfg, 2);
     stream.feed(std::span<const float>(f3));
-    got.emplace_back("stream archive", stream.finish());
+    add("stream archive", d3, stream.finish());
   }
 
+  return got;
+}
+
+TEST(GoldenBytes, WholeContainers) {
+  // Size and CRC-32 of whole containers, recorded before the wave encoder
+  // became a column walk (the two chunked pins before GhostSZ moved to
+  // per-section gzip); a kernel rewrite must keep every byte.
+  const auto got = pin_containers();
   // Interior spikes reach the verbatim stream, not only the borders.
-  EXPECT_GT(sz::inspect(got[2].second).unpredictable_count,
-            d2[0] + d2[1] - 1);
+  EXPECT_GT(sz::inspect(got[2].bytes).unpredictable_count,
+            got[2].dims[0] + got[2].dims[1] - 1);
 
   const std::vector<std::pair<std::string, golden::GoldenPin>> pins = {
       {"sz f32 v1 G*", {3725, 0xd1e9b8aeu}},
@@ -343,8 +360,182 @@ TEST(GoldenBytes, WholeContainers) {
       {"stream archive", {9378, 0x7236763eu}}};
   ASSERT_EQ(got.size(), pins.size());
   for (std::size_t i = 0; i < pins.size(); ++i) {
-    EXPECT_EQ(got[i].first, pins[i].first);
-    golden::expect_pin(got[i].second, pins[i].second, pins[i].first);
+    EXPECT_EQ(got[i].name, pins[i].first);
+    golden::expect_pin(got[i].bytes, pins[i].second, pins[i].first);
+  }
+}
+
+/// Little-endian bytes of decoded values.
+template <typename T>
+std::vector<std::uint8_t> value_bytes(const std::vector<T>& values) {
+  ByteWriter w;
+  if constexpr (std::is_same_v<T, float>) {
+    w.floats(values);
+  } else {
+    w.doubles(values);
+  }
+  return w.take();
+}
+
+/// Full decode of a pinned container at `opts`, as value bytes.
+std::vector<std::uint8_t> full_decode(const PinContainer& c,
+                                      const sz::DecodeOptions& opts) {
+  if (c.name == "stream archive") {
+    return value_bytes(wave::stream_decompress(c.bytes, opts));
+  }
+  const sz::ContainerHeader h = sz::inspect(c.bytes);
+  const bool f64 = h.dtype == 1;
+  switch (h.variant) {
+    case sz::Variant::GhostSz:
+      return value_bytes(ghost::decompress(c.bytes));
+    case sz::Variant::WaveSz:
+      return f64 ? value_bytes(wave::decompress64(c.bytes, opts))
+                 : value_bytes(wave::decompress(c.bytes, opts));
+    default:
+      return f64 ? value_bytes(sz::decompress64(c.bytes, opts))
+                 : value_bytes(sz::decompress(c.bytes, opts));
+  }
+}
+
+/// Region read of a pinned SZ-1.4 or waveSZ container: the region's value
+/// bytes and the container bytes the read consumed.
+std::pair<std::vector<std::uint8_t>, std::size_t> region_read(
+    const PinContainer& c, const sz::Region& rg,
+    const sz::DecodeOptions& opts) {
+  const sz::ContainerHeader h = sz::inspect(c.bytes);
+  const bool wave = h.variant == sz::Variant::WaveSz;
+  if (h.dtype == 1) {
+    const auto r = wave ? wave::decompress_region64(c.bytes, rg, opts)
+                        : sz::decompress_region64(c.bytes, rg, opts);
+    return {value_bytes(r.data), r.compressed_bytes_read};
+  }
+  const auto r = wave ? wave::decompress_region(c.bytes, rg, opts)
+                      : sz::decompress_region(c.bytes, rg, opts);
+  return {value_bytes(r.data), r.compressed_bytes_read};
+}
+
+/// A corner prefix and an interior slab of `dims`: the first quarter of
+/// every axis, and the outer-axis slab [d0/2, d0 - 1) cut to the middle
+/// half of the other axes. Axes beyond the rank stay {0, 1}.
+std::array<sz::Region, 2> pin_regions(const Dims& dims) {
+  sz::Region corner, slab;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::size_t n = dims.extent[i];
+    corner.hi[i] = std::max<std::size_t>(1, n / 4);
+    slab.lo[i] = n / 4;
+    slab.hi[i] = std::max(slab.lo[i] + 1, 3 * n / 4);
+  }
+  slab.lo[0] = dims[0] / 2;
+  slab.hi[0] = std::max(slab.lo[0] + 1, dims[0] - 1);
+  return {corner, slab};
+}
+
+/// Decode-side pins of one container: the full decode, and for v2
+/// containers the consumed bytes and values of both pin_regions().
+struct DecodePin {
+  std::string name;
+  golden::GoldenPin full;
+  std::size_t corner_read = 0;
+  std::uint32_t corner_crc = 0;
+  std::size_t slab_read = 0;
+  std::uint32_t slab_crc = 0;
+};
+
+TEST(GoldenBytes, WholeContainerDecodes) {
+  // CRC-32 of the value bytes each pinned container decodes to, serially
+  // and at a budget of two, plus the two region reads of every v2
+  // container: the region values and compressed_bytes_read, the quantity
+  // a region read exists to shrink. Recorded before the section back end
+  // moved into sz/sections.cpp.
+  const auto got = pin_containers();
+  const std::vector<DecodePin> pins = {
+      {"sz f32 v1 G*", {8960, 0x18ff1935u}},
+      {"sz f64 v1 G*", {17920, 0x26e4c806u}},
+      {"wave Flatten2D f32 v1 G*", {8960, 0x6c793570u}},
+      {"wave Flatten2D f64 v1 G*", {17920, 0xe15fc2d8u}},
+      {"wave tall f32 v1 G*", {6900, 0x748ce6e9u}},
+      {"wave tall f64 v1 G*", {13800, 0xca043ec4u}},
+      {"wave Flatten2D 3D f32 v1 G*", {11520, 0x91efa797u}},
+      {"wave True3D f32 v1 G*", {11520, 0xc493dae6u}},
+      {"wave True3D f64 v1 G*", {23040, 0xfe6eba63u}},
+      {"sz f32 v1 H*G*", {8960, 0x18ff1935u}},
+      {"sz f64 v1 H*G*", {17920, 0x26e4c806u}},
+      {"wave Flatten2D f32 v1 H*G*", {8960, 0x6c793570u}},
+      {"wave Flatten2D f64 v1 H*G*", {17920, 0xe15fc2d8u}},
+      {"wave tall f32 v1 H*G*", {6900, 0x748ce6e9u}},
+      {"wave tall f64 v1 H*G*", {13800, 0xca043ec4u}},
+      {"wave Flatten2D 3D f32 v1 H*G*", {11520, 0x91efa797u}},
+      {"wave True3D f32 v1 H*G*", {11520, 0xc493dae6u}},
+      {"wave True3D f64 v1 H*G*", {23040, 0xfe6eba63u}},
+      {"sz f32 v2 G*", {8960, 0x18ff1935u},
+       3616, 0x24f078a1u, 3936, 0x5672b7f2u},
+      {"sz f64 v2 G*", {17920, 0x26e4c806u},
+       3678, 0xf17deb1cu, 3998, 0xf312dbf0u},
+      {"wave Flatten2D f32 v2 G*", {8960, 0x6c793570u},
+       4034, 0xb8486805u, 4355, 0xeda6d008u},
+      {"wave Flatten2D f64 v2 G*", {17920, 0xe15fc2d8u},
+       4246, 0x6f316738u, 4567, 0x94a801f7u},
+      {"wave tall f32 v2 G*", {6900, 0x748ce6e9u},
+       3560, 0x22d37dc5u, 3560, 0x6ead9435u},
+      {"wave tall f64 v2 G*", {13800, 0xca043ec4u},
+       3766, 0x6954d4c1u, 3766, 0x57d09f8cu},
+      {"wave Flatten2D 3D f32 v2 G*", {11520, 0x91efa797u},
+       5644, 0xa891b087u, 6896, 0x67d0a709u},
+      {"wave True3D f32 v2 G*", {11520, 0xc493dae6u},
+       5344, 0x214f9ea3u, 6587, 0x4c562339u},
+      {"wave True3D f64 v2 G*", {23040, 0xfe6eba63u},
+       5579, 0x75f5084au, 6826, 0x67d7ddd9u},
+      {"sz f32 v2 H*G*", {8960, 0x18ff1935u},
+       4015, 0x24f078a1u, 4015, 0x5672b7f2u},
+      {"sz f64 v2 H*G*", {17920, 0x26e4c806u},
+       4077, 0xf17deb1cu, 4077, 0xf312dbf0u},
+      {"wave Flatten2D f32 v2 H*G*", {8960, 0x6c793570u},
+       4334, 0xb8486805u, 4334, 0xeda6d008u},
+      {"wave Flatten2D f64 v2 H*G*", {17920, 0xe15fc2d8u},
+       4546, 0x6f316738u, 4546, 0x94a801f7u},
+      {"wave tall f32 v2 H*G*", {6900, 0x748ce6e9u},
+       4311, 0x22d37dc5u, 4311, 0x6ead9435u},
+      {"wave tall f64 v2 H*G*", {13800, 0xca043ec4u},
+       4517, 0x6954d4c1u, 4517, 0x57d09f8cu},
+      {"wave Flatten2D 3D f32 v2 H*G*", {11520, 0x91efa797u},
+       6093, 0xa891b087u, 7846, 0x67d0a709u},
+      {"wave True3D f32 v2 H*G*", {11520, 0xc493dae6u},
+       5948, 0x214f9ea3u, 7425, 0x4c562339u},
+      {"wave True3D f64 v2 H*G*", {23040, 0xfe6eba63u},
+       6187, 0x75f5084au, 7663, 0x67d7ddd9u},
+      {"ghost f32 G*", {8960, 0xd65fcc2cu}},
+      {"ghost f32 G* chunked", {8960, 0xd65fcc2cu}},
+      {"sz f32 v1 G* chunked", {8960, 0x18ff1935u}},
+      {"szx f32", {8960, 0x3a5cec53u}},
+      {"szx f64", {17920, 0x0b42a93au}},
+      {"stream archive", {11520, 0x3ff6f40eu}}};
+  ASSERT_EQ(got.size(), pins.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const PinContainer& c = got[i];
+    const bool v2 = c.name.find(" v2 ") != std::string::npos;
+    DecodePin now{c.name, {}, 0, 0, 0, 0};
+    const auto full = full_decode(c, {});
+    now.full = {full.size(), Crc32::of(full)};
+    EXPECT_EQ(full_decode(c, sz::DecodeOptions{2, 2}), full) << c.name;
+    if (v2) {
+      const auto regions = pin_regions(c.dims);
+      const auto corner = region_read(c, regions[0], {});
+      const auto slab = region_read(c, regions[1], {});
+      now.corner_read = corner.second;
+      now.corner_crc = Crc32::of(corner.first);
+      now.slab_read = slab.second;
+      now.slab_crc = Crc32::of(slab.first);
+      EXPECT_EQ(region_read(c, regions[1], sz::DecodeOptions{2, 2}), slab)
+          << c.name;
+    }
+    const DecodePin& want = pins[i];
+    EXPECT_EQ(c.name, want.name);
+    EXPECT_EQ(now.full.size, want.full.size) << c.name;
+    EXPECT_EQ(now.full.crc, want.full.crc) << c.name;
+    EXPECT_EQ(now.corner_read, want.corner_read) << c.name;
+    EXPECT_EQ(now.corner_crc, want.corner_crc) << c.name;
+    EXPECT_EQ(now.slab_read, want.slab_read) << c.name;
+    EXPECT_EQ(now.slab_crc, want.slab_crc) << c.name;
   }
 }
 

@@ -190,10 +190,11 @@ TEST(WavefrontParity, Sz14ContainerByteIdentical) {
       EXPECT_EQ(ref64.bytes,
                 sz::compress(std::span<const double>(f64), dims, par).bytes);
       // Parallel decode of the serial container, and round trips both ways.
+      const sz::DecodeOptions opts{1, nt};
       expect_same_values(sz::decompress(ref.bytes),
-                         sz::decompress(ref.bytes, nullptr, nt));
+                         sz::decompress(ref.bytes, opts));
       expect_same_values(sz::decompress64(ref64.bytes),
-                         sz::decompress64(ref64.bytes, nullptr, nt));
+                         sz::decompress64(ref64.bytes, opts));
     }
   }
 }
@@ -217,10 +218,11 @@ TEST(WavefrontParity, WaveContainerByteIdentical) {
       EXPECT_EQ(
           ref64.bytes,
           wave::compress(std::span<const double>(f64), dims, par).bytes);
+      const sz::DecodeOptions opts{1, nt};
       expect_same_values(wave::decompress(ref.bytes),
-                         wave::decompress(ref.bytes, nullptr, nt));
+                         wave::decompress(ref.bytes, opts));
       expect_same_values(wave::decompress64(ref64.bytes),
-                         wave::decompress64(ref64.bytes, nullptr, nt));
+                         wave::decompress64(ref64.bytes, opts));
     }
   }
 }
@@ -247,7 +249,8 @@ TEST(WavefrontParity, True3DAndStreamStayConsistent) {
   const auto archive = serial.finish();
   EXPECT_EQ(archive, parallel.finish());
   expect_same_values(wave::stream_decompress(archive),
-                     wave::stream_decompress(archive, nullptr, 4));
+                     wave::stream_decompress(archive, sz::DecodeOptions{1, 4},
+                                             nullptr));
 }
 
 // -------------------------------------------------- small-field work floor

@@ -299,6 +299,20 @@ TEST(Bytes, RoundTripAllTypes) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(Bytes, ZeroCountArraysReadFromAnyBuffer) {
+  // A decoder asks for zero values when a section holds none, and the
+  // section's plain bytes are then empty.
+  const std::vector<std::uint8_t> empty;
+  ByteReader r(empty);
+  EXPECT_TRUE(r.floats(0).empty());
+  EXPECT_TRUE(r.doubles(0).empty());
+  EXPECT_TRUE(r.u16s(0).empty());
+  const std::vector<std::uint8_t> one{1};
+  ByteReader s(one);
+  EXPECT_TRUE(s.floats(0).empty());
+  EXPECT_EQ(s.u8(), 1);
+}
+
 TEST(Bytes, OverrunThrows) {
   ByteWriter w;
   w.u16(1);
