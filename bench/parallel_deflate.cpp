@@ -14,10 +14,7 @@
 #include "sz/huffman_codec.hpp"
 #include "sz/quantizer.hpp"
 #include "util/bytes.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/fork_join.hpp"
 
 namespace {
 
@@ -57,13 +54,7 @@ std::vector<StageInput> gzip_stage_inputs(const bench::Options& opts) {
   return inputs;
 }
 
-int hardware_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
+int hardware_threads() { return util::resolve_thread_budget(0); }
 
 }  // namespace
 

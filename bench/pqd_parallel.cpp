@@ -21,29 +21,29 @@
 #include "sz/wavefront_pqd.hpp"
 #include "telemetry/span_names.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/fork_join.hpp"
 #include "util/simd.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace {
 
 using namespace wavesz;
 
-int hardware_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
+int hardware_threads() { return util::resolve_thread_budget(0); }
+
+// Every sweep interleaves its variants (thread counts or SIMD levels) within
+// each repeat, so host drift and allocator state hit them alike, and each
+// row reports the median over the repeats.
+constexpr int kReps = 9;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
-constexpr int kReps = 5;  // best-of to shed scheduler noise
-
-struct KernelTimes {
-  double pqd_s = 0;
-  double rec_s = 0;
+/// Per-repeat seconds of one variant, and whether every repeat matched the
+/// serial reference bit for bit.
+struct Timings {
+  std::vector<double> pqd_s, rec_s;
   bool exact = true;
 };
 
@@ -63,78 +63,86 @@ std::vector<T> make_field(const Dims& dims) {
   return out;
 }
 
+/// The serial PQD of `data` and the decompressor-visible (truncated)
+/// unpredictable values the reconstruction kernels expect, exactly what the
+/// container's decode path feeds them; the PQD output carries the raw
+/// originals.
 template <typename T>
-KernelTimes run_one(std::span<const T> data, const Dims& dims,
-                    const sz::LinearQuantizer& q, int threads,
-                    const std::vector<std::uint16_t>& ref_codes,
-                    const std::vector<T>& ref_rec) {
-  KernelTimes kt;
-  Stopwatch sw;
+struct Reference {
   typename sz::detail::FpOps<T>::PqdType pqd;
-  kt.pqd_s = 1e30;
-  for (int r = 0; r < kReps; ++r) {
-    sw.reset();
-    pqd = threads == 1
-              ? sz::detail::lorenzo_pqd_t<T>(data, dims, q)
-              : sz::detail::lorenzo_pqd_wavefront_t<T>(
-                    data, dims, q, sz::PredictorKind::Lorenzo1Layer, threads);
-    kt.pqd_s = std::min(kt.pqd_s, sw.seconds());
-  }
-  kt.exact = pqd.codes == ref_codes &&
-             std::memcmp(pqd.reconstructed.data(), ref_rec.data(),
-                         ref_rec.size() * sizeof(T)) == 0;
+  std::vector<T> unpred;
 
-  // The reconstruction kernels expect decompressor-visible (truncated)
-  // unpredictable values, exactly what the container's decode path feeds
-  // them; the PQD output carries the raw originals.
-  std::vector<T> unpred = pqd.unpredictable;
-  for (auto& v : unpred) {
-    v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
+  Reference(std::span<const T> data, const Dims& dims,
+            const sz::LinearQuantizer& q)
+      : pqd(sz::detail::lorenzo_pqd_t<T>(data, dims, q)),
+        unpred(pqd.unpredictable) {
+    for (auto& v : unpred) {
+      v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
+    }
   }
-  std::vector<T> rec;
-  kt.rec_s = 1e30;
-  for (int r = 0; r < kReps; ++r) {
-    sw.reset();
-    rec = threads == 1
-              ? sz::detail::lorenzo_reconstruct_t<T>(pqd.codes, unpred, dims,
-                                                     q)
-              : sz::detail::lorenzo_reconstruct_wavefront_t<T>(
-                    pqd.codes, unpred, dims, q,
-                    sz::PredictorKind::Lorenzo1Layer, threads);
-    kt.rec_s = std::min(kt.rec_s, sw.seconds());
+
+  /// Whether a PQD and a reconstruction both match the reference bits.
+  bool matches(const typename sz::detail::FpOps<T>::PqdType& got,
+               const std::vector<T>& rec) const {
+    const std::size_t bytes = pqd.reconstructed.size() * sizeof(T);
+    return got.codes == pqd.codes &&
+           std::memcmp(got.reconstructed.data(), pqd.reconstructed.data(),
+                       bytes) == 0 &&
+           std::memcmp(rec.data(), pqd.reconstructed.data(), bytes) == 0;
   }
-  kt.exact = kt.exact && std::memcmp(rec.data(), ref_rec.data(),
-                                     ref_rec.size() * sizeof(T)) == 0;
-  return kt;
-}
+};
 
 template <typename T>
 bool sweep_shape(const Dims& dims, const char* dtype, std::FILE* json,
                  bool* first_row) {
   const auto data = make_field<T>(dims);
+  const std::span<const T> span(data);
   const sz::LinearQuantizer q(1e-3 * 2.6, 16);  // rel 1e-3 of the range
   const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
 
-  const auto ref = sz::detail::lorenzo_pqd_t<T>(
-      std::span<const T>(data), dims, q);
+  const Reference<T> ref(span, dims, q);
   std::printf("%s %s (%.1f MB, %zu unpredictable)\n", dims.str().c_str(),
-              dtype, mb, ref.unpredictable.size());
+              dtype, mb, ref.pqd.unpredictable.size());
+
+  constexpr int kThreads[] = {1, 2, 4, 8};
+  std::vector<Timings> runs(std::size(kThreads));
+  Stopwatch sw;
+  for (int r = 0; r < kReps; ++r) {
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const int threads = kThreads[k];
+      sw.reset();
+      const auto pqd =
+          threads == 1
+              ? sz::detail::lorenzo_pqd_t<T>(span, dims, q)
+              : sz::detail::lorenzo_pqd_wavefront_t<T>(
+                    span, dims, q, sz::PredictorKind::Lorenzo1Layer, threads);
+      runs[k].pqd_s.push_back(sw.seconds());
+      sw.reset();
+      const auto rec =
+          threads == 1
+              ? sz::detail::lorenzo_reconstruct_t<T>(ref.pqd.codes,
+                                                     ref.unpred, dims, q)
+              : sz::detail::lorenzo_reconstruct_wavefront_t<T>(
+                    ref.pqd.codes, ref.unpred, dims, q,
+                    sz::PredictorKind::Lorenzo1Layer, threads);
+      runs[k].rec_s.push_back(sw.seconds());
+      runs[k].exact = runs[k].exact && ref.matches(pqd, rec);
+    }
+  }
 
   bool all_ok = true;
-  double serial_pqd = 0, serial_rec = 0;
-  for (int threads : {1, 2, 4, 8}) {
-    const auto kt = run_one<T>(std::span<const T>(data), dims, q, threads,
-                               ref.codes, ref.reconstructed);
-    if (threads == 1) {
-      serial_pqd = kt.pqd_s;
-      serial_rec = kt.rec_s;
-    }
-    all_ok = all_ok && kt.exact;
+  const double serial_pqd = median(runs[0].pqd_s);
+  const double serial_rec = median(runs[0].rec_s);
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    const double pqd_s = median(runs[k].pqd_s);
+    const double rec_s = median(runs[k].rec_s);
+    const bool exact = runs[k].exact;
+    all_ok = all_ok && exact;
     std::printf(
         "  threads=%d  pqd %7.1f MB/s (speedup %4.2fx)  "
         "reconstruct %7.1f MB/s (speedup %4.2fx)  parity %s\n",
-        threads, mb / kt.pqd_s, serial_pqd / kt.pqd_s, mb / kt.rec_s,
-        serial_rec / kt.rec_s, kt.exact ? "ok" : "FAIL");
+        kThreads[k], mb / pqd_s, serial_pqd / pqd_s, mb / rec_s,
+        serial_rec / rec_s, exact ? "ok" : "FAIL");
     if (json != nullptr) {
       std::fprintf(
           json,
@@ -142,9 +150,9 @@ bool sweep_shape(const Dims& dims, const char* dtype, std::FILE* json,
           "\"pqd_mbps\": %.2f, \"pqd_speedup_vs_serial\": %.3f, "
           "\"reconstruct_mbps\": %.2f, \"reconstruct_speedup_vs_serial\": "
           "%.3f, \"bit_exact\": %s}",
-          *first_row ? "" : ",\n", dims.str().c_str(), dtype, threads,
-          mb / kt.pqd_s, serial_pqd / kt.pqd_s, mb / kt.rec_s,
-          serial_rec / kt.rec_s, kt.exact ? "true" : "false");
+          *first_row ? "" : ",\n", dims.str().c_str(), dtype, kThreads[k],
+          mb / pqd_s, serial_pqd / pqd_s, mb / rec_s, serial_rec / rec_s,
+          exact ? "true" : "false");
       *first_row = false;
     }
   }
@@ -173,50 +181,42 @@ bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
   const std::span<const T> span(data);
 
   simd::set_level(simd::Level::Scalar);
-  const auto ref = sz::detail::lorenzo_pqd_t<T>(span, dims, q);
-  std::vector<T> unpred = ref.unpredictable;
-  for (auto& v : unpred) {
-    v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
-  }
+  const Reference<T> ref(span, dims, q);
 
   std::printf("%s %s (%.1f MB) — simd dispatch sweep (serial kernels)\n",
               dims.str().c_str(), dtype, mb);
 
-  bool all_ok = true;
-  double scalar_pqd = 0, scalar_rec = 0;
+  const auto levels = sweep_levels();
+  std::vector<Timings> runs(levels.size());
   Stopwatch sw;
-  for (const simd::Level level : sweep_levels()) {
-    simd::set_level(level);
-    typename sz::detail::FpOps<T>::PqdType pqd;
-    double pqd_s = 1e30;
-    for (int r = 0; r < kReps; ++r) {
+  for (int r = 0; r < kReps; ++r) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      simd::set_level(levels[l]);
       sw.reset();
-      pqd = sz::detail::lorenzo_pqd_t<T>(span, dims, q);
-      pqd_s = std::min(pqd_s, sw.seconds());
-    }
-    std::vector<T> rec;
-    double rec_s = 1e30;
-    for (int r = 0; r < kReps; ++r) {
+      const auto pqd = sz::detail::lorenzo_pqd_t<T>(span, dims, q);
+      runs[l].pqd_s.push_back(sw.seconds());
       sw.reset();
-      rec = sz::detail::lorenzo_reconstruct_t<T>(pqd.codes, unpred, dims, q);
-      rec_s = std::min(rec_s, sw.seconds());
+      const auto rec = sz::detail::lorenzo_reconstruct_t<T>(
+          ref.pqd.codes, ref.unpred, dims, q);
+      runs[l].rec_s.push_back(sw.seconds());
+      runs[l].exact = runs[l].exact && ref.matches(pqd, rec);
     }
-    const bool exact =
-        pqd.codes == ref.codes &&
-        std::memcmp(pqd.reconstructed.data(), ref.reconstructed.data(),
-                    ref.reconstructed.size() * sizeof(T)) == 0 &&
-        std::memcmp(rec.data(), ref.reconstructed.data(),
-                    ref.reconstructed.size() * sizeof(T)) == 0;
+  }
+  simd::set_level(simd::detected());
+
+  bool all_ok = true;
+  const double scalar_pqd = median(runs[0].pqd_s);
+  const double scalar_rec = median(runs[0].rec_s);
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const double pqd_s = median(runs[l].pqd_s);
+    const double rec_s = median(runs[l].rec_s);
+    const bool exact = runs[l].exact;
     all_ok = all_ok && exact;
-    if (level == simd::Level::Scalar) {
-      scalar_pqd = pqd_s;
-      scalar_rec = rec_s;
-    }
     std::printf(
         "  level=%-6s pqd %7.1f MB/s (%.2fx)  reconstruct %7.1f MB/s "
         "(%.2fx)  parity %s\n",
-        simd::level_name(level), mb / pqd_s, scalar_pqd / pqd_s, mb / rec_s,
-        scalar_rec / rec_s, exact ? "ok" : "FAIL");
+        simd::level_name(levels[l]), mb / pqd_s, scalar_pqd / pqd_s,
+        mb / rec_s, scalar_rec / rec_s, exact ? "ok" : "FAIL");
     if (json != nullptr) {
       std::fprintf(
           json,
@@ -225,12 +225,11 @@ bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
           "\"reconstruct_mbps\": %.2f, "
           "\"reconstruct_speedup_vs_scalar\": %.3f, \"bit_exact\": %s}",
           *first_row ? "" : ",\n", dims.str().c_str(), dtype,
-          simd::level_name(level), mb / pqd_s, scalar_pqd / pqd_s, mb / rec_s,
-          scalar_rec / rec_s, exact ? "true" : "false");
+          simd::level_name(levels[l]), mb / pqd_s, scalar_pqd / pqd_s,
+          mb / rec_s, scalar_rec / rec_s, exact ? "true" : "false");
       *first_row = false;
     }
   }
-  simd::set_level(simd::detected());
   return all_ok;
 }
 
@@ -259,7 +258,6 @@ double span_seconds(const telemetry::Report& report, const char* name) {
 template <typename T>
 bool sweep_wave_shape(const std::vector<float>& values, const Dims& dims,
                       const char* dtype, std::FILE* json, bool* first_row) {
-  constexpr int kWaveReps = 9;
   const std::vector<T> data(values.begin(), values.end());
   const std::span<const T> span(data);
   const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
@@ -283,7 +281,7 @@ bool sweep_wave_shape(const std::vector<float>& values, const Dims& dims,
     return out;
   };
   Stopwatch sw;
-  for (int r = 0; r < kWaveReps; ++r) {
+  for (int r = 0; r < kReps; ++r) {
     for (std::size_t l = 0; l < levels.size(); ++l) {
       simd::set_level(levels[l]);
       Run& run = runs[l];
@@ -321,10 +319,6 @@ bool sweep_wave_shape(const std::vector<float>& values, const Dims& dims,
     }
   }
   simd::set_level(simd::detected());
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
 
   bool all_ok = true;
   const double scalar_enc = median(runs[0].enc_s);

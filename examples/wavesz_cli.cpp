@@ -64,7 +64,10 @@ int usage() {
                "--codec-threads set the compress thread budgets of the\n"
                "prediction/quantization and the Huffman/DEFLATE stages\n"
                "(1 = serial, the default; 0 = all cores). Every budget\n"
-               "writes the same bytes.\n");
+               "writes the same v2 container bytes; --no-index and ghost\n"
+               "containers hold one DEFLATE stream per section at\n"
+               "--codec-threads 1 and chunked streams at any other budget,\n"
+               "the same on every host.\n");
   return 2;
 }
 

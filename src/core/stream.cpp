@@ -1,7 +1,6 @@
 #include "core/stream.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <type_traits>
 #include <utility>
 
@@ -12,6 +11,7 @@
 #include "util/bytes.hpp"
 #include "util/decode_guard.hpp"
 #include "util/error.hpp"
+#include "util/fork_join.hpp"
 #include "util/timer.hpp"
 
 namespace wavesz::wave {
@@ -71,16 +71,15 @@ Dims chunk_dims(const Dims& dims, std::size_t planes) {
   return Dims::d3(planes, dims[1], dims[2]);
 }
 
-/// Chunk-parallel archive decode: every chunk is an independent wave
-/// container with a known plane placement (index i covers planes starting
-/// at i * chunk_planes), so whole chunks go to a worker pool and each is
-/// decoded serially into its own slice of the preallocated output. Plane
-/// counts are validated against the archive geometry chunk by chunk, which
-/// subsumes the serial path's contiguity check.
+/// The archive decode: every chunk is an independent wave container with a
+/// known plane placement (index i covers planes starting at
+/// i * chunk_planes), so whole chunks fan out across the decode budget and
+/// each is decoded serially into its own slice of the preallocated output.
+/// Every chunk's plane count is checked against the archive geometry.
 template <typename T>
-std::vector<T> stream_decompress_par_t(std::span<const std::uint8_t> bytes,
-                                       Dims* dims_out,
-                                       const sz::DecodeOptions& opts) {
+std::vector<T> stream_decompress_t(std::span<const std::uint8_t> bytes,
+                                   Dims* dims_out,
+                                   const sz::DecodeOptions& opts) {
   telemetry::Span span_all(telemetry::spans::kStreamDecodeParallel);
   ByteReader r(bytes);
   const auto idx = parse_index(bytes, r);
@@ -88,10 +87,6 @@ std::vector<T> stream_decompress_par_t(std::span<const std::uint8_t> bytes,
   const std::size_t total = idx.dims.count();
   const std::size_t plane_points = total / idx.dims[0];
   std::vector<T> out(total);
-  const int nt = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(
-          sz::resolve_thread_budget(opts.decode_threads)),
-      nchunks));
   // Workers decode their chunk serially — parallelism comes from chunk
   // assignment, so parallel regions never nest.
   const sz::DecodeOptions chunk_opts{1, opts.pqd_threads};
@@ -119,27 +114,7 @@ std::vector<T> stream_decompress_par_t(std::span<const std::uint8_t> bytes,
               out.begin() +
                   static_cast<std::ptrdiff_t>(first * plane_points));
   };
-  if (nt <= 1) {
-    for (std::size_t i = 0; i < nchunks; ++i) decode_one(i);
-  } else {
-    // Exceptions must not escape an OpenMP region (that terminates the
-    // process); capture the first one and rethrow after the barrier.
-    std::exception_ptr failure;
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(nt) schedule(dynamic)
-#endif
-    for (std::size_t i = 0; i < nchunks; ++i) {
-      try {
-        decode_one(i);
-      } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-        if (!failure) failure = std::current_exception();
-      }
-    }
-    if (failure) std::rethrow_exception(failure);
-  }
+  util::parallel_for(nchunks, opts.decode_threads, decode_one);
   telemetry::counter_add(telemetry::Counter::StreamChunks, nchunks);
   if (dims_out != nullptr) *dims_out = idx.dims;
   return out;
@@ -397,50 +372,24 @@ StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
 
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
                                      Dims* dims_out) {
-  ByteReader r(bytes);
-  const auto idx = parse_index(bytes, r);
-  std::vector<float> out;
-  std::size_t planes_seen = 0;
-  for (std::size_t i = 0; i < idx.chunks.size(); ++i) {
-    const auto chunk = stream_decompress_chunk(bytes, i);
-    WAVESZ_REQUIRE(chunk.first_plane == planes_seen,
-                   "chunk sequence is not contiguous");
-    planes_seen += chunk.plane_count;
-    out.insert(out.end(), chunk.data.begin(), chunk.data.end());
-  }
-  WAVESZ_REQUIRE(planes_seen == idx.dims[0], "archive is missing planes");
-  if (dims_out != nullptr) *dims_out = idx.dims;
-  return out;
+  return stream_decompress_t<float>(bytes, dims_out, {});
 }
 
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
                                         Dims* dims_out) {
-  ByteReader r(bytes);
-  const auto idx = parse_index(bytes, r);
-  std::vector<double> out;
-  std::size_t planes_seen = 0;
-  for (const auto& [offset, size] : idx.chunks) {
-    Dims cdims;
-    const auto chunk = wave::decompress64(
-        bytes.subspan(idx.payload_base + offset, size), &cdims);
-    planes_seen += cdims[0];
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  }
-  WAVESZ_REQUIRE(planes_seen == idx.dims[0], "archive is missing planes");
-  if (dims_out != nullptr) *dims_out = idx.dims;
-  return out;
+  return stream_decompress_t<double>(bytes, dims_out, {});
 }
 
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
                                      const sz::DecodeOptions& opts,
                                      Dims* dims_out) {
-  return stream_decompress_par_t<float>(bytes, dims_out, opts);
+  return stream_decompress_t<float>(bytes, dims_out, opts);
 }
 
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
                                         const sz::DecodeOptions& opts,
                                         Dims* dims_out) {
-  return stream_decompress_par_t<double>(bytes, dims_out, opts);
+  return stream_decompress_t<double>(bytes, dims_out, opts);
 }
 
 }  // namespace wavesz::wave

@@ -1,29 +1,16 @@
 #include "deflate/parallel.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "telemetry/span_names.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/fork_join.hpp"
 
 namespace wavesz::deflate {
 namespace {
-
-int resolve_threads(int requested) {
-#ifdef _OPENMP
-  return requested <= 0 ? omp_get_max_threads() : requested;
-#else
-  (void)requested;
-  return 1;
-#endif
-}
 
 /// A chunk's emitted bit string. Non-final chunks end with a sync-flush
 /// marker, so nbits is a multiple of 8 for them and the stitcher's append
@@ -73,8 +60,9 @@ std::vector<std::uint8_t> compress_parallel(
     std::span<const std::uint8_t> input, Level level,
     const ParallelOptions& opts) {
   WAVESZ_REQUIRE(opts.chunk_bytes > 0, "chunk size must be positive");
-  const int threads = resolve_threads(opts.threads);
-  if (threads == 1 && !opts.force_chunking) {
+  // The layout follows the requested budget, not the thread count it
+  // resolves to, so the bytes are the same on every host.
+  if (opts.threads == 1 && !opts.force_chunking) {
     // Serial reference path: bit-identical to compress().
     telemetry::Span span(telemetry::spans::kDeflateChunk);
     telemetry::counter_add(telemetry::Counter::DeflateChunks, 1);
@@ -87,29 +75,15 @@ std::vector<std::uint8_t> compress_parallel(
   const std::size_t chunks =
       std::max<std::size_t>(1, (n + opts.chunk_bytes - 1) / opts.chunk_bytes);
   std::vector<ChunkBits> pieces(chunks);
-  // Exceptions must not escape an OpenMP region (that terminates the
-  // process); capture the first one and rethrow it afterwards.
-  std::exception_ptr failure;
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(threads) schedule(dynamic)
-#endif
-  for (std::size_t c = 0; c < chunks; ++c) {
-    try {
-      telemetry::Span span(telemetry::spans::kDeflateChunk);
-      const std::size_t offset = c * opts.chunk_bytes;
-      pieces[c] = compress_chunk(input, offset,
-                                 std::min(opts.chunk_bytes, n - offset),
-                                 level, c + 1 == chunks);
-      telemetry::observe(telemetry::Histo::DeflateChunkBytes,
-                         pieces[c].bytes.size());
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  util::parallel_for(chunks, opts.threads, [&](std::size_t c) {
+    telemetry::Span span(telemetry::spans::kDeflateChunk);
+    const std::size_t offset = c * opts.chunk_bytes;
+    pieces[c] = compress_chunk(input, offset,
+                               std::min(opts.chunk_bytes, n - offset), level,
+                               c + 1 == chunks);
+    telemetry::observe(telemetry::Histo::DeflateChunkBytes,
+                       pieces[c].bytes.size());
+  });
   telemetry::counter_add(telemetry::Counter::DeflateChunks, chunks);
 
   // Stitch: bit-level concatenation of the chunk streams. Chunk k+1 was
@@ -130,33 +104,9 @@ std::vector<std::uint8_t> gzip_compress_parallel(
 std::vector<std::vector<std::uint8_t>> gzip_decompress_batch(
     std::span<const std::span<const std::uint8_t>> inputs, int threads) {
   std::vector<std::vector<std::uint8_t>> out(inputs.size());
-  const int nt = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_threads(threads)),
-      std::max<std::size_t>(1, inputs.size())));
-  if (nt <= 1) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      out[i] = gzip_decompress(inputs[i]);
-    }
-    return out;
-  }
-  // Same containment contract as compress_parallel: an exception escaping
-  // an OpenMP region terminates the process, so the first failure is
-  // captured and rethrown after the barrier.
-  std::exception_ptr failure;
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(nt) schedule(dynamic)
-#endif
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    try {
-      out[i] = gzip_decompress(inputs[i]);
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  util::parallel_for(inputs.size(), threads, [&](std::size_t i) {
+    out[i] = gzip_decompress(inputs[i]);
+  });
   return out;
 }
 

@@ -1,18 +1,19 @@
 // Parallel chunked DEFLATE engine (pigz-style).
 //
 // The input is split into fixed-size chunks; each chunk is tokenized with
-// its own hash-chain matcher on a worker thread (OpenMP) and emitted as one
-// or more complete DEFLATE blocks, priming the matcher with the previous
-// kWindowSize bytes so cross-chunk matches survive and the ratio stays
-// within noise of the serial stream. The per-chunk bit strings are
-// then stitched into a single valid DEFLATE stream / gzip member: every
+// its own hash-chain matcher on a worker thread (util::parallel_for) and
+// emitted as one or more complete DEFLATE blocks, priming the matcher with
+// the previous kWindowSize bytes so cross-chunk matches survive and the
+// ratio stays within noise of the serial stream. The per-chunk bit strings
+// are then stitched into a single valid DEFLATE stream / gzip member: every
 // non-final chunk ends with a Z_SYNC_FLUSH marker (an empty stored block,
 // byte-aligning the stream), and a bit-level concatenator joins the pieces.
 // The output inflates with the ordinary decompress()/gzip_decompress() —
 // no side channel, no framing change.
 //
 // threads == 1 (or a single chunk) is the serial reference path and emits
-// the exact byte stream of compress()/gzip_compress().
+// the exact byte stream of compress()/gzip_compress(). Any other budget
+// takes the chunked path, whatever thread count it resolves to on the host.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,10 @@ inline constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
 
 struct ParallelOptions {
   std::size_t chunk_bytes = kDefaultChunkBytes;
-  /// 0 = all OpenMP threads, 1 = serial reference path, n = at most n.
+  /// 0 = all threads, 1 = serial reference path, n = at most n. The
+  /// requested value picks the layout: 1 writes the stream of compress(),
+  /// any other value the chunked stream, so the bytes do not depend on how
+  /// many threads the host has.
   int threads = 0;
   /// Take the chunked path even at threads == 1, so every chunk_bytes of
   /// input ends on a sync-flush marker (a byte-aligned block boundary).

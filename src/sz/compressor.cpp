@@ -9,60 +9,37 @@
 #include "telemetry/span_names.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/fork_join.hpp"
 #include "util/simd.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace wavesz::sz {
 namespace {
 
 using detail::FpOps;
 
-/// Serial-identical min/max scan, split across up to `threads` OpenMP
-/// workers. Every accumulator is seeded with data[0] and folded with the
-/// same std::min/std::max calls as the serial loop, so the result (including
-/// the NaN-poisoning behaviour of a NaN first element) does not depend on
-/// the chunking.
+/// Serial-identical min/max scan, split into one part per worker. Every
+/// accumulator is seeded with data[0] and folded with the same
+/// std::min/std::max calls as the serial loop, so the result (including the
+/// NaN-poisoning behaviour of a NaN first element) does not depend on the
+/// split.
 template <typename T>
 double range_of(std::span<const T> data, int threads) {
   WAVESZ_REQUIRE(!data.empty(), "cannot compress an empty field");
   const double seed = static_cast<double>(data[0]);
-  double lo = seed;
-  double hi = seed;
   // Below ~1 MiB the scan is memory-latency bound on one core anyway.
-  constexpr std::size_t kMinPerThread = 1u << 18;
-  const int nt = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_thread_budget(threads)),
-      std::max<std::size_t>(1, data.size() / kMinPerThread)));
-  if (nt > 1) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nt)
-#endif
-    {
-#ifdef _OPENMP
-      const auto t = static_cast<std::size_t>(omp_get_thread_num());
-      const auto parts = static_cast<std::size_t>(omp_get_num_threads());
-#else
-      const std::size_t t = 0, parts = 1;
-#endif
-      const std::size_t b0 = data.size() * t / parts;
-      const std::size_t b1 = data.size() * (t + 1) / parts;
-      double llo = seed, lhi = seed;
-      simd::minmax(data.data() + b0, b1 - b0, &llo, &lhi);
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      {
-        lo = std::min(lo, llo);
-        hi = std::max(hi, lhi);
-      }
-    }
-  } else {
-    simd::minmax(data.data(), data.size(), &lo, &hi);
+  const auto parts = static_cast<std::size_t>(
+      util::team_size(threads, data.size(), std::size_t{1} << 18));
+  std::vector<double> lo(parts, seed), hi(parts, seed);
+  util::parallel_for(parts, static_cast<int>(parts), [&](std::size_t t) {
+    const std::size_t b0 = data.size() * t / parts;
+    const std::size_t b1 = data.size() * (t + 1) / parts;
+    simd::minmax(data.data() + b0, b1 - b0, &lo[t], &hi[t]);
+  });
+  for (std::size_t t = 1; t < parts; ++t) {
+    lo[0] = std::min(lo[0], lo[t]);
+    hi[0] = std::max(hi[0], hi[t]);
   }
-  return hi - lo;
+  return hi[0] - lo[0];
 }
 
 /// The SZ-1.4 compress phases, split for the staged pipeline: the Lorenzo

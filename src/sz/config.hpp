@@ -10,6 +10,7 @@
 
 #include "deflate/lz77.hpp"
 #include "deflate/parallel.hpp"
+#include "util/fork_join.hpp"
 
 namespace wavesz::sz {
 
@@ -49,10 +50,13 @@ struct Config {
   deflate::Level gzip_level = deflate::Level::Fast;  ///< gzip best_speed
 
   /// Thread budget for the entropy back-end (chunked DEFLATE over the code
-  /// and unpredictable sections): 1 = serial reference stream (the default;
-  /// bit-identical to the historical output), 0 = all OpenMP threads, n =
-  /// at most n. Not recorded in the container — the emitted stream is plain
-  /// gzip either way.
+  /// and unpredictable sections): 1 = serial (the default), 0 = all
+  /// threads, n = at most n (util::resolve_thread_budget). The requested
+  /// value, never the host's thread count, picks the section layout: v2
+  /// containers are chunked at every budget; index-less and GhostSZ
+  /// containers write one DEFLATE stream per section at budget 1 and the
+  /// chunked stream at any other budget. Not recorded in the container —
+  /// the emitted stream is plain gzip either way.
   int codec_threads = 1;
   /// Worker granularity of the chunked DEFLATE engine.
   std::size_t deflate_chunk_bytes = deflate::kDefaultChunkBytes;
@@ -62,7 +66,7 @@ struct Config {
   /// PQD and reconstruct are serial at every budget) plus its serial
   /// stragglers (the Huffman encode histogram and the value-range scan,
   /// for waveSZ too). Same semantics as codec_threads: 1 = serial
-  /// raster reference (the default), 0 = all OpenMP threads, n = at most n.
+  /// raster reference (the default), 0 = all threads, n = at most n.
   /// Budgets > 1 switch the SZ-1.4 kernels to the tiled anti-diagonal
   /// wavefront schedule (paper §3.2 on CPU); the output container is
   /// bit-identical either way — only the visit order moves — so the knob
@@ -137,8 +141,8 @@ struct Config {
 struct DecodeOptions {
   /// Thread budget for the chunk-parallel Huffman decode from the v2 index
   /// plus concurrent section inflates. Same semantics as
-  /// Config::codec_threads: 1 = serial (the default), 0 = all OpenMP
-  /// threads, n = at most n. Ignored — with a silent serial fallback — for
+  /// Config::codec_threads: 1 = serial (the default), 0 = all threads, n =
+  /// at most n. Ignored — with a silent serial fallback — for
   /// v1 streams and v2 streams whose index was stripped. Decode output is
   /// bit-identical at every setting.
   int decode_threads = 1;
@@ -151,8 +155,7 @@ struct DecodeOptions {
 double resolve_bound(const Config& cfg, double value_range);
 
 /// Resolve a thread budget (codec_threads / pqd_threads semantics) to a
-/// concrete thread count: 0 or negative = all OpenMP threads, otherwise the
-/// budget itself; always 1 in builds without OpenMP.
-int resolve_thread_budget(int budget);
+/// concrete thread count; the one rule in util/fork_join.hpp.
+using util::resolve_thread_budget;
 
 }  // namespace wavesz::sz

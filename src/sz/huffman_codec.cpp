@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <exception>
 
 #include "sz/config.hpp"
 #include "telemetry/span_names.hpp"
@@ -12,11 +10,8 @@
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
+#include "util/fork_join.hpp"
 #include "util/huffman.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace wavesz::sz {
 namespace {
@@ -26,43 +21,22 @@ constexpr std::size_t kAlphabet = 65536;
 /// Below this many symbols per worker the table/merge overhead wins.
 constexpr std::size_t kMinSymbolsPerThread = 1u << 15;
 
-int clamp_threads(int budget, std::size_t symbols) {
-  const auto cap = std::max<std::size_t>(1, symbols / kMinSymbolsPerThread);
-  return static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_thread_budget(budget)), cap));
-}
-
-/// Contiguous chunk boundaries for splitting `n` symbols over `parts`.
-std::vector<std::size_t> chunk_bounds(std::size_t n, int parts) {
-  std::vector<std::size_t> b(static_cast<std::size_t>(parts) + 1, 0);
-  for (int k = 0; k < parts; ++k) {
-    b[static_cast<std::size_t>(k) + 1] =
-        n * (static_cast<std::size_t>(k) + 1) /
-        static_cast<std::size_t>(parts);
-  }
-  return b;
-}
-
 /// Below this many symbols the plain counting loop wins.
 constexpr std::size_t kStripedCutoff = std::size_t{1} << 14;
 
 std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
-                                       int nt) {
-  if (nt <= 1) return count_symbols(codes);
-  // Per-thread histograms, reduced serially: 65536 * nt adds, trivial next
-  // to the counting pass itself.
-  const auto bounds = chunk_bounds(codes.size(), nt);
-  std::vector<std::vector<std::uint64_t>> local(
-      static_cast<std::size_t>(nt));
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(nt) schedule(static)
-#endif
-  for (int t = 0; t < nt; ++t) {
-    const std::size_t lo = bounds[static_cast<std::size_t>(t)];
-    const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    local[static_cast<std::size_t>(t)] =
-        count_symbols(codes.subspan(lo, hi - lo));
-  }
+                                       int threads) {
+  const auto parts = static_cast<std::size_t>(
+      util::team_size(threads, codes.size(), kMinSymbolsPerThread));
+  if (parts <= 1) return count_symbols(codes);
+  // One histogram per contiguous part, reduced serially: 65536 * parts
+  // adds, trivial next to the counting pass itself.
+  std::vector<std::vector<std::uint64_t>> local(parts);
+  util::parallel_for(parts, static_cast<int>(parts), [&](std::size_t t) {
+    const std::size_t lo = codes.size() * t / parts;
+    const std::size_t hi = codes.size() * (t + 1) / parts;
+    local[t] = count_symbols(codes.subspan(lo, hi - lo));
+  });
   std::vector<std::uint64_t> freq(kAlphabet, 0);
   for (const auto& mine : local) {
     for (std::size_t s = 0; s < kAlphabet; ++s) freq[s] += mine[s];
@@ -160,7 +134,6 @@ std::vector<std::uint8_t> huffman_encode_impl(
     w.u64(0);
     return w.take();
   }
-  const int nt = clamp_threads(threads, codes.size());
   std::vector<std::uint64_t> freq;
   std::vector<std::uint8_t> lengths;
   std::vector<std::uint32_t> enc;  // (canonical code << 8) | length
@@ -168,7 +141,7 @@ std::vector<std::uint8_t> huffman_encode_impl(
     telemetry::Span span(telemetry::spans::kHuffmanTable);
     const std::uint64_t t0 =
         telemetry::enabled() ? telemetry::detail::now_ns() : 0;
-    freq = frequencies(codes, nt);
+    freq = frequencies(codes, threads);
     lengths = huffman_code_lengths(freq, kMaxCodeLength);
     enc = canonical_codes(lengths);
     for (std::size_t s = 0; s < kAlphabet; ++s) {
@@ -517,30 +490,7 @@ void decode_index_chunks(const ParsedBlob& p, const CodeChunkIndex& idx,
                    "chunk unpredictable count mismatch");
   };
 
-  const int nt = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_thread_budget(threads)), chunk_count));
-  if (nt <= 1) {
-    for (std::size_t k = 0; k < chunk_count; ++k) decode_chunk(k);
-    return;
-  }
-#ifdef _OPENMP
-  // Exceptions must not escape the parallel region: the first failure wins,
-  // later chunks bail out early, and the winner rethrows after the barrier.
-  std::atomic<bool> failed{false};
-  std::exception_ptr err;
-#pragma omp parallel for num_threads(nt) schedule(dynamic)
-  for (std::int64_t k = 0; k < static_cast<std::int64_t>(chunk_count); ++k) {
-    if (failed.load(std::memory_order_relaxed)) continue;
-    try {
-      decode_chunk(static_cast<std::size_t>(k));
-    } catch (...) {
-      if (!failed.exchange(true)) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
-#else
-  for (std::size_t k = 0; k < chunk_count; ++k) decode_chunk(k);
-#endif
+  util::parallel_for(chunk_count, threads, decode_chunk);
 }
 
 }  // namespace

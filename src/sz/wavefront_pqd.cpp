@@ -5,11 +5,8 @@
 
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/fork_join.hpp"
 #include "util/simd.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace wavesz::sz {
 namespace {
@@ -93,16 +90,6 @@ void for_tile_points(const Tile& tile, const TileSchedule& g,
 // amortized.
 std::atomic<std::size_t> g_min_points_per_thread{std::size_t{1} << 18};
 
-/// Cap a resolved thread budget so every worker gets at least the configured
-/// minimum number of points; a cap of 1 falls through to the serial kernel.
-int apply_work_floor(int nt, std::size_t count) {
-  const std::size_t floor = wavefront_min_points_per_thread();
-  if (floor == 0 || nt <= 1) return nt;
-  const std::size_t cap = std::max<std::size_t>(1, count / floor);
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(nt), cap));
-}
-
 }  // namespace
 
 std::size_t wavefront_min_points_per_thread() {
@@ -113,16 +100,6 @@ void set_wavefront_min_points_per_thread(std::size_t points) {
   g_min_points_per_thread.store(points, std::memory_order_relaxed);
 }
 
-int resolve_thread_budget(int budget) {
-#ifdef _OPENMP
-  if (budget <= 0) return omp_get_max_threads();
-  return budget;
-#else
-  (void)budget;
-  return 1;
-#endif
-}
-
 namespace detail {
 
 template <typename T>
@@ -131,7 +108,8 @@ typename FpOps<T>::PqdType lorenzo_pqd_wavefront_t(std::span<const T> data,
                                                    const LinearQuantizer& q,
                                                    PredictorKind kind,
                                                    int threads) {
-  const int nt = apply_work_floor(resolve_thread_budget(threads), dims.count());
+  const int nt = util::team_size(threads, dims.count(),
+                                 wavefront_min_points_per_thread());
   if (nt <= 1 || dims.rank < 2) {
     return lorenzo_pqd_t<T>(data, dims, q, kind);
   }
@@ -152,35 +130,28 @@ typename FpOps<T>::PqdType lorenzo_pqd_wavefront_t(std::span<const T> data,
   const bool use_simd = simd_pqd_eligible(dims, kind);
   const simd::QuantSpec spec = quant_spec(q);
 
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nt)
-#endif
-  {
-    for (const auto& diag : g.diagonals) {
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-      for (std::size_t t = 0; t < diag.size(); ++t) {
+  // The barrier between batches is the hyperplane boundary: diagonal d+1
+  // only starts once every tile of diagonal d is written.
+  util::parallel_batches(
+      g.diagonals.size(),
+      [&](std::size_t d) { return g.diagonals[d].size(); }, nt,
+      [&](std::size_t d, std::size_t t) {
+        const Tile& tile = g.diagonals[d][t];
         if (use_simd) {
-          const Tile& tile = diag[t];
           const std::size_t lo0 = tile.t0 * g.e0;
           const std::size_t lo1 = tile.t1 * g.e1;
           pqd_tile_simd(src, rec, codes, padded, q, dims, kind, spec, s0,
                         lo0, std::min(shape.n0, lo0 + g.e0), lo1,
                         std::min(shape.n1, lo1 + g.e1));
         } else {
-          for_tile_points(diag[t], g, shape,
+          for_tile_points(tile, g, shape,
                           [&](std::size_t i0, std::size_t i1, std::size_t i2,
                               std::size_t i) {
                             pqd_step(src, rec, codes, padded, q, dims, kind,
                                      one_layer, s0, s1, i0, i1, i2, i);
                           });
         }
-      }
-      // The omp-for barrier is the hyperplane boundary: diagonal d+1 only
-      // starts once every tile of diagonal d is written.
-    }
-  }
+      });
 
   // Splice the unpredictable originals back into the exact raster-order
   // stream the container format requires; the code array already marks them.
@@ -195,7 +166,8 @@ std::vector<T> lorenzo_reconstruct_wavefront_t(
     std::span<const std::uint16_t> codes, std::span<const T> unpredictable,
     const Dims& dims, const LinearQuantizer& q, PredictorKind kind,
     int threads) {
-  const int nt = apply_work_floor(resolve_thread_budget(threads), dims.count());
+  const int nt = util::team_size(threads, dims.count(),
+                                 wavefront_min_points_per_thread());
   if (nt <= 1 || dims.rank < 2) {
     return lorenzo_reconstruct_t<T>(codes, unpredictable, dims, q, kind);
   }
@@ -227,17 +199,12 @@ std::vector<T> lorenzo_reconstruct_wavefront_t(
                          g.diagonals.size());
   const bool use_simd = simd_pqd_eligible(dims, kind);
   const simd::QuantSpec spec = quant_spec(q);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nt)
-#endif
-  {
-    for (const auto& diag : g.diagonals) {
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-      for (std::size_t t = 0; t < diag.size(); ++t) {
+  util::parallel_batches(
+      g.diagonals.size(),
+      [&](std::size_t d) { return g.diagonals[d].size(); }, nt,
+      [&](std::size_t d, std::size_t t) {
+        const Tile& tile = g.diagonals[d][t];
         if (use_simd) {
-          const Tile& tile = diag[t];
           const std::size_t lo0 = tile.t0 * g.e0;
           const std::size_t lo1 = tile.t1 * g.e1;
           reconstruct_tile_simd(codes.data(), rec.data(), padded, q, dims,
@@ -245,7 +212,7 @@ std::vector<T> lorenzo_reconstruct_wavefront_t(
                                 std::min(shape.n0, lo0 + g.e0), lo1,
                                 std::min(shape.n1, lo1 + g.e1));
         } else {
-          for_tile_points(diag[t], g, shape,
+          for_tile_points(tile, g, shape,
                           [&](std::size_t i0, std::size_t i1, std::size_t i2,
                               std::size_t i) {
                             if (codes[i] == 0) return;  // placed above
@@ -254,9 +221,7 @@ std::vector<T> lorenzo_reconstruct_wavefront_t(
                                 kind, one_layer, s0, s1, i0, i1, i2, i);
                           });
         }
-      }
-    }
-  }
+      });
   return rec;
 }
 

@@ -15,8 +15,24 @@
 #include "metrics/stats.hpp"
 #include "util/error.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace wavesz::ghost {
 namespace {
+
+/// Lowers the calling thread's default OpenMP team to one thread for its
+/// lifetime; a build without OpenMP has no team to lower.
+struct OneThreadTeam {
+#ifdef _OPENMP
+  int saved = omp_get_max_threads();
+  OneThreadTeam() { omp_set_num_threads(1); }
+  ~OneThreadTeam() { omp_set_num_threads(saved); }
+  OneThreadTeam(const OneThreadTeam&) = delete;
+  OneThreadTeam& operator=(const OneThreadTeam&) = delete;
+#endif
+};
 
 TEST(GhostSymbols, PackUnpackRoundTrip) {
   for (std::uint8_t order : {0, 1, 2, 3}) {
@@ -172,6 +188,25 @@ TEST(GhostCompressor, RoughDataStaysBoundedWithRowSeeds) {
   EXPECT_GE(g.header.unpredictable_count, dims[0]);  // >= the row seeds
   const auto decoded = decompress(g.bytes);
   EXPECT_TRUE(metrics::within_bound(field, decoded, g.header.eb_absolute));
+}
+
+TEST(GhostCompressor, ContainerBytesDoNotDependOnTheHostsThreads) {
+  // Budget 0 means all threads, here a default team lowered to one. The
+  // section layout follows the requested budget, so the container is the
+  // chunked one that budget 2 writes, on every host.
+  const Dims dims = Dims::d2(40, 56);
+  data::FieldRecipe recipe;
+  recipe.seed = 7;
+  const auto field = data::generate(recipe, dims);
+  sz::Config cfg;
+  cfg.deflate_chunk_bytes = 4096;  // the 4,480 bytes of codes: two chunks
+  cfg.codec_threads = 2;
+  const auto chunked = ghost::compress(field, dims, cfg).bytes;
+  cfg.codec_threads = 1;
+  ASSERT_NE(ghost::compress(field, dims, cfg).bytes, chunked);
+  cfg.codec_threads = 0;
+  [[maybe_unused]] const OneThreadTeam team;
+  EXPECT_EQ(ghost::compress(field, dims, cfg).bytes, chunked);
 }
 
 TEST(GhostCompressor, WrongVariantRejected) {

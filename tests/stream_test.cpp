@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "core/stream.hpp"
+#include "core/wavesz.hpp"
 #include "data/synthetic.hpp"
 #include "metrics/stats.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace wavesz::wave {
@@ -143,6 +145,39 @@ TEST(Stream, CorruptArchiveFailsLoudly) {
                                 archive.begin() + archive.size() / 2);
   EXPECT_THROW(stream_decompress(cut), Error);
   EXPECT_THROW(stream_decompress_chunk(archive, 99), Error);
+}
+
+TEST(Stream, EveryDecodeChecksEachChunksPlaneCount) {
+  // A float64 archive of 4 planes with chunk_planes 2, written by hand
+  // with chunks of `head` and 4 - head planes: the plane total is right
+  // either way, the placement only for head = 2.
+  const Dims dims = Dims::d2(4, 16);
+  const auto f32 = volume(dims, 11);
+  const std::vector<double> field(f32.begin(), f32.end());
+  const auto archive = [&](std::size_t head) {
+    std::vector<std::vector<std::uint8_t>> chunks;
+    for (const auto& [first, planes] :
+         {std::pair{std::size_t{0}, head}, std::pair{head, 4 - head}}) {
+      const auto values = std::span<const double>(field).subspan(
+          first * 16, planes * 16);
+      chunks.push_back(
+          wave::compress(values, Dims::d2(planes, 16), default_config())
+              .bytes);
+    }
+    ByteWriter w;
+    w.u32(0x53535a57u);  // "WZSS"
+    w.u8(2);
+    for (const std::uint64_t extent : {4, 16, 1}) w.u64(extent);
+    w.u64(2);  // chunk_planes
+    w.u64(chunks.size());
+    for (const auto& c : chunks) w.u64(c.size());
+    for (const auto& c : chunks) w.bytes(c);
+    return w.take();
+  };
+  EXPECT_EQ(stream_decompress64(archive(2)).size(), field.size());
+  const auto misplaced = archive(3);
+  EXPECT_THROW(stream_decompress64(misplaced), Error);
+  EXPECT_THROW(stream_decompress64(misplaced, sz::DecodeOptions{2, 1}), Error);
 }
 
 TEST(Stream, DefaultChunkSizeIsSane) {

@@ -1,12 +1,17 @@
 // Unit tests for the util layer: bit I/O in both orders, byte serialization,
-// CRC-32, IEEE-754 helpers, and the shared canonical Huffman machinery.
+// CRC-32, IEEE-754 helpers, the shared canonical Huffman machinery, and the
+// fork-join helper.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "util/dims.hpp"
 #include "util/error.hpp"
 #include "util/float_bits.hpp"
+#include "util/fork_join.hpp"
 #include "util/huffman.hpp"
 
 namespace wavesz {
@@ -685,6 +691,100 @@ INSTANTIATE_TEST_SUITE_P(
     AlphabetsAndLimits, HuffmanSweep,
     ::testing::Combine(::testing::Values(2, 5, 19, 30, 288, 1000, 65536),
                        ::testing::Values(7, 15, 24)));
+
+// ------------------------------------------------------------- fork-join
+
+TEST(ForkJoin, BudgetAndWorkerCount) {
+  EXPECT_EQ(util::resolve_thread_budget(3), 3);
+  EXPECT_GE(util::resolve_thread_budget(0), 1);
+  EXPECT_EQ(util::resolve_thread_budget(-1), util::resolve_thread_budget(0));
+  EXPECT_EQ(util::team_size(4, 1000), 4);
+  EXPECT_EQ(util::team_size(4, 2), 2);  // capped by the item count
+  EXPECT_EQ(util::team_size(4, 0), 1);
+  // Capped by the work floor: three floors' worth feeds three workers.
+  EXPECT_EQ(util::team_size(4, 3u << 15, 1u << 15), 3);
+  EXPECT_EQ(util::team_size(4, (1u << 15) - 1, 1u << 15), 1);
+  EXPECT_EQ(util::team_size(4, 1000, 0), 4);  // 0 = no floor
+}
+
+TEST(ForkJoin, EveryItemRunsExactlyOnce) {
+  const std::vector<std::size_t> sizes{3, 1, 7, 0, 5, 64};
+  std::vector<std::size_t> first{0};
+  for (const std::size_t n : sizes) first.push_back(first.back() + n);
+  for (const int budget : {1, 2, 4}) {
+    std::vector<std::atomic<int>> hits(1000);
+    util::parallel_for(hits.size(), budget,
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "item " << i << " budget " << budget;
+    }
+
+    // Batched: each item once, and none before its whole previous batch.
+    std::vector<std::atomic<int>> batch_hits(first.back());
+    std::vector<std::atomic<std::size_t>> done(sizes.size());
+    std::atomic<bool> in_order{true};
+    util::parallel_batches(
+        sizes.size(), [&](std::size_t b) { return sizes[b]; }, budget,
+        [&](std::size_t b, std::size_t i) {
+          if (b > 0 && done[b - 1].load() != sizes[b - 1]) in_order = false;
+          batch_hits[first[b] + i].fetch_add(1);
+          done[b].fetch_add(1);
+        });
+    EXPECT_TRUE(in_order.load()) << "budget " << budget;
+    for (std::size_t i = 0; i < batch_hits.size(); ++i) {
+      ASSERT_EQ(batch_hits[i].load(), 1) << "item " << i << " budget "
+                                         << budget;
+    }
+  }
+}
+
+TEST(ForkJoin, ExceptionReachesTheCallerAfterTheTeamJoins) {
+  for (const int budget : {1, 2, 4}) {
+    std::atomic<int> running{0};
+    try {
+      util::parallel_for(32, budget, [&](std::size_t i) {
+        running.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        running.fetch_sub(1);
+        if (i == 3) throw std::runtime_error("item 3");
+      });
+      ADD_FAILURE() << "no exception at budget " << budget;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 3");
+      // Every item that started had finished before the rethrow.
+      EXPECT_EQ(running.load(), 0) << "budget " << budget;
+    }
+  }
+}
+
+TEST(ForkJoin, NoBatchRunsAfterAThrowAndNoWorkerHangs) {
+  for (const int budget : {1, 2, 4}) {
+    std::atomic<std::size_t> last_batch{0};
+    std::atomic<int> running{0};
+    const auto throwing = [&](std::size_t b, std::size_t i) {
+      running.fetch_add(1);
+      std::size_t seen = last_batch.load();
+      while (b > seen && !last_batch.compare_exchange_weak(seen, b)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      running.fetch_sub(1);
+      if (b == 2 && i == 1) throw std::runtime_error("batch 2");
+    };
+    // Returning at all shows no worker waits at a barrier after the throw.
+    EXPECT_THROW(util::parallel_batches(
+                     6, [](std::size_t) { return std::size_t{4}; }, budget,
+                     throwing),
+                 std::runtime_error);
+    EXPECT_EQ(last_batch.load(), 2u) << "budget " << budget;
+    EXPECT_EQ(running.load(), 0) << "budget " << budget;
+    // The same team shape runs again cleanly afterwards.
+    std::atomic<int> items{0};
+    util::parallel_batches(
+        6, [](std::size_t) { return std::size_t{4}; }, budget,
+        [&](std::size_t, std::size_t) { items.fetch_add(1); });
+    EXPECT_EQ(items.load(), 24) << "budget " << budget;
+  }
+}
 
 }  // namespace
 }  // namespace wavesz

@@ -33,6 +33,12 @@ repo's own contracts, the ones a generic checker cannot know about:
                     runtime-dispatched kernels in util/simd.hpp, so
                     scalar/SSE2/AVX2 parity stays enforceable in one
                     place and no TU silently compiles ISA-specific code.
+  omp-containment   OpenMP (#pragma omp, <omp.h>, omp_get_*/omp_set_*
+                    calls, _OPENMP tests) lives only in util/fork_join.cpp
+                    — every fan-out goes through its parallel_for /
+                    parallel_batches, so the thread budget, the worker
+                    count and failure containment are written once and a
+                    build without OpenMP runs the same code.
   header-shadow     a header basename may exist in only one src/
                     subsystem: two headers both called histogram.hpp in
                     metrics/ and telemetry/ invite the wrong include and
@@ -102,6 +108,7 @@ RULES = (
     "determinism",
     "parse-discipline",
     "simd-containment",
+    "omp-containment",
     "header-shadow",
     "atomics-manifest",
     "design-anchors",
@@ -131,6 +138,11 @@ SIMD_SANCTIONED = (
     os.path.join("util", "simd.cpp"),
 )
 
+# The one file allowed to speak OpenMP: the fork-join helper.
+OMP_SANCTIONED = (
+    os.path.join("util", "fork_join.cpp"),
+)
+
 SUPPRESS_RE = re.compile(
     r"wavesz-lint:\s*allow\(([a-z0-9-]+)\)\s*(\S.*)?$")
 
@@ -153,6 +165,15 @@ SIMD_RE = re.compile(
     r"#\s*include\s*[<\"][a-z0-9_]*mmintrin\.h[>\"]|"
     r"#\s*include\s*[<\"]x86intrin\.h[>\"]|"
     r"__builtin_cpu_\w+|\b_mm(?:\d+)?_\w+\s*\(")
+
+OMP_RE = re.compile(
+    r"#\s*pragma\s+omp\b|#\s*include\s*<omp\.h>|"
+    r"\bomp_(?:get|set)_\w+\s*\(|\b_OPENMP\b")
+
+# Matched on the raw line: stripping blanks the quoted header name and the
+# _Pragma operand.
+OMP_RAW_RE = re.compile(
+    r"#\s*include\s*\"omp\.h\"|\b_Pragma\s*\(\s*\"\s*omp\b")
 
 BYTE_READER_RE = re.compile(r"\bByteReader\s+\w+\s*\(|\bByteReader\s*\(")
 
@@ -340,6 +361,7 @@ def lint_file(path: str, rel: str, findings: list[Finding]) -> None:
 
     in_sanctioned = any(rel.endswith(p) for p in RAW_MEMORY_SANCTIONED)
     in_simd = any(rel.endswith(p) for p in SIMD_SANCTIONED)
+    in_omp = any(rel.endswith(p) for p in OMP_SANCTIONED)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_simd and SIMD_RE.search(line):
@@ -349,6 +371,15 @@ def lint_file(path: str, rel: str, findings: list[Finding]) -> None:
                     "x86 intrinsics / __builtin_cpu_* outside util/simd.*;"
                     " call the dispatched kernels in util/simd.hpp or add "
                     "`// wavesz-lint: allow(simd-containment) <why>`"))
+        raw_line = raw_lines[idx - 1] if idx - 1 < len(raw_lines) else ""
+        if not in_omp and (OMP_RE.search(line) or (
+                line.strip() and OMP_RAW_RE.search(raw_line))):
+            if not is_suppressed(suppressed, idx, "omp-containment"):
+                findings.append(Finding(
+                    rel, idx, "omp-containment",
+                    "OpenMP outside util/fork_join.cpp; fan out through "
+                    "util::parallel_for / parallel_batches or add "
+                    "`// wavesz-lint: allow(omp-containment) <why>`"))
         if not in_sanctioned and RAW_MEMORY_RE.search(line):
             if not is_suppressed(suppressed, idx, "raw-memory"):
                 findings.append(Finding(
