@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,21 +106,34 @@ struct PersonaSummary {
   }
 };
 
+/// Run each of `jobs` once per repeat, in turn, and return each job's
+/// median wall time in seconds. Taking turns within every repeat lets host
+/// drift and allocator state hit the jobs alike, so their ratios hold even
+/// when the host changes speed mid-run; the median (not the first or the
+/// mean) keeps each column stable under cold caches and scheduler noise.
+inline std::vector<double> interleaved_median_seconds(
+    unsigned repeat, const std::vector<std::function<void()>>& jobs) {
+  std::vector<std::vector<double>> secs(jobs.size());
+  for (unsigned r = 0; r < repeat; ++r) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      Stopwatch sw;
+      jobs[j]();
+      secs[j].push_back(sw.seconds());
+    }
+  }
+  std::vector<double> out;
+  for (auto& s : secs) {
+    std::sort(s.begin(), s.end());
+    const std::size_t n = s.size();
+    out.push_back(n % 2 == 1 ? s[n / 2] : 0.5 * (s[n / 2 - 1] + s[n / 2]));
+  }
+  return out;
+}
+
 /// Run `fn` `repeat` times and return the median wall time in seconds.
-/// Reporting the median (not the first or the mean) makes timed columns
-/// stable under cold caches and scheduler noise.
 template <typename Fn>
 double median_seconds(unsigned repeat, Fn&& fn) {
-  std::vector<double> secs;
-  secs.reserve(repeat);
-  for (unsigned r = 0; r < repeat; ++r) {
-    Stopwatch sw;
-    fn();
-    secs.push_back(sw.seconds());
-  }
-  std::sort(secs.begin(), secs.end());
-  const std::size_t n = secs.size();
-  return n % 2 == 1 ? secs[n / 2] : 0.5 * (secs[n / 2 - 1] + secs[n / 2]);
+  return interleaved_median_seconds(repeat, {std::forward<Fn>(fn)})[0];
 }
 
 inline PersonaSummary sweep_persona(data::Persona p, const Options& opts,

@@ -3,21 +3,28 @@
 // data for postanalysis and visualization" (§4.2) — this bench supplies
 // that CPU-side half of the story for every variant in this repository.
 //
-// Two sections:
-//   1. per-persona decompression throughput of every compressor variant
-//      (timed as the median of --repeat runs);
+// Three sections:
+//   1. per-persona decompression throughput of every compressor variant;
 //   2. the decode fast path vs the bit-at-a-time reference oracle on the
 //      512x512 synthetic fixture at deflate Level::Best — gzip member and
 //      full SZ container — on the gzip member of raw 16-bit codes that one
 //      16-plane NYX chunk writes through waveSZ G*, and on the H* code
 //      stream of one 900x1800 CESM field through waveSZ H*G*, whose row
-//      also times the H* encoder, asserting byte-identical output. This is
-//      the table recorded in EXPERIMENTS.md and dumped via --json to
-//      BENCH_decode.json.
+//      also times the H* encoder, asserting byte-identical output;
+//   3. chunk-indexed (v2) decode at 1, 2, 4 and 8 threads, and region
+//      reads against the serial full decode: the top-left quarter of the
+//      512x512 fixture (SZ-1.4 and waveSZ), and an interior box of a
+//      64x128x128 field (SZ-1.4), whose values depend on a box a third of
+//      its outer-slab prefix.
+// Every section interleaves the variants it compares within each of the
+// --repeat runs and reports medians. Sections 2 and 3 are the tables
+// recorded in EXPERIMENTS.md and dumped via --json to BENCH_decode.json.
 #include <cmath>
+#include <functional>
 #include <thread>
 
 #include "common.hpp"
+#include "data/synthetic.hpp"
 #include "deflate/deflate.hpp"
 #include "sz/container.hpp"
 #include "sz/huffman_codec.hpp"
@@ -59,20 +66,25 @@ struct DecodeRow {
   }
 };
 
-/// Time `decode()` on both paths; `decode` must return the decoded bytes
-/// (or any container comparable for byte-identity).
+/// Time `decode()` on both paths, taking turns within each repeat;
+/// `decode` must return the decoded bytes (or any container comparable for
+/// byte-identity).
 template <typename Decode>
 DecodeRow time_both_paths(const char* fixture, unsigned repeat,
                           Decode&& decode) {
   DecodeRow row;
   row.fixture = fixture;
-  set_reference_decode(false);
   auto fast = decode();
-  row.fast_s = bench::median_seconds(repeat, [&] { fast = decode(); });
-  set_reference_decode(true);
-  auto ref = decode();
-  row.ref_s = bench::median_seconds(repeat, [&] { ref = decode(); });
-  set_reference_decode(false);
+  auto ref = fast;
+  const auto secs = bench::interleaved_median_seconds(
+      repeat, {[&] { fast = decode(); },
+               [&] {
+                 set_reference_decode(true);
+                 ref = decode();
+                 set_reference_decode(false);
+               }});
+  row.fast_s = secs[0];
+  row.ref_s = secs[1];
   row.identical = fast == ref;
   row.out_bytes = fast.size() * sizeof(fast[0]);
   return row;
@@ -118,7 +130,9 @@ void write_decode_json(const bench::Options& opts,
                "  \"fixture\": \"synthetic 512x512 f32, deflate "
                "Level::Best; G* codes: one 16x128x128 NYX chunk, waveSZ "
                "default config; H* codes: one 900x1800 CESM-ATM field, "
-               "waveSZ H*G*\",\n  \"repeat\": %u,\n"
+               "waveSZ H*G*; region rows: the 512x512 quarter, and an "
+               "interior box of a 64x128x128 synthetic field, SZ-1.4 "
+               "defaults\",\n  \"repeat\": %u,\n"
                "  \"hardware_threads\": %u,\n  \"rows\": [",
                opts.repeat, std::thread::hardware_concurrency());
   bool first = true;
@@ -196,16 +210,17 @@ int main(int argc, char** argv) {
       sz2::Config cfg2;
       const auto c_sz2 = sz2::compress(grid, f.dims, cfg2);
 
-      t_sz += bench::median_seconds(
-          opts.repeat, [&] { (void)sz::decompress(c_sz.bytes); });
-      t_ghost += bench::median_seconds(
-          opts.repeat, [&] { (void)ghost::decompress(c_ghost.bytes); });
-      t_wg += bench::median_seconds(
-          opts.repeat, [&] { (void)wave::decompress(c_wg.bytes); });
-      t_whg += bench::median_seconds(
-          opts.repeat, [&] { (void)wave::decompress(c_whg.bytes); });
-      t_sz2 += bench::median_seconds(
-          opts.repeat, [&] { (void)sz2::decompress(c_sz2.bytes); });
+      const auto secs = bench::interleaved_median_seconds(
+          opts.repeat, {[&] { (void)sz::decompress(c_sz.bytes); },
+                        [&] { (void)ghost::decompress(c_ghost.bytes); },
+                        [&] { (void)wave::decompress(c_wg.bytes); },
+                        [&] { (void)wave::decompress(c_whg.bytes); },
+                        [&] { (void)sz2::decompress(c_sz2.bytes); }});
+      t_sz += secs[0];
+      t_ghost += secs[1];
+      t_wg += secs[2];
+      t_whg += secs[3];
+      t_sz2 += secs[4];
     }
     std::printf("%-12s %10.0f %10.0f %12.0f %12.0f %10.0f\n",
                 std::string(data::persona_name(p)).c_str(),
@@ -303,61 +318,72 @@ int main(int argc, char** argv) {
 
   std::printf("\n----------------------------------------------------------------\n");
   std::printf("chunk-indexed (v2) decode thread scaling + region decode "
-              "(512x512)\n");
+              "(512x512; region also 64x128x128)\n");
   std::printf("----------------------------------------------------------------\n");
 
   std::vector<ScaleRow> scale_rows;
   std::vector<RegionRow> region_rows;
-  // Quarter-field hyperslab with full dependency closure inside the read
-  // prefix: the top-left corner, so the region decoders stop early.
-  sz::Region quarter;
-  quarter.hi = {256, 256, 0};
 
+  // One container's decodes, taking turns within each repeat: the full
+  // decode at each budget of `budgets` (serial first), and one region read,
+  // checked against the same slice of the serial full decode. A region's
+  // dependency closure is the box from the origin to its far corner, so
+  // the top-left quarter needs no data past itself.
   const auto run_variant = [&](const char* name, const char* region_name,
+                               const Dims& fdims, const sz::Region& rg,
                                const std::vector<std::uint8_t>& blob,
+                               const std::vector<int>& budgets,
                                auto&& full_decode, auto&& region_decode) {
     const auto serial = full_decode(sz::DecodeOptions{1, 1});
-    double serial_s = 0;
-    for (int nt : {1, 2, 4, 8}) {
+    std::vector<decltype(full_decode(sz::DecodeOptions{}))> outs(
+        budgets.size());
+    auto res = region_decode(rg);
+    std::vector<std::function<void()>> jobs;
+    for (std::size_t k = 0; k < budgets.size(); ++k) {
+      jobs.emplace_back([&, k] {
+        outs[k] = full_decode(sz::DecodeOptions{budgets[k], budgets[k]});
+      });
+    }
+    jobs.emplace_back([&] { res = region_decode(rg); });
+    const auto secs = bench::interleaved_median_seconds(opts.repeat, jobs);
+    for (std::size_t k = 0; k < budgets.size(); ++k) {
       ScaleRow r;
       r.fixture = name;
-      r.threads = nt;
-      const sz::DecodeOptions o{nt, nt};
-      auto out = full_decode(o);
-      r.seconds = bench::median_seconds(opts.repeat,
-                                        [&] { out = full_decode(o); });
-      if (nt == 1) serial_s = r.seconds;
-      r.serial_seconds = serial_s;
-      r.identical = out == serial;
-      r.out_bytes = out.size() * sizeof(out[0]);
+      r.threads = budgets[k];
+      r.seconds = secs[k];
+      r.serial_seconds = secs[0];
+      r.identical = outs[k] == serial;
+      r.out_bytes = outs[k].size() * sizeof(outs[k][0]);
       scale_rows.push_back(r);
     }
     RegionRow rr;
     rr.fixture = region_name;
-    auto res = region_decode(quarter);
-    rr.seconds = bench::median_seconds(opts.repeat,
-                                       [&] { res = region_decode(quarter); });
-    rr.full_seconds = serial_s;
+    rr.seconds = secs.back();
+    rr.full_seconds = secs[0];
     rr.container_bytes = blob.size();
     rr.bytes_read = res.compressed_bytes_read;
     rr.out_bytes = res.data.size() * sizeof(res.data[0]);
-    bool same = res.data.size() == 256u * 256u;
-    for (std::size_t y = 0; same && y < 256; ++y) {
-      for (std::size_t x = 0; x < 256; ++x) {
-        if (res.data[y * 256 + x] != serial[y * 512 + x]) {
-          same = false;
-          break;
-        }
+    std::vector<float> want;
+    const std::size_t s0 = fdims[1] * fdims[2];
+    for (std::size_t x = rg.lo[0]; x < rg.hi[0]; ++x) {
+      for (std::size_t y = rg.lo[1]; y < rg.hi[1]; ++y) {
+        const auto row = serial.begin() +
+                         static_cast<std::ptrdiff_t>(x * s0 + y * fdims[2]);
+        want.insert(want.end(), row + static_cast<std::ptrdiff_t>(rg.lo[2]),
+                    row + static_cast<std::ptrdiff_t>(rg.hi[2]));
       }
     }
-    rr.identical = same;
+    rr.identical = res.data == want;
     region_rows.push_back(rr);
   };
 
+  const sz::Region quarter{{0, 0, 0}, {256, 256, 1}};
+  const std::vector<int> budgets = {1, 2, 4, 8};
   {
     const auto c = sz::compress(grid, dims, sz::Config{});
     run_variant(
-        "SZ-1.4 v2 container", "SZ-1.4 quarter region", c.bytes,
+        "SZ-1.4 v2 container", "SZ-1.4 quarter region", dims, quarter,
+        c.bytes, budgets,
         [&](const sz::DecodeOptions& o) { return sz::decompress(c.bytes, o); },
         [&](const sz::Region& rg) {
           return sz::decompress_region(c.bytes, rg);
@@ -368,12 +394,30 @@ int main(int argc, char** argv) {
     wcfg.huffman = true;
     const auto c = wave::compress(grid, dims, wcfg);
     run_variant(
-        "waveSZ H*G* v2 container", "waveSZ quarter region", c.bytes,
+        "waveSZ H*G* v2 container", "waveSZ quarter region", dims, quarter,
+        c.bytes, budgets,
         [&](const sz::DecodeOptions& o) {
           return wave::decompress(c.bytes, o);
         },
         [&](const sz::Region& rg) {
           return wave::decompress_region(c.bytes, rg);
+        });
+  }
+  {
+    // An interior box of a 3D field, the shape of a hurricane3d_t2 read:
+    // its box [0, 48) x [0, 80) x [0, 80) is 39% of its outer-slab prefix
+    // [0, 48) x 128 x 128. Its container is decoded serially only.
+    const Dims d3 = Dims::d3(64, 128, 128);
+    data::FieldRecipe recipe;
+    recipe.seed = 5;
+    const auto field3 = data::generate(recipe, d3);
+    const auto c = sz::compress(field3, d3, sz::Config{});
+    run_variant(
+        "SZ-1.4 3D v2 container", "SZ-1.4 3D interior box region", d3,
+        sz::Region{{16, 24, 24}, {48, 80, 80}}, c.bytes, {1},
+        [&](const sz::DecodeOptions& o) { return sz::decompress(c.bytes, o); },
+        [&](const sz::Region& rg) {
+          return sz::decompress_region(c.bytes, rg);
         });
   }
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -170,7 +171,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_szx.json\n");
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"szx_throughput\",\n  \"results\": [");
+  std::fprintf(json,
+               "{\n  \"bench\": \"szx_throughput\",\n"
+               "  \"hardware_threads\": %u,\n  \"results\": [",
+               std::thread::hardware_concurrency());
   bool first = true;
   sweep_shape<float>(Dims::d2(512, 512), "512x512", "f32", json, &first);
   sweep_shape<float>(Dims::d2(2048, 2048), "2048x2048", "f32", json, &first);

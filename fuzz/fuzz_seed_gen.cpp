@@ -157,6 +157,20 @@ int main(int argc, char** argv) {
                container_with_codes(geometric_stream(), 256));
     write_seed(root / "chunk_index", 7,
                container_with_codes(fibonacci_stream(), 4096));
+    // A 3D field of white noise 100x its scale under an absolute bound of
+    // 1e-3: most codes are 0, so a box read must step the unpredictable
+    // cursor over every row tail and plane tail outside the box.
+    data::FieldRecipe rough;
+    rough.seed = 47;
+    rough.noise_amplitude = 1.0;
+    rough.amplitude = 100.0;
+    const Dims d3 = Dims::d3(6, 12, 16);
+    sz::Config abs_cfg;
+    abs_cfg.mode = sz::EbMode::Absolute;
+    abs_cfg.error_bound = 1e-3;
+    abs_cfg.index_chunk_symbols = 64;
+    write_seed(root / "chunk_index", 8,
+               sz::compress(data::generate(rough, d3), d3, abs_cfg).bytes);
   }
 
   {

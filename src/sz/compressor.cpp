@@ -1,6 +1,7 @@
 #include "sz/compressor.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sz/pqd_detail.hpp"
 #include "sz/sections.hpp"
@@ -162,30 +163,65 @@ Sections read_sz14(ByteReader& r, const ContainerHeader& h) {
   return read_sections(r, h);
 }
 
-/// Rebuild `dims` (the whole field, or a prefix of complete outer slabs)
-/// from decoded sections: truncation-decode the unpredictable values, then
-/// run the Lorenzo reconstruct.
+/// Cut the box [0, box[0]) x [0, box[1]) x [0, box[2]) out of `codes`,
+/// decoded over its complete outer slabs [0, box[0]) of `field`, and out of
+/// the unpredictable values those codes consume, in place: the leading run
+/// of each box row moves down behind the previous one, and so does each
+/// value a box code consumes. The value cursor also steps over the code-0
+/// points of each row tail and plane tail outside the box. Rows run along
+/// the last axis; a rank-2 field is one plane of rows.
 template <typename T>
-std::vector<T> reconstruct(const ContainerHeader& h, const SectionsDecoded& d,
-                           const Dims& dims, const DecodeOptions& opts) {
+void cut_box(std::vector<std::uint16_t>& codes, std::vector<T>& unpred,
+             const Dims& field, const Dims& box) {
+  const std::size_t p = field.rank == 3 ? 1 : 0;  // the row axis
+  const std::size_t rows = field.extent[p], cols = field.extent[p + 1];
+  std::size_t codes_kept = 0, values_kept = 0, next = 0;
+  for (std::size_t row = 0; row < codes.size() / cols; ++row) {
+    const std::span<const std::uint16_t> all(codes.data() + row * cols, cols);
+    const auto kept =
+        all.first(row % rows < box.extent[p] ? box.extent[p + 1] : 0);
+    const std::size_t used = count_unpredictable(kept);
+    // The box is a raster subsequence, so each write lands at or before
+    // the element it copies.
+    for (const std::uint16_t c : kept) codes[codes_kept++] = c;
+    for (std::size_t v = 0; v < used; ++v) {
+      unpred[values_kept++] = unpred[next + v];
+    }
+    next += used + count_unpredictable(all.subspan(kept.size()));
+  }
+  codes.resize(codes_kept);
+  unpred.resize(values_kept);
+}
+
+/// Rebuild the box [0, box[0]) x [0, box[1]) x [0, box[2]) of the field
+/// from sections decoded over its complete outer slabs [0, box[0]) (the
+/// whole field when `box` is the header's dims): truncation-decode the
+/// unpredictable values, keep the box's codes and values, then run the
+/// Lorenzo reconstruct over the box alone. The stencil reaches only
+/// backward, and off-grid taps read 0 in both runs, so each box value
+/// equals the same point of a full decode.
+template <typename T>
+std::vector<T> reconstruct(const ContainerHeader& h, SectionsDecoded d,
+                           const Dims& box, const DecodeOptions& opts) {
   std::vector<T> unpred;
   {
     telemetry::Span span(telemetry::spans::kDecodeUnpred);
     unpred = FpOps<T>::decode(d.unpred, d.unpred_count, h.eb_absolute);
   }
+  if (box.count() != d.codes.size()) cut_box<T>(d.codes, unpred, h.dims, box);
   WAVESZ_REQUIRE(h.aux <= 1, "unknown SZ-1.4 predictor kind");
   const auto kind = static_cast<PredictorKind>(h.aux);
   const LinearQuantizer q(h.eb_absolute, h.quant_bits);
   // Reconstruction is value-identical for every budget, so the decode pool
   // may as well drive it when it is the larger of the two.
   const int nt = std::max(resolve_thread_budget(opts.pqd_threads), d.threads);
-  if (nt > 1 && dims.rank >= 2) {
+  if (nt > 1 && box.rank >= 2) {
     telemetry::Span span(telemetry::spans::kReconstructWavefront);
-    return detail::lorenzo_reconstruct_wavefront_t<T>(d.codes, unpred, dims, q,
+    return detail::lorenzo_reconstruct_wavefront_t<T>(d.codes, unpred, box, q,
                                                       kind, nt);
   }
   telemetry::Span span(telemetry::spans::kReconstructRaster);
-  return detail::lorenzo_reconstruct_t<T>(d.codes, unpred, dims, q, kind);
+  return detail::lorenzo_reconstruct_t<T>(d.codes, unpred, box, q, kind);
 }
 
 template <typename T>
@@ -220,26 +256,26 @@ RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
   res.field_dims = h.dims;
   res.region_dims = normalize_region(rg, h.dims);
 
-  // The Lorenzo stencil reaches only backward in raster order, so the
-  // dependency closure of the hyperslab is the prefix of complete outer
-  // slabs [0, hi[0]) — reconstructing a (hi0, d1, d2) field from the code
-  // prefix yields values identical to the same rows of a full decode.
-  Dims pdims = h.dims;
-  pdims.extent[0] = rg.hi[0];
-  if (szx || !s.idx.present() || pdims.count() == h.point_count) {
+  // The hyperslab depends on the box [0, hi0) x [0, hi1) x [0, hi2) alone.
+  // Raster code order makes the decoder decode the box's complete outer
+  // slabs [0, hi0); reconstruct() then rebuilds only the box.
+  Dims box = h.dims;
+  box.extent = rg.hi;
+  if (szx || !s.idx.present() || box == h.dims) {
     // SZx and index-less streams carry no chunk index (SZx decodes fast
-    // enough that a full decode is still cheap), or the slab prefix is the
-    // whole field anyway.
+    // enough that a full decode is still cheap), or the box is the whole
+    // field anyway.
     const auto field = szx ? detail::szx_decompress_t<T>(bytes, nullptr)
                            : decompress_t<T>(bytes, nullptr, opts);
     res.data = gather_region<T>(field, h.dims, rg, res.region_dims);
     res.compressed_bytes_read = bytes.size();
   } else {
-    const SectionsDecoded d =
-        decode_section_prefix(s, pdims.count(), opts, kTruncationBits<T>);
-    res.data = gather_region<T>(reconstruct<T>(h, d, pdims, opts), pdims, rg,
-                                res.region_dims);
+    SectionsDecoded d = decode_section_prefix(
+        s, rg.hi[0] * h.dims.extent[1] * h.dims.extent[2], opts,
+        kTruncationBits<T>);
     res.compressed_bytes_read = d.bytes_read;
+    res.data = gather_region<T>(reconstruct<T>(h, std::move(d), box, opts),
+                                box, rg, res.region_dims);
   }
   telemetry::counter_add(telemetry::Counter::RegionBytesRead,
                          res.compressed_bytes_read);

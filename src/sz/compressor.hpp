@@ -154,14 +154,15 @@ std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
                                  Dims* dims_out = nullptr);
 
 /// Decode only the part of the stream needed for a hyperslab of the field.
-/// The Lorenzo stencil only ever reaches backward in raster order, so the
-/// dependency closure of any hyperslab is the prefix of complete outer
-/// slabs [0, hi[0]); with a v2 chunk index the decoder inflates and decodes
-/// just the chunks covering that prefix (partial gzip inflate included) and
-/// gathers the requested region out of it. The region values are identical
-/// to the same slice of a full decompress(). v1 / stripped-index streams
-/// fall back to a full decode (compressed_bytes_read then reports the whole
-/// container).
+/// The Lorenzo stencil only ever reaches backward, so the dependency
+/// closure of a hyperslab is the box [0, hi[0]) x [0, hi[1]) x [0, hi[2]).
+/// Codes are stored in raster order, so with a v2 chunk index the decoder
+/// inflates and decodes the chunks covering the box's complete outer slabs
+/// [0, hi[0]) (partial gzip inflate included), reconstructs the box alone
+/// and gathers the requested region out of it. The region values are
+/// identical to the same slice of a full decompress(). v1 / stripped-index
+/// streams, and a box that is the whole field, take a full decode
+/// (compressed_bytes_read then reports the whole container).
 RegionResult decompress_region(std::span<const std::uint8_t> bytes,
                                const Region& region,
                                const DecodeOptions& opts = {});
