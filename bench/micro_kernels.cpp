@@ -285,24 +285,9 @@ void BM_TruncationEncode(benchmark::State& state) {
 BENCHMARK(BM_TruncationEncode);
 
 // --- SIMD dispatch sweep -------------------------------------------------
-// One benchmark per vectorized kernel family, parameterized on the dispatch
+// One benchmark per level-dispatched scan, parameterized on the dispatch
 // level (0=scalar, 1=sse2, 2=avx2). Compare rows of the same benchmark to
-// read the per-ISA speedup; BENCH_pqd.json carries the end-to-end numbers.
-
-void BM_SimdLorenzoPqd2D(benchmark::State& state) {
-  if (!enter_level(state, state.range(0))) return;
-  const std::size_t n = 512;
-  const auto field = test_field(n, n);
-  const sz::LinearQuantizer q(1e-3, 16);
-  for (auto _ : state) {
-    auto pqd = sz::lorenzo_pqd(field, Dims::d2(n, n), q);
-    benchmark::DoNotOptimize(pqd.codes.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n * 4));
-  leave_level();
-}
-BENCHMARK(BM_SimdLorenzoPqd2D)->Arg(0)->Arg(1)->Arg(2);
+// read the per-ISA speedup.
 
 void BM_SimdMinmax(benchmark::State& state) {
   if (!enter_level(state, state.range(0))) return;

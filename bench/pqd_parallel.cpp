@@ -1,10 +1,11 @@
 // Wavefront-parallel PQD sweep: threads x shape x dtype on the Lorenzo
 // prediction-quantization hot path (compress kernel) and the reconstruction
-// sweep (decompress kernel), serial raster reference vs the tiled
-// anti-diagonal schedule of sz/wavefront_pqd.hpp, then the waveSZ column
-// walks per SIMD level. Verifies bit-exact parity on every configuration and
-// emits machine-readable results to BENCH_pqd.json in the working directory
-// (schema in EXPERIMENTS.md).
+// sweep (decompress kernel). Each shape times the raster-order reference
+// loop, the serial skewed row walk and the tiled anti-diagonal schedule of
+// sz/wavefront_pqd.hpp, then the waveSZ column walks per SIMD level.
+// Verifies that every walk and tile row matches the raster loop bit for bit
+// and emits machine-readable results to BENCH_pqd.json in the working
+// directory (schema in EXPERIMENTS.md).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -30,18 +31,16 @@ using namespace wavesz;
 
 int hardware_threads() { return util::resolve_thread_budget(0); }
 
-// Every sweep interleaves its variants (thread counts or SIMD levels) within
-// each repeat, so host drift and allocator state hit them alike, and each
-// row reports the median over the repeats.
-constexpr int kReps = 9;
-
+// Every sweep interleaves its variants (kernels and thread counts, or SIMD
+// levels) within each of --repeat repeats, so host drift and allocator
+// state hit them alike, and each row reports the median over the repeats.
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
 
 /// Per-repeat seconds of one variant, and whether every repeat matched the
-/// serial reference bit for bit.
+/// raster reference bit for bit.
 struct Timings {
   std::vector<double> pqd_s, rec_s;
   bool exact = true;
@@ -63,7 +62,7 @@ std::vector<T> make_field(const Dims& dims) {
   return out;
 }
 
-/// The serial PQD of `data` and the decompressor-visible (truncated)
+/// The raster-order PQD of `data` and the decompressor-visible (truncated)
 /// unpredictable values the reconstruction kernels expect, exactly what the
 /// container's decode path feeds them; the PQD output carries the raw
 /// originals.
@@ -74,7 +73,7 @@ struct Reference {
 
   Reference(std::span<const T> data, const Dims& dims,
             const sz::LinearQuantizer& q)
-      : pqd(sz::detail::lorenzo_pqd_t<T>(data, dims, q)),
+      : pqd(sz::detail::lorenzo_pqd_raster_t<T>(data, dims, q)),
         unpred(pqd.unpredictable) {
     for (auto& v : unpred) {
       v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
@@ -92,30 +91,41 @@ struct Reference {
   }
 };
 
+/// One shape: the raster loop, then the skewed walk at 1 thread and the
+/// tiles at 2, 4 and 8, taking turns within every repeat. Emits one
+/// "raster" row and four "walk" rows of the "results" table.
 template <typename T>
-bool sweep_shape(const Dims& dims, const char* dtype, std::FILE* json,
-                 bool* first_row) {
+bool sweep_shape(const Dims& dims, const char* dtype, unsigned repeat,
+                 std::FILE* json, bool* first_row) {
   const auto data = make_field<T>(dims);
   const std::span<const T> span(data);
   const sz::LinearQuantizer q(1e-3 * 2.6, 16);  // rel 1e-3 of the range
   const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
+  const auto kind = sz::PredictorKind::Lorenzo1Layer;
 
   const Reference<T> ref(span, dims, q);
   std::printf("%s %s (%.1f MB, %zu unpredictable)\n", dims.str().c_str(),
               dtype, mb, ref.pqd.unpredictable.size());
 
   constexpr int kThreads[] = {1, 2, 4, 8};
+  Timings raster;
   std::vector<Timings> runs(std::size(kThreads));
   Stopwatch sw;
-  for (int r = 0; r < kReps; ++r) {
+  for (unsigned r = 0; r < repeat; ++r) {
+    sw.reset();
+    (void)sz::detail::lorenzo_pqd_raster_t<T>(span, dims, q);
+    raster.pqd_s.push_back(sw.seconds());
+    sw.reset();
+    (void)sz::detail::lorenzo_reconstruct_raster_t<T>(
+        ref.pqd.codes, std::span<const T>(ref.unpred), dims, q);
+    raster.rec_s.push_back(sw.seconds());
     for (std::size_t k = 0; k < runs.size(); ++k) {
       const int threads = kThreads[k];
       sw.reset();
       const auto pqd =
-          threads == 1
-              ? sz::detail::lorenzo_pqd_t<T>(span, dims, q)
-              : sz::detail::lorenzo_pqd_wavefront_t<T>(
-                    span, dims, q, sz::PredictorKind::Lorenzo1Layer, threads);
+          threads == 1 ? sz::detail::lorenzo_pqd_t<T>(span, dims, q)
+                       : sz::detail::lorenzo_pqd_wavefront_t<T>(
+                             span, dims, q, kind, threads);
       runs[k].pqd_s.push_back(sw.seconds());
       sw.reset();
       const auto rec =
@@ -123,35 +133,46 @@ bool sweep_shape(const Dims& dims, const char* dtype, std::FILE* json,
               ? sz::detail::lorenzo_reconstruct_t<T>(ref.pqd.codes,
                                                      ref.unpred, dims, q)
               : sz::detail::lorenzo_reconstruct_wavefront_t<T>(
-                    ref.pqd.codes, ref.unpred, dims, q,
-                    sz::PredictorKind::Lorenzo1Layer, threads);
+                    ref.pqd.codes, ref.unpred, dims, q, kind, threads);
       runs[k].rec_s.push_back(sw.seconds());
       runs[k].exact = runs[k].exact && ref.matches(pqd, rec);
     }
   }
 
+  const double raster_pqd = median(raster.pqd_s);
+  const double raster_rec = median(raster.rec_s);
+  std::printf("  raster     pqd %7.1f MB/s                   "
+              "reconstruct %7.1f MB/s\n",
+              mb / raster_pqd, mb / raster_rec);
+  if (json != nullptr) {
+    std::fprintf(json,
+                 "%s    {\"shape\": \"%s\", \"dtype\": \"%s\", "
+                 "\"kernel\": \"raster\", \"threads\": 1, "
+                 "\"pqd_mbps\": %.2f, \"reconstruct_mbps\": %.2f}",
+                 *first_row ? "" : ",\n", dims.str().c_str(), dtype,
+                 mb / raster_pqd, mb / raster_rec);
+    *first_row = false;
+  }
   bool all_ok = true;
-  const double serial_pqd = median(runs[0].pqd_s);
-  const double serial_rec = median(runs[0].rec_s);
   for (std::size_t k = 0; k < runs.size(); ++k) {
     const double pqd_s = median(runs[k].pqd_s);
     const double rec_s = median(runs[k].rec_s);
     const bool exact = runs[k].exact;
     all_ok = all_ok && exact;
     std::printf(
-        "  threads=%d  pqd %7.1f MB/s (speedup %4.2fx)  "
-        "reconstruct %7.1f MB/s (speedup %4.2fx)  parity %s\n",
-        kThreads[k], mb / pqd_s, serial_pqd / pqd_s, mb / rec_s,
-        serial_rec / rec_s, exact ? "ok" : "FAIL");
+        "  threads=%d  pqd %7.1f MB/s (vs raster %4.2fx)  "
+        "reconstruct %7.1f MB/s (vs raster %4.2fx)  parity %s\n",
+        kThreads[k], mb / pqd_s, raster_pqd / pqd_s, mb / rec_s,
+        raster_rec / rec_s, exact ? "ok" : "FAIL");
     if (json != nullptr) {
       std::fprintf(
           json,
-          "%s    {\"shape\": \"%s\", \"dtype\": \"%s\", \"threads\": %d, "
-          "\"pqd_mbps\": %.2f, \"pqd_speedup_vs_serial\": %.3f, "
-          "\"reconstruct_mbps\": %.2f, \"reconstruct_speedup_vs_serial\": "
-          "%.3f, \"bit_exact\": %s}",
+          "%s    {\"shape\": \"%s\", \"dtype\": \"%s\", "
+          "\"kernel\": \"walk\", \"threads\": %d, \"pqd_mbps\": %.2f, "
+          "\"pqd_speedup_vs_raster\": %.3f, \"reconstruct_mbps\": %.2f, "
+          "\"reconstruct_speedup_vs_raster\": %.3f, \"bit_exact\": %s}",
           *first_row ? "" : ",\n", dims.str().c_str(), dtype, kThreads[k],
-          mb / pqd_s, serial_pqd / pqd_s, mb / rec_s, serial_rec / rec_s,
+          mb / pqd_s, raster_pqd / pqd_s, mb / rec_s, raster_rec / rec_s,
           exact ? "true" : "false");
       *first_row = false;
     }
@@ -166,71 +187,6 @@ std::vector<simd::Level> sweep_levels() {
   if (simd::detected() >= simd::Level::Sse2) out.push_back(simd::Level::Sse2);
   if (simd::detected() >= simd::Level::Avx2) out.push_back(simd::Level::Avx2);
   return out;
-}
-
-// Per-kernel simd dispatch sweep on the serial entry points (the production
-// path: lorenzo_pqd_t / lorenzo_reconstruct_t pick the vectorized tile
-// schedule from simd::active()). Emits the "simd_levels" rows of
-// BENCH_pqd.json.
-template <typename T>
-bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
-                      bool* first_row) {
-  const auto data = make_field<T>(dims);
-  const sz::LinearQuantizer q(1e-3 * 2.6, 16);
-  const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
-  const std::span<const T> span(data);
-
-  simd::set_level(simd::Level::Scalar);
-  const Reference<T> ref(span, dims, q);
-
-  std::printf("%s %s (%.1f MB) — simd dispatch sweep (serial kernels)\n",
-              dims.str().c_str(), dtype, mb);
-
-  const auto levels = sweep_levels();
-  std::vector<Timings> runs(levels.size());
-  Stopwatch sw;
-  for (int r = 0; r < kReps; ++r) {
-    for (std::size_t l = 0; l < levels.size(); ++l) {
-      simd::set_level(levels[l]);
-      sw.reset();
-      const auto pqd = sz::detail::lorenzo_pqd_t<T>(span, dims, q);
-      runs[l].pqd_s.push_back(sw.seconds());
-      sw.reset();
-      const auto rec = sz::detail::lorenzo_reconstruct_t<T>(
-          ref.pqd.codes, ref.unpred, dims, q);
-      runs[l].rec_s.push_back(sw.seconds());
-      runs[l].exact = runs[l].exact && ref.matches(pqd, rec);
-    }
-  }
-  simd::set_level(simd::detected());
-
-  bool all_ok = true;
-  const double scalar_pqd = median(runs[0].pqd_s);
-  const double scalar_rec = median(runs[0].rec_s);
-  for (std::size_t l = 0; l < levels.size(); ++l) {
-    const double pqd_s = median(runs[l].pqd_s);
-    const double rec_s = median(runs[l].rec_s);
-    const bool exact = runs[l].exact;
-    all_ok = all_ok && exact;
-    std::printf(
-        "  level=%-6s pqd %7.1f MB/s (%.2fx)  reconstruct %7.1f MB/s "
-        "(%.2fx)  parity %s\n",
-        simd::level_name(levels[l]), mb / pqd_s, scalar_pqd / pqd_s,
-        mb / rec_s, scalar_rec / rec_s, exact ? "ok" : "FAIL");
-    if (json != nullptr) {
-      std::fprintf(
-          json,
-          "%s    {\"shape\": \"%s\", \"dtype\": \"%s\", \"level\": \"%s\", "
-          "\"pqd_mbps\": %.2f, \"pqd_speedup_vs_scalar\": %.3f, "
-          "\"reconstruct_mbps\": %.2f, "
-          "\"reconstruct_speedup_vs_scalar\": %.3f, \"bit_exact\": %s}",
-          *first_row ? "" : ",\n", dims.str().c_str(), dtype,
-          simd::level_name(levels[l]), mb / pqd_s, scalar_pqd / pqd_s,
-          mb / rec_s, scalar_rec / rec_s, exact ? "true" : "false");
-      *first_row = false;
-    }
-  }
-  return all_ok;
 }
 
 /// Seconds of the `name` span in a stopped session's report; 0 when the
@@ -257,7 +213,8 @@ double span_seconds(const telemetry::Report& report, const char* name) {
 // false on a parity failure or without telemetry.
 template <typename T>
 bool sweep_wave_shape(const std::vector<float>& values, const Dims& dims,
-                      const char* dtype, std::FILE* json, bool* first_row) {
+                      const char* dtype, unsigned repeat, std::FILE* json,
+                      bool* first_row) {
   const std::vector<T> data(values.begin(), values.end());
   const std::span<const T> span(data);
   const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
@@ -281,7 +238,7 @@ bool sweep_wave_shape(const std::vector<float>& values, const Dims& dims,
     return out;
   };
   Stopwatch sw;
-  for (int r = 0; r < kReps; ++r) {
+  for (unsigned r = 0; r < repeat; ++r) {
     for (std::size_t l = 0; l < levels.size(); ++l) {
       simd::set_level(levels[l]);
       Run& run = runs[l];
@@ -361,14 +318,16 @@ bool sweep_wave_shape(const std::vector<float>& values, const Dims& dims,
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)bench::Options::parse(argc, argv);
+  const auto opts = bench::Options::parse(argc, argv);
   bench::print_header(
       "Wavefront-parallel PQD — threads x shape x dtype sweep",
       "the paper's anti-diagonal schedule (SS3.2) on the CPU hot path");
   std::printf("hardware threads available: %d\n", hardware_threads());
-  std::printf("simd: detected=%s active=%s\n\n",
+  std::printf("simd: detected=%s active=%s\n",
               simd::level_name(simd::detected()),
               simd::level_name(simd::active()));
+  std::printf("timings are the median of %u interleaved repeats\n\n",
+              opts.repeat);
 
   // The thread rows measure raw scheduler scaling, so the small-field work
   // floor (which would silently serialize the 512x512 rows) is lifted for
@@ -381,31 +340,27 @@ int main(int argc, char** argv) {
   if (json != nullptr) {
     std::fprintf(json,
                  "{\n  \"hardware_threads\": %d,\n"
-                 "  \"simd_detected\": \"%s\",\n  \"results\": [\n",
-                 hardware_threads(), simd::level_name(simd::detected()));
+                 "  \"simd_detected\": \"%s\",\n  \"repeat\": %u,\n"
+                 "  \"results\": [\n",
+                 hardware_threads(), simd::level_name(simd::detected()),
+                 opts.repeat);
   }
 
   bool first_row = true;
   bool all_ok = true;
-  all_ok &= sweep_shape<float>(Dims::d2(512, 512), "f32", json, &first_row);
-  all_ok &= sweep_shape<double>(Dims::d2(512, 512), "f64", json, &first_row);
-  all_ok &= sweep_shape<float>(Dims::d2(2048, 2048), "f32", json, &first_row);
-  all_ok &= sweep_shape<float>(Dims::d3(64, 256, 256), "f32", json,
+  const unsigned rep = opts.repeat;
+  all_ok &= sweep_shape<float>(Dims::d2(512, 512), "f32", rep, json,
                                &first_row);
-  all_ok &= sweep_shape<double>(Dims::d3(64, 256, 256), "f64", json,
+  all_ok &= sweep_shape<double>(Dims::d2(512, 512), "f64", rep, json,
                                 &first_row);
-
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ],\n  \"simd_levels\": [\n");
-  }
-  std::printf("\n");
-  bool first_simd = true;
-  all_ok &= sweep_simd_shape<float>(Dims::d2(512, 512), "f32", json,
-                                    &first_simd);
-  all_ok &= sweep_simd_shape<float>(Dims::d2(2048, 2048), "f32", json,
-                                    &first_simd);
-  all_ok &= sweep_simd_shape<double>(Dims::d2(2048, 2048), "f64", json,
-                                     &first_simd);
+  all_ok &= sweep_shape<float>(Dims::d2(2048, 2048), "f32", rep, json,
+                               &first_row);
+  all_ok &= sweep_shape<double>(Dims::d2(2048, 2048), "f64", rep, json,
+                                &first_row);
+  all_ok &= sweep_shape<float>(Dims::d3(64, 256, 256), "f32", rep, json,
+                               &first_row);
+  all_ok &= sweep_shape<double>(Dims::d3(64, 256, 256), "f64", rep, json,
+                                &first_row);
 
   sz::set_wavefront_min_points_per_thread(saved_floor);
 
@@ -421,8 +376,10 @@ int main(int argc, char** argv) {
   const Dims chunk = Dims::d2(16, tall.count() / 16);
   bool first_wave = true;
   for (const Dims& dims : {tall, chunk}) {
-    all_ok &= sweep_wave_shape<float>(values, dims, "f32", json, &first_wave);
-    all_ok &= sweep_wave_shape<double>(values, dims, "f64", json, &first_wave);
+    all_ok &= sweep_wave_shape<float>(values, dims, "f32", rep, json,
+                                      &first_wave);
+    all_ok &= sweep_wave_shape<double>(values, dims, "f64", rep, json,
+                                       &first_wave);
   }
 
   if (json != nullptr) {

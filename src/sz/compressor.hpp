@@ -28,7 +28,9 @@ struct Pqd {
   std::vector<float> unpredictable;    ///< originals of code-0 points, in order
 };
 
-/// Lorenzo PQD in raster order with zero-padded borders (rank 1/2/3).
+/// Lorenzo PQD with zero-padded borders (rank 1/2/3). Codes, history and
+/// the unpredictable stream are those of the raster-order loop; the 1-layer
+/// stencil computes them in the skewed row walk of sz/pqd_detail.hpp.
 Pqd lorenzo_pqd(std::span<const float> data, const Dims& dims,
                 const LinearQuantizer& q,
                 PredictorKind kind = PredictorKind::Lorenzo1Layer);

@@ -1,19 +1,22 @@
 // Internal building blocks of the SZ-1.4 Lorenzo PQD kernels, shared by the
-// raster-order reference loop (compressor.cpp) and the tiled anti-diagonal
-// wavefront schedule (wavefront_pqd.cpp).
+// serial kernels (compressor.cpp) and the tiled anti-diagonal wavefront
+// schedule (wavefront_pqd.cpp).
 //
-// The two schedules must produce bit-identical results — the wavefront mode
-// only changes the visit order, never a point's arithmetic — so everything a
-// point computes (prediction path selection, stencil term order, quantizer
-// entry, history writeback) lives here exactly once and both kernels inline
-// the same code.
+// Every schedule must produce bit-identical results — they only change the
+// visit order, never a point's arithmetic — so everything a point computes
+// (prediction path selection, stencil term order, quantizer entry, history
+// writeback) lives here exactly once and every kernel inlines the same code.
+// The 1-layer rank-2 and rank-3 kernels visit points in the skewed row walk
+// below; rank 1 and the 2-layer stencil keep the raster loop, which also
+// stays as the oracle the tests and bench/pqd_parallel compare against.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sz/compressor.hpp"
@@ -80,6 +83,13 @@ inline Shape shape_of(const Dims& dims) {
   return {dims[0], dims.rank >= 2 ? dims[1] : 1,
           dims.rank >= 3 ? dims[2] : 1};
 }
+
+/// The half-open box [lo0,hi0) x [lo1,hi1) x [lo2,hi2) of a Shape.
+struct Box {
+  std::size_t lo0, hi0, lo1, hi1, lo2, hi2;
+};
+
+inline Box whole(const Shape& s) { return {0, s.n0, 0, s.n1, 0, s.n2}; }
 
 /// Branch-free Lorenzo prediction for interior points (every coordinate
 /// > 0): direct strided loads, term order identical to lorenzo{1,2,3}d so
@@ -159,24 +169,12 @@ struct FpOps<double> {
   }
 };
 
-/// One compress-side PQD step at point (i0, i1, i2) / raster index i:
-/// predict, quantize, write the code and the decompressor-visible history.
-/// Returns false when the point is unpredictable (code 0) — the caller owns
-/// collecting data[i] into the raster-order unpredictable stream.
+/// Quantize data[i] against `pred`, write the code and the
+/// decompressor-visible history. Returns false when the point is
+/// unpredictable (code 0).
 template <typename T>
-inline bool pqd_step(const T* data, T* rec, std::uint16_t* codes,
-                     const Padded<T>& padded, const LinearQuantizer& q,
-                     const Dims& dims, PredictorKind kind, bool one_layer,
-                     std::size_t s0, std::size_t s1, std::size_t i0,
-                     std::size_t i1, std::size_t i2, std::size_t i) {
-  const bool interior = one_layer && i0 > 0 && (dims.rank < 2 || i1 > 0) &&
-                        (dims.rank < 3 || i2 > 0);
-  const double pred =
-      interior ? predict_interior(rec, dims.rank, s0, s1, i)
-               : predict(padded, dims.rank, kind,
-                         static_cast<std::ptrdiff_t>(i0),
-                         static_cast<std::ptrdiff_t>(i1),
-                         static_cast<std::ptrdiff_t>(i2));
+inline bool pqd_point(const T* data, T* rec, std::uint16_t* codes,
+                      const LinearQuantizer& q, double pred, std::size_t i) {
   const auto r = FpOps<T>::quantize(q, pred, data[i]);
   codes[i] = r.code;
   if (r.code != 0) {
@@ -189,23 +187,46 @@ inline bool pqd_step(const T* data, T* rec, std::uint16_t* codes,
   return false;
 }
 
+/// The prediction at point (i0, i1, i2) / raster index i: the branch-free
+/// interior form when every 1-layer tap is on the grid, the padded form on
+/// borders and for the 2-layer stencil.
+template <typename T>
+inline double predict_at(const Padded<T>& padded, const Dims& dims,
+                         PredictorKind kind, std::size_t s0, std::size_t s1,
+                         std::size_t i0, std::size_t i1, std::size_t i2,
+                         std::size_t i) {
+  if (kind == PredictorKind::Lorenzo1Layer && i0 > 0 &&
+      (dims.rank < 2 || i1 > 0) && (dims.rank < 3 || i2 > 0)) {
+    return predict_interior(padded.rec, dims.rank, s0, s1, i);
+  }
+  return predict(padded, dims.rank, kind, static_cast<std::ptrdiff_t>(i0),
+                 static_cast<std::ptrdiff_t>(i1),
+                 static_cast<std::ptrdiff_t>(i2));
+}
+
+/// One compress-side PQD step at point (i0, i1, i2) / raster index i:
+/// predict_at, then pqd_point. Returns false when the point is
+/// unpredictable — the caller owns collecting data[i] into the raster-order
+/// unpredictable stream.
+template <typename T>
+inline bool pqd_step(const T* data, T* rec, std::uint16_t* codes,
+                     const Padded<T>& padded, const LinearQuantizer& q,
+                     const Dims& dims, PredictorKind kind, std::size_t s0,
+                     std::size_t s1, std::size_t i0, std::size_t i1,
+                     std::size_t i2, std::size_t i) {
+  return pqd_point(data, rec, codes, q,
+                   predict_at(padded, dims, kind, s0, s1, i0, i1, i2, i), i);
+}
+
 /// One decompress-side step for a quantized point (codes[i] != 0).
 template <typename T>
-inline T reconstruct_step(const std::uint16_t* codes, const T* rec,
-                          const Padded<T>& padded, const LinearQuantizer& q,
-                          const Dims& dims, PredictorKind kind,
-                          bool one_layer, std::size_t s0, std::size_t s1,
+inline T reconstruct_step(const std::uint16_t* codes, const Padded<T>& padded,
+                          const LinearQuantizer& q, const Dims& dims,
+                          PredictorKind kind, std::size_t s0, std::size_t s1,
                           std::size_t i0, std::size_t i1, std::size_t i2,
                           std::size_t i) {
-  const bool interior = one_layer && i0 > 0 && (dims.rank < 2 || i1 > 0) &&
-                        (dims.rank < 3 || i2 > 0);
-  const double pred =
-      interior ? predict_interior(rec, dims.rank, s0, s1, i)
-               : predict(padded, dims.rank, kind,
-                         static_cast<std::ptrdiff_t>(i0),
-                         static_cast<std::ptrdiff_t>(i1),
-                         static_cast<std::ptrdiff_t>(i2));
-  return FpOps<T>::reconstruct(q, pred, codes[i]);
+  return FpOps<T>::reconstruct(
+      q, predict_at(padded, dims, kind, s0, s1, i0, i1, i2, i), codes[i]);
 }
 
 /// POD view of the quantizer for the simd kernels (which must not depend on
@@ -216,119 +237,180 @@ inline simd::QuantSpec quant_spec(const LinearQuantizer& q) {
           static_cast<std::int64_t>(q.radius())};
 }
 
-/// The vectorized PQD path covers the 1-layer Lorenzo rank-2 stencil (the
-/// shape the wavefront schedule and vecSZ target); everything else runs the
-/// scalar kernels regardless of the dispatch level.
-inline bool simd_pqd_eligible(const Dims& dims, PredictorKind kind) {
-  return kind == PredictorKind::Lorenzo1Layer && dims.rank == 2 &&
-         simd::active() != simd::Level::Scalar;
-}
+/// Rows one group of the skewed walk keeps in flight: the dependency chains
+/// the core overlaps. 4 beat 2, 8 and 16 for both ranks (EXPERIMENTS.md,
+/// "Skewed row walk").
+inline constexpr std::size_t kWalkRows = 4;
 
-/// Tile edge of the serial SIMD schedule: big enough that interior
-/// anti-diagonal runs fill whole vector chunks, small enough that a tile's
-/// working set (4 arrays x 64 rows) stays cache-resident. Matches the
-/// wavefront tile edge, so both schedules cut identical diagonals.
-inline constexpr std::size_t kSimdTile = 64;
-
-/// Compress-side PQD of one rank-2 tile [lo0,hi0) x [lo1,hi1) in tile-local
-/// anti-diagonal order: grid-border lanes (i0 == 0 or i1 == 0, reduced
-/// stencil) are peeled to scalar pqd_step, interior lanes run through
-/// simd::pqd2d_diag in kMaxDiagLanes chunks, and unpredictable lanes get
-/// their history patched (truncation roundtrip) before the next diagonal —
-/// the exact writeback order of the raster kernel, just revisited.
-/// Requires every tile above and left of this one to be complete.
-template <typename T>
-void pqd_tile_simd(const T* data, T* rec, std::uint16_t* codes,
-                   const Padded<T>& padded, const LinearQuantizer& q,
-                   const Dims& dims, PredictorKind kind,
-                   const simd::QuantSpec& spec, std::size_t s0,
-                   std::size_t lo0, std::size_t hi0, std::size_t lo1,
-                   std::size_t hi1) {
-  const std::size_t h = hi0 - lo0, w = hi1 - lo1;
-  const std::size_t st = s0 - 1;
-  for (std::size_t ld = 0; ld + 1 < h + w; ++ld) {
-    std::size_t l0 = ld >= w ? ld - w + 1 : 0;
-    std::size_t l0end = std::min(h, ld + 1);
-    if (lo0 == 0 && l0 == 0) {
-      // Lane (0, lo1 + ld): top grid row, reduced stencil.
-      const std::size_t i1 = lo1 + ld;
-      pqd_step(data, rec, codes, padded, q, dims, kind, true, s0,
-               std::size_t{1}, std::size_t{0}, i1, std::size_t{0}, i1);
-      ++l0;
-    }
-    const bool tail = lo1 == 0 && ld < h && l0end > l0;
-    if (tail) --l0end;  // lane (lo0 + ld, 0): left grid column
-    std::size_t run = l0end > l0 ? l0end - l0 : 0;
-    std::size_t base = (lo0 + l0) * s0 + (lo1 + ld - l0);
-    while (run > 0) {
-      const std::size_t chunk = std::min(run, simd::kMaxDiagLanes);
-      std::uint64_t miss =
-          simd::pqd2d_diag(data, rec, codes, base, s0, chunk, spec);
-      while (miss != 0) {
-        const auto j = static_cast<std::size_t>(std::countr_zero(miss));
-        miss &= miss - 1;
-        const std::size_t u = base + j * st;
-        rec[u] = FpOps<T>::roundtrip(data[u], q.precision());
+/// The skewed row walk of the 1-layer Lorenzo stencil over box `b` of a
+/// rank-`Rank` grid (2 or 3). Rows run along the last axis; a rank-2 grid is
+/// one plane of rows. Rows go in groups of R = kWalkRows, and at step t
+/// row k of a group visits column lo + t - k, so the R points of a step
+/// read only points of earlier steps, rows or planes and never each other.
+/// Grid borders (plane 0 at rank 3, row 0) go row by row and the first R
+/// steps of each group (its ramp, which holds the box's first column) go
+/// through `border(i0, i1, i2, i)`; every later point has all coordinates
+/// > 0 and goes through `interior(i)`. Requires the points below the box
+/// on every axis to be complete. Flattened: at rank 3 gcc otherwise keeps
+/// `interior` a call, and the R chains no longer overlap.
+template <int Rank, typename Border, typename Interior>
+[[gnu::flatten]] void skewed_walk(const Shape& s, const Box& b,
+                                  Border&& border, Interior&& interior) {
+  static_assert(Rank == 2 || Rank == 3);
+  constexpr std::size_t R = kWalkRows;
+  constexpr bool kPlanes = Rank == 3;
+  const std::size_t sr = kPlanes ? s.n2 : s.n1;  // row stride
+  const std::size_t sp = s.n1 * s.n2;            // plane stride
+  const std::size_t p_lo = kPlanes ? b.lo0 : 0, p_hi = kPlanes ? b.hi0 : 1;
+  const std::size_t r_lo = kPlanes ? b.lo1 : b.lo0;
+  const std::size_t r_hi = kPlanes ? b.hi1 : b.hi0;
+  const std::size_t c_lo = kPlanes ? b.lo2 : b.lo1;
+  const std::size_t w = (kPlanes ? b.hi2 : b.hi1) - c_lo;
+  for (std::size_t p = p_lo; p < p_hi; ++p) {
+    const auto at = [&](std::size_t row, std::size_t col) {
+      const std::size_t i = p * sp + row * sr + col;
+      if constexpr (kPlanes) {
+        border(p, row, col, i);
+      } else {
+        border(row, col, std::size_t{0}, i);
       }
-      base += chunk * st;
-      run -= chunk;
+    };
+    std::size_t row = r_lo;
+    const std::size_t border_end =
+        kPlanes && p == 0 ? r_hi : std::clamp<std::size_t>(1, r_lo, r_hi);
+    for (; row < border_end; ++row) {
+      for (std::size_t c = 0; c < w; ++c) at(row, c_lo + c);
     }
-    if (tail) {
-      const std::size_t i0 = lo0 + ld;
-      pqd_step(data, rec, codes, padded, q, dims, kind, true, s0,
-               std::size_t{1}, i0, std::size_t{0}, std::size_t{0}, i0 * s0);
-    }
-  }
-}
-
-/// Decode-side counterpart of pqd_tile_simd: same lane geometry, code-0
-/// lanes skipped (the caller pre-places their unpredictable values in rec).
-template <typename T>
-void reconstruct_tile_simd(const std::uint16_t* codes, T* rec,
-                           const Padded<T>& padded, const LinearQuantizer& q,
-                           const Dims& dims, PredictorKind kind,
-                           const simd::QuantSpec& spec, std::size_t s0,
-                           std::size_t lo0, std::size_t hi0, std::size_t lo1,
-                           std::size_t hi1) {
-  const std::size_t h = hi0 - lo0, w = hi1 - lo1;
-  for (std::size_t ld = 0; ld + 1 < h + w; ++ld) {
-    std::size_t l0 = ld >= w ? ld - w + 1 : 0;
-    std::size_t l0end = std::min(h, ld + 1);
-    if (lo0 == 0 && l0 == 0) {
-      const std::size_t i1 = lo1 + ld;
-      if (codes[i1] != 0) {
-        rec[i1] = reconstruct_step(codes, rec, padded, q, dims, kind, true,
-                                   s0, std::size_t{1}, std::size_t{0}, i1,
-                                   std::size_t{0}, i1);
+    for (; row < r_hi; row += R) {
+      const std::size_t g = std::min(R, r_hi - row);
+      const std::size_t steps = w + g - 1;  // row k ends at step w - 1 + k
+      const std::size_t base = p * sp + row * sr + c_lo;
+      std::size_t t = 0;
+      for (; t < std::min(R, steps); ++t) {
+        for (std::size_t k = t >= w ? t - w + 1 : 0; k < std::min(g, t + 1);
+             ++k) {
+          at(row + k, c_lo + t - k);
+        }
       }
-      ++l0;
-    }
-    const bool tail = lo1 == 0 && ld < h && l0end > l0;
-    if (tail) --l0end;
-    std::size_t run = l0end > l0 ? l0end - l0 : 0;
-    std::size_t base = (lo0 + l0) * s0 + (lo1 + ld - l0);
-    while (run > 0) {
-      const std::size_t chunk = std::min(run, simd::kMaxDiagLanes);
-      simd::reconstruct2d_diag(codes, rec, base, s0, chunk, spec);
-      base += chunk * (s0 - 1);
-      run -= chunk;
-    }
-    if (tail) {
-      const std::size_t i0 = lo0 + ld;
-      const std::size_t i = i0 * s0;
-      if (codes[i] != 0) {
-        rec[i] = reconstruct_step(codes, rec, padded, q, dims, kind, true,
-                                  s0, std::size_t{1}, i0, std::size_t{0},
-                                  std::size_t{0}, i);
+      // Row k's point of step t sits at base + k * sr + t - k. A full group
+      // spells its R points out, so the core sees R chains side by side.
+      if (g == R) {
+        for (; t < w; ++t) {
+          [&]<std::size_t... K>(std::index_sequence<K...>) {
+            (interior(base + t + K * (sr - 1)), ...);
+          }(std::make_index_sequence<R>{});
+        }
+      }
+      for (; t < steps; ++t) {
+        for (std::size_t k = t >= w ? t - w + 1 : 0; k < g; ++k) {
+          interior(base + t + k * (sr - 1));
+        }
       }
     }
   }
 }
 
-/// Raster-order reference PQD (the historical serial kernel; stays as the
-/// runtime-selectable oracle for the vectorized schedule).
+/// Runs `fn(std::integral_constant<int, rank>)` for a rank-2 or rank-3 grid.
+template <typename Fn>
+void with_walk_rank(int rank, Fn&& fn) {
+  if (rank == 3) {
+    fn(std::integral_constant<int, 3>{});
+  } else {
+    fn(std::integral_constant<int, 2>{});
+  }
+}
+
+/// Whether lorenzo_pqd_t / lorenzo_reconstruct_t take the skewed walk.
+inline bool walks(const Dims& dims, PredictorKind kind) {
+  return kind == PredictorKind::Lorenzo1Layer && dims.rank >= 2;
+}
+
+/// 1-layer Lorenzo PQD of box `b` of a rank-2/3 field in the skewed walk:
+/// codes and history only; the caller collects the unpredictable stream.
+/// The interior body captures by value: its copy of the quantizer cannot
+/// alias the history it stores, so the fields stay in registers.
 template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_scalar_t(
+void pqd_box(const T* data, T* rec, std::uint16_t* codes,
+             const LinearQuantizer& q, const Dims& dims, const Box& b) {
+  const Shape s = shape_of(dims);
+  const Padded<T> padded{rec, s.n0, s.n1, s.n2};
+  const std::size_t s1 = s.n2, s0 = s.n1 * s.n2;
+  with_walk_rank(dims.rank, [&](auto rank) {
+    skewed_walk<decltype(rank)::value>(
+        s, b,
+        [&](std::size_t i0, std::size_t i1, std::size_t i2, std::size_t i) {
+          pqd_step(data, rec, codes, padded, q, dims,
+                   PredictorKind::Lorenzo1Layer, s0, s1, i0, i1, i2, i);
+        },
+        [=](std::size_t i) {
+          pqd_point(data, rec, codes, q,
+                    predict_interior(rec, decltype(rank)::value, s0, s1, i),
+                    i);
+        });
+  });
+}
+
+/// Decode-side twin of pqd_box: rebuilds the quantized points of box `b`
+/// and skips code-0 points, whose values place_unpredictable() put in rec
+/// beforehand.
+template <typename T>
+void reconstruct_box(const std::uint16_t* codes, T* rec,
+                     const LinearQuantizer& q, const Dims& dims,
+                     const Box& b) {
+  const Shape s = shape_of(dims);
+  const Padded<T> padded{rec, s.n0, s.n1, s.n2};
+  const std::size_t s1 = s.n2, s0 = s.n1 * s.n2;
+  with_walk_rank(dims.rank, [&](auto rank) {
+    skewed_walk<decltype(rank)::value>(
+        s, b,
+        [&](std::size_t i0, std::size_t i1, std::size_t i2, std::size_t i) {
+          if (codes[i] == 0) return;
+          rec[i] = reconstruct_step(codes, padded, q, dims,
+                                    PredictorKind::Lorenzo1Layer, s0, s1, i0,
+                                    i1, i2, i);
+        },
+        [=](std::size_t i) {
+          if (codes[i] == 0) return;
+          rec[i] = FpOps<T>::reconstruct(
+              q, predict_interior(rec, decltype(rank)::value, s0, s1, i),
+              codes[i]);
+        });
+  });
+}
+
+/// The originals of the code-0 points, in raster order: the unpredictable
+/// stream of a PQD that visited its points in another order.
+template <typename T>
+std::vector<T> collect_unpredictable(std::span<const std::uint16_t> codes,
+                                     const T* data) {
+  std::vector<T> out;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    if (codes[i] == 0) out.push_back(data[i]);
+  }
+  return out;
+}
+
+/// Puts the raster-order unpredictable stream into its code-0 slots of rec,
+/// so a reconstruct in another order only ever reads finished history.
+template <typename T>
+void place_unpredictable(std::span<const std::uint16_t> codes,
+                         std::span<const T> unpredictable, T* rec) {
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    if (codes[i] == 0) {
+      WAVESZ_REQUIRE(next < unpredictable.size(),
+                     "unpredictable stream exhausted");
+      rec[i] = unpredictable[next++];
+    }
+  }
+  WAVESZ_REQUIRE(next == unpredictable.size(),
+                 "unpredictable stream has trailing values");
+}
+
+/// Raster-order reference PQD: the kernel of rank 1 and the 2-layer
+/// stencil, and the oracle of the skewed walk.
+template <typename T>
+typename FpOps<T>::PqdType lorenzo_pqd_raster_t(
     std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer) {
   WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
@@ -339,13 +421,12 @@ typename FpOps<T>::PqdType lorenzo_pqd_scalar_t(
   T* rec = out.reconstructed.data();
   const Padded<T> padded{rec, n0, n1, n2};
   const std::size_t s1 = n2, s0 = n1 * n2;
-  const bool one_layer = kind == PredictorKind::Lorenzo1Layer;
   std::size_t i = 0;
   for (std::size_t i0 = 0; i0 < n0; ++i0) {
     for (std::size_t i1 = 0; i1 < n1; ++i1) {
       for (std::size_t i2 = 0; i2 < n2; ++i2, ++i) {
         if (!pqd_step(data.data(), rec, out.codes.data(), padded, q, dims,
-                      kind, one_layer, s0, s1, i0, i1, i2, i)) {
+                      kind, s0, s1, i0, i1, i2, i)) {
           out.unpredictable.push_back(data[i]);
         }
       }
@@ -354,9 +435,9 @@ typename FpOps<T>::PqdType lorenzo_pqd_scalar_t(
   return out;
 }
 
-/// Raster-order reference reconstruction (scalar oracle).
+/// Raster-order reference reconstruction (the oracle of the skewed walk).
 template <typename T>
-std::vector<T> lorenzo_reconstruct_scalar_t(
+std::vector<T> lorenzo_reconstruct_raster_t(
     std::span<const std::uint16_t> codes, std::span<const T> unpredictable,
     const Dims& dims, const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer) {
@@ -366,7 +447,6 @@ std::vector<T> lorenzo_reconstruct_scalar_t(
   std::vector<T> rec(codes.size());
   const Padded<T> padded{rec.data(), n0, n1, n2};
   const std::size_t s1 = n2, s0 = n1 * n2;
-  const bool one_layer = kind == PredictorKind::Lorenzo1Layer;
   std::size_t next_unpred = 0;
   std::size_t i = 0;
   for (std::size_t i0 = 0; i0 < n0; ++i0) {
@@ -377,9 +457,8 @@ std::vector<T> lorenzo_reconstruct_scalar_t(
                          "unpredictable stream exhausted");
           rec[i] = unpredictable[next_unpred++];
         } else {
-          rec[i] = reconstruct_step(codes.data(), rec.data(), padded, q,
-                                    dims, kind, one_layer, s0, s1, i0, i1,
-                                    i2, i);
+          rec[i] = reconstruct_step(codes.data(), padded, q, dims, kind, s0,
+                                    s1, i0, i1, i2, i);
         }
       }
     }
@@ -389,81 +468,21 @@ std::vector<T> lorenzo_reconstruct_scalar_t(
   return rec;
 }
 
-/// Serial rank-2 PQD over cache-sized tiles in tile-raster order (each
-/// tile's up/left dependencies complete before it runs), with the tile
-/// interior vectorized along anti-diagonals. Bit-identical to the raster
-/// reference: only the visit order changes, never a point's arithmetic.
-template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_simd2d_t(
-    std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
-    PredictorKind kind) {
-  WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
-  const auto [n0, n1, n2] = shape_of(dims);
-  typename FpOps<T>::PqdType out;
-  out.codes.resize(data.size());
-  out.reconstructed.resize(data.size());
-  T* rec = out.reconstructed.data();
-  const Padded<T> padded{rec, n0, n1, n2};
-  const std::size_t s0 = n1 * n2;  // n2 == 1 at rank 2
-  const simd::QuantSpec spec = quant_spec(q);
-  for (std::size_t t0 = 0; t0 < n0; t0 += kSimdTile) {
-    for (std::size_t t1 = 0; t1 < n1; t1 += kSimdTile) {
-      pqd_tile_simd(data.data(), rec, out.codes.data(), padded, q, dims,
-                    kind, spec, s0, t0, std::min(n0, t0 + kSimdTile), t1,
-                    std::min(n1, t1 + kSimdTile));
-    }
-  }
-  // The unpredictable stream is defined in raster order; splice it from the
-  // code plane after the tile sweep.
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (out.codes[i] == 0) out.unpredictable.push_back(data[i]);
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<T> lorenzo_reconstruct_simd2d_t(
-    std::span<const std::uint16_t> codes, std::span<const T> unpredictable,
-    const Dims& dims, const LinearQuantizer& q, PredictorKind kind) {
-  WAVESZ_REQUIRE(codes.size() == dims.count(),
-                 "code count disagrees with dims");
-  const auto [n0, n1, n2] = shape_of(dims);
-  std::vector<T> rec(codes.size());
-  const Padded<T> padded{rec.data(), n0, n1, n2};
-  const std::size_t s0 = n1 * n2;
-  const simd::QuantSpec spec = quant_spec(q);
-  // Pre-place the raster-order unpredictable stream into its code-0 slots so
-  // tiles only ever read finished history.
-  std::size_t next_unpred = 0;
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] == 0) {
-      WAVESZ_REQUIRE(next_unpred < unpredictable.size(),
-                     "unpredictable stream exhausted");
-      rec[i] = unpredictable[next_unpred++];
-    }
-  }
-  WAVESZ_REQUIRE(next_unpred == unpredictable.size(),
-                 "unpredictable stream has trailing values");
-  for (std::size_t t0 = 0; t0 < n0; t0 += kSimdTile) {
-    for (std::size_t t1 = 0; t1 < n1; t1 += kSimdTile) {
-      reconstruct_tile_simd(codes.data(), rec.data(), padded, q, dims, kind,
-                            spec, s0, t0, std::min(n0, t0 + kSimdTile), t1,
-                            std::min(n1, t1 + kSimdTile));
-    }
-  }
-  return rec;
-}
-
-/// Serial PQD entry point: the vectorized schedule when the shape and the
-/// active simd level allow it, the raster reference otherwise.
+/// Serial PQD entry point: the skewed walk for the 1-layer stencil at rank
+/// 2 and 3, the raster loop otherwise. Bit-identical either way.
 template <typename T>
 typename FpOps<T>::PqdType lorenzo_pqd_t(
     std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer) {
-  if (simd_pqd_eligible(dims, kind)) {
-    return lorenzo_pqd_simd2d_t<T>(data, dims, q, kind);
-  }
-  return lorenzo_pqd_scalar_t<T>(data, dims, q, kind);
+  if (!walks(dims, kind)) return lorenzo_pqd_raster_t<T>(data, dims, q, kind);
+  WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
+  typename FpOps<T>::PqdType out;
+  out.codes.resize(data.size());
+  out.reconstructed.resize(data.size());
+  pqd_box(data.data(), out.reconstructed.data(), out.codes.data(), q, dims,
+          whole(shape_of(dims)));
+  out.unpredictable = collect_unpredictable<T>(out.codes, data.data());
+  return out;
 }
 
 template <typename T>
@@ -471,12 +490,16 @@ std::vector<T> lorenzo_reconstruct_t(
     std::span<const std::uint16_t> codes, std::span<const T> unpredictable,
     const Dims& dims, const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer) {
-  if (simd_pqd_eligible(dims, kind)) {
-    return lorenzo_reconstruct_simd2d_t<T>(codes, unpredictable, dims, q,
+  if (!walks(dims, kind)) {
+    return lorenzo_reconstruct_raster_t<T>(codes, unpredictable, dims, q,
                                            kind);
   }
-  return lorenzo_reconstruct_scalar_t<T>(codes, unpredictable, dims, q,
-                                         kind);
+  WAVESZ_REQUIRE(codes.size() == dims.count(),
+                 "code count disagrees with dims");
+  std::vector<T> rec(codes.size());
+  place_unpredictable(codes, unpredictable, rec.data());
+  reconstruct_box(codes.data(), rec.data(), q, dims, whole(shape_of(dims)));
+  return rec;
 }
 
 }  // namespace wavesz::sz::detail

@@ -6,7 +6,6 @@
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/fork_join.hpp"
-#include "util/simd.hpp"
 
 namespace wavesz::sz {
 namespace {
@@ -15,14 +14,18 @@ using detail::FpOps;
 using detail::Padded;
 using detail::shape_of;
 
-// Tile extents. The inner (fastest-varying) axis gets the widest tile so a
-// tile row stays a contiguous, vectorizable run; the outer axes stay square
-// enough that a 512x512 grid still yields 8 tiles per diagonal for the
-// threads to share. Dependencies are correct for any extent >= 1 (every
-// stencil tap lands on a coordinate-wise <= tile, i.e. an earlier tile
-// diagonal), so these are pure performance knobs.
+// Tile extents. Inside a tile the points run in the skewed row walk of
+// pqd_detail.hpp, whose ramp (the first R steps of each R-row group) takes
+// the slower border step, so a rank-3 tile spans whole rows of the last
+// axis; the outer axes stay small enough that a 512x512 grid still yields 8
+// tiles per diagonal and a 50x250x250 grid 7 for the threads to share.
+// Dependencies are correct for any extent >= 1 (every stencil tap lands on
+// a coordinate-wise <= tile, i.e. an earlier tile diagonal), so these are
+// pure performance knobs: 8x32 by whole rows beat 16x16x64 on 50x250x250
+// at budgets 2 and 4 and tied on 64x256x256 (EXPERIMENTS.md, "Skewed row
+// walk").
 constexpr std::size_t kTile2d0 = 64, kTile2d1 = 64;
-constexpr std::size_t kTile3d0 = 16, kTile3d1 = 16, kTile3d2 = 64;
+constexpr std::size_t kTile3d0 = 8, kTile3d1 = 32;
 
 struct Tile {
   std::uint32_t t0, t1, t2;
@@ -41,7 +44,7 @@ TileSchedule make_schedule(const detail::Shape& s, int rank) {
   if (rank >= 3) {
     g.e0 = kTile3d0;
     g.e1 = kTile3d1;
-    g.e2 = kTile3d2;
+    g.e2 = s.n2;
   } else {
     g.e0 = kTile2d0;
     g.e1 = kTile2d1;
@@ -64,20 +67,25 @@ TileSchedule make_schedule(const detail::Shape& s, int rank) {
   return g;
 }
 
-/// Runs `body(i0, i1, i2, i)` over every point of `tile` in raster order.
-template <typename Body>
-void for_tile_points(const Tile& tile, const TileSchedule& g,
-                     const detail::Shape& s, Body&& body) {
+/// The points of `tile`, clipped to the grid.
+detail::Box box_of(const Tile& tile, const TileSchedule& g,
+                   const detail::Shape& s) {
   const std::size_t lo0 = tile.t0 * g.e0;
-  const std::size_t hi0 = std::min(s.n0, lo0 + g.e0);
   const std::size_t lo1 = tile.t1 * g.e1;
-  const std::size_t hi1 = std::min(s.n1, lo1 + g.e1);
   const std::size_t lo2 = tile.t2 * g.e2;
-  const std::size_t hi2 = std::min(s.n2, lo2 + g.e2);
-  for (std::size_t i0 = lo0; i0 < hi0; ++i0) {
-    for (std::size_t i1 = lo1; i1 < hi1; ++i1) {
-      std::size_t i = (i0 * s.n1 + i1) * s.n2 + lo2;
-      for (std::size_t i2 = lo2; i2 < hi2; ++i2, ++i) {
+  return {lo0, std::min(s.n0, lo0 + g.e0), lo1, std::min(s.n1, lo1 + g.e1),
+          lo2, std::min(s.n2, lo2 + g.e2)};
+}
+
+/// Runs `body(i0, i1, i2, i)` over every point of box `b` in raster order:
+/// the 2-layer stencil's visit order inside a tile.
+template <typename Body>
+void for_box_points(const detail::Box& b, const detail::Shape& s,
+                    Body&& body) {
+  for (std::size_t i0 = b.lo0; i0 < b.hi0; ++i0) {
+    for (std::size_t i1 = b.lo1; i1 < b.hi1; ++i1) {
+      std::size_t i = (i0 * s.n1 + i1) * s.n2 + b.lo2;
+      for (std::size_t i2 = b.lo2; i2 < b.hi2; ++i2, ++i) {
         body(i0, i1, i2, i);
       }
     }
@@ -122,13 +130,10 @@ typename FpOps<T>::PqdType lorenzo_pqd_wavefront_t(std::span<const T> data,
   std::uint16_t* codes = out.codes.data();
   const Padded<T> padded{rec, shape.n0, shape.n1, shape.n2};
   const std::size_t s1 = shape.n2, s0 = shape.n1 * shape.n2;
-  const bool one_layer = kind == PredictorKind::Lorenzo1Layer;
   const TileSchedule g = make_schedule(shape, dims.rank);
   telemetry::counter_add(telemetry::Counter::PqdDiagonalBatches,
                          g.diagonals.size());
   const T* src = data.data();
-  const bool use_simd = simd_pqd_eligible(dims, kind);
-  const simd::QuantSpec spec = quant_spec(q);
 
   // The barrier between batches is the hyperplane boundary: diagonal d+1
   // only starts once every tile of diagonal d is written.
@@ -136,28 +141,22 @@ typename FpOps<T>::PqdType lorenzo_pqd_wavefront_t(std::span<const T> data,
       g.diagonals.size(),
       [&](std::size_t d) { return g.diagonals[d].size(); }, nt,
       [&](std::size_t d, std::size_t t) {
-        const Tile& tile = g.diagonals[d][t];
-        if (use_simd) {
-          const std::size_t lo0 = tile.t0 * g.e0;
-          const std::size_t lo1 = tile.t1 * g.e1;
-          pqd_tile_simd(src, rec, codes, padded, q, dims, kind, spec, s0,
-                        lo0, std::min(shape.n0, lo0 + g.e0), lo1,
-                        std::min(shape.n1, lo1 + g.e1));
-        } else {
-          for_tile_points(tile, g, shape,
-                          [&](std::size_t i0, std::size_t i1, std::size_t i2,
-                              std::size_t i) {
-                            pqd_step(src, rec, codes, padded, q, dims, kind,
-                                     one_layer, s0, s1, i0, i1, i2, i);
-                          });
+        const detail::Box b = box_of(g.diagonals[d][t], g, shape);
+        if (walks(dims, kind)) {
+          pqd_box(src, rec, codes, q, dims, b);
+          return;
         }
+        for_box_points(b, shape,
+                       [&](std::size_t i0, std::size_t i1, std::size_t i2,
+                           std::size_t i) {
+                         pqd_step(src, rec, codes, padded, q, dims, kind,
+                                  s0, s1, i0, i1, i2, i);
+                       });
       });
 
-  // Splice the unpredictable originals back into the exact raster-order
-  // stream the container format requires; the code array already marks them.
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (codes[i] == 0) out.unpredictable.push_back(data[i]);
-  }
+  // The container format requires the raster-order stream; the code array
+  // already marks its points.
+  out.unpredictable = collect_unpredictable<T>(out.codes, src);
   return out;
 }
 
@@ -177,50 +176,31 @@ std::vector<T> lorenzo_reconstruct_wavefront_t(
   std::vector<T> rec(codes.size());
   const Padded<T> padded{rec.data(), shape.n0, shape.n1, shape.n2};
   const std::size_t s1 = shape.n2, s0 = shape.n1 * shape.n2;
-  const bool one_layer = kind == PredictorKind::Lorenzo1Layer;
 
-  // Unpredictable values are consumed in raster order in the serial kernel;
-  // here their slots are known up front (code 0), so place them all before
-  // the wavefront sweep — they depend on nothing, and neighbours read them
-  // from rec[] like any other history.
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] == 0) {
-      WAVESZ_REQUIRE(zeros < unpredictable.size(),
-                     "unpredictable stream exhausted");
-      rec[i] = unpredictable[zeros++];
-    }
-  }
-  WAVESZ_REQUIRE(zeros == unpredictable.size(),
-                 "unpredictable stream has trailing values");
+  // Unpredictable values depend on nothing: place them all before the
+  // sweep, and neighbours read them from rec[] like any other history.
+  place_unpredictable(codes, unpredictable, rec.data());
 
   const TileSchedule g = make_schedule(shape, dims.rank);
   telemetry::counter_add(telemetry::Counter::PqdDiagonalBatches,
                          g.diagonals.size());
-  const bool use_simd = simd_pqd_eligible(dims, kind);
-  const simd::QuantSpec spec = quant_spec(q);
   util::parallel_batches(
       g.diagonals.size(),
       [&](std::size_t d) { return g.diagonals[d].size(); }, nt,
       [&](std::size_t d, std::size_t t) {
-        const Tile& tile = g.diagonals[d][t];
-        if (use_simd) {
-          const std::size_t lo0 = tile.t0 * g.e0;
-          const std::size_t lo1 = tile.t1 * g.e1;
-          reconstruct_tile_simd(codes.data(), rec.data(), padded, q, dims,
-                                kind, spec, s0, lo0,
-                                std::min(shape.n0, lo0 + g.e0), lo1,
-                                std::min(shape.n1, lo1 + g.e1));
-        } else {
-          for_tile_points(tile, g, shape,
-                          [&](std::size_t i0, std::size_t i1, std::size_t i2,
-                              std::size_t i) {
-                            if (codes[i] == 0) return;  // placed above
-                            rec[i] = reconstruct_step(
-                                codes.data(), rec.data(), padded, q, dims,
-                                kind, one_layer, s0, s1, i0, i1, i2, i);
-                          });
+        const detail::Box b = box_of(g.diagonals[d][t], g, shape);
+        if (walks(dims, kind)) {
+          reconstruct_box(codes.data(), rec.data(), q, dims, b);
+          return;
         }
+        for_box_points(b, shape,
+                       [&](std::size_t i0, std::size_t i1, std::size_t i2,
+                           std::size_t i) {
+                         if (codes[i] == 0) return;  // placed above
+                         rec[i] = reconstruct_step(codes.data(), padded, q,
+                                                   dims, kind, s0, s1, i0, i1,
+                                                   i2, i);
+                       });
       });
   return rec;
 }

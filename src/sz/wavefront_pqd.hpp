@@ -9,14 +9,15 @@
 // coordinate-wise smaller-or-equal indices, i.e. strictly earlier tile
 // diagonals), so the schedule here sweeps *tile* diagonals — the paper's
 // head/body/tail pipeline at memory-hierarchy granularity — and hands the
-// tiles of a diagonal to the workers of one util::parallel_batches team,
-// with raster order inside a tile. Each point's arithmetic is shared with
-// the raster kernels via pqd_detail.hpp, so results are bit-identical to the
-// serial reference; the unpredictable stream is spliced back into exact
-// raster order afterwards (the container format's contract).
+// tiles of a diagonal to the workers of one util::parallel_batches team.
+// Inside a tile the 1-layer stencil runs the serial kernels' skewed row walk
+// and the 2-layer stencil raster order. Each point's arithmetic is shared
+// with the serial kernels via pqd_detail.hpp, so results are bit-identical
+// to the raster reference; the unpredictable stream is spliced back into
+// exact raster order afterwards (the container format's contract).
 //
 // 1D grids degenerate to a serial dependency chain and always take the
-// raster path, as does a thread budget of 1.
+// serial path, as does a thread budget of 1.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +41,8 @@ std::size_t wavefront_min_points_per_thread();
 void set_wavefront_min_points_per_thread(std::size_t points);
 
 /// Wavefront-scheduled lorenzo_pqd. `threads` is a budget with the same
-/// semantics as Config::pqd_threads (0 = all threads, 1 = serial raster
-/// reference, n = at most n). Output is bit-identical to lorenzo_pqd() for
+/// semantics as Config::pqd_threads (0 = all threads, 1 = the serial
+/// kernel, n = at most n). Output is bit-identical to lorenzo_pqd() for
 /// every budget.
 Pqd lorenzo_pqd_wavefront(std::span<const float> data, const Dims& dims,
                           const LinearQuantizer& q,

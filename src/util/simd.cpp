@@ -63,70 +63,8 @@ std::atomic<int>& level_slot() {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar kernels — the oracles. Arithmetic mirrors LinearQuantizer::
-// quantize{,64}/reconstruct{,64} and predict_interior() term for term.
+// Scalar kernels — the oracles of the contiguous scans.
 // ---------------------------------------------------------------------------
-
-template <typename T>
-std::uint64_t pqd2d_diag_scalar(const T* data, T* rec, std::uint16_t* codes,
-                                std::size_t base, std::size_t s0,
-                                std::size_t n, const QuantSpec& qs) {
-  std::uint64_t miss = 0;
-  const std::size_t st = s0 - 1;
-  std::size_t i = base;
-  for (std::size_t j = 0; j < n; ++j, i += st) {
-    const double pred = static_cast<double>(rec[i - s0]) +
-                        static_cast<double>(rec[i - 1]) -
-                        static_cast<double>(rec[i - s0 - 1]);
-    const double orig = static_cast<double>(data[i]);
-    const double diff = orig - pred;
-    const double scaled = std::fabs(diff) * qs.inv_precision;
-    std::uint16_t code = 0;
-    if (scaled < static_cast<double>(qs.capacity - 1)) {
-      const std::int64_t code0 = static_cast<std::int64_t>(scaled) + 1;
-      const std::int64_t signed0 = diff >= 0.0 ? code0 : -code0;
-      const std::int64_t q = signed0 / 2;
-      const std::int64_t c = q + qs.radius;
-      if (c > 0 && c < qs.capacity) {
-        const double recd =
-            pred + 2.0 * static_cast<double>(q) * qs.precision;
-        if constexpr (std::is_same_v<T, float>) {
-          const auto recf = static_cast<float>(recd);
-          if (std::fabs(static_cast<double>(recf) - orig) <= qs.precision) {
-            code = static_cast<std::uint16_t>(c);
-            rec[i] = recf;
-          }
-        } else {
-          if (std::fabs(recd - orig) <= qs.precision) {
-            code = static_cast<std::uint16_t>(c);
-            rec[i] = recd;
-          }
-        }
-      }
-    }
-    codes[i] = code;
-    if (code == 0) miss |= std::uint64_t{1} << j;
-  }
-  return miss;
-}
-
-template <typename T>
-void reconstruct2d_diag_scalar(const std::uint16_t* codes, T* rec,
-                               std::size_t base, std::size_t s0,
-                               std::size_t n, const QuantSpec& qs) {
-  const std::size_t st = s0 - 1;
-  std::size_t i = base;
-  for (std::size_t j = 0; j < n; ++j, i += st) {
-    const std::uint16_t c = codes[i];
-    if (c == 0) continue;  // pre-placed unpredictable value
-    const double pred = static_cast<double>(rec[i - s0]) +
-                        static_cast<double>(rec[i - 1]) -
-                        static_cast<double>(rec[i - s0 - 1]);
-    const std::int64_t q = static_cast<std::int64_t>(c) - qs.radius;
-    rec[i] =
-        static_cast<T>(pred + 2.0 * static_cast<double>(q) * qs.precision);
-  }
-}
 
 template <typename T>
 void minmax_scalar(const T* data, std::size_t n, double* lo, double* hi) {
@@ -153,162 +91,8 @@ std::size_t bound_scan_scalar(const float* o, const float* d, std::size_t n,
 #if WAVESZ_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// SSE2 paths (baseline on x86-64; two double lanes). Neighbour loads are
-// scalar (no gather before AVX2) — the win is the two-lane double math and
-// the broken loop-carried dependency, not the loads.
+// SSE2 paths (baseline on x86-64; two double lanes).
 // ---------------------------------------------------------------------------
-
-/// Narrow a 2x64-bit compare mask to the 2-bit movemask form.
-inline int qmask2(__m128d m) { return _mm_movemask_pd(m); }
-
-/// Two-lane pair pipeline, the diagonal PQD path at Level::Sse2 and
-/// Level::Avx2. 128 bits per pair is a deliberate width choice, not a
-/// fallback: the diagonal taps are strided loads, and a 4-lane 256-bit
-/// variant (both vgather- and scalar-pack-based) measured 25-35% slower
-/// than this pipeline — the lane-crossing packs and int<->double
-/// conversions on the critical path eat the wider math's win
-/// (EXPERIMENTS.md, simd sweep). Recompiled under the AVX2 target, the
-/// same body ran within 2% of this one on f32 and slower on f64.
-template <typename T>
-std::uint64_t pqd2d_diag_sse2(const T* data, T* rec, std::uint16_t* codes,
-                              std::size_t base, std::size_t s0, std::size_t n,
-                              const QuantSpec& qs) {
-  if (n < 2) return pqd2d_diag_scalar<T>(data, rec, codes, base, s0, n, qs);
-  std::uint64_t miss = 0;
-  const std::size_t st = s0 - 1;
-  const __m128d vinvp = _mm_set1_pd(qs.inv_precision);
-  const __m128d vp = _mm_set1_pd(qs.precision);
-  const __m128d vcapm1 =
-      _mm_set1_pd(static_cast<double>(qs.capacity - 1));
-  const __m128d absmask = _mm_castsi128_pd(
-      _mm_set1_epi64x(static_cast<long long>(0x7fffffffffffffffULL)));
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const std::size_t i0 = base + j * st;
-    const std::size_t i1 = i0 + st;
-    const __m128d N = _mm_set_pd(static_cast<double>(rec[i1 - s0]),
-                                 static_cast<double>(rec[i0 - s0]));
-    const __m128d W = _mm_set_pd(static_cast<double>(rec[i1 - 1]),
-                                 static_cast<double>(rec[i0 - 1]));
-    const __m128d NW = _mm_set_pd(static_cast<double>(rec[i1 - s0 - 1]),
-                                  static_cast<double>(rec[i0 - s0 - 1]));
-    const __m128d O = _mm_set_pd(static_cast<double>(data[i1]),
-                                 static_cast<double>(data[i0]));
-    const __m128d pred = _mm_sub_pd(_mm_add_pd(N, W), NW);
-    const __m128d diff = _mm_sub_pd(O, pred);
-    const __m128d scaled = _mm_mul_pd(_mm_and_pd(diff, absmask), vinvp);
-    const int m1 = qmask2(_mm_cmplt_pd(scaled, vcapm1));
-    // trunc(scaled) in lanes 0..1 of the int vector; +1 = code0.
-    const __m128i c0 =
-        _mm_add_epi32(_mm_cvttpd_epi32(scaled), _mm_set1_epi32(1));
-    const int negm = qmask2(_mm_cmplt_pd(diff, _mm_setzero_pd()));
-    const __m128i qmag = _mm_srli_epi32(c0, 1);
-    alignas(16) std::int32_t qarr[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(qarr), qmag);
-    // Apply sign, radius and the range test per lane (two lanes only — the
-    // scalar epilogue is cheaper than widening the masks).
-    std::int64_t qlane[2];
-    std::int64_t clane[2];
-    bool okc[2];
-    for (int l = 0; l < 2; ++l) {
-      const std::int64_t mag = qarr[l];
-      const std::int64_t q = ((negm >> l) & 1) != 0 ? -mag : mag;
-      qlane[l] = q;
-      clane[l] = q + qs.radius;
-      okc[l] = clane[l] > 0 && clane[l] < qs.capacity;
-    }
-    const __m128d qd = _mm_set_pd(static_cast<double>(qlane[1]),
-                                  static_cast<double>(qlane[0]));
-    const __m128d recd =
-        _mm_add_pd(pred, _mm_mul_pd(_mm_add_pd(qd, qd), vp));
-    alignas(16) double recarr[2];
-    int m3;
-    float recf32[2] = {0.0f, 0.0f};
-    if constexpr (std::is_same_v<T, float>) {
-      const __m128 recf = _mm_cvtpd_ps(recd);
-      alignas(16) float f4[4];
-      _mm_store_ps(f4, recf);
-      recf32[0] = f4[0];
-      recf32[1] = f4[1];
-      const __m128d recchk = _mm_cvtps_pd(recf);
-      const __m128d err = _mm_and_pd(_mm_sub_pd(recchk, O), absmask);
-      m3 = qmask2(_mm_cmple_pd(err, vp));
-      recarr[0] = recarr[1] = 0.0;
-    } else {
-      _mm_store_pd(recarr, recd);
-      const __m128d err = _mm_and_pd(_mm_sub_pd(recd, O), absmask);
-      m3 = qmask2(_mm_cmple_pd(err, vp));
-    }
-    const std::size_t idx[2] = {i0, i1};
-    for (int l = 0; l < 2; ++l) {
-      const bool ok =
-          ((m1 >> l) & 1) != 0 && okc[l] && ((m3 >> l) & 1) != 0;
-      if (ok) {
-        codes[idx[l]] = static_cast<std::uint16_t>(clane[l]);
-        if constexpr (std::is_same_v<T, float>) {
-          rec[idx[l]] = recf32[l];
-        } else {
-          rec[idx[l]] = static_cast<T>(recarr[l]);
-        }
-      } else {
-        codes[idx[l]] = 0;
-        miss |= std::uint64_t{1} << (j + static_cast<std::size_t>(l));
-      }
-    }
-  }
-  if (j < n) {
-    miss |= pqd2d_diag_scalar<T>(data, rec, codes, base + j * st, s0, n - j,
-                                 qs)
-            << j;
-  }
-  return miss;
-}
-
-template <typename T>
-void reconstruct2d_diag_sse2(const std::uint16_t* codes, T* rec,
-                             std::size_t base, std::size_t s0, std::size_t n,
-                             const QuantSpec& qs) {
-  if (n < 2) {
-    reconstruct2d_diag_scalar<T>(codes, rec, base, s0, n, qs);
-    return;
-  }
-  const std::size_t st = s0 - 1;
-  const __m128d vp = _mm_set1_pd(qs.precision);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const std::size_t i0 = base + j * st;
-    const std::size_t i1 = i0 + st;
-    const std::uint16_t c0 = codes[i0], c1 = codes[i1];
-    if (c0 == 0 && c1 == 0) continue;
-    const __m128d N = _mm_set_pd(static_cast<double>(rec[i1 - s0]),
-                                 static_cast<double>(rec[i0 - s0]));
-    const __m128d W = _mm_set_pd(static_cast<double>(rec[i1 - 1]),
-                                 static_cast<double>(rec[i0 - 1]));
-    const __m128d NW = _mm_set_pd(static_cast<double>(rec[i1 - s0 - 1]),
-                                  static_cast<double>(rec[i0 - s0 - 1]));
-    const __m128d pred = _mm_sub_pd(_mm_add_pd(N, W), NW);
-    const __m128d qd = _mm_set_pd(
-        static_cast<double>(static_cast<std::int64_t>(c1) - qs.radius),
-        static_cast<double>(static_cast<std::int64_t>(c0) - qs.radius));
-    const __m128d recd =
-        _mm_add_pd(pred, _mm_mul_pd(_mm_add_pd(qd, qd), vp));
-    if constexpr (std::is_same_v<T, float>) {
-      const __m128 recf = _mm_cvtpd_ps(recd);
-      alignas(16) float f4[4];
-      _mm_store_ps(f4, recf);
-      if (c0 != 0) rec[i0] = f4[0];
-      if (c1 != 0) rec[i1] = f4[1];
-    } else {
-      alignas(16) double d2[2];
-      _mm_store_pd(d2, recd);
-      if (c0 != 0) rec[i0] = static_cast<T>(d2[0]);
-      if (c1 != 0) rec[i1] = static_cast<T>(d2[1]);
-    }
-  }
-  if (j < n) {
-    reconstruct2d_diag_scalar<T>(codes, rec, base + j * st, s0, n - j, qs);
-  }
-}
 
 template <typename T>
 void minmax_sse2(const T* data, std::size_t n, double* lo, double* hi) {
@@ -378,9 +162,8 @@ std::size_t bound_scan_sse2(const float* o, const float* d, std::size_t n,
 
 // ---------------------------------------------------------------------------
 // AVX2 paths. Compiled with a function-level target so the default build
-// stays runnable on SSE2-only machines. Only the contiguous-access kernels
-// (minmax, bound_scan) have one — sequential loads are where the width
-// pays; the strided diagonal kernels run their SSE2 body at Level::Avx2.
+// stays runnable on SSE2-only machines: the contiguous scans and the
+// wavefront column runs, whose loads are all sequential.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -579,38 +362,6 @@ bool wave_lanes(Level level) {
 #endif  // WAVESZ_SIMD_X86
 
 template <typename T>
-std::uint64_t pqd2d_diag_t(const T* data, T* rec, std::uint16_t* codes,
-                           std::size_t base, std::size_t s0, std::size_t n,
-                           const QuantSpec& q) {
-  switch (active()) {
-#if WAVESZ_SIMD_X86
-    case Level::Avx2:
-    case Level::Sse2:
-      return pqd2d_diag_sse2<T>(data, rec, codes, base, s0, n, q);
-#endif
-    default:
-      return pqd2d_diag_scalar<T>(data, rec, codes, base, s0, n, q);
-  }
-}
-
-template <typename T>
-void reconstruct2d_diag_t(const std::uint16_t* codes, T* rec,
-                          std::size_t base, std::size_t s0, std::size_t n,
-                          const QuantSpec& q) {
-  switch (active()) {
-#if WAVESZ_SIMD_X86
-    case Level::Avx2:
-    case Level::Sse2:
-      reconstruct2d_diag_sse2<T>(codes, rec, base, s0, n, q);
-      return;
-#endif
-    default:
-      reconstruct2d_diag_scalar<T>(codes, rec, base, s0, n, q);
-      return;
-  }
-}
-
-template <typename T>
 void minmax_t(const T* data, std::size_t n, double* lo, double* hi) {
   switch (active()) {
 #if WAVESZ_SIMD_X86
@@ -665,30 +416,6 @@ bool parse_level(std::string_view text, Level* out) {
     return false;
   }
   return true;
-}
-
-std::uint64_t pqd2d_diag(const float* data, float* rec, std::uint16_t* codes,
-                         std::size_t base, std::size_t s0, std::size_t n,
-                         const QuantSpec& q) {
-  return pqd2d_diag_t<float>(data, rec, codes, base, s0, n, q);
-}
-
-std::uint64_t pqd2d_diag(const double* data, double* rec,
-                         std::uint16_t* codes, std::size_t base,
-                         std::size_t s0, std::size_t n, const QuantSpec& q) {
-  return pqd2d_diag_t<double>(data, rec, codes, base, s0, n, q);
-}
-
-void reconstruct2d_diag(const std::uint16_t* codes, float* rec,
-                        std::size_t base, std::size_t s0, std::size_t n,
-                        const QuantSpec& q) {
-  reconstruct2d_diag_t<float>(codes, rec, base, s0, n, q);
-}
-
-void reconstruct2d_diag(const std::uint16_t* codes, double* rec,
-                        std::size_t base, std::size_t s0, std::size_t n,
-                        const QuantSpec& q) {
-  reconstruct2d_diag_t<double>(codes, rec, base, s0, n, q);
 }
 
 std::size_t wave_pqd_run(Level level, float* cur, std::uint16_t* codes,

@@ -1,22 +1,22 @@
 // Runtime-dispatched SIMD kernel layer (vecSZ-style, PAPERS.md).
 //
-// The diagonal kernels and the contiguous scans (minmax, bound_scan) have a
-// scalar and an SSE2 implementation, and the scans an AVX2 one as well; the
-// diagonal kernels run their SSE2 body at the AVX2 level. The wavefront
-// column-run kernels exist at the AVX2 level only and take the level from
-// their caller, who reads it once per walk and keeps the scalar body. The
-// implementation is otherwise selected once per call from a process-wide
-// level. The level defaults to
-// the widest ISA the CPU reports (probed once via cpuid), can be capped
-// with the WAVESZ_SIMD environment variable (`scalar`, `sse2` or `avx2`)
-// and overridden from code with set_level(); requests above the detected
-// ISA are clamped, so asking for avx2 on an SSE2-only machine silently
-// runs the SSE2 path. On non-x86 targets every level resolves to scalar.
+// The contiguous scans (minmax, bound_scan) have a scalar, an SSE2 and an
+// AVX2 implementation, selected once per call from a process-wide level.
+// The wavefront column-run kernels exist at the AVX2 level only and take
+// the level from their caller, who reads it once per walk and keeps the
+// scalar body. The level defaults to the widest ISA the CPU reports (probed
+// once via cpuid), can be capped with the WAVESZ_SIMD environment variable
+// (`scalar`, `sse2` or `avx2`) and overridden from code with set_level();
+// requests above the detected ISA are clamped, so asking for avx2 on an
+// SSE2-only machine silently runs the SSE2 path. On non-x86 targets every
+// level resolves to scalar. SZ-1.4's Lorenzo kernels have no SIMD path:
+// their skewed row walk (sz/pqd_detail.hpp) overlaps independent rows in
+// scalar code and beat the vectorized diagonals it replaced.
 //
 // Contract: every vectorized path is BIT-IDENTICAL to its scalar
 // implementation, which in turn mirrors the arithmetic of the serial
-// kernels it accelerates (LinearQuantizer + predict_interior for the PQD
-// runs, the std::min/std::max fold for minmax). The scalar paths stay as
+// kernels it accelerates (LinearQuantizer + lorenzo2d for the column runs,
+// the std::min/std::max fold for minmax). The scalar paths stay as
 // runtime-selectable oracles — tests/simd_parity_test.cpp diffs every
 // kernel at every level. Two deliberate exceptions to bit-identity:
 //   - minmax: among equal extrema (-0.0 vs 0.0) the sign of the reported
@@ -63,37 +63,6 @@ struct QuantSpec {
   std::int64_t capacity = 0;
   std::int64_t radius = 0;
 };
-
-/// Lane cap of one pqd/reconstruct diagonal run (the unpredictable-lane
-/// bitmask is 64 bits wide).
-inline constexpr std::size_t kMaxDiagLanes = 64;
-
-/// Lorenzo-2D prediction + linear-scaling quantization over one interior
-/// anti-diagonal run: lane j sits at raster index base + j*(s0-1) of a
-/// row-major grid with row stride s0, and all its stencil taps (i-s0, i-1,
-/// i-s0-1) must be in bounds (the caller peels grid-border lanes). Lanes of
-/// one anti-diagonal are dependency-free (vecSZ), so the run vectorizes.
-/// Per lane: codes[i] receives the quantizer symbol (0 = unpredictable) and
-/// rec[i] the reconstructed history for quantized lanes; unpredictable
-/// lanes leave rec[i] untouched and set bit j of the returned mask — the
-/// caller must patch their history (truncation roundtrip) before the next
-/// diagonal. n <= kMaxDiagLanes. Bit-identical to pqd_step() lane by lane.
-std::uint64_t pqd2d_diag(const float* data, float* rec, std::uint16_t* codes,
-                         std::size_t base, std::size_t s0, std::size_t n,
-                         const QuantSpec& q);
-std::uint64_t pqd2d_diag(const double* data, double* rec,
-                         std::uint16_t* codes, std::size_t base,
-                         std::size_t s0, std::size_t n, const QuantSpec& q);
-
-/// Decode-side counterpart: reconstruct the interior anti-diagonal run from
-/// codes[], skipping code-0 lanes (their values are pre-placed in rec[] by
-/// the caller). Same geometry and lane cap as pqd2d_diag.
-void reconstruct2d_diag(const std::uint16_t* codes, float* rec,
-                        std::size_t base, std::size_t s0, std::size_t n,
-                        const QuantSpec& q);
-void reconstruct2d_diag(const std::uint16_t* codes, double* rec,
-                        std::size_t base, std::size_t s0, std::size_t n,
-                        const QuantSpec& q);
 
 /// Lane width of the wavefront column-run kernels below.
 inline constexpr std::size_t kWaveLanes = 4;

@@ -1,15 +1,21 @@
-// Bit-exact parity of the wavefront-scheduled (tiled anti-diagonal) PQD
-// kernels against the serial raster reference: same codes, same
-// reconstructed history, same unpredictable stream, byte-identical
-// containers — across ranks, degenerate shapes, both dtypes, both
-// predictors and several thread budgets. The wavefront schedule only moves
-// the visit order; any observable difference is a bug.
+// Bit-exact parity of every SZ-1.4 Lorenzo kernel against the raster-order
+// reference loop (sz::detail::lorenzo_*_raster_t): the serial skewed row
+// walk and the wavefront-scheduled (tiled anti-diagonal) kernels at several
+// thread budgets must give the same codes, the same reconstructed history,
+// the same unpredictable stream and byte-identical containers — across
+// ranks, degenerate shapes, shapes at the walk's group and ramp edges, tiles
+// that cut a group, smooth and rough fields, both dtypes and both
+// predictors. Walk and tiles only move the visit order; any observable
+// difference is a bug.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/stream.hpp"
@@ -20,6 +26,7 @@
 #include "sz/wavefront_pqd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/dims.hpp"
+#include "util/error.hpp"
 
 namespace wavesz {
 namespace {
@@ -61,6 +68,17 @@ std::vector<T> make_field(const Dims& dims, unsigned seed) {
   return out;
 }
 
+/// White noise under an absolute bound of 1e-3: the Lorenzo residual is
+/// far beyond the quantizer's range at most points, so most codes are 0.
+template <typename T>
+std::vector<T> rough_field(const Dims& dims, unsigned seed) {
+  std::vector<T> out(dims.count());
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> noise(-1000.0, 1000.0);
+  for (auto& v : out) v = static_cast<T>(noise(rng));
+  return out;
+}
+
 std::vector<Dims> parity_shapes() {
   return {
       Dims::d1(257),         // 1D: always takes the serial path
@@ -73,6 +91,33 @@ std::vector<Dims> parity_shapes() {
   };
 }
 
+/// parity_shapes() plus shapes at the edges of the skewed walk (R rows a
+/// group, R = kWalkRows; groups start after the border row 0): groups that
+/// end exactly, one row short and one row over, rows of fewer than R,
+/// exactly R and R + 1 points (no or one steady step between the ramps),
+/// single-row and single-point planes, and tiles (64x64 at rank 2, 8x32 by
+/// whole rows at rank 3) whose edges cut a group of the serial walk.
+std::vector<Dims> kernel_shapes() {
+  std::vector<Dims> out = parity_shapes();
+  constexpr std::size_t r = sz::detail::kWalkRows;
+  for (std::size_t rows : {2 * r, 2 * r + 1, 2 * r + 2, 3 * r - 1, 3 * r}) {
+    for (std::size_t cols : {std::size_t{1}, std::size_t{2}, r - 1, r, r + 1,
+                             r + 2, 3 * r + 5}) {
+      out.push_back(Dims::d2(rows, cols));
+      for (std::size_t planes : {1, 2, 3}) {
+        out.push_back(Dims::d3(planes, rows, cols));
+      }
+    }
+  }
+  for (const Dims& d :
+       {Dims::d2(1, 1), Dims::d2(2, 1), Dims::d3(1, 1, 1), Dims::d3(4, 1, 1),
+        Dims::d3(3, 1, 7), Dims::d3(3, 7, 1), Dims::d2(150, 131),
+        Dims::d3(10, 37, 70)}) {
+    out.push_back(d);
+  }
+  return out;
+}
+
 template <typename T>
 void expect_same_values(const std::vector<T>& a, const std::vector<T>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -83,90 +128,177 @@ void expect_same_values(const std::vector<T>& a, const std::vector<T>& b) {
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T)));
 }
 
+template <typename P>
+void expect_same_pqd(const P& ref, const P& got) {
+  EXPECT_EQ(ref.codes, got.codes);
+  expect_same_values(ref.reconstructed, got.reconstructed);
+  expect_same_values(ref.unpredictable, got.unpredictable);
+}
+
 // ------------------------------------------------- kernel-level parity
 
-template <typename T, typename PqdFn, typename WaveFn>
-void kernel_parity(PqdFn serial, WaveFn wavefront, sz::PredictorKind kind) {
-  const FloorOverride no_floor(0);
-  const sz::LinearQuantizer q(1e-3, 16);
-  for (const Dims& dims : parity_shapes()) {
-    if (kind == sz::PredictorKind::Lorenzo2Layer && dims.rank > 2) continue;
-    const auto data = make_field<T>(dims, 7u + dims.rank);
-    const auto ref = serial(data, dims, q, kind);
-    for (int nt : kBudgets) {
-      const auto par = wavefront(data, dims, q, kind, nt);
-      SCOPED_TRACE(dims.str() + " threads=" + std::to_string(nt));
-      EXPECT_EQ(ref.codes, par.codes);
-      expect_same_values(ref.reconstructed, par.reconstructed);
-      expect_same_values(ref.unpredictable, par.unpredictable);
+/// The public serial PQD and the wavefront PQD at every budget against the
+/// raster loop.
+template <typename T>
+void expect_pqd_matches_raster(const std::vector<T>& data, const Dims& dims,
+                               const sz::LinearQuantizer& q,
+                               sz::PredictorKind kind) {
+  const std::span<const T> span(data);
+  const auto ref = sz::detail::lorenzo_pqd_raster_t<T>(span, dims, q, kind);
+  {
+    SCOPED_TRACE(dims.str() + " serial");
+    if constexpr (std::is_same_v<T, float>) {
+      expect_same_pqd(ref, sz::lorenzo_pqd(span, dims, q, kind));
+    } else {
+      expect_same_pqd(ref, sz::lorenzo_pqd64(span, dims, q, kind));
+    }
+  }
+  for (int nt : kBudgets) {
+    SCOPED_TRACE(dims.str() + " threads=" + std::to_string(nt));
+    if constexpr (std::is_same_v<T, float>) {
+      expect_same_pqd(ref, sz::lorenzo_pqd_wavefront(span, dims, q, kind, nt));
+    } else {
+      expect_same_pqd(ref,
+                      sz::lorenzo_pqd64_wavefront(span, dims, q, kind, nt));
     }
   }
 }
 
+/// The public serial reconstruct and the wavefront reconstruct at every
+/// budget against the raster reconstruct of the raster PQD's codes and
+/// decompressor-visible unpredictable values; all must give back the
+/// raster PQD's history.
+template <typename T>
+void expect_reconstruct_matches_raster(const std::vector<T>& data,
+                                       const Dims& dims,
+                                       const sz::LinearQuantizer& q) {
+  const auto pqd =
+      sz::detail::lorenzo_pqd_raster_t<T>(std::span<const T>(data), dims, q);
+  std::vector<T> unpred = pqd.unpredictable;
+  for (auto& v : unpred) {
+    v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
+  }
+  const auto ref = sz::detail::lorenzo_reconstruct_raster_t<T>(
+      pqd.codes, std::span<const T>(unpred), dims, q);
+  expect_same_values(pqd.reconstructed, ref);
+  const auto kind = sz::PredictorKind::Lorenzo1Layer;
+  {
+    SCOPED_TRACE(dims.str() + " serial");
+    if constexpr (std::is_same_v<T, float>) {
+      expect_same_values(ref, sz::lorenzo_reconstruct(pqd.codes, unpred, dims,
+                                                      q, kind));
+    } else {
+      expect_same_values(ref, sz::lorenzo_reconstruct64(pqd.codes, unpred,
+                                                        dims, q, kind));
+    }
+  }
+  for (int nt : kBudgets) {
+    SCOPED_TRACE(dims.str() + " threads=" + std::to_string(nt));
+    if constexpr (std::is_same_v<T, float>) {
+      expect_same_values(ref, sz::lorenzo_reconstruct_wavefront(
+                                  pqd.codes, unpred, dims, q, kind, nt));
+    } else {
+      expect_same_values(ref, sz::lorenzo_reconstruct64_wavefront(
+                                  pqd.codes, unpred, dims, q, kind, nt));
+    }
+  }
+}
+
+template <typename T>
+void kernel_parity(sz::PredictorKind kind) {
+  const FloorOverride no_floor(0);
+  const sz::LinearQuantizer q(1e-3, 16);
+  for (const Dims& dims : kernel_shapes()) {
+    if (kind == sz::PredictorKind::Lorenzo2Layer && dims.rank > 2) continue;
+    expect_pqd_matches_raster(make_field<T>(dims, 7u + dims.rank), dims, q,
+                              kind);
+  }
+}
+
 TEST(WavefrontParity, PqdKernelF32OneLayer) {
-  kernel_parity<float>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd(d, dm, q, k);
-      },
-      [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd_wavefront(d, dm, q, k, nt);
-      },
-      sz::PredictorKind::Lorenzo1Layer);
+  kernel_parity<float>(sz::PredictorKind::Lorenzo1Layer);
 }
 
 TEST(WavefrontParity, PqdKernelF32TwoLayer) {
-  kernel_parity<float>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd(d, dm, q, k);
-      },
-      [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd_wavefront(d, dm, q, k, nt);
-      },
-      sz::PredictorKind::Lorenzo2Layer);
+  kernel_parity<float>(sz::PredictorKind::Lorenzo2Layer);
 }
 
 TEST(WavefrontParity, PqdKernelF64OneLayer) {
-  kernel_parity<double>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd64(d, dm, q, k);
-      },
-      [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd64_wavefront(d, dm, q, k, nt);
-      },
-      sz::PredictorKind::Lorenzo1Layer);
+  kernel_parity<double>(sz::PredictorKind::Lorenzo1Layer);
 }
 
 TEST(WavefrontParity, PqdKernelF64TwoLayer) {
-  kernel_parity<double>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd64(d, dm, q, k);
-      },
-      [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd64_wavefront(d, dm, q, k, nt);
-      },
-      sz::PredictorKind::Lorenzo2Layer);
+  kernel_parity<double>(sz::PredictorKind::Lorenzo2Layer);
 }
 
 TEST(WavefrontParity, ReconstructKernelBothDtypes) {
   const FloorOverride no_floor(0);
   const sz::LinearQuantizer q(1e-3, 16);
-  for (const Dims& dims : parity_shapes()) {
-    const auto f32 = make_field<float>(dims, 11);
-    const auto pqd = sz::lorenzo_pqd(f32, dims, q);
-    const auto ref = sz::lorenzo_reconstruct(pqd.codes, pqd.unpredictable,
-                                             dims, q);
-    const auto f64 = make_field<double>(dims, 13);
-    const auto pqd64 = sz::lorenzo_pqd64(f64, dims, q);
-    const auto ref64 = sz::lorenzo_reconstruct64(
-        pqd64.codes, pqd64.unpredictable, dims, q);
+  for (const Dims& dims : kernel_shapes()) {
+    expect_reconstruct_matches_raster(make_field<float>(dims, 11), dims, q);
+    expect_reconstruct_matches_raster(make_field<double>(dims, 13), dims, q);
+  }
+}
+
+/// The rough field, where more than half the points are code 0: the
+/// unpredictable history, its collection after the walk and its placement
+/// before the reconstruct carry most of the result.
+template <typename T>
+void rough_parity() {
+  const FloorOverride no_floor(0);
+  const sz::LinearQuantizer q(1e-3, 16);
+  for (const Dims& dims : {Dims::d2(150, 131), Dims::d2(41, 17),
+                           Dims::d3(6, 37, 131), Dims::d3(5, 11, 9)}) {
+    const auto data = rough_field<T>(dims, 53);
+    const auto pqd = sz::detail::lorenzo_pqd_raster_t<T>(
+        std::span<const T>(data), dims, q);
+    EXPECT_GT(pqd.unpredictable.size() * 2, data.size()) << dims.str();
+    expect_pqd_matches_raster(data, dims, q, sz::PredictorKind::Lorenzo1Layer);
+    expect_reconstruct_matches_raster(data, dims, q);
+  }
+}
+
+TEST(WavefrontParity, RoughFieldF32) { rough_parity<float>(); }
+TEST(WavefrontParity, RoughFieldF64) { rough_parity<double>(); }
+
+/// Runs `fn` and expects a wavesz::Error whose message holds `what`.
+template <typename Fn>
+void expect_error(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no error, expected: " << what;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+// A forged container can carry one unpredictable value too few or too
+// many for its code-0 points. The walk places every value before it runs,
+// the raster loop takes them inline; both must reject either stream.
+TEST(WavefrontParity, ForgedUnpredictableCountsRejected) {
+  const FloorOverride no_floor(0);
+  const sz::LinearQuantizer q(1e-3, 16);
+  for (const Dims& dims : {Dims::d1(300), Dims::d2(41, 17),
+                           Dims::d3(5, 11, 9)}) {
+    const auto data = rough_field<float>(dims, 61);
+    const auto pqd = sz::lorenzo_pqd(data, dims, q);
+    ASSERT_GT(pqd.unpredictable.size(), 1u);
+    const std::vector<float> shorter(pqd.unpredictable.begin(),
+                                     pqd.unpredictable.end() - 1);
+    std::vector<float> longer = pqd.unpredictable;
+    longer.push_back(1.0f);
     for (int nt : kBudgets) {
       SCOPED_TRACE(dims.str() + " threads=" + std::to_string(nt));
-      expect_same_values(ref, sz::lorenzo_reconstruct_wavefront(
-                                  pqd.codes, pqd.unpredictable, dims, q,
-                                  sz::PredictorKind::Lorenzo1Layer, nt));
-      expect_same_values(ref64, sz::lorenzo_reconstruct64_wavefront(
-                                    pqd64.codes, pqd64.unpredictable, dims, q,
-                                    sz::PredictorKind::Lorenzo1Layer, nt));
+      const auto run = [&](const std::vector<float>& unpred) {
+        return [&, unpred] {
+          (void)sz::lorenzo_reconstruct_wavefront(
+              pqd.codes, unpred, dims, q, sz::PredictorKind::Lorenzo1Layer,
+              nt);
+        };
+      };
+      expect_error(run(shorter), "unpredictable stream exhausted");
+      expect_error(run(longer), "unpredictable stream has trailing values");
     }
   }
 }
@@ -181,6 +313,17 @@ TEST(WavefrontParity, Sz14ContainerByteIdentical) {
     sz::Config cfg;  // pqd_threads = 1: serial reference
     const auto ref = sz::compress(std::span<const float>(f32), dims, cfg);
     const auto ref64 = sz::compress(std::span<const double>(f64), dims, cfg);
+    // The serial container decodes to the raster PQD's history.
+    const sz::LinearQuantizer q(ref.header.eb_absolute,
+                                ref.header.quant_bits);
+    const sz::LinearQuantizer q64(ref64.header.eb_absolute,
+                                  ref64.header.quant_bits);
+    expect_same_values(sz::detail::lorenzo_pqd_raster_t<float>(f32, dims, q)
+                           .reconstructed,
+                       sz::decompress(ref.bytes));
+    expect_same_values(
+        sz::detail::lorenzo_pqd_raster_t<double>(f64, dims, q64).reconstructed,
+        sz::decompress64(ref64.bytes));
     for (int nt : kBudgets) {
       SCOPED_TRACE(dims.str() + " threads=" + std::to_string(nt));
       sz::Config par = cfg;

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/wavesz.hpp"
@@ -366,6 +367,45 @@ TEST(RegionDecode, RegionDecodeHonorsThreadBudget) {
         }
       }
     }
+  }
+}
+
+/// Rough boxes against the raster-order oracle rather than a full decode
+/// (both run the same skewed walk): the raster PQD's history is what every
+/// read must return, in f32 and f64, serially and with the tiled
+/// reconstruct at budgets 2 and 4.
+template <typename T>
+void rough_boxes_match_raster(const Dims& dims) {
+  const FloorOverride floor;
+  const Sz14Input in{"rough/1-layer", rough_field(dims),
+                     rough_config(sz::PredictorKind::Lorenzo1Layer)};
+  const std::vector<T> values(in.values.begin(), in.values.end());
+  const auto c = sz::compress(values, dims, in.cfg);
+  expect_mostly_unpredictable(in, c);
+  const sz::LinearQuantizer q(c.header.eb_absolute, c.header.quant_bits);
+  const auto oracle =
+      sz::detail::lorenzo_pqd_raster_t<T>(values, dims, q).reconstructed;
+  const auto regions = dims.rank == 2 ? regions_2d(64, 96) : regions_3d();
+  for (const int nt : {1, 2, 4}) {
+    for (const auto& box : regions) {
+      const sz::DecodeOptions opts{nt, nt};
+      if constexpr (std::is_same_v<T, float>) {
+        EXPECT_EQ(sz::decompress_region(c.bytes, box, opts).data,
+                  slice(oracle, dims, box))
+            << dims.str() << " budget=" << nt;
+      } else {
+        EXPECT_EQ(sz::decompress_region64(c.bytes, box, opts).data,
+                  slice(oracle, dims, box))
+            << dims.str() << " budget=" << nt;
+      }
+    }
+  }
+}
+
+TEST(RegionDecode, RoughBoxesMatchRasterOracle) {
+  for (const Dims& dims : {Dims::d2(64, 96), Dims::d3(16, 24, 20)}) {
+    rough_boxes_match_raster<float>(dims);
+    rough_boxes_match_raster<double>(dims);
   }
 }
 

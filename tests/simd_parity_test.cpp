@@ -99,90 +99,6 @@ TEST(SimdDispatch, LevelControls) {
   EXPECT_STREQ("avx2", simd::level_name(simd::Level::Avx2));
 }
 
-// --------------------------------------------------------- pqd2d_diag runs
-
-/// One interior anti-diagonal of a HxW grid starting at (1, W-2): lane j
-/// sits at (1+j, W-2-j), every stencil tap in bounds for j < min(H-1, W-2).
-template <typename T>
-void pqd_diag_parity(unsigned seed) {
-  constexpr std::size_t kH = 70, kW = 70, kS0 = kW;
-  const simd::QuantSpec q{1e-3, 1.0 / 1e-3, 1 << 16, 1 << 15};
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                        std::size_t{5}, std::size_t{17}, std::size_t{64}}) {
-    auto data = noisy_field<T>(kH * kW, seed);
-    const std::size_t base = 1 * kS0 + (kW - 2);
-    // Poison a few lanes with non-finite values: they must flow to the
-    // unpredictable mask identically at every level.
-    if (n >= 5) {
-      data[base + 2 * (kS0 - 1)] = static_cast<T>(kNan64);
-      data[base + 4 * (kS0 - 1)] = static_cast<T>(kInf64);
-    }
-    // History the prediction reads: pretend everything reconstructed
-    // losslessly; both levels see identical input.
-    std::vector<T> ref_rec = data, got_rec = data;
-    std::vector<std::uint16_t> ref_codes(kH * kW, 0xabcd);
-    std::vector<std::uint16_t> got_codes(kH * kW, 0xabcd);
-    std::uint64_t ref_mask = 0;
-    {
-      LevelOverride guard(simd::Level::Scalar);
-      ref_mask = simd::pqd2d_diag(data.data(), ref_rec.data(),
-                                  ref_codes.data(), base, kS0, n, q);
-    }
-    for (simd::Level l : sweep_levels()) {
-      SCOPED_TRACE(std::string(simd::level_name(l)) +
-                   " n=" + std::to_string(n));
-      std::vector<T> rec = data;
-      std::vector<std::uint16_t> codes(kH * kW, 0xabcd);
-      LevelOverride guard(l);
-      const std::uint64_t mask = simd::pqd2d_diag(
-          data.data(), rec.data(), codes.data(), base, kS0, n, q);
-      EXPECT_EQ(ref_mask, mask);
-      EXPECT_EQ(ref_codes, codes);
-      got_rec = rec;
-      expect_same_bits(ref_rec, got_rec);
-    }
-  }
-}
-
-TEST(SimdParity, PqdDiagF32) { pqd_diag_parity<float>(101); }
-TEST(SimdParity, PqdDiagF64) { pqd_diag_parity<double>(103); }
-
-template <typename T>
-void reconstruct_diag_parity(unsigned seed) {
-  constexpr std::size_t kH = 70, kW = 70, kS0 = kW;
-  const simd::QuantSpec q{1e-3, 1.0 / 1e-3, 1 << 16, 1 << 15};
-  std::mt19937 rng(seed);
-  for (std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{13},
-                        std::size_t{64}}) {
-    const std::size_t base = 1 * kS0 + (kW - 2);
-    std::vector<T> seed_rec = noisy_field<T>(kH * kW, seed + 1);
-    std::vector<std::uint16_t> codes(kH * kW, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      // Mix quantized lanes with code-0 (pre-placed unpredictable) lanes.
-      codes[base + j * (kS0 - 1)] =
-          rng() % 7 == 0 ? 0
-                         : static_cast<std::uint16_t>((1 << 15) +
-                                                      (rng() % 2000) - 1000);
-    }
-    std::vector<T> ref = seed_rec;
-    {
-      LevelOverride guard(simd::Level::Scalar);
-      simd::reconstruct2d_diag(codes.data(), ref.data(), base, kS0, n, q);
-    }
-    for (simd::Level l : sweep_levels()) {
-      SCOPED_TRACE(std::string(simd::level_name(l)) +
-                   " n=" + std::to_string(n));
-      std::vector<T> rec = seed_rec;
-      LevelOverride guard(l);
-      simd::reconstruct2d_diag(codes.data(), rec.data(), base, kS0, n, q);
-      expect_same_bits(ref, rec);
-    }
-  }
-}
-
-TEST(SimdParity, ReconstructDiagF32) { reconstruct_diag_parity<float>(107); }
-TEST(SimdParity, ReconstructDiagF64) { reconstruct_diag_parity<double>(109); }
-
 // ------------------------------------------------------ wave column runs
 
 /// One interior run of a wavefront column as the column walk hands it to
