@@ -1,10 +1,13 @@
 // Parallel chunked DEFLATE sweep: input x threads x chunk size x level on
 // the gzip stage's real inputs — the quantization codes of the Table 5
 // throughput personas, H*-coded as H*G* feeds them and raw as G* feeds them.
-// Reports MB/s and the compression-ratio delta versus the serial stream,
-// verifies every output through the serial inflate, and emits
-// machine-readable results to BENCH_deflate.json in the working directory
-// (schema described in EXPERIMENTS.md).
+// The raw codes go through the code-section path (gzip_compress_codes: at
+// Level::Fast the matcher steps in whole codes), with one byte-parse row
+// per level for comparison. Reports MB/s, match tokens and the
+// compression-ratio delta versus the serial stream, verifies every output
+// through the serial inflate, and emits machine-readable results to
+// BENCH_deflate.json in the working directory (schema described in
+// EXPERIMENTS.md).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,7 +26,11 @@ using namespace wavesz;
 /// One gzip-stage input: every persona's code sections, concatenated.
 struct StageInput {
   const char* name;
+  const char* matcher;  ///< "codes" (gzip_compress_codes) or "bytes"
   std::vector<std::uint8_t> bytes;
+  std::vector<std::uint16_t> codes;  ///< set for the "codes" matcher
+  /// Layouts swept, as {chunk_bytes, threads}; empty = the whole grid.
+  std::vector<deflate::ParallelOptions> only;
 };
 
 /// The gzip stage's two inputs, exactly what compress_t feeds it:
@@ -32,10 +39,11 @@ struct StageInput {
 /// FPGA design ships. The second is the match-heavy stream; it takes one
 /// field per persona, because at Best the matcher walks long hash chains
 /// on it: over every field (40 MB) it runs at about 2 MB/s, which would
-/// dominate the sweep's time.
+/// dominate the sweep's time. It is swept as code sections, plus the byte
+/// parse of the same bytes in one serial row per level.
 std::vector<StageInput> gzip_stage_inputs(const bench::Options& opts) {
-  StageInput huffman{"huffman", {}};
-  ByteWriter raw;
+  StageInput huffman{"huffman", "bytes", {}, {}, {}};
+  std::vector<std::uint16_t> raw;
   for (auto p : data::all_personas()) {
     const auto fields = data::fields(p, opts.scale_for(p));
     for (std::size_t i = 0; i < fields.size(); ++i) {
@@ -45,13 +53,45 @@ std::vector<StageInput> gzip_stage_inputs(const bench::Options& opts) {
       const auto pqd = sz::lorenzo_pqd(grid, fields[i].dims, q);
       const auto coded = sz::huffman_encode(pqd.codes);
       huffman.bytes.insert(huffman.bytes.end(), coded.begin(), coded.end());
-      if (i == 0) raw.u16s(pqd.codes);
+      if (i == 0) raw.insert(raw.end(), pqd.codes.begin(), pqd.codes.end());
     }
   }
+  const auto image = bytes_of(std::span<const std::uint16_t>(raw));
+  std::vector<std::uint8_t> raw_bytes(image.begin(), image.end());
   std::vector<StageInput> inputs;
   inputs.push_back(std::move(huffman));
-  inputs.push_back({"raw_u16", raw.take()});
+  inputs.push_back({"raw_u16", "codes", raw_bytes, std::move(raw), {}});
+  inputs.push_back({"raw_u16", "bytes", std::move(raw_bytes), {},
+                    {{64u * 1024u, 1}}});
   return inputs;
+}
+
+std::vector<std::uint8_t> gzip_stage(const StageInput& in,
+                                     deflate::Level level,
+                                     const deflate::ParallelOptions& o) {
+  return in.codes.empty()
+             ? deflate::gzip_compress_parallel(in.bytes, level, o)
+             : deflate::gzip_compress_codes(in.codes, level, o);
+}
+
+/// Match tokens of the parse gzip_stage() runs at `o`: one window at one
+/// thread, else each chunk primed with the window before it.
+std::size_t match_tokens(const StageInput& in, deflate::Level level,
+                         const deflate::ParallelOptions& o) {
+  const auto stride = in.codes.empty() ? deflate::Stride::Bytes
+                                       : deflate::Stride::Codes;
+  const std::span<const std::uint8_t> all(in.bytes);
+  const std::size_t chunk = o.threads == 1 ? all.size() : o.chunk_bytes;
+  std::size_t matches = 0;
+  for (std::size_t off = 0; off < all.size(); off += chunk) {
+    const std::size_t dict = std::min(deflate::kWindowSize, off);
+    const std::size_t len = std::min(chunk, all.size() - off);
+    for (const auto& t : deflate::tokenize(all.subspan(off - dict, dict + len),
+                                           level, dict, stride)) {
+      matches += t.length > 0 ? 1 : 0;
+    }
+  }
+  return matches;
 }
 
 int hardware_threads() { return util::resolve_thread_budget(0); }
@@ -69,8 +109,9 @@ int main(int argc, char** argv) {
   const auto inputs = gzip_stage_inputs(opts);
   std::FILE* json = std::fopen("BENCH_deflate.json", "w");
   if (json != nullptr) {
+    // The last input is the byte parse of raw_u16's bytes.
     std::fprintf(json, "{\n  \"input_bytes\": {");
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (std::size_t i = 0; i + 1 < inputs.size(); ++i) {
       std::fprintf(json, "%s\"%s\": %zu", i == 0 ? "" : ", ",
                    inputs[i].name, inputs[i].bytes.size());
     }
@@ -84,49 +125,56 @@ int main(int argc, char** argv) {
   for (const auto& in : inputs) {
     const auto& input = in.bytes;
     const double in_mb = static_cast<double>(input.size()) / 1e6;
-    std::printf("\ninput=%s: %.1f MB of quantization codes\n", in.name,
-                in_mb);
+    std::printf("\ninput=%s matcher=%s: %.1f MB of quantization codes\n",
+                in.name, in.matcher, in_mb);
     for (auto level : {deflate::Level::Fast, deflate::Level::Best}) {
       const char* lvl_name = level == deflate::Level::Fast ? "fast" : "best";
+      const deflate::ParallelOptions one{deflate::kDefaultChunkBytes, 1};
       std::vector<std::uint8_t> serial;
       const double serial_s = bench::median_seconds(
-          opts.repeat, [&] { serial = deflate::gzip_compress(input, level); });
+          opts.repeat, [&] { serial = gzip_stage(in, level, one); });
       std::printf("level=%s serial: %.1f MB/s, ratio %.3f\n", lvl_name,
                   in_mb / serial_s,
                   static_cast<double>(input.size()) /
                       static_cast<double>(serial.size()));
 
-      for (std::size_t chunk : {64u * 1024u, 256u * 1024u, 1024u * 1024u}) {
-        for (int threads : {1, 2, 4, 8}) {
-          deflate::ParallelOptions popts{chunk, threads};
-          std::vector<std::uint8_t> par;
-          const double par_s = bench::median_seconds(opts.repeat, [&] {
-            par = deflate::gzip_compress_parallel(input, level, popts);
-          });
-          const bool ok = deflate::gzip_decompress(par) == input;
-          all_ok = all_ok && ok;
-          const double mbps = in_mb / par_s;
-          const double delta =
-              100.0 * (static_cast<double>(par.size()) /
-                           static_cast<double>(serial.size()) -
-                       1.0);
-          std::printf(
-              "  chunk=%4zuKiB threads=%d  %7.1f MB/s  speedup %4.2fx  "
-              "ratio delta %+5.3f%%  roundtrip %s\n",
-              chunk / 1024, threads, mbps,
-              par_s > 0 ? serial_s / par_s : 0.0, delta, ok ? "ok" : "FAIL");
-          if (json != nullptr) {
-            std::fprintf(
-                json,
-                "%s    {\"input\": \"%s\", \"level\": \"%s\", "
-                "\"chunk_bytes\": %zu, \"threads\": %d, \"mbps\": %.2f, "
-                "\"speedup_vs_serial\": %.3f, \"compressed_bytes\": %zu, "
-                "\"ratio_delta_pct\": %.4f, \"roundtrip_ok\": %s}",
-                first_row ? "" : ",\n", in.name, lvl_name, chunk, threads,
-                mbps, par_s > 0 ? serial_s / par_s : 0.0, par.size(), delta,
-                ok ? "true" : "false");
-            first_row = false;
-          }
+      std::vector<deflate::ParallelOptions> layouts = in.only;
+      if (layouts.empty()) {
+        for (std::size_t chunk : {64u * 1024u, 256u * 1024u, 1024u * 1024u}) {
+          for (int threads : {1, 2, 4, 8}) layouts.push_back({chunk, threads});
+        }
+      }
+      for (const auto& popts : layouts) {
+        std::vector<std::uint8_t> par;
+        const double par_s = bench::median_seconds(
+            opts.repeat, [&] { par = gzip_stage(in, level, popts); });
+        const bool ok = deflate::gzip_decompress(par) == input;
+        all_ok = all_ok && ok;
+        const double mbps = in_mb / par_s;
+        const double delta =
+            100.0 * (static_cast<double>(par.size()) /
+                         static_cast<double>(serial.size()) -
+                     1.0);
+        const std::size_t matches = match_tokens(in, level, popts);
+        std::printf(
+            "  chunk=%4zuKiB threads=%d  %7.1f MB/s  speedup %4.2fx  "
+            "ratio delta %+5.3f%%  matches %zu  roundtrip %s\n",
+            popts.chunk_bytes / 1024, popts.threads, mbps,
+            par_s > 0 ? serial_s / par_s : 0.0, delta, matches,
+            ok ? "ok" : "FAIL");
+        if (json != nullptr) {
+          std::fprintf(
+              json,
+              "%s    {\"input\": \"%s\", \"matcher\": \"%s\", "
+              "\"level\": \"%s\", \"chunk_bytes\": %zu, \"threads\": %d, "
+              "\"mbps\": %.2f, \"speedup_vs_serial\": %.3f, "
+              "\"compressed_bytes\": %zu, \"ratio_delta_pct\": %.4f, "
+              "\"match_tokens\": %zu, \"roundtrip_ok\": %s}",
+              first_row ? "" : ",\n", in.name, in.matcher, lvl_name,
+              popts.chunk_bytes, popts.threads, mbps,
+              par_s > 0 ? serial_s / par_s : 0.0, par.size(), delta, matches,
+              ok ? "true" : "false");
+          first_row = false;
         }
       }
     }

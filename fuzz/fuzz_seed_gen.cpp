@@ -7,6 +7,7 @@
 // Huffman tables, section framing, wavefront layout math — where the
 // real bugs live. Deterministic by construction (fixed recipes), so the
 // corpus is reproducible and diffs are meaningful.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -81,6 +82,25 @@ int main(int argc, char** argv) {
   write_seed(root / "gzip", 1,
              deflate::gzip_compress(std::vector<std::uint8_t>{},
                                     deflate::Level::Best));
+
+  // Little-endian 16-bit codes walking around the radius, longer than the
+  // 32 KiB window: fuzz_gzip recompresses what they decode to as a code
+  // section, so mutants that keep the CRC wrap the matcher's window ring.
+  {
+    std::vector<std::uint8_t> codes;
+    std::uint32_t lcg = 1;
+    int offset = 0;
+    for (int i = 0; i < 24000; ++i) {
+      lcg = lcg * 1664525u + 1013904223u;
+      offset = std::clamp(offset + static_cast<int>(lcg >> 29) % 5 - 2, -24,
+                          24);
+      const auto code = static_cast<std::uint16_t>(32768 + offset);
+      codes.push_back(static_cast<std::uint8_t>(code & 0xff));
+      codes.push_back(static_cast<std::uint8_t>(code >> 8));
+    }
+    write_seed(root / "gzip", 4,
+               deflate::gzip_compress(codes, deflate::Level::Fast));
+  }
 
   // Malformed on purpose, next to the decoder checks that reject them: a
   // dynamic header declaring 287 lit/len code lengths (RFC 1951 allows

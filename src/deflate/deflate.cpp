@@ -15,8 +15,6 @@
 namespace wavesz::deflate {
 namespace {
 
-constexpr std::size_t kTokensPerBlock = 65536;
-
 std::uint32_t reverse_bits(std::uint32_t code, int len) {
   std::uint32_t out = 0;
   for (int i = 0; i < len; ++i) {
@@ -25,89 +23,98 @@ std::uint32_t reverse_bits(std::uint32_t code, int len) {
   return out;
 }
 
-/// Huffman codes pre-reversed for the LSB-first DEFLATE bit order.
-struct EmitTable {
-  std::vector<std::uint32_t> codes;
-  std::vector<std::uint8_t> lengths;
+/// A code in the LSB-first DEFLATE bit order and its bit count, packed as
+/// (bits << 8) | count.
+using PackedCode = std::uint32_t;
 
-  explicit EmitTable(std::span<const std::uint8_t> lens)
-      : lengths(lens.begin(), lens.end()) {
-    auto canon = canonical_codes(lens);
-    codes.resize(canon.size());
-    for (std::size_t s = 0; s < canon.size(); ++s) {
-      codes[s] = reverse_bits(canon[s], lengths[s]);
-    }
+PackedCode pack(std::uint64_t bits, int count) {
+  return static_cast<PackedCode>(bits << 8) | static_cast<PackedCode>(count);
+}
+
+void put(BitWriterLSB& bw, PackedCode c) {
+  bw.bits(c >> 8, static_cast<int>(c & 0xffu));
+}
+
+/// Canonical codes of `lens`, bit-reversed and packed.
+template <std::size_t N>
+std::array<PackedCode, N> packed_codes(std::span<const std::uint8_t> lens) {
+  WAVESZ_ASSERT(lens.size() == N, "code length table size mismatch");
+  const auto canon = canonical_codes(lens);
+  std::array<PackedCode, N> out{};
+  for (std::size_t s = 0; s < N; ++s) {
+    out[s] = pack(reverse_bits(canon[s], lens[s]), lens[s]);
   }
+  return out;
+}
 
-  void emit(BitWriterLSB& bw, int symbol) const {
-    const auto s = static_cast<std::size_t>(symbol);
-    WAVESZ_ASSERT(lengths[s] > 0, "emitting symbol with no code");
-    bw.bits(codes[s], lengths[s]);
+/// One block's emit tables. A match length's entry holds its length code
+/// followed by its extra bits, so a match goes out in one write.
+struct BlockCodes {
+  std::array<PackedCode, kNumLitLen> litlen;
+  std::array<PackedCode, kMaxMatch + 1> length{};
+  std::array<PackedCode, kNumDist> dist;
+
+  BlockCodes(std::span<const std::uint8_t> litlen_lens,
+             std::span<const std::uint8_t> dist_lens)
+      : litlen(packed_codes<kNumLitLen>(litlen_lens)),
+        dist(packed_codes<kNumDist>(dist_lens)) {
+    for (int len = kMinMatch; len <= kMaxMatch; ++len) {
+      const auto lc = static_cast<std::size_t>(length_code(len));
+      const PackedCode c = litlen[257 + lc];
+      const int n = static_cast<int>(c & 0xffu);
+      length[static_cast<std::size_t>(len)] =
+          pack((c >> 8) | (static_cast<std::uint64_t>(len - kLengthBase[lc])
+                           << n),
+               n + kLengthExtra[lc]);
+    }
   }
 };
 
-struct BlockFreqs {
-  std::array<std::uint64_t, kNumLitLen> litlen{};
-  std::array<std::uint64_t, kNumDist> dist{};
-};
-
-BlockFreqs count_freqs(std::span<const Token> tokens) {
-  BlockFreqs f;
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      ++f.litlen[t.literal];
-    } else {
-      ++f.litlen[static_cast<std::size_t>(257 + length_code(t.length))];
-      ++f.dist[static_cast<std::size_t>(distance_code(t.distance))];
-    }
-  }
-  ++f.litlen[kEndOfBlock];
-  return f;
+const BlockCodes& fixed_codes() {
+  static const BlockCodes codes(fixed_litlen_lengths(), fixed_dist_lengths());
+  return codes;
 }
 
 /// Bits to code a counted block (EOB included) under the given code
 /// lengths: the sum over symbols of freq x (code length + extra bits).
-std::uint64_t block_cost_bits(const BlockFreqs& f,
+std::uint64_t block_cost_bits(const TokenBlock& b,
                               std::span<const std::uint8_t> litlen_lens,
                               std::span<const std::uint8_t> dist_lens) {
+  const auto& litlen = b.litlen_freq();
+  const auto& dist = b.dist_freq();
   std::uint64_t bits = 0;
-  for (std::size_t s = 0; s < f.litlen.size(); ++s) {
-    bits += f.litlen[s] * litlen_lens[s];
+  for (std::size_t s = 0; s < litlen.size(); ++s) {
+    bits += litlen[s] * litlen_lens[s];
   }
   for (std::size_t c = 0; c < kLengthExtra.size(); ++c) {
-    bits += f.litlen[257 + c] * kLengthExtra[c];
+    bits += litlen[257 + c] * kLengthExtra[c];
   }
-  for (std::size_t d = 0; d < f.dist.size(); ++d) {
-    bits += f.dist[d] * (dist_lens[d] + kDistExtra[d]);
+  for (std::size_t d = 0; d < dist.size(); ++d) {
+    bits += dist[d] * (dist_lens[d] + kDistExtra[d]);
   }
   return bits;
 }
 
 void emit_tokens(BitWriterLSB& bw, std::span<const Token> tokens,
-                 const EmitTable& litlen, const EmitTable& dist) {
+                 const BlockCodes& codes) {
   for (const Token& t : tokens) {
     if (t.length == 0) {
-      litlen.emit(bw, t.literal);
-    } else {
-      const int lc = length_code(t.length);
-      litlen.emit(bw, 257 + lc);
-      const int lx = kLengthExtra[static_cast<std::size_t>(lc)];
-      if (lx > 0) {
-        bw.bits(static_cast<std::uint32_t>(
-                    t.length - kLengthBase[static_cast<std::size_t>(lc)]),
-                lx);
-      }
-      const int dc = distance_code(t.distance);
-      dist.emit(bw, dc);
-      const int dx = kDistExtra[static_cast<std::size_t>(dc)];
-      if (dx > 0) {
-        bw.bits(static_cast<std::uint32_t>(
-                    t.distance - kDistBase[static_cast<std::size_t>(dc)]),
-                dx);
-      }
+      put(bw, codes.litlen[t.value]);
+      continue;
     }
+    // A match is at most 20 length bits and 28 distance bits.
+    const PackedCode len = codes.length[t.length];
+    const auto dc = static_cast<std::size_t>(distance_code(t.value));
+    const PackedCode dist = codes.dist[dc];
+    const int dist_n = static_cast<int>(dist & 0xffu);
+    const std::uint64_t dist_bits =
+        (dist >> 8) |
+        (static_cast<std::uint64_t>(t.value - kDistBase[dc]) << dist_n);
+    const int len_n = static_cast<int>(len & 0xffu);
+    bw.bits((len >> 8) | (dist_bits << len_n),
+            len_n + dist_n + kDistExtra[dc]);
   }
-  litlen.emit(bw, kEndOfBlock);
+  put(bw, codes.litlen[kEndOfBlock]);
 }
 
 /// RLE of concatenated lit/len+dist code lengths using symbols 0-18 per
@@ -199,7 +206,8 @@ DynamicHeader build_dynamic_header(std::span<const std::uint8_t> litlen_full,
 }
 
 void emit_dynamic_block(BitWriterLSB& bw, std::span<const Token> tokens,
-                        const DynamicHeader& h, bool final_block) {
+                        const DynamicHeader& h, const BlockCodes& codes,
+                        bool final_block) {
   bw.bits(final_block ? 1u : 0u, 1);
   bw.bits(0b10, 2);  // dynamic
   bw.bits(static_cast<std::uint32_t>(h.litlen_lens.size() - 257), 5);
@@ -208,28 +216,21 @@ void emit_dynamic_block(BitWriterLSB& bw, std::span<const Token> tokens,
   for (int i = 0; i < h.hclen; ++i) {
     bw.bits(h.clc_lens[kClcOrder[static_cast<std::size_t>(i)]], 3);
   }
-  const EmitTable clc(h.clc_lens);
+  const auto clc = packed_codes<kNumClc>(h.clc_lens);
   for (auto [sym, extra] : h.rle) {
-    clc.emit(bw, sym);
+    put(bw, clc[sym]);
     if (sym == 16) bw.bits(extra, 2);
     if (sym == 17) bw.bits(extra, 3);
     if (sym == 18) bw.bits(extra, 7);
   }
-  // Rebuild full-width tables for emission (trimmed tails are unused codes).
-  std::vector<std::uint8_t> ll(h.litlen_lens);
-  ll.resize(kNumLitLen, 0);
-  std::vector<std::uint8_t> dd(h.dist_lens);
-  dd.resize(kNumDist, 0);
-  emit_tokens(bw, tokens, EmitTable(ll), EmitTable(dd));
+  emit_tokens(bw, tokens, codes);
 }
 
 void emit_fixed_block(BitWriterLSB& bw, std::span<const Token> tokens,
                       bool final_block) {
   bw.bits(final_block ? 1u : 0u, 1);
   bw.bits(0b01, 2);  // fixed
-  const auto ll = fixed_litlen_lengths();
-  const auto dd = fixed_dist_lengths();
-  emit_tokens(bw, tokens, EmitTable(ll), EmitTable(dd));
+  emit_tokens(bw, tokens, fixed_codes());
 }
 
 void emit_stored_blocks(BitWriterLSB& bw,
@@ -248,20 +249,69 @@ void emit_stored_blocks(BitWriterLSB& bw,
     bw.byte(static_cast<std::uint8_t>(len >> 8));
     bw.byte(static_cast<std::uint8_t>(~len & 0xff));
     bw.byte(static_cast<std::uint8_t>((~len >> 8) & 0xff));
-    for (std::size_t i = 0; i < take; ++i) bw.byte(raw_bytes[off + i]);
+    bw.bytes(raw_bytes.subspan(off, take));
     off += take;
   } while (off < raw_bytes.size());
 }
 
-std::size_t token_raw_size(std::span<const Token> tokens) {
-  std::size_t n = 0;
-  for (const Token& t : tokens) n += (t.length == 0) ? 1 : t.length;
-  return n;
+/// Emit one counted block as stored, fixed or dynamic, whichever costs
+/// least; `covered` is the input it encodes (for the stored form).
+void write_block(BitWriterLSB& bw, const TokenBlock& block,
+                 std::span<const std::uint8_t> covered, bool final_block) {
+  // Ensure at least one distance code exists so the dynamic header is
+  // always well-formed (a zero-frequency code still gets a slot).
+  auto dist_freq = block.dist_freq();
+  if (std::all_of(dist_freq.begin(), dist_freq.end(),
+                  [](std::uint64_t f) { return f == 0; })) {
+    dist_freq[0] = 1;
+  }
+  const auto dyn_ll = huffman_code_lengths(block.litlen_freq(), 15);
+  const auto dyn_dd = huffman_code_lengths(dist_freq, 15);
+  const DynamicHeader header = build_dynamic_header(dyn_ll, dyn_dd);
+
+  const std::uint64_t cost_dyn =
+      3 + header.header_bits + block_cost_bits(block, dyn_ll, dyn_dd);
+  const std::uint64_t cost_fix =
+      3 + block_cost_bits(block, fixed_litlen_lengths(), fixed_dist_lengths());
+  const std::uint64_t cost_stored =
+      (3 + 7 + 32) * ((covered.size() + 65534) / 65535) +
+      8ull * static_cast<std::uint64_t>(covered.size());
+
+  if (cost_stored < cost_dyn && cost_stored < cost_fix) {
+    emit_stored_blocks(bw, covered, final_block);
+  } else if (cost_fix <= cost_dyn) {
+    emit_fixed_block(bw, block.tokens(), final_block);
+  } else {
+    emit_dynamic_block(bw, block.tokens(), header,
+                       BlockCodes(dyn_ll, dyn_dd), final_block);
+  }
 }
 
 }  // namespace
 
 namespace detail {
+
+void deflate_window(BitWriterLSB& bw, std::span<const std::uint8_t> window,
+                    std::size_t dict_len, Level level, Stride stride,
+                    bool mark_final) {
+  WAVESZ_REQUIRE(dict_len <= window.size(),
+                 "dictionary longer than the input span");
+  const auto live = window.subspan(dict_len);
+  TokenBlock block(live.size());
+  std::size_t raw_off = 0;
+  const auto write = [&](TokenBlock& b, bool final_block) {
+    write_block(bw, b, live.subspan(raw_off, b.covered()), final_block);
+    raw_off += b.covered();
+    b.clear();
+  };
+  parse(window, dict_len, level, stride, block,
+        [&](TokenBlock& b) { write(b, false); });
+  if (!block.empty()) {
+    write(block, mark_final);
+  } else if (mark_final) {
+    emit_fixed_block(bw, {}, true);
+  }
+}
 
 void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
                     std::span<const Token> tokens, bool mark_final) {
@@ -270,46 +320,19 @@ void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
     if (mark_final) emit_fixed_block(bw, {}, true);
     return;
   }
-  std::size_t raw_off = 0;  // offset of the current block's first byte
-
+  TokenBlock block(tokens.size());
+  std::size_t raw_off = 0;
   for (std::size_t start = 0; start < tokens.size();
        start += kTokensPerBlock) {
     const std::size_t count =
         std::min<std::size_t>(kTokensPerBlock, tokens.size() - start);
-    const auto block = tokens.subspan(start, count);
-    const bool final_block =
-        mark_final && (start + count == tokens.size());
-    const std::size_t raw_len = token_raw_size(block);
-
-    const BlockFreqs freqs = count_freqs(block);
-    // Ensure at least one distance code exists so the dynamic header is
-    // always well-formed (a zero-frequency code still gets a slot).
-    auto dist_freq = freqs.dist;
-    if (std::all_of(dist_freq.begin(), dist_freq.end(),
-                    [](std::uint64_t f) { return f == 0; })) {
-      dist_freq[0] = 1;
-    }
-    const auto dyn_ll = huffman_code_lengths(freqs.litlen, 15);
-    const auto dyn_dd = huffman_code_lengths(dist_freq, 15);
-    const DynamicHeader header = build_dynamic_header(dyn_ll, dyn_dd);
-
-    const std::uint64_t cost_dyn =
-        3 + header.header_bits + block_cost_bits(freqs, dyn_ll, dyn_dd);
-    const auto fix_ll = fixed_litlen_lengths();
-    const auto fix_dd = fixed_dist_lengths();
-    const std::uint64_t cost_fix = 3 + block_cost_bits(freqs, fix_ll, fix_dd);
-    const std::uint64_t cost_stored =
-        (3 + 7 + 32) * ((raw_len + 65534) / 65535) +
-        8ull * static_cast<std::uint64_t>(raw_len);
-
-    if (cost_stored < cost_dyn && cost_stored < cost_fix) {
-      emit_stored_blocks(bw, covered.subspan(raw_off, raw_len), final_block);
-    } else if (cost_fix <= cost_dyn) {
-      emit_fixed_block(bw, block, final_block);
-    } else {
-      emit_dynamic_block(bw, block, header, final_block);
-    }
-    raw_off += raw_len;
+    block.clear();
+    for (const Token& t : tokens.subspan(start, count)) block.add(t);
+    WAVESZ_ASSERT(raw_off + block.covered() <= covered.size(),
+                  "token coverage mismatch");
+    write_block(bw, block, covered.subspan(raw_off, block.covered()),
+                mark_final && start + count == tokens.size());
+    raw_off += block.covered();
   }
   WAVESZ_ASSERT(raw_off == covered.size(), "token coverage mismatch");
 }
@@ -324,13 +347,30 @@ void sync_flush(BitWriterLSB& bw) {
   bw.byte(0xff);
 }
 
+std::vector<std::uint8_t> gzip_member(std::span<const std::uint8_t> input,
+                                      Level level,
+                                      std::span<const std::uint8_t> body) {
+  ByteWriter w;
+  w.u8(0x1f);
+  w.u8(0x8b);
+  w.u8(8);  // CM = deflate
+  w.u8(0);  // FLG
+  w.u32(0); // MTIME
+  w.u8(level == Level::Best ? 2 : 4);  // XFL: 2 = best, 4 = fastest
+  w.u8(255);                           // OS unknown
+  w.bytes(body);
+  w.u32(Crc32::of(input));
+  w.u32(static_cast<std::uint32_t>(input.size()));
+  return w.take();
+}
+
 }  // namespace detail
 
 std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input,
                                    Level level) {
   BitWriterLSB bw;
-  const auto tokens = tokenize(input, level);
-  detail::deflate_blocks(bw, input, tokens, /*mark_final=*/true);
+  detail::deflate_window(bw, input, 0, level, Stride::Bytes,
+                         /*mark_final=*/true);
   return bw.take();
 }
 
@@ -703,19 +743,7 @@ PrefixResult decompress_prefix(std::span<const std::uint8_t> input,
 
 std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> input,
                                         Level level) {
-  ByteWriter w;
-  w.u8(0x1f);
-  w.u8(0x8b);
-  w.u8(8);  // CM = deflate
-  w.u8(0);  // FLG
-  w.u32(0); // MTIME
-  w.u8(level == Level::Best ? 2 : 4);  // XFL: 2 = best, 4 = fastest
-  w.u8(255);                           // OS unknown
-  auto body = compress(input, level);
-  w.bytes(body);
-  w.u32(Crc32::of(input));
-  w.u32(static_cast<std::uint32_t>(input.size()));
-  return w.take();
+  return detail::gzip_member(input, level, compress(input, level));
 }
 
 std::vector<std::uint8_t> gzip_decompress(

@@ -65,13 +65,22 @@ PrefixResult gzip_decompress_prefix(std::span<const std::uint8_t> input,
 
 namespace detail {
 
-/// Emit the DEFLATE blocks encoding `tokens`, which must expand exactly to
-/// `covered` (needed for the stored-block fallback). Blocks are split every
-/// 64 Ki tokens and each picks stored/fixed/dynamic by estimated cost. When
-/// `mark_final` is set the last block carries BFINAL=1 (empty token streams
-/// then emit one empty fixed block); otherwise the stream is left open for
-/// further blocks. Shared by the serial compress() and the parallel chunked
-/// engine (parallel.hpp).
+/// Emit the DEFLATE blocks of `window[dict_len..]`, parsed in one pass
+/// (lz77.hpp's parse(), `window[..dict_len]` priming the matcher). Each
+/// block holds at most kTokensPerBlock tokens and picks stored/fixed/dynamic
+/// by estimated cost.
+/// When `mark_final` is set the last block carries BFINAL=1 (empty input
+/// then emits one empty fixed block); otherwise the stream is left open
+/// for further blocks. Shared by the serial compress() and the parallel
+/// chunked engine (parallel.hpp).
+void deflate_window(BitWriterLSB& bw, std::span<const std::uint8_t> window,
+                    std::size_t dict_len, Level level, Stride stride,
+                    bool mark_final);
+
+/// Emit the blocks coding a given token stream, which must expand exactly
+/// to `covered` (needed for the stored-block fallback), split every
+/// kTokensPerBlock tokens as deflate_window() splits a byte parse. For
+/// tests and reference encoders that bring their own tokens.
 void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
                     std::span<const Token> tokens, bool mark_final);
 
@@ -79,6 +88,11 @@ void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
 /// a byte boundary, so whatever is appended next starts byte-aligned — the
 /// property the chunk stitcher relies on for interior stored blocks.
 void sync_flush(BitWriterLSB& bw);
+
+/// A gzip member around the raw DEFLATE `body` of `input`.
+std::vector<std::uint8_t> gzip_member(std::span<const std::uint8_t> input,
+                                      Level level,
+                                      std::span<const std::uint8_t> body);
 
 }  // namespace detail
 

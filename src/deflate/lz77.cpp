@@ -27,6 +27,9 @@ int match_extend(const std::uint8_t* a, const std::uint8_t* b, int max_len) {
 
 constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
+constexpr std::size_t kRingMask = kWindowSize - 1;
+constexpr std::uint32_t kNil = 0xffffffffu;
+static_assert(std::has_single_bit(kWindowSize));
 
 std::uint32_t hash3(const std::uint8_t* p) {
   const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
@@ -35,166 +38,245 @@ std::uint32_t hash3(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+/// One code pair: the four bytes at a code start.
+std::uint32_t hash4(const std::uint8_t* p) {
+  return (load_le32(p) * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Code starts step two bytes; a code pair needs four to hash.
+constexpr std::size_t kCodeBytes = 2;
+constexpr std::size_t kPairBytes = 4;
+
+/// Chain depth per parse. Level::Fast in codes walks 6: a sweep over 32
+/// NYX chunks held the match-token count within 2% of the byte parse at
+/// chain 8 (EXPERIMENTS.md, "Matching in codes").
 struct MatcherConfig {
   int max_chain;
   bool lazy;
   int nice_length;  ///< stop chain walk once a match this long is found
 };
 
-MatcherConfig config_for(Level level) {
-  switch (level) {
-    case Level::Fast: return {8, false, 32};
-    case Level::Best: return {512, true, kMaxMatch};
-  }
-  return {8, false, 32};
+MatcherConfig config_for(Level level, bool codes) {
+  if (level == Level::Best) return {512, true, kMaxMatch};
+  return {codes ? 6 : 8, false, 32};
 }
 
-/// Hash-chain store with 32-bit indices: half the memory traffic of the
-/// obvious 64-bit layout, which matters because the matcher is bound by
-/// pointer-chasing through `prev_`. Positions must stay below kIndexLimit;
-/// tokenize() guards that with a windowed-segment fallback.
-class HashChains {
+/// The resumable parse behind parse(): one window, one block at a time.
+class Matcher {
  public:
-  explicit HashChains(std::size_t input_size)
-      : head_(kHashSize, kNil), prev_(input_size, kNil) {}
-
-  void insert(const std::uint8_t* base, std::size_t pos) {
-    const std::uint32_t h = hash3(base + pos);
-    prev_[pos] = head_[h];
-    head_[h] = static_cast<std::uint32_t>(pos);
+  Matcher(std::span<const std::uint8_t> window, std::size_t dict_len,
+          Level level, Stride stride)
+      : window_(window),
+        pos_(dict_len),
+        codes_(stride == Stride::Codes && level == Level::Fast),
+        cfg_(config_for(level, codes_)),
+        head_(kHashSize, kNil),
+        prev_(kWindowSize) {
+    const std::uint8_t* base = window.data();
+    const std::size_t n = window.size();
+    // Seed the window with every dictionary position (including the last
+    // ones, whose hash windows straddle the boundary into live data).
+    if (codes_) {
+      for (std::size_t p = 0; p < dict_len && p + kPairBytes <= n;
+           p += kCodeBytes) {
+        insert(hash4(base + p), p);
+      }
+    } else {
+      for (std::size_t p = 0; p < dict_len && p + kMinMatch <= n; ++p) {
+        insert(hash3(base + p), p);
+      }
+    }
   }
 
-  /// Longest match at `pos` looking back through the chain, within window.
-  std::pair<int, std::size_t> find(const std::uint8_t* base, std::size_t pos,
-                                   std::size_t input_size,
-                                   const MatcherConfig& cfg) const {
-    int best_len = 0;
-    std::size_t best_dist = 0;
-    const std::size_t limit =
-        pos >= kWindowSize ? pos - kWindowSize : 0;
-    const int max_len = static_cast<int>(
-        std::min<std::size_t>(kMaxMatch, input_size - pos));
-    if (max_len < kMinMatch) return {0, 0};
-    std::uint32_t cand = head_[hash3(base + pos)];
-    int chain = cfg.max_chain;
-    while (cand != kNil && cand >= limit && chain-- > 0) {
-      const auto c = static_cast<std::size_t>(cand);
-      // Quick reject: a candidate can only beat best_len if it also matches
-      // at offset best_len, so one byte compare skips most of the chain
-      // without changing which match wins. Safe while best_len < max_len —
-      // the break below guarantees that.
-      if (c < pos &&
-          base[c + static_cast<std::size_t>(best_len)] ==
-              base[pos + static_cast<std::size_t>(best_len)]) {
-        const int len = match_extend(base + c, base + pos, max_len);
-        if (len > best_len) {
-          best_len = len;
-          best_dist = pos - c;
-          if (len >= cfg.nice_length || len >= max_len) break;
-        }
-      }
-      cand = prev_[c];
+  bool done() const { return pos_ >= window_.size(); }
+
+  void fill(TokenBlock& block) {
+    if (codes_) {
+      fill_codes(block);
+    } else {
+      fill_bytes(block);
     }
-    if (best_len < kMinMatch) return {0, 0};
-    return {best_len, best_dist};
   }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  struct Match {
+    int length = 0;
+    std::size_t distance = 0;
+  };
+
+  void insert(std::uint32_t hash, std::size_t pos) {
+    prev_[pos & kRingMask] = head_[hash];
+    head_[hash] = static_cast<std::uint32_t>(pos);
+  }
+
+  /// Longest match at `pos` looking back through its chain, within the
+  /// window. In codes only code starts are on the chains, so every
+  /// distance is whole codes, and lengths are cut to whole codes.
+  Match find(std::uint32_t hash, std::size_t pos) const {
+    const std::uint8_t* base = window_.data();
+    const std::size_t limit = pos >= kWindowSize ? pos - kWindowSize : 0;
+    const std::size_t tail = std::min<std::size_t>(
+        kMaxMatch, window_.size() - pos);
+    const int max_len =
+        static_cast<int>(codes_ ? tail & ~(kCodeBytes - 1) : tail);
+    const int min_len = codes_ ? static_cast<int>(kPairBytes) : kMinMatch;
+    Match best;
+    if (max_len < min_len) return best;
+    std::uint32_t cand = head_[hash];
+    int chain = cfg_.max_chain;
+    while (cand != kNil && cand >= limit && chain-- > 0) {
+      const auto c = static_cast<std::size_t>(cand);
+      // The next hop loads first: the walk is a chain of dependent loads
+      // (plus the ring mask), and a mispredicted compare below then does
+      // not hold it back.
+      cand = prev_[c & kRingMask];
+      // Quick reject: a candidate can only beat best.length if it also
+      // matches at offset best.length, so one byte compare skips most of
+      // the chain without changing which match wins. Safe while
+      // best.length < max_len — the break below guarantees that.
+      const auto at = static_cast<std::size_t>(best.length);
+      if (c < pos && base[c + at] == base[pos + at]) {
+        int len = match_extend(base + c, base + pos, max_len);
+        if (codes_) len &= ~static_cast<int>(kCodeBytes - 1);
+        if (len > best.length) {
+          best = {len, pos - c};
+          if (len >= cfg_.nice_length || len >= max_len) break;
+        }
+      }
+    }
+    if (best.length < min_len) return {};
+    return best;
+  }
+
+  /// The byte parse: greedy, or with Level::Best's one-step lazy match.
+  void fill_bytes(TokenBlock& block) {
+    const std::uint8_t* base = window_.data();
+    const std::size_t n = window_.size();
+    while (pos_ < n && block.size() < block.capacity()) {
+      if (pos_ + kMinMatch > n) {
+        block.literal(base[pos_++]);
+        continue;
+      }
+      const std::uint32_t h = hash3(base + pos_);
+      const Match m = find(h, pos_);
+      insert(h, pos_);
+      if (m.length == 0) {
+        block.literal(base[pos_++]);
+        continue;
+      }
+      if (cfg_.lazy && m.length < cfg_.nice_length &&
+          pos_ + 1 + kMinMatch <= n) {
+        // One-step lazy evaluation: if the next position holds a strictly
+        // longer match, emit a literal here and take that one instead.
+        const Match next = find(hash3(base + pos_ + 1), pos_ + 1);
+        if (next.length > m.length) {
+          block.literal(base[pos_++]);
+          continue;
+        }
+      }
+      block.match(m.length, static_cast<int>(m.distance));
+      const std::size_t end = pos_ + static_cast<std::size_t>(m.length);
+      for (std::size_t p = pos_ + 1; p < end && p + kMinMatch <= n; ++p) {
+        insert(hash3(base + p), p);
+      }
+      pos_ = end;
+    }
+  }
+
+  void fill_codes(TokenBlock& block) {
+    const std::uint8_t* base = window_.data();
+    const std::size_t n = window_.size();
+    while (pos_ < n && block.size() + kCodeBytes <= block.capacity()) {
+      // A tail shorter than a code pair goes out byte by byte.
+      if (pos_ + kPairBytes > n) {
+        block.literal(base[pos_++]);
+        continue;
+      }
+      const std::uint32_t h = hash4(base + pos_);
+      const Match m = find(h, pos_);
+      insert(h, pos_);
+      if (m.length == 0) {
+        block.literal(base[pos_]);
+        block.literal(base[pos_ + 1]);
+        pos_ += kCodeBytes;
+        continue;
+      }
+      block.match(m.length, static_cast<int>(m.distance));
+      const std::size_t end = pos_ + static_cast<std::size_t>(m.length);
+      for (std::size_t p = pos_ + kCodeBytes; p < end && p + kPairBytes <= n;
+           p += kCodeBytes) {
+        insert(hash4(base + p), p);
+      }
+      pos_ = end;
+    }
+  }
+
+  std::span<const std::uint8_t> window_;
+  std::size_t pos_;
+  bool codes_;
+  MatcherConfig cfg_;
+  /// head_[hash] is the newest position with that hash; prev_[p & mask] is
+  /// the one before p on its chain. A chain walk from p reads only the
+  /// entries of positions >= p - kWindowSize, and the next position to
+  /// overwrite such an entry is >= p, which is not inserted yet — also in
+  /// the lazy step, whose find(p + 1) follows insert(p).
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> prev_;
 };
 
-/// Largest span the 32-bit chain indices can address (kNil is reserved).
+/// Largest window the 32-bit chain positions can address (kNil is
+/// reserved).
 constexpr std::size_t kIndexLimit = 0xffffffffull;
 
 }  // namespace
 
-std::vector<Token> tokenize(std::span<const std::uint8_t> input,
-                            Level level, std::size_t dict_len) {
-  WAVESZ_REQUIRE(dict_len <= input.size(),
-                 "dictionary longer than the input span");
-  if (input.size() >= kIndexLimit) {
-    // Windowed-segment fallback for inputs the 32-bit chains cannot index:
-    // tokenize 1 GiB pieces, each primed with the previous kWindowSize
-    // bytes so matches still cross the seams. Token semantics (positions
-    // relative to the covered bytes) are unchanged.
-    constexpr std::size_t kSegment = 1ull << 30;
-    std::vector<Token> out;
-    out.reserve(input.size() / 4 + 16);
-    std::size_t start = dict_len;
-    while (start < input.size()) {
-      const std::size_t take = std::min(kSegment, input.size() - start);
-      const std::size_t primed = std::min(kWindowSize, start);
-      const auto part =
-          tokenize(input.subspan(start - primed, primed + take), level,
-                   primed);
-      out.insert(out.end(), part.begin(), part.end());
-      start += take;
-    }
-    return out;
-  }
-  const MatcherConfig cfg = config_for(level);
-  std::vector<Token> out;
-  out.reserve((input.size() - dict_len) / 4 + 16);
-  const std::size_t n = input.size();
-  if (n == 0 || dict_len == n) return out;
-  HashChains chains(n);
-  const std::uint8_t* base = input.data();
-  // Seed the window with every dictionary position (including the last two,
-  // whose hash windows straddle the boundary into live data).
-  for (std::size_t p = 0; p < dict_len && p + kMinMatch <= n; ++p) {
-    chains.insert(base, p);
-  }
+TokenBlock::TokenBlock(std::size_t live_bytes)
+    : capacity_(std::min(kTokensPerBlock,
+                         std::max<std::size_t>(live_bytes, 1) + 1)) {
+  tokens_ = std::make_unique_for_overwrite<Token[]>(capacity_);
+  clear();
+}
 
-  std::size_t pos = dict_len;
-  while (pos < n) {
-    if (pos + kMinMatch > n) {
-      out.push_back(Token{0, 0, base[pos]});
-      ++pos;
-      continue;
-    }
-    auto [len, dist] = chains.find(base, pos, n, cfg);
-    if (cfg.lazy && len >= kMinMatch && len < cfg.nice_length &&
-        pos + 1 + kMinMatch <= n) {
-      // One-step lazy evaluation: if the next position holds a strictly
-      // longer match, emit a literal here instead.
-      chains.insert(base, pos);
-      auto [len2, dist2] = chains.find(base, pos + 1, n, cfg);
-      if (len2 > len) {
-        out.push_back(Token{0, 0, base[pos]});
-        ++pos;
-        // The chain entry for `pos` is already inserted; continue from the
-        // deferred position which will re-find len2.
-        continue;
-      }
-      // Keep the current match; fall through to emit it. `pos` was already
-      // inserted into the chains above.
-      out.push_back(Token{static_cast<std::uint16_t>(len),
-                          static_cast<std::uint16_t>(dist), 0});
-      for (std::size_t k = 1; k < static_cast<std::size_t>(len) &&
-                              pos + k + kMinMatch <= n;
-           ++k) {
-        chains.insert(base, pos + k);
-      }
-      pos += static_cast<std::size_t>(len);
-      continue;
-    }
-    if (len >= kMinMatch) {
-      out.push_back(Token{static_cast<std::uint16_t>(len),
-                          static_cast<std::uint16_t>(dist), 0});
-      for (std::size_t k = 0; k < static_cast<std::size_t>(len) &&
-                              pos + k + kMinMatch <= n;
-           ++k) {
-        chains.insert(base, pos + k);
-      }
-      pos += static_cast<std::size_t>(len);
-    } else {
-      chains.insert(base, pos);
-      out.push_back(Token{0, 0, base[pos]});
-      ++pos;
-    }
+void TokenBlock::clear() {
+  count_ = 0;
+  covered_ = 0;
+  litlen_.fill(0);
+  dist_.fill(0);
+  litlen_[kEndOfBlock] = 1;
+}
+
+void parse(std::span<const std::uint8_t> window, std::size_t dict_len,
+           Level level, Stride stride, TokenBlock& block,
+           const std::function<void(TokenBlock&)>& on_full) {
+  WAVESZ_REQUIRE(dict_len <= window.size(),
+                 "dictionary longer than the input span");
+  // One segment below the index limit. Positions before the last
+  // kWindowSize bytes of the dictionary could only end a chain walk, so
+  // leaving them out parses the same. With an even dict_len every segment
+  // starts on a code.
+  constexpr std::size_t kSegment = 1ull << 30;
+  const std::size_t n = window.size();
+  const std::size_t step = n >= kIndexLimit ? kSegment : n;
+  for (std::size_t start = dict_len; start < n;) {
+    const std::size_t take = std::min(step, n - start);
+    const std::size_t primed = std::min(kWindowSize, start);
+    const std::size_t from = start - primed;
+    Matcher m(window.subspan(from, primed + take), primed, level, stride);
+    for (m.fill(block); !m.done(); m.fill(block)) on_full(block);
+    start += take;
   }
+}
+
+std::vector<Token> tokenize(std::span<const std::uint8_t> input, Level level,
+                            std::size_t dict_len, Stride stride) {
+  std::vector<Token> out;
+  TokenBlock block(input.size() - std::min(dict_len, input.size()));
+  const auto collect = [&](TokenBlock& b) {
+    out.insert(out.end(), b.tokens().begin(), b.tokens().end());
+    b.clear();
+  };
+  parse(input, dict_len, level, stride, block, collect);
+  collect(block);
   return out;
 }
 
@@ -202,13 +284,13 @@ std::vector<std::uint8_t> expand(std::span<const Token> tokens) {
   std::vector<std::uint8_t> out;
   for (const Token& t : tokens) {
     if (t.length == 0) {
-      out.push_back(t.literal);
+      out.push_back(static_cast<std::uint8_t>(t.value));
     } else {
-      WAVESZ_REQUIRE(t.distance >= 1 && t.distance <= out.size(),
+      WAVESZ_REQUIRE(t.value >= 1 && t.value <= out.size(),
                      "token distance out of range");
       WAVESZ_REQUIRE(t.length >= kMinMatch && t.length <= kMaxMatch,
                      "token length out of range");
-      const std::size_t start = out.size() - t.distance;
+      const std::size_t start = out.size() - t.value;
       for (std::size_t k = 0; k < t.length; ++k) {
         out.push_back(out[start + k]);  // overlapping copies by design
       }

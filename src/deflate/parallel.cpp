@@ -1,11 +1,11 @@
 #include "deflate/parallel.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "telemetry/span_names.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/bytes.hpp"
-#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/fork_join.hpp"
 
@@ -24,12 +24,11 @@ struct ChunkBits {
 /// previous kWindowSize bytes so cross-chunk matches survive.
 ChunkBits compress_chunk(std::span<const std::uint8_t> whole,
                          std::size_t offset, std::size_t length, Level level,
-                         bool final_chunk) {
+                         Stride stride, bool final_chunk) {
   const std::size_t dict = std::min(kWindowSize, offset);
-  const auto window = whole.subspan(offset - dict, dict + length);
-  const auto tokens = tokenize(window, level, dict);
   BitWriterLSB bw;
-  detail::deflate_blocks(bw, window.subspan(dict), tokens, final_chunk);
+  detail::deflate_window(bw, whole.subspan(offset - dict, dict + length),
+                         dict, level, stride, final_chunk);
   if (!final_chunk) detail::sync_flush(bw);
   ChunkBits out;
   out.nbits = bw.bit_count();
@@ -37,36 +36,20 @@ ChunkBits compress_chunk(std::span<const std::uint8_t> whole,
   return out;
 }
 
-std::vector<std::uint8_t> gzip_wrap(std::span<const std::uint8_t> input,
-                                    Level level,
-                                    std::vector<std::uint8_t> body) {
-  ByteWriter w;
-  w.u8(0x1f);
-  w.u8(0x8b);
-  w.u8(8);  // CM = deflate
-  w.u8(0);  // FLG
-  w.u32(0); // MTIME
-  w.u8(level == Level::Best ? 2 : 4);  // XFL: 2 = best, 4 = fastest
-  w.u8(255);                           // OS unknown
-  w.bytes(body);
-  w.u32(Crc32::of(input));
-  w.u32(static_cast<std::uint32_t>(input.size()));
-  return w.take();
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> compress_parallel(
-    std::span<const std::uint8_t> input, Level level,
-    const ParallelOptions& opts) {
+std::vector<std::uint8_t> compress_chunks(std::span<const std::uint8_t> input,
+                                          Level level, Stride stride,
+                                          const ParallelOptions& opts) {
   WAVESZ_REQUIRE(opts.chunk_bytes > 0, "chunk size must be positive");
   // The layout follows the requested budget, not the thread count it
   // resolves to, so the bytes are the same on every host.
   if (opts.threads == 1 && !opts.force_chunking) {
-    // Serial reference path: bit-identical to compress().
+    // Serial reference path: one stream, as compress() writes it.
     telemetry::Span span(telemetry::spans::kDeflateChunk);
     telemetry::counter_add(telemetry::Counter::DeflateChunks, 1);
-    auto out = compress(input, level);
+    BitWriterLSB bw;
+    detail::deflate_window(bw, input, 0, level, stride,
+                           /*mark_final=*/true);
+    auto out = bw.take();
     telemetry::observe(telemetry::Histo::DeflateChunkBytes, out.size());
     return out;
   }
@@ -80,7 +63,7 @@ std::vector<std::uint8_t> compress_parallel(
     const std::size_t offset = c * opts.chunk_bytes;
     pieces[c] = compress_chunk(input, offset,
                                std::min(opts.chunk_bytes, n - offset), level,
-                               c + 1 == chunks);
+                               stride, c + 1 == chunks);
     telemetry::observe(telemetry::Histo::DeflateChunkBytes,
                        pieces[c].bytes.size());
   });
@@ -95,10 +78,34 @@ std::vector<std::uint8_t> compress_parallel(
   return bw.take();
 }
 
+}  // namespace
+
+std::vector<std::uint8_t> compress_parallel(
+    std::span<const std::uint8_t> input, Level level,
+    const ParallelOptions& opts) {
+  return compress_chunks(input, level, Stride::Bytes, opts);
+}
+
 std::vector<std::uint8_t> gzip_compress_parallel(
     std::span<const std::uint8_t> input, Level level,
     const ParallelOptions& opts) {
-  return gzip_wrap(input, level, compress_parallel(input, level, opts));
+  return detail::gzip_member(input, level,
+                             compress_parallel(input, level, opts));
+}
+
+std::vector<std::uint8_t> gzip_compress_codes(
+    std::span<const std::uint16_t> codes, Level level,
+    const ParallelOptions& opts) {
+  // Every chunk and its dictionary start on a code: an odd chunk size
+  // rounds up to even.
+  ParallelOptions even = opts;
+  if (even.chunk_bytes % 2 != 0 &&
+      even.chunk_bytes < std::numeric_limits<std::size_t>::max()) {
+    ++even.chunk_bytes;
+  }
+  const auto bytes = bytes_of(codes);
+  return detail::gzip_member(
+      bytes, level, compress_chunks(bytes, level, Stride::Codes, even));
 }
 
 std::vector<std::vector<std::uint8_t>> gzip_decompress_batch(

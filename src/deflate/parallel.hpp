@@ -11,9 +11,9 @@
 // The output inflates with the ordinary decompress()/gzip_decompress() —
 // no side channel, no framing change.
 //
-// threads == 1 (or a single chunk) is the serial reference path and emits
-// the exact byte stream of compress()/gzip_compress(). Any other budget
-// takes the chunked path, whatever thread count it resolves to on the host.
+// threads == 1 without force_chunking is the serial path and emits the
+// exact byte stream of compress()/gzip_compress(). Any other budget takes
+// the chunked path, whatever thread count it resolves to on the host.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +53,16 @@ std::vector<std::uint8_t> compress_parallel(
 /// gzip member (RFC 1952), chunk-parallel body.
 std::vector<std::uint8_t> gzip_compress_parallel(
     std::span<const std::uint8_t> input, Level level,
+    const ParallelOptions& opts = {});
+
+/// gzip_compress_parallel() over 16-bit codes (a G* code section), written
+/// as their little-endian bytes. At Level::Fast the matcher steps in whole
+/// codes (Stride::Codes): smaller and cheaper than the byte parse on code
+/// streams. Level::Best parses the bytes. An odd chunk_bytes rounds up to
+/// even, so every chunk starts on a code. Either way the output is a plain
+/// gzip member of the byte image, which every inflater reads.
+std::vector<std::uint8_t> gzip_compress_codes(
+    std::span<const std::uint16_t> codes, Level level,
     const ParallelOptions& opts = {});
 
 /// Inflate several independent gzip members concurrently, one worker per

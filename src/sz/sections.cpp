@@ -33,8 +33,9 @@ void SectionStaged::encode_section(std::size_t s) {
     return;
   }
   // Code section: H* (customized Huffman) then G* (gzip), or raw codes
-  // straight into gzip when Huffman is disabled. With cfg.chunk_index the
-  // encoder also records the v2 offset table at its flush points.
+  // straight into gzip when Huffman is disabled (deflate_section reads
+  // codes_ itself then). With cfg.chunk_index the encoder also records the
+  // v2 offset table at its flush points.
   telemetry::Span span(telemetry::spans::kEncodeCodes);
   if (cfg_.huffman) {
     plain_[0] = cfg_.chunk_index
@@ -46,23 +47,31 @@ void SectionStaged::encode_section(std::size_t s) {
   if (cfg_.chunk_index) {
     idx_ = build_raw_code_index(codes_, cfg_.index_chunk_symbols);
   }
-  ByteWriter cw;
-  cw.u16s(codes_);
-  plain_[0] = cw.take();
 }
 
 void SectionStaged::deflate_section(std::size_t s) {
   // Per-section gzip through the chunked engine: each section's chunking,
   // dictionary priming and stitching depend only on that section's plain
-  // bytes.
+  // bytes. Raw G* codes of SZ-1.4 and waveSZ go in as codes, so the
+  // matcher steps in whole codes. GhostSZ's raw codes keep the byte parse:
+  // matched in whole codes, its Table 7 ratio fell on 10 of 18 fields, by
+  // up to 2.6% (EXPERIMENTS.md, Table 7). H* bytes and unpredictable
+  // values are parsed as bytes.
   telemetry::Span span(telemetry::spans::kDeflateSerialize);
-  blobs_[s] = deflate::gzip_compress_parallel(
-      plain_[s], cfg_.gzip_level,
-      cfg_.chunk_index ? cfg_.indexed_deflate_options()
-                       : cfg_.deflate_options());
+  const deflate::ParallelOptions opts = cfg_.chunk_index
+                                            ? cfg_.indexed_deflate_options()
+                                            : cfg_.deflate_options();
+  const bool raw_codes = s == 0 && !cfg_.huffman;
+  const std::span<const std::uint8_t> plain =
+      raw_codes ? bytes_of(std::span<const std::uint16_t>(codes_))
+                : std::span<const std::uint8_t>(plain_[s]);
+  blobs_[s] = raw_codes && head_.variant != Variant::GhostSz
+                  ? deflate::gzip_compress_codes(codes_, cfg_.gzip_level, opts)
+                  : deflate::gzip_compress_parallel(plain, cfg_.gzip_level,
+                                                    opts);
   telemetry::counter_add(s == 0 ? telemetry::Counter::CodeBytesIn
                                 : telemetry::Counter::UnpredBytesIn,
-                         plain_[s].size());
+                         plain.size());
   telemetry::counter_add(s == 0 ? telemetry::Counter::CodeBytesOut
                                 : telemetry::Counter::UnpredBytesOut,
                          blobs_[s].size());

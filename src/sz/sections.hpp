@@ -54,6 +54,8 @@ class SectionStaged : public StagedCompressor {
 
  private:
   CodeChunkIndex idx_;
+  /// Plain section bytes: H* bytes (raw codes are deflated from codes_)
+  /// and the unpredictable values.
   std::vector<std::uint8_t> plain_[2];
   std::vector<std::uint8_t> blobs_[2];
 };

@@ -6,6 +6,7 @@
 // raises wavesz::Error on overrun so corrupted streams fail loudly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,25 +25,29 @@ inline std::uint32_t low_bits_mask(int n) {
 
 }  // namespace detail
 
-/// LSB-first bit writer (RFC 1951 convention).
+/// LSB-first bit writer (RFC 1951 convention). Bits collect in a 64-bit
+/// accumulator that goes out one whole word at a time.
 class BitWriterLSB {
  public:
-  void bits(std::uint32_t value, int n) {
-    WAVESZ_ASSERT(n >= 0 && n <= 32, "bit count out of range");
-    acc_ |= static_cast<std::uint64_t>(value & detail::low_bits_mask(n))
-            << fill_;
+  /// Append the low `n` bits of `value`, n in [0, 56].
+  void bits(std::uint64_t value, int n) {
+    WAVESZ_ASSERT(n >= 0 && n <= 56, "bit count out of range");
+    value &= (std::uint64_t{1} << n) - 1;
+    acc_ |= value << fill_;
     fill_ += n;
-    while (fill_ >= 8) {
-      buf_.push_back(static_cast<std::uint8_t>(acc_ & 0xff));
-      acc_ >>= 8;
-      fill_ -= 8;
+    if (fill_ >= 64) {
+      // The word took the value's low 64 - old fill bits: 1 to 56 of
+      // them, since the old fill was at least 8.
+      fill_ -= 64;
+      put(acc_, 8);
+      acc_ = value >> (n - fill_);
     }
   }
 
   /// Pad to a byte boundary with zero bits (DEFLATE stored-block alignment).
   void align_byte() {
     if (fill_ > 0) {
-      buf_.push_back(static_cast<std::uint8_t>(acc_ & 0xff));
+      put(acc_, static_cast<std::size_t>(fill_ + 7) / 8);
       acc_ = 0;
       fill_ = 0;
     }
@@ -50,7 +55,16 @@ class BitWriterLSB {
 
   void byte(std::uint8_t b) {
     WAVESZ_ASSERT(fill_ == 0, "byte() requires byte alignment");
-    buf_.push_back(b);
+    room(1);
+    buf_[len_++] = b;
+  }
+
+  /// Append whole bytes; requires byte alignment.
+  void bytes(std::span<const std::uint8_t> src) {
+    WAVESZ_ASSERT(fill_ == 0, "bytes() requires byte alignment");
+    room(src.size());
+    if (!src.empty()) copy_bytes(buf_.data() + len_, src.data(), src.size());
+    len_ += src.size();
   }
 
   /// Append the first `nbits` bits of `src` (LSB-first within each byte),
@@ -61,17 +75,10 @@ class BitWriterLSB {
     WAVESZ_ASSERT(nbits <= src.size() * 8, "append past end of source");
     const std::size_t full = nbits / 8;
     if (fill_ == 0) {
-      buf_.insert(buf_.end(), src.begin(),
-                  src.begin() + static_cast<std::ptrdiff_t>(full));
+      bytes(src.first(full));
     } else {
       std::size_t i = 0;
-      for (; i + 4 <= full; i += 4) {
-        bits(static_cast<std::uint32_t>(src[i]) |
-                 (static_cast<std::uint32_t>(src[i + 1]) << 8) |
-                 (static_cast<std::uint32_t>(src[i + 2]) << 16) |
-                 (static_cast<std::uint32_t>(src[i + 3]) << 24),
-             32);
-      }
+      for (; i + 4 <= full; i += 4) bits(load_le32(src.data() + i), 32);
       for (; i < full; ++i) bits(src[i], 8);
     }
     const int rem = static_cast<int>(nbits % 8);
@@ -79,15 +86,32 @@ class BitWriterLSB {
   }
 
   std::size_t bit_count() const {
-    return buf_.size() * 8 + static_cast<std::size_t>(fill_);
+    return len_ * 8 + static_cast<std::size_t>(fill_);
   }
   std::vector<std::uint8_t> take() {
     align_byte();
+    buf_.resize(len_);
+    len_ = 0;
     return std::move(buf_);
   }
 
  private:
+  /// Make room for `n` more bytes, plus the 8 a word store writes.
+  void room(std::size_t n) {
+    if (buf_.size() - len_ < n + 8) {
+      buf_.resize(std::max(2 * buf_.size(), len_ + n + 8 + 1024));
+    }
+  }
+
+  /// Store the accumulator as a word and keep its first `keep` bytes.
+  void put(std::uint64_t word, std::size_t keep) {
+    room(8);
+    store_le64(buf_.data() + len_, word);
+    len_ += keep;
+  }
+
   std::vector<std::uint8_t> buf_;
+  std::size_t len_ = 0;  ///< bytes written; buf_ holds spare room past it
   std::uint64_t acc_ = 0;
   int fill_ = 0;
 };

@@ -49,6 +49,14 @@ inline std::uint64_t load_le64(const std::uint8_t* p) {
   return w;
 }
 
+/// Unaligned 64-bit little-endian store (bit 0 to the first memory byte).
+inline void store_le64(std::uint8_t* p, std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  std::memcpy(p, &w, sizeof w);
+}
+
 /// Unaligned 64-bit big-endian load (first memory byte in bits 63..56).
 inline std::uint64_t load_be64(const std::uint8_t* p) {
   std::uint64_t w;

@@ -41,6 +41,16 @@ class FirstFailure {
   std::exception_ptr error_;
 };
 
+/// The most workers a team can use: the CPUs OpenMP may run this process
+/// on, or 1 without OpenMP, where every team runs on the caller.
+int max_team() {
+#ifdef _OPENMP
+  return std::max(1, omp_get_num_procs());
+#else
+  return 1;
+#endif
+}
+
 }  // namespace
 
 int resolve_thread_budget(int budget) {
@@ -56,7 +66,8 @@ int team_size(int budget, std::size_t items, std::size_t min_per_worker) {
   const std::size_t floor = std::max<std::size_t>(1, min_per_worker);
   const std::size_t cap = std::max<std::size_t>(1, items / floor);
   return static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_thread_budget(budget)), cap));
+      {static_cast<std::size_t>(resolve_thread_budget(budget)), cap,
+       static_cast<std::size_t>(max_team())}));
 }
 
 void parallel_for(std::size_t n, int threads,

@@ -5,10 +5,13 @@
 // index-chunk decode, the tiled wavefront PQD and reconstruct, chunked
 // DEFLATE, the batch inflate and the stream-archive chunk decode) goes
 // through parallel_for or parallel_batches; fork_join.cpp is the only file
-// that speaks OpenMP (tools/wavesz_lint.py's omp-containment rule). A build
-// without OpenMP keeps the same budgets and worker counts and runs each
-// team's items in order on the caller, so every output is the same in both
-// builds.
+// that speaks OpenMP (tools/wavesz_lint.py's omp-containment rule).
+// team_size() never hands out more workers than the CPUs the process may
+// run on (omp_get_num_procs()): more than that only wait out each other's
+// time slices. A build without OpenMP sizes every team at 1 and runs its
+// items in order on the caller. Layouts that depend on a budget (chunked DEFLATE, v2 sections)
+// read the requested budget, never a team size, so every output is the
+// same on every host and in both builds.
 #pragma once
 
 #include <cstddef>
@@ -22,8 +25,9 @@ namespace wavesz::util {
 int resolve_thread_budget(int budget);
 
 /// Workers for `items` units of work: the resolved budget, capped by the
-/// item count and by `min_per_worker` items per worker (0 or 1 = no
-/// floor). Always at least 1.
+/// item count, by `min_per_worker` items per worker (0 or 1 = no floor)
+/// and by the CPUs the process may run on (1 without OpenMP). Always at
+/// least 1.
 int team_size(int budget, std::size_t items, std::size_t min_per_worker = 1);
 
 /// Run body(i) once for every i in [0, n) on team_size(threads, n) workers,

@@ -11,9 +11,12 @@
 #include "deflate/deflate_tables.hpp"
 #include "deflate/lz77.hpp"
 #include "deflate/parallel.hpp"
+#include "deflate_oracle.hpp"
 #include "deflate_vectors.hpp"
 #include "golden_pin.hpp"
 #include "sz/config.hpp"
+#include "sz/huffman_codec.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/huffman.hpp"
 
@@ -30,7 +33,7 @@ TEST(Lz77, LiteralOnlyForShortInput) {
   const auto tokens = tokenize(bytes_of("ab"), Level::Best);
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].length, 0);
-  EXPECT_EQ(tokens[0].literal, 'a');
+  EXPECT_EQ(tokens[0].value, 'a');
 }
 
 TEST(Lz77, FindsRepetition) {
@@ -52,7 +55,7 @@ TEST(Lz77, OverlappingMatchRunLengthEncoding) {
 }
 
 TEST(Lz77, ExpandRejectsBadDistance) {
-  std::vector<Token> bad{{5, 3, 0}};  // distance 3 with empty history
+  std::vector<Token> bad{{5, 3}};  // distance 3 with empty history
   EXPECT_THROW(expand(bad), Error);
 }
 
@@ -624,14 +627,14 @@ TEST(Gzip, EveryEncoderMemberEndsAtItsTrailer) {
 
 Token literal_token(int byte) {
   Token t;
-  t.literal = static_cast<std::uint8_t>(byte);
+  t.value = static_cast<std::uint8_t>(byte);
   return t;
 }
 
 Token match_token(int length, int distance) {
   Token t;
   t.length = static_cast<std::uint16_t>(length);
-  t.distance = static_cast<std::uint16_t>(distance);
+  t.value = static_cast<std::uint16_t>(distance);
   return t;
 }
 
@@ -880,6 +883,223 @@ TEST(GoldenBytes, IndexedGzipAtOneAndTwoThreads) {
                      std::to_string(threads));
       EXPECT_EQ(gzip_decompress(out), inputs[i].bytes) << inputs[i].name;
     }
+  }
+}
+
+
+// ------------------------------------------ one pass vs the oracle parse
+//
+// The one-pass Level::Fast encoder must write the bytes of the parse it
+// replaced (deflate_oracle.hpp) on every byte-mode input: random bytes,
+// runs, H* streams and raw codes, across the window and block edges.
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, unsigned seed,
+                                       int bits = 8) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng() >> (32 - bits));
+  return out;
+}
+
+std::vector<std::uint8_t> byte_runs(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> out;
+  while (out.size() < n) {
+    out.insert(out.end(), std::min<std::size_t>(1 + rng() % 40, n - out.size()),
+               static_cast<std::uint8_t>(rng() % 7));
+  }
+  return out;
+}
+
+/// Raw codes random-walking around the radius 32768, as a G* section holds.
+std::vector<std::uint16_t> walk_codes(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint16_t> out(n);
+  int offset = 0;
+  for (auto& c : out) {
+    const std::uint32_t r = rng();
+    offset = std::clamp(offset + static_cast<int>(r % 5) - 2, -24, 24);
+    c = static_cast<std::uint16_t>(32768 + offset);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> byte_image(std::span<const std::uint16_t> codes) {
+  const auto b = wavesz::bytes_of(codes);
+  return {b.begin(), b.end()};
+}
+
+/// A prefix of `source` that the oracle parses into exactly `want` tokens.
+std::vector<std::uint8_t> with_token_count(
+    const std::vector<std::uint8_t>& source, std::size_t want) {
+  std::size_t len = want;
+  for (;;) {
+    const std::size_t have =
+        oracle::tokenize_fast(std::span(source).first(len)).size();
+    if (have == want) return {source.begin(), source.begin() + len};
+    // A byte adds at most one token, so this never overshoots.
+    len += want - have;
+    EXPECT_LE(len, source.size());
+    if (len > source.size()) return {};
+  }
+}
+
+TEST(FastOracle, OnePassWritesTheOracleBytes) {
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
+  for (const std::size_t n : {0, 1, 2, 3, 4, 32767, 32768, 32769}) {
+    cases.emplace_back("random " + std::to_string(n),
+                       random_bytes(n, static_cast<unsigned>(n)));
+    cases.emplace_back("runs " + std::to_string(n),
+                       byte_runs(n, static_cast<unsigned>(n)));
+  }
+  cases.emplace_back("runs", byte_runs(300000, 3));
+  cases.emplace_back("H*", sz::huffman_encode(walk_codes(150000, 4)));
+  cases.emplace_back("raw codes", byte_image(walk_codes(100000, 5)));
+  cases.emplace_back("incompressible", random_bytes(70000, 6));
+  // Six-bit letters code cheaper than stored, so the block split shows.
+  const auto letters = random_bytes(80000, 7, 6);
+  cases.emplace_back("65536 tokens", with_token_count(letters, 65536));
+  cases.emplace_back("65537 tokens", with_token_count(letters, 65537));
+  for (const auto& [name, bytes] : cases) {
+    const auto got = compress(bytes, Level::Fast);
+    EXPECT_EQ(got, oracle::compress_fast(bytes)) << name;
+    EXPECT_EQ(decompress(got), bytes) << name;
+    EXPECT_EQ(tokenize(bytes, Level::Fast).size(),
+              oracle::tokenize_fast(bytes).size())
+        << name;
+  }
+  // The edge cases hit what they name: a stored first block, and one
+  // final block of exactly kTokensPerBlock tokens against two blocks.
+  const auto block_type = [](const std::vector<std::uint8_t>& out) {
+    return (out[0] >> 1) & 3;
+  };
+  EXPECT_EQ(block_type(compress(cases[cases.size() - 3].second, Level::Fast)),
+            0b00);
+  const auto one = compress(cases[cases.size() - 2].second, Level::Fast);
+  const auto two = compress(cases.back().second, Level::Fast);
+  EXPECT_EQ(block_type(one), 0b10);
+  EXPECT_EQ(one[0] & 1, 1) << "65536 tokens fill one final block";
+  EXPECT_EQ(two[0] & 1, 0) << "65537 tokens need a second block";
+}
+
+TEST(FastOracle, PrimedChunksWriteTheOracleBytes) {
+  std::vector<std::uint8_t> input = byte_runs(90000, 8);
+  const auto hstar = sz::huffman_encode(walk_codes(60000, 9));
+  input.insert(input.end(), hstar.begin(), hstar.end());
+  const auto codes = byte_image(walk_codes(60000, 10));
+  input.insert(input.end(), codes.begin(), codes.end());
+  for (const std::size_t chunk : {4096u, 65536u}) {
+    const auto want = oracle::compress_fast_chunked(input, chunk);
+    for (const int threads : {1, 2}) {
+      ParallelOptions opts{chunk, threads};
+      opts.force_chunking = true;
+      EXPECT_EQ(compress_parallel(input, Level::Fast, opts), want)
+          << "chunk " << chunk << " threads " << threads;
+    }
+  }
+}
+
+// ------------------------------------------------------------ code mode
+//
+// G* code sections go through gzip_compress_codes(): the matcher steps in
+// whole 16-bit codes. The stream is a plain gzip member of the codes' byte
+// image.
+
+/// The layouts a code section can take: one stream, chunked on a team and
+/// chunked at one thread.
+std::vector<ParallelOptions> code_layouts() {
+  ParallelOptions forced{4096, 1};
+  forced.force_chunking = true;
+  return {{kDefaultChunkBytes, 1}, {4096, 2}, forced};
+}
+
+std::vector<std::pair<std::string, std::vector<std::uint16_t>>> code_inputs() {
+  std::vector<std::uint16_t> distinct(40000);
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
+    distinct[i] = static_cast<std::uint16_t>(i * 7919);  // no code repeats
+  }
+  std::vector<std::pair<std::string, std::vector<std::uint16_t>>> out{
+      {"walk", walk_codes(70000, 11)},
+      {"constant", std::vector<std::uint16_t>(50000, 32768)},
+      {"distinct", distinct}};
+  for (std::size_t n = 0; n <= 2; ++n) {
+    out.emplace_back(std::to_string(n) + " codes", walk_codes(n, 12));
+  }
+  return out;
+}
+
+TEST(CodeMode, RoundTripsThroughEveryInflater) {
+  for (const auto& [name, codes] : code_inputs()) {
+    const auto bytes = byte_image(codes);
+    for (const ParallelOptions& opts : code_layouts()) {
+      const std::string what = name + " chunk " +
+                               std::to_string(opts.chunk_bytes) +
+                               " threads " + std::to_string(opts.threads);
+      const auto gz = gzip_compress_codes(codes, Level::Fast, opts);
+      EXPECT_EQ(gzip_decompress(gz), bytes) << what;
+      // The raw DEFLATE body, through both inflaters.
+      const auto body = std::span(gz).subspan(10, gz.size() - 18);
+      EXPECT_EQ(decompress(body), bytes) << what;
+      EXPECT_EQ(decompress_reference(body), bytes) << what;
+      if (opts.threads == 1 && !opts.force_chunking) {
+        EXPECT_EQ(gz, gzip_compress_codes(codes, Level::Fast,
+                                          ParallelOptions{4096, 1}))
+            << what << ": serial stream ignores chunk_bytes";
+        continue;
+      }
+      // An odd chunk size writes the stream of the next even one.
+      ParallelOptions odd = opts;
+      odd.chunk_bytes -= 1;
+      EXPECT_EQ(gzip_compress_codes(codes, Level::Fast, odd), gz) << what;
+      // Every chunk ends on a sync marker: a prefix inflate asked for
+      // whole chunks stops right there.
+      for (std::size_t k = 1; k * opts.chunk_bytes < bytes.size(); ++k) {
+        const auto run = gzip_decompress_prefix(gz, k * opts.chunk_bytes);
+        ASSERT_EQ(run.bytes.size(), k * opts.chunk_bytes) << what << " k " << k;
+        EXPECT_FALSE(run.complete) << what;
+        EXPECT_TRUE(std::equal(run.bytes.begin(), run.bytes.end(),
+                               bytes.begin()))
+            << what << " k " << k;
+      }
+      EXPECT_EQ(gzip_decompress_prefix(gz, bytes.size()).bytes, bytes) << what;
+    }
+  }
+}
+
+TEST(CodeMode, MatchesCoverWholeCodes) {
+  const auto codes = walk_codes(50000, 13);
+  const auto bytes = byte_image(codes);
+  const auto tokens = tokenize(bytes, Level::Fast, 0, Stride::Codes);
+  EXPECT_EQ(expand(tokens), bytes);
+  std::size_t at = 0, matches = 0;
+  for (const Token& t : tokens) {
+    if (t.length > 0) {
+      ++matches;
+      EXPECT_EQ(at % 2, 0u);
+      EXPECT_EQ(t.length % 2, 0);
+      EXPECT_GE(t.length, 4);
+      EXPECT_EQ(t.value % 2, 0);
+    }
+    at += t.length > 0 ? t.length : 1;
+  }
+  EXPECT_GT(matches, tokens.size() / 4);
+  // Level::Best keeps its byte parse on code sections.
+  EXPECT_EQ(gzip_compress_codes(codes, Level::Best,
+                                ParallelOptions{kDefaultChunkBytes, 1}),
+            gzip_compress(bytes, Level::Best));
+}
+
+TEST(CodeMode, OddLengthsRoundTrip) {
+  // A code section always has an even length, but the parse takes any
+  // window: a tail shorter than a code pair goes out byte by byte.
+  const auto whole = byte_image(walk_codes(40000, 14));
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 4097u, 70001u}) {
+    const auto bytes = std::span(whole).first(n);
+    BitWriterLSB bw;
+    detail::deflate_window(bw, bytes, 0, Level::Fast, Stride::Codes, true);
+    EXPECT_EQ(decompress(bw.take()),
+              std::vector<std::uint8_t>(bytes.begin(), bytes.end()))
+        << n << " bytes";
   }
 }
 

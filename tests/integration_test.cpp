@@ -13,6 +13,8 @@
 #include "core/stream.hpp"
 #include "core/wavesz.hpp"
 #include "data/datasets.hpp"
+#include "deflate/deflate.hpp"
+#include "deflate/parallel.hpp"
 #include "fpga/model.hpp"
 #include "ghostsz/ghostsz.hpp"
 #include "metrics/stats.hpp"
@@ -309,22 +311,24 @@ std::vector<PinContainer> pin_containers() {
 TEST(GoldenBytes, WholeContainers) {
   // Size and CRC-32 of whole containers, recorded before the wave encoder
   // became a column walk (the two chunked pins before GhostSZ moved to
-  // per-section gzip); a kernel rewrite must keep every byte.
+  // per-section gzip; the SZ-1.4 and waveSZ G* pins when their code
+  // sections began to be matched in whole codes); a kernel rewrite must
+  // keep every byte.
   const auto got = pin_containers();
   // Interior spikes reach the verbatim stream, not only the borders.
   EXPECT_GT(sz::inspect(got[2].bytes).unpredictable_count,
             got[2].dims[0] + got[2].dims[1] - 1);
 
   const std::vector<std::pair<std::string, golden::GoldenPin>> pins = {
-      {"sz f32 v1 G*", {3725, 0xd1e9b8aeu}},
-      {"sz f64 v1 G*", {3787, 0x54129daau}},
-      {"wave Flatten2D f32 v1 G*", {4150, 0xa6754445u}},
-      {"wave Flatten2D f64 v1 G*", {4362, 0x1fae55deu}},
-      {"wave tall f32 v1 G*", {3428, 0x8c19277du}},
-      {"wave tall f64 v1 G*", {3634, 0xa70fbec0u}},
-      {"wave Flatten2D 3D f32 v1 G*", {6635, 0x3fdbc7cfu}},
-      {"wave True3D f32 v1 G*", {6344, 0xb03306bdu}},
-      {"wave True3D f64 v1 G*", {6878, 0xdbe64420u}},
+      {"sz f32 v1 G*", {3660, 0x0d3db0ecu}},
+      {"sz f64 v1 G*", {3722, 0xddf299c4u}},
+      {"wave Flatten2D f32 v1 G*", {4075, 0xc4e5f53du}},
+      {"wave Flatten2D f64 v1 G*", {4287, 0x2b661f52u}},
+      {"wave tall f32 v1 G*", {3403, 0x43fc7494u}},
+      {"wave tall f64 v1 G*", {3609, 0x0d8807a5u}},
+      {"wave Flatten2D 3D f32 v1 G*", {6537, 0x77b30cbdu}},
+      {"wave True3D f32 v1 G*", {6259, 0xb1599a27u}},
+      {"wave True3D f64 v1 G*", {6792, 0xd2b27269u}},
       {"sz f32 v1 H*G*", {3855, 0xbe5a1605u}},
       {"sz f64 v1 H*G*", {3917, 0xb3e32349u}},
       {"wave Flatten2D f32 v1 H*G*", {4174, 0xea6fbe99u}},
@@ -334,15 +338,15 @@ TEST(GoldenBytes, WholeContainers) {
       {"wave Flatten2D 3D f32 v1 H*G*", {7785, 0x5c9f44f3u}},
       {"wave True3D f32 v1 H*G*", {7325, 0xb1a2ab6cu}},
       {"wave True3D f64 v1 H*G*", {7869, 0x082a3648u}},
-      {"sz f32 v2 G*", {3936, 0xcc04bea4u}},
-      {"sz f64 v2 G*", {3998, 0x7157023du}},
-      {"wave Flatten2D f32 v2 G*", {4355, 0xf9adaa54u}},
-      {"wave Flatten2D f64 v2 G*", {4567, 0x8773a046u}},
-      {"wave tall f32 v2 G*", {3560, 0xfcf4dfc9u}},
-      {"wave tall f64 v2 G*", {3766, 0x3c3eb406u}},
-      {"wave Flatten2D 3D f32 v2 G*", {6896, 0xb4c86fb7u}},
-      {"wave True3D f32 v2 G*", {6587, 0x004d040cu}},
-      {"wave True3D f64 v2 G*", {7172, 0x379d8e79u}},
+      {"sz f32 v2 G*", {3875, 0x621034e1u}},
+      {"sz f64 v2 G*", {3937, 0xc1ab8e2du}},
+      {"wave Flatten2D f32 v2 G*", {4297, 0xa02ef862u}},
+      {"wave Flatten2D f64 v2 G*", {4509, 0x01622386u}},
+      {"wave tall f32 v2 G*", {3535, 0x34a5a2f3u}},
+      {"wave tall f64 v2 G*", {3741, 0x62b70136u}},
+      {"wave Flatten2D 3D f32 v2 G*", {6800, 0x40547883u}},
+      {"wave True3D f32 v2 G*", {6523, 0x843c9838u}},
+      {"wave True3D f64 v2 G*", {7105, 0xac240ab8u}},
       {"sz f32 v2 H*G*", {4015, 0x55786c1du}},
       {"sz f64 v2 H*G*", {4077, 0x06546b0eu}},
       {"wave Flatten2D f32 v2 H*G*", {4334, 0x6e0cbe20u}},
@@ -354,10 +358,10 @@ TEST(GoldenBytes, WholeContainers) {
       {"wave True3D f64 v2 H*G*", {8009, 0x143c936fu}},
       {"ghost f32 G*", {4135, 0xfb1f6ba4u}},
       {"ghost f32 G* chunked", {4190, 0xfc87b547u}},
-      {"sz f32 v1 G* chunked", {3776, 0x7a5b72e2u}},
+      {"sz f32 v1 G* chunked", {3715, 0xcbabd9a4u}},
       {"szx f32", {7174, 0x2b91cdc3u}},
       {"szx f64", {7174, 0x1fb6ad63u}},
-      {"stream archive", {9378, 0x7236763eu}}};
+      {"stream archive", {9459, 0x2749710bu}}};
   ASSERT_EQ(got.size(), pins.size());
   for (std::size_t i = 0; i < pins.size(); ++i) {
     EXPECT_EQ(got[i].name, pins[i].first);
@@ -468,23 +472,23 @@ TEST(GoldenBytes, WholeContainerDecodes) {
       {"wave True3D f32 v1 H*G*", {11520, 0xc493dae6u}},
       {"wave True3D f64 v1 H*G*", {23040, 0xfe6eba63u}},
       {"sz f32 v2 G*", {8960, 0x18ff1935u},
-       3616, 0x24f078a1u, 3936, 0x5672b7f2u},
+       3560, 0x24f078a1u, 3875, 0x5672b7f2u},
       {"sz f64 v2 G*", {17920, 0x26e4c806u},
-       3678, 0xf17deb1cu, 3998, 0xf312dbf0u},
+       3622, 0xf17deb1cu, 3937, 0xf312dbf0u},
       {"wave Flatten2D f32 v2 G*", {8960, 0x6c793570u},
-       4034, 0xb8486805u, 4355, 0xeda6d008u},
+       3972, 0xb8486805u, 4297, 0xeda6d008u},
       {"wave Flatten2D f64 v2 G*", {17920, 0xe15fc2d8u},
-       4246, 0x6f316738u, 4567, 0x94a801f7u},
+       4184, 0x6f316738u, 4509, 0x94a801f7u},
       {"wave tall f32 v2 G*", {6900, 0x748ce6e9u},
-       3560, 0x22d37dc5u, 3560, 0x6ead9435u},
+       3535, 0x22d37dc5u, 3535, 0x6ead9435u},
       {"wave tall f64 v2 G*", {13800, 0xca043ec4u},
-       3766, 0x6954d4c1u, 3766, 0x57d09f8cu},
+       3741, 0x6954d4c1u, 3741, 0x57d09f8cu},
       {"wave Flatten2D 3D f32 v2 G*", {11520, 0x91efa797u},
-       5644, 0xa891b087u, 6896, 0x67d0a709u},
+       5572, 0xa891b087u, 6800, 0x67d0a709u},
       {"wave True3D f32 v2 G*", {11520, 0xc493dae6u},
-       5344, 0x214f9ea3u, 6587, 0x4c562339u},
+       5305, 0x214f9ea3u, 6523, 0x4c562339u},
       {"wave True3D f64 v2 G*", {23040, 0xfe6eba63u},
-       5579, 0x75f5084au, 6826, 0x67d7ddd9u},
+       5540, 0x75f5084au, 6759, 0x67d7ddd9u},
       {"sz f32 v2 H*G*", {8960, 0x18ff1935u},
        4015, 0x24f078a1u, 4015, 0x5672b7f2u},
       {"sz f64 v2 H*G*", {17920, 0x26e4c806u},
@@ -537,6 +541,48 @@ TEST(GoldenBytes, WholeContainerDecodes) {
     EXPECT_EQ(now.slab_read, want.slab_read) << c.name;
     EXPECT_EQ(now.slab_crc, want.slab_crc) << c.name;
   }
+}
+
+TEST(GoldenBytes, ContainersWrittenBeforeCodeMatchingStillDecode) {
+  // Until G* code sections were matched in whole codes, a code section was
+  // the byte parse of the codes' little-endian image. Re-encoding it that
+  // way gives back the containers pinned then, and they decode to the same
+  // values as the containers written now.
+  const std::map<std::string, golden::GoldenPin> before = {
+      {"sz f32 v1 G*", {3725, 0xd1e9b8aeu}},
+      {"wave Flatten2D f64 v1 G*", {4362, 0x1fae55deu}},
+      {"wave True3D f32 v2 G*", {6587, 0x004d040cu}},
+      {"sz f32 v1 G* chunked", {3776, 0x7a5b72e2u}},
+  };
+  std::size_t checked = 0;
+  for (const PinContainer& c : pin_containers()) {
+    const auto it = before.find(c.name);
+    if (it == before.end()) continue;
+    ByteReader r(c.bytes);
+    const sz::ContainerHeader h = sz::read_header(r);
+    const sz::CodeChunkIndex idx = sz::read_code_index(r, h);
+    const auto codes_gz = sz::read_section(r);
+    const auto unpred_gz = sz::read_section(r);
+    sz::Config cfg = pin_config(sz::Config{}, idx.present(), false);
+    if (c.name.find("chunked") != std::string::npos) {
+      cfg.codec_threads = 4;
+      cfg.deflate_chunk_bytes = 4096;
+    }
+    ByteWriter w;
+    sz::write_header(w, h);
+    if (idx.present()) sz::write_code_index(w, idx);
+    sz::write_section(
+        w, deflate::gzip_compress_parallel(
+               deflate::gzip_decompress(codes_gz), h.gzip_level,
+               idx.present() ? cfg.indexed_deflate_options()
+                             : cfg.deflate_options()));
+    sz::write_section(w, unpred_gz);
+    const PinContainer old{c.name, c.dims, w.take()};
+    golden::expect_pin(old.bytes, it->second, c.name + " as written before");
+    EXPECT_EQ(full_decode(old, {}), full_decode(c, {})) << c.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, before.size());
 }
 
 }  // namespace

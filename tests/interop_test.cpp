@@ -4,6 +4,7 @@
 // RFC 1951/1952, not merely to itself. Skipped when gzip(1) is absent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
@@ -14,6 +15,8 @@
 
 #include "data/io.hpp"
 #include "deflate/deflate.hpp"
+#include "deflate/parallel.hpp"
+#include "util/bytes.hpp"
 
 namespace wavesz::deflate {
 namespace {
@@ -91,6 +94,41 @@ INSTANTIATE_TEST_SUITE_P(
     PayloadsAndLevels, GzipInterop,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(Level::Fast, Level::Best)));
+
+TEST(GzipInterop, SystemGunzipReadsCodeSections) {
+  // G* code sections, matched in whole codes: one stream, and sync-flushed
+  // chunks of an odd requested size (written at the next even one).
+  if (!have_gzip()) GTEST_SKIP();
+  std::mt19937 rng(25);
+  std::vector<std::uint16_t> walk(60000);
+  int offset = 0;
+  for (auto& c : walk) {
+    offset = std::clamp(offset + static_cast<int>(rng() % 5) - 2, -24, 24);
+    c = static_cast<std::uint16_t>(32768 + offset);
+  }
+  ParallelOptions forced{4097, 1};
+  forced.force_chunking = true;
+  const auto gz = tmp("codes.gz");
+  const auto out = tmp("codes.out");
+  for (const auto& codes :
+       {walk, std::vector<std::uint16_t>(30000, 32768),
+        std::vector<std::uint16_t>{}}) {
+    const auto image = bytes_of(std::span<const std::uint16_t>(codes));
+    for (const ParallelOptions& opts :
+         {ParallelOptions{kDefaultChunkBytes, 1}, ParallelOptions{4097, 2},
+          forced}) {
+      data::write_bytes(gz, gzip_compress_codes(codes, Level::Fast, opts));
+      const std::string cmd = "gunzip -c '" + gz.string() + "' > '" +
+                              out.string() + "' 2>/dev/null";
+      ASSERT_EQ(std::system(cmd.c_str()), 0) << codes.size() << " codes";
+      EXPECT_EQ(data::read_bytes(out),
+                std::vector<std::uint8_t>(image.begin(), image.end()))
+          << codes.size() << " codes, chunk " << opts.chunk_bytes;
+    }
+  }
+  fs::remove(gz);
+  fs::remove(out);
+}
 
 TEST(GzipInterop, EmptyMemberBothWays) {
   if (!have_gzip()) GTEST_SKIP();

@@ -27,6 +27,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/dims.hpp"
 #include "util/error.hpp"
+#include "util/fork_join.hpp"
 
 namespace wavesz {
 namespace {
@@ -417,15 +418,19 @@ TEST(WorkFloor, SmallFieldsFallBackToSerial) {
   const Dims dims = Dims::d2(512, 512);
   const auto data = make_field<float>(dims, 43);
   EXPECT_EQ(0u, diagonal_batches(data, dims, 4));
+  // Without the floor the tiles run wherever a team can have two workers:
+  // not on a single CPU, nor in a build without OpenMP.
   {
     const FloorOverride no_floor(0);
-    EXPECT_GT(diagonal_batches(data, dims, 4), 0u);
+    EXPECT_EQ(diagonal_batches(data, dims, 4) > 0,
+              util::team_size(4, dims.count()) > 1);
   }
   // A lower floor admits a capped thread count: 2^18 points over a 2^17
   // floor supports two workers, still parallel.
   {
     const FloorOverride low(std::size_t{1} << 17);
-    EXPECT_GT(diagonal_batches(data, dims, 4), 0u);
+    EXPECT_EQ(diagonal_batches(data, dims, 4) > 0,
+              util::team_size(4, dims.count(), std::size_t{1} << 17) > 1);
   }
 }
 

@@ -24,6 +24,10 @@
 #include "util/fork_join.hpp"
 #include "util/huffman.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace wavesz {
 namespace {
 
@@ -66,6 +70,30 @@ TEST(BitIoLsb, AlignByteThenRawByte) {
   EXPECT_EQ(br.bits(2), 0b11u);
   br.align_byte();
   EXPECT_EQ(br.byte(), 0x5A);
+}
+
+TEST(BitIoLsb, WideWritesSpillAcrossWords) {
+  // Writes of up to 56 bits at every accumulator fill, so each width
+  // spills across a 64-bit word store; read back 32 bits at a time.
+  std::mt19937_64 rng(56);
+  std::vector<std::pair<std::uint64_t, int>> items;
+  BitWriterLSB bw;
+  for (int i = 0; i < 4000; ++i) {
+    const int n = static_cast<int>(rng() % 57);
+    const std::uint64_t v = rng() & ((std::uint64_t{1} << n) - 1);
+    items.emplace_back(v, n);
+    bw.bits(v | (~std::uint64_t{0} << n), n);  // bits above n are ignored
+  }
+  const std::size_t nbits = bw.bit_count();
+  const auto bytes = bw.take();
+  ASSERT_EQ(bytes.size(), (nbits + 7) / 8);
+  BitReaderLSB br(bytes);
+  for (const auto& [v, n] : items) {
+    const int low = std::min(n, 32);
+    std::uint64_t got = br.bits(low);
+    if (n > 32) got |= static_cast<std::uint64_t>(br.bits(n - 32)) << 32;
+    ASSERT_EQ(got, v) << n << " bits";
+  }
 }
 
 TEST(BitIoLsb, TruncatedStreamThrows) {
@@ -694,17 +722,45 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------- fork-join
 
+/// The most workers team_size hands out: the CPUs OpenMP may run the
+/// process on, or 1 in a build without OpenMP.
+int team_cap() {
+#ifdef _OPENMP
+  return omp_get_num_procs();
+#else
+  return 1;
+#endif
+}
+
 TEST(ForkJoin, BudgetAndWorkerCount) {
   EXPECT_EQ(util::resolve_thread_budget(3), 3);
   EXPECT_GE(util::resolve_thread_budget(0), 1);
   EXPECT_EQ(util::resolve_thread_budget(-1), util::resolve_thread_budget(0));
-  EXPECT_EQ(util::team_size(4, 1000), 4);
-  EXPECT_EQ(util::team_size(4, 2), 2);  // capped by the item count
+  const int cap = team_cap();
+  EXPECT_EQ(util::team_size(4, 1000), std::min(4, cap));
+  EXPECT_EQ(util::team_size(4, 2), std::min(2, cap));  // the item count
   EXPECT_EQ(util::team_size(4, 0), 1);
   // Capped by the work floor: three floors' worth feeds three workers.
-  EXPECT_EQ(util::team_size(4, 3u << 15, 1u << 15), 3);
+  EXPECT_EQ(util::team_size(4, 3u << 15, 1u << 15), std::min(3, cap));
   EXPECT_EQ(util::team_size(4, (1u << 15) - 1, 1u << 15), 1);
-  EXPECT_EQ(util::team_size(4, 1000, 0), 4);  // 0 = no floor
+  EXPECT_EQ(util::team_size(4, 1000, 0), std::min(4, cap));  // 0 = no floor
+}
+
+TEST(ForkJoin, TeamsNeverOutnumberTheCpus) {
+  // Team sizes only: nothing here starts a thread.
+  const int cap = team_cap();
+  ASSERT_GE(cap, 1);
+  EXPECT_EQ(util::team_size(64, 1u << 20), std::min(64, cap));
+  EXPECT_EQ(util::team_size(64, 1000, 0), std::min(64, cap));
+  EXPECT_EQ(util::team_size(64, 3), std::min(3, cap));
+  EXPECT_EQ(util::team_size(64, 1u << 20, 1u << 18), std::min(4, cap));
+  EXPECT_LE(util::team_size(0, 1u << 20), cap);
+  // The budget itself is not capped: layouts keyed to it keep their bytes.
+  EXPECT_EQ(util::resolve_thread_budget(64), 64);
+#ifndef _OPENMP
+  // Without OpenMP every team runs on the caller.
+  EXPECT_EQ(util::team_size(4, 1u << 20), 1);
+#endif
 }
 
 TEST(ForkJoin, EveryItemRunsExactlyOnce) {
