@@ -5,12 +5,14 @@
 //
 // Three sections:
 //   1. per-persona decompression throughput of every compressor variant;
-//   2. the decode fast path vs the bit-at-a-time reference oracle on the
-//      512x512 synthetic fixture at deflate Level::Best — gzip member and
-//      full SZ container — on the gzip member of raw 16-bit codes that one
+//   2. the table-driven decoders on the 512x512 synthetic fixture at
+//      deflate Level::Best — gzip member and full SZ-1.4 and waveSZ H*G*
+//      containers — on the gzip member of raw 16-bit codes that one
 //      16-plane NYX chunk writes through waveSZ G*, and on the H* code
 //      stream of one 900x1800 CESM field through waveSZ H*G*, whose row
-//      also times the H* encoder, asserting byte-identical output;
+//      also times the H* encoder. The three raw-stream rows also time the
+//      bit-at-a-time oracles of tests/deflate_oracle.hpp and
+//      tests/huffman_oracle.hpp, asserting byte-identical output;
 //   3. chunk-indexed (v2) decode at 1, 2, 4 and 8 threads, and region
 //      reads against the serial full decode: the top-left quarter of the
 //      512x512 fixture (SZ-1.4 and waveSZ), and an interior box of a
@@ -26,11 +28,12 @@
 #include "common.hpp"
 #include "data/synthetic.hpp"
 #include "deflate/deflate.hpp"
+#include "deflate_oracle.hpp"
+#include "huffman_oracle.hpp"
 #include "sz/container.hpp"
 #include "sz/huffman_codec.hpp"
 #include "sz2/sz2.hpp"
 #include "util/bytes.hpp"
-#include "util/huffman.hpp"
 
 namespace {
 
@@ -50,43 +53,43 @@ std::vector<float> make_synthetic_512() {
 struct DecodeRow {
   const char* fixture;
   std::size_t out_bytes = 0;
-  double fast_s = 0, ref_s = 0;
+  double decode_s = 0;
+  double oracle_s = 0;  ///< raw-stream rows only: the bit-at-a-time oracle
   double encode_s = 0;  ///< H* row only: encoding the decoded stream back
-  bool identical = false;
+  bool identical = true;
 
-  double speedup() const { return fast_s > 0 ? ref_s / fast_s : 0.0; }
-  double fast_mbps() const {
-    return static_cast<double>(out_bytes) / 1e6 / fast_s;
-  }
-  double ref_mbps() const {
-    return static_cast<double>(out_bytes) / 1e6 / ref_s;
-  }
-  double encode_mbps() const {
-    return static_cast<double>(out_bytes) / 1e6 / encode_s;
+  double mbps(double s) const {
+    return static_cast<double>(out_bytes) / 1e6 / s;
   }
 };
 
-/// Time `decode()` on both paths, taking turns within each repeat;
-/// `decode` must return the decoded bytes (or any container comparable for
-/// byte-identity).
+/// Time a container `decode()`, which must return the decoded values.
 template <typename Decode>
-DecodeRow time_both_paths(const char* fixture, unsigned repeat,
-                          Decode&& decode) {
+DecodeRow time_decode(const char* fixture, unsigned repeat, Decode&& decode) {
   DecodeRow row;
   row.fixture = fixture;
-  auto fast = decode();
-  auto ref = fast;
+  auto out = decode();
+  row.decode_s = bench::median_seconds(repeat, [&] { out = decode(); });
+  row.out_bytes = out.size() * sizeof(out[0]);
+  return row;
+}
+
+/// Time a raw-stream `decode()` and its bit-at-a-time `oracle()`, taking
+/// turns within each repeat; both must return the same decoded bytes (or
+/// symbols).
+template <typename Decode, typename Oracle>
+DecodeRow time_against_oracle(const char* fixture, unsigned repeat,
+                              Decode&& decode, Oracle&& oracle) {
+  DecodeRow row;
+  row.fixture = fixture;
+  auto out = decode();
+  auto want = oracle();
   const auto secs = bench::interleaved_median_seconds(
-      repeat, {[&] { fast = decode(); },
-               [&] {
-                 set_reference_decode(true);
-                 ref = decode();
-                 set_reference_decode(false);
-               }});
-  row.fast_s = secs[0];
-  row.ref_s = secs[1];
-  row.identical = fast == ref;
-  row.out_bytes = fast.size() * sizeof(fast[0]);
+      repeat, {[&] { out = decode(); }, [&] { want = oracle(); }});
+  row.decode_s = secs[0];
+  row.oracle_s = secs[1];
+  row.identical = out == want;
+  row.out_bytes = out.size() * sizeof(out[0]);
   return row;
 }
 
@@ -126,7 +129,7 @@ void write_decode_json(const bench::Options& opts,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"decompression_throughput\",\n"
-               "  \"version\": 2,\n"
+               "  \"version\": 3,\n"
                "  \"fixture\": \"synthetic 512x512 f32, deflate "
                "Level::Best; G* codes: one 16x128x128 NYX chunk, waveSZ "
                "default config; H* codes: one 900x1800 CESM-ATM field, "
@@ -142,13 +145,17 @@ void write_decode_json(const bench::Options& opts,
     bench::detail::json_escape_to(f, r.fixture);
     std::fprintf(f, "\", \"out_bytes\": %zu, ", r.out_bytes);
     if (r.encode_s > 0) {
-      std::fprintf(f, "\"encode_mbps\": %.10g, ", r.encode_mbps());
+      std::fprintf(f, "\"encode_mbps\": %.10g, ", r.mbps(r.encode_s));
     }
-    std::fprintf(f,
-                 "\"fast_mbps\": %.10g, \"reference_mbps\": %.10g, "
-                 "\"speedup\": %.10g, \"identical\": %s}",
-                 r.fast_mbps(), r.ref_mbps(), r.speedup(),
-                 r.identical ? "true" : "false");
+    std::fprintf(f, "\"mbps\": %.10g", r.mbps(r.decode_s));
+    if (r.oracle_s > 0) {
+      std::fprintf(f,
+                   ", \"oracle_mbps\": %.10g, \"speedup\": %.10g, "
+                   "\"identical\": %s",
+                   r.mbps(r.oracle_s), r.oracle_s / r.decode_s,
+                   r.identical ? "true" : "false");
+    }
+    std::fprintf(f, "}");
   }
   std::fprintf(f, "\n  ],\n  \"parallel_rows\": [");
   first = true;
@@ -230,9 +237,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n----------------------------------------------------------------\n");
-  std::printf("decode fast path vs bit-at-a-time reference "
-              "(512x512 synthetic at Level::Best; one NYX G* chunk;\n"
-              "one CESM H* code stream)\n");
+  std::printf("table-driven decoders, raw streams also vs the bit-at-a-time "
+              "oracles\n(512x512 synthetic at Level::Best; one NYX G* "
+              "chunk; one CESM H* code stream)\n");
   std::printf("----------------------------------------------------------------\n");
 
   const auto grid = make_synthetic_512();
@@ -243,23 +250,25 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> raw(grid.size() * sizeof(float));
     std::memcpy(raw.data(), grid.data(), raw.size());
     const auto gz = deflate::gzip_compress(raw, deflate::Level::Best);
-    rows.push_back(time_both_paths("gzip member (f32 bytes)", opts.repeat,
-                                   [&] { return deflate::gzip_decompress(gz); }));
+    rows.push_back(time_against_oracle(
+        "gzip member (f32 bytes)", opts.repeat,
+        [&] { return deflate::gzip_decompress(gz); },
+        [&] { return deflate::oracle::gunzip(gz); }));
   }
   {
     sz::Config cfg;
     cfg.gzip_level = deflate::Level::Best;
     const auto c = sz::compress(grid, dims, cfg);
-    rows.push_back(time_both_paths("SZ-1.4 container", opts.repeat,
-                                   [&] { return sz::decompress(c.bytes); }));
+    rows.push_back(time_decode("SZ-1.4 container", opts.repeat,
+                               [&] { return sz::decompress(c.bytes); }));
   }
   {
     auto wcfg = wave::default_config();
     wcfg.huffman = true;
     wcfg.gzip_level = deflate::Level::Best;
     const auto c = wave::compress(grid, dims, wcfg);
-    rows.push_back(time_both_paths("waveSZ H*G* container", opts.repeat,
-                                   [&] { return wave::decompress(c.bytes); }));
+    rows.push_back(time_decode("waveSZ H*G* container", opts.repeat,
+                               [&] { return wave::decompress(c.bytes); }));
   }
   {
     // The stream a nyx3d_stream decode inflates: one 16-plane chunk of a
@@ -275,9 +284,10 @@ int main(int argc, char** argv) {
     const auto h = sz::read_header(r);
     (void)sz::read_code_index(r, h);
     const auto codes = sz::read_section(r);
-    rows.push_back(time_both_paths(
+    rows.push_back(time_against_oracle(
         "gzip member (G* u16 codes)", opts.repeat,
-        [&] { return deflate::gzip_decompress(codes); }));
+        [&] { return deflate::gzip_decompress(codes); },
+        [&] { return deflate::oracle::gunzip(codes); }));
   }
 
   {
@@ -294,9 +304,10 @@ int main(int argc, char** argv) {
     const auto h = sz::read_header(r);
     const auto idx = sz::read_code_index(r, h);
     const auto blob = deflate::gzip_decompress(sz::read_section(r));
-    auto row = time_both_paths(
+    auto row = time_against_oracle(
         "H* code stream (CESM codes)", opts.repeat,
-        [&] { return sz::huffman_decode_indexed(blob, idx, 1); });
+        [&] { return sz::huffman_decode_indexed(blob, idx, 1); },
+        [&] { return oracle::huffman_decode(blob); });
     const auto codes = sz::huffman_decode_indexed(blob, idx, 1);
     auto again = sz::huffman_encode(codes, 1);
     row.encode_s = bench::median_seconds(
@@ -305,14 +316,19 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  std::printf("\n%-27s %12s %12s %10s %10s %10s\n", "fixture", "fast MB/s",
-              "ref MB/s", "speedup", "identical", "enc MB/s");
+  std::printf("\n%-27s %10s %12s %10s %10s %10s\n", "fixture", "MB/s",
+              "oracle MB/s", "speedup", "identical", "enc MB/s");
   bool all_identical = true;
   for (const auto& r : rows) {
     all_identical = all_identical && r.identical;
-    std::printf("%-27s %12.0f %12.0f %9.2fx %10s", r.fixture, r.fast_mbps(),
-                r.ref_mbps(), r.speedup(), r.identical ? "yes" : "NO");
-    if (r.encode_s > 0) std::printf(" %10.0f", r.encode_mbps());
+    std::printf("%-27s %10.0f", r.fixture, r.mbps(r.decode_s));
+    if (r.oracle_s > 0) {
+      std::printf(" %12.0f %9.2fx %10s", r.mbps(r.oracle_s),
+                  r.oracle_s / r.decode_s, r.identical ? "yes" : "NO");
+    } else {
+      std::printf(" %12s %10s %10s", "-", "-", "-");
+    }
+    if (r.encode_s > 0) std::printf(" %10.0f", r.mbps(r.encode_s));
     std::printf("\n");
   }
 
@@ -441,8 +457,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nreading: the flat two-level Huffman tables and 64-bit "
               "bulk-refill bit\nreaders decode several bits per probe where "
-              "the reference walks one bit\nper step; output bytes are "
-              "identical on every fixture%s.\n",
+              "the oracles walk one bit\nper step; output bytes are "
+              "identical on every checked fixture%s.\n",
               all_identical ? "" : " — MISMATCH, decode bug");
   return all_identical ? 0 : 1;
 }

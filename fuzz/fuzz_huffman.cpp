@@ -1,17 +1,19 @@
-// Fuzz target: Huffman blob decode, table-driven fast path vs reference.
+// Fuzz target: Huffman blob decode, the table-driven decoder vs the
+// bit-at-a-time oracle (tests/huffman_oracle.hpp).
 //
-// Contract: on any input, sz::huffman_decode (which takes the multi-bit
-// table path when the code is well-formed) and huffman_decode_reference
-// (bit-at-a-time canonical walk) either both throw wavesz::Error or both
-// return identical symbol streams. Forged tables — over-subscribed Kraft
-// sums, duplicate entries, claimed counts past the payload — must be
-// rejected identically by both.
+// Contract: on any input, sz::huffman_decode (multi-symbol window table
+// over the flat two-level table) and oracle::huffman_decode (its own
+// framing parse and a canonical walk one bit per step) either both throw
+// wavesz::Error or both return identical symbol streams. Forged tables —
+// over-subscribed Kraft sums, duplicate entries, claimed counts past the
+// payload — must be rejected identically by both.
 #include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <vector>
 
 #include "fuzz_common.hpp"
+#include "huffman_oracle.hpp"
 #include "sz/huffman_codec.hpp"
 #include "util/error.hpp"
 
@@ -31,7 +33,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const Error&) {
   }
   try {
-    ref = sz::huffman_decode_reference(input);
+    ref = oracle::huffman_decode(input);
     ref_ok = true;
   } catch (const Error&) {
   }

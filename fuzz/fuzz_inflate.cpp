@@ -1,16 +1,18 @@
-// Fuzz target: raw DEFLATE decode, fast path vs bit-at-a-time reference.
+// Fuzz target: raw DEFLATE decode, the table-driven inflater vs the
+// bit-at-a-time oracle (tests/deflate_oracle.hpp).
 //
-// Contract: on any input, deflate::decompress and decompress_reference
-// either both throw wavesz::Error or both succeed with identical bytes.
-// A divergence means the table-driven fast path mis-decodes some stream
-// the reference accepts — exactly the class of bug differential fuzzing
-// exists to find.
+// Contract: on any input, deflate::decompress and oracle::inflate either
+// both throw wavesz::Error or both succeed with identical bytes. A
+// divergence means the table-driven loop mis-decodes, or mis-judges, some
+// stream the oracle walks one bit at a time — exactly the class of bug
+// differential fuzzing exists to find.
 #include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <vector>
 
 #include "deflate/deflate.hpp"
+#include "deflate_oracle.hpp"
 #include "fuzz_common.hpp"
 #include "util/error.hpp"
 
@@ -30,7 +32,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const Error&) {
   }
   try {
-    ref = deflate::decompress_reference(input);
+    ref = deflate::oracle::inflate(input);
     ref_ok = true;
   } catch (const Error&) {
   }

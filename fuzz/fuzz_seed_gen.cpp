@@ -114,6 +114,21 @@ int main(int argc, char** argv) {
              deflate::vectors::gzip_member(hlit_287,
                                            std::vector<std::uint8_t>{'A'}));
 
+  // The admission vectors: a literal-only block under an empty distance
+  // code (decodes), a match under that code, and over-subscribed lit/len
+  // and code-length codes (rejected at the table build).
+  {
+    std::vector<std::uint8_t> literals(plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      literals[i] = static_cast<std::uint8_t>(plain[i] % 255);
+    }
+    using namespace deflate::vectors;
+    write_seed(root / "inflate", 4, literal_only_block(literals));
+    write_seed(root / "inflate", 5, match_without_distance_code());
+    write_seed(root / "inflate", 6, oversubscribed_litlen_block());
+    write_seed(root / "inflate", 7, oversubscribed_clc_block());
+  }
+
   {
     sz::Config cfg;
     write_seed(root / "sz14", 0, sz::compress(f32, d2, cfg).bytes);
@@ -257,6 +272,9 @@ int main(int argc, char** argv) {
     write_seed(root / "huffman", 3, sz::huffman_encode(two_symbol_stream(), 1));
     write_seed(root / "huffman", 4, sz::huffman_encode(geometric_stream(), 1));
     write_seed(root / "huffman", 5, sz::huffman_encode(fibonacci_stream(), 1));
+    // The hand-built blob whose two-level table has a subtable of every
+    // depth, 1 to 14 bits.
+    write_seed(root / "huffman", 6, deep_blob().blob);
   }
 
   std::printf("seed corpus written under %s\n", root.string().c_str());

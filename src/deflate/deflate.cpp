@@ -376,28 +376,15 @@ std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input,
 
 namespace {
 
-/// Decode one symbol through whichever path the decoder supports: the flat
-/// table when it was built (complete, reasonably sized codes), else the
-/// bit-at-a-time oracle. Header code-length alphabets are tiny, so this is
-/// not hot; it exists so corrupt headers route through the same guards.
-std::uint32_t decode_symbol(BitReaderLSB& br, const CanonicalDecoder& dec) {
-  if (dec.has_fast_table()) {
-    return dec.decode_fast([&](int n) { return br.peek(n); },
-                           [&](int n) { br.consume(n); });
-  }
-  return dec.decode([&] { return br.bit(); });
-}
-
 /// Decode one code-length sequence (lit/len + dist) of a dynamic block.
 std::vector<std::uint8_t> read_dynamic_lengths(BitReaderLSB& br,
                                                const CanonicalDecoder& clc,
-                                               std::size_t total,
-                                               bool reference) {
+                                               std::size_t total) {
   std::vector<std::uint8_t> lens;
   lens.reserve(total);
   while (lens.size() < total) {
-    const auto sym = reference ? clc.decode([&] { return br.bit(); })
-                               : decode_symbol(br, clc);
+    const auto sym = clc.decode_fast([&](int n) { return br.peek(n); },
+                                     [&](int n) { br.consume(n); });
     if (sym <= 15) {
       lens.push_back(static_cast<std::uint8_t>(sym));
     } else if (sym == 16) {
@@ -417,7 +404,7 @@ std::vector<std::uint8_t> read_dynamic_lengths(BitReaderLSB& br,
   return lens;
 }
 
-/// Room every fast-loop symbol may write past the output cursor: a
+/// Room every decoded symbol may write past the output cursor: a
 /// 258-byte match, plus the overrun of its 8-byte word copies (at most 6
 /// bytes; a match shorter than 16 still writes two whole words).
 constexpr std::size_t kOutputSlack = kMaxMatch + 16;
@@ -434,36 +421,6 @@ constexpr std::size_t kGrowStep = 16 * 1024;
 void ensure_room(std::vector<std::uint8_t>& out, std::size_t produced,
                  std::size_t room) {
   if (out.size() - produced < room) out.resize(produced + room + kGrowStep);
-}
-
-/// Reference inflate loop: one bit per decoder step. Kept bit-for-bit as
-/// the oracle behind WAVESZ_REFERENCE_DECODE and the differential tests.
-void inflate_block_reference(BitReaderLSB& br, const CanonicalDecoder& litlen,
-                             const CanonicalDecoder& dist,
-                             std::vector<std::uint8_t>& out) {
-  for (;;) {
-    const auto sym = litlen.decode([&] { return br.bit(); });
-    if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
-    } else if (sym == kEndOfBlock) {
-      return;
-    } else {
-      WAVESZ_REQUIRE(sym <= 285, "invalid length symbol");
-      const std::size_t lc = sym - 257;
-      const std::uint32_t length =
-          kLengthBase[lc] + br.bits(kLengthExtra[lc]);
-      const auto dsym = dist.decode([&] { return br.bit(); });
-      WAVESZ_REQUIRE(dsym < kNumDist, "invalid distance symbol");
-      const std::uint32_t distance =
-          kDistBase[dsym] + br.bits(kDistExtra[dsym]);
-      WAVESZ_REQUIRE(distance <= out.size(),
-                     "distance reaches before stream start");
-      const std::size_t from = out.size() - distance;
-      for (std::uint32_t k = 0; k < length; ++k) {
-        out.push_back(out[from + k]);
-      }
-    }
-  }
 }
 
 /// Consume the code under the low bits of `st.acc` and return its table
@@ -496,8 +453,8 @@ void inflate_block_reference(BitReaderLSB& br, const CanonicalDecoder& litlen,
   return v;
 }
 
-/// Table-driven inflate loop over one block, writing from `out[produced]`
-/// on; returns the new decoded length. The bit reader's state and the
+/// Inflate one Huffman-coded block, writing from `out[produced]` on;
+/// returns the new decoded length. The bit reader's state and the
 /// output cursor stay in locals for the whole block. Each symbol starts
 /// with one refill: an unaligned 8-byte load while 8 input bytes remain,
 /// which leaves at least 56 bits, byte by byte over the final stretch. The
@@ -505,11 +462,12 @@ void inflate_block_reference(BitReaderLSB& br, const CanonicalDecoder& litlen,
 /// the accumulator alone. Past the end of the input the accumulator reads
 /// as zeros; a symbol that consumed any of them drives `fill` negative and
 /// throws, so a cut stream never ends on a zero-padded end-of-block code.
-std::size_t inflate_block_fast(BitReaderLSB& br,
-                               const CanonicalDecoder& litlen,
-                               const CanonicalDecoder& dist,
-                               std::vector<std::uint8_t>& out,
-                               std::size_t produced) {
+std::size_t inflate_block(BitReaderLSB& br, const CanonicalDecoder& litlen,
+                          const CanonicalDecoder& dist,
+                          std::vector<std::uint8_t>& out,
+                          std::size_t produced) {
+  telemetry::Span span(telemetry::spans::kInflateBlock);
+  telemetry::counter_add(telemetry::Counter::InflateBlocks, 1);
   const std::uint8_t* const in = br.source().data();
   const std::size_t in_size = br.source().size();
   BitReaderLSB::State st = br.state();
@@ -580,24 +538,6 @@ std::size_t inflate_block_fast(BitReaderLSB& br,
   return static_cast<std::size_t>(op - base);
 }
 
-/// Inflate one Huffman-coded block after the `produced` bytes of `out`;
-/// returns the new decoded length.
-std::size_t inflate_block(BitReaderLSB& br, const CanonicalDecoder& litlen,
-                          const CanonicalDecoder& dist,
-                          std::vector<std::uint8_t>& out, std::size_t produced,
-                          bool reference) {
-  telemetry::Span span(telemetry::spans::kInflateBlock);
-  telemetry::counter_add(telemetry::Counter::InflateBlocks, 1);
-  // Blocks whose codes defeat the table build (over-subscribed or forged
-  // headers) decode through the oracle, which throws on the first bad code.
-  if (reference || !litlen.has_fast_table() || !dist.has_fast_table()) {
-    out.resize(produced);
-    inflate_block_reference(br, litlen, dist, out);
-    return out.size();
-  }
-  return inflate_block_fast(br, litlen, dist, out, produced);
-}
-
 const CanonicalDecoder& fixed_litlen_decoder() {
   static const CanonicalDecoder d = [] {
     const auto ll = fixed_litlen_lengths();
@@ -621,7 +561,7 @@ const CanonicalDecoder& fixed_dist_decoder() {
 /// `produced` bytes decoded so far (ensure_room) and is trimmed to them at
 /// the end.
 PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
-                            std::size_t min_output, bool reference) {
+                            std::size_t min_output) {
   BitReaderLSB br(input);
   PrefixResult run;
   std::vector<std::uint8_t>& out = run.bytes;
@@ -645,7 +585,7 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
       produced += len;
     } else if (type == 0b01) {
       produced = inflate_block(br, fixed_litlen_decoder(), fixed_dist_decoder(),
-                               out, produced, reference);
+                               out, produced);
     } else if (type == 0b10) {
       const std::uint32_t hlit = br.bits(5) + 257;
       const std::uint32_t hdist = br.bits(5) + 1;
@@ -657,13 +597,13 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
         clc_lens[kClcOrder[i]] = static_cast<std::uint8_t>(br.bits(3));
       }
       const CanonicalDecoder clc(clc_lens, BitOrder::LsbFirst);
-      const auto all = read_dynamic_lengths(br, clc, hlit + hdist, reference);
+      const auto all = read_dynamic_lengths(br, clc, hlit + hdist);
       std::vector<std::uint8_t> ll(all.begin(), all.begin() + hlit);
       std::vector<std::uint8_t> dd(all.begin() + hlit, all.end());
       WAVESZ_REQUIRE(ll[kEndOfBlock] > 0, "no end-of-block code");
       produced = inflate_block(br, CanonicalDecoder(ll, BitOrder::LsbFirst),
                                CanonicalDecoder(dd, BitOrder::LsbFirst), out,
-                               produced, reference);
+                               produced);
     } else {
       throw Error("reserved DEFLATE block type");
     }
@@ -676,11 +616,6 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
   out.resize(produced);
   run.compressed_consumed = br.consumed();
   return run;
-}
-
-std::vector<std::uint8_t> decompress_impl(std::span<const std::uint8_t> input,
-                                          bool reference) {
-  return inflate_blocks(input, static_cast<std::size_t>(-1), reference).bytes;
 }
 
 constexpr std::size_t kGzipHeaderBytes = 10;
@@ -728,17 +663,12 @@ void verify_gzip_trailer(std::span<const std::uint8_t> input,
 }  // namespace
 
 std::vector<std::uint8_t> decompress(std::span<const std::uint8_t> input) {
-  return decompress_impl(input, reference_decode_enabled());
-}
-
-std::vector<std::uint8_t> decompress_reference(
-    std::span<const std::uint8_t> input) {
-  return decompress_impl(input, /*reference=*/true);
+  return inflate_blocks(input, static_cast<std::size_t>(-1)).bytes;
 }
 
 PrefixResult decompress_prefix(std::span<const std::uint8_t> input,
                                std::size_t min_output_bytes) {
-  return inflate_blocks(input, min_output_bytes, reference_decode_enabled());
+  return inflate_blocks(input, min_output_bytes);
 }
 
 std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> input,
@@ -748,9 +678,8 @@ std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> input,
 
 std::vector<std::uint8_t> gzip_decompress(
     std::span<const std::uint8_t> input) {
-  PrefixResult run = inflate_blocks(gzip_body(input),
-                                    static_cast<std::size_t>(-1),
-                                    reference_decode_enabled());
+  PrefixResult run =
+      inflate_blocks(gzip_body(input), static_cast<std::size_t>(-1));
   verify_gzip_trailer(input, run);
   return std::move(run.bytes);
 }
@@ -758,8 +687,7 @@ std::vector<std::uint8_t> gzip_decompress(
 PrefixResult gzip_decompress_prefix(std::span<const std::uint8_t> input,
                                     std::size_t min_output_bytes) {
   telemetry::Span span(telemetry::spans::kInflatePrefix);
-  PrefixResult run = inflate_blocks(gzip_body(input), min_output_bytes,
-                                    reference_decode_enabled());
+  PrefixResult run = inflate_blocks(gzip_body(input), min_output_bytes);
   if (run.complete) {
     // The whole stream came out anyway; verify the trailer as a full
     // decode would. An early stop leaves the trailer unverified by design

@@ -20,16 +20,11 @@ namespace wavesz::deflate {
 std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input,
                                    Level level = Level::Fast);
 
-/// Inverse of compress(); throws wavesz::Error on malformed input. Uses the
-/// table-driven fast inflate loop unless reference_decode_enabled() — or a
-/// block whose codes defeat the table build — routes it to the bit-at-a-time
-/// oracle. Both paths produce identical bytes.
+/// Inverse of compress(); throws wavesz::Error on malformed input. Every
+/// Huffman-coded block decodes through flat lookup tables; a block whose
+/// code lengths are over-subscribed is rejected as its header is read, as
+/// zlib rejects it.
 std::vector<std::uint8_t> decompress(std::span<const std::uint8_t> input);
-
-/// decompress() pinned to the bit-at-a-time reference path regardless of the
-/// WAVESZ_REFERENCE_DECODE setting; the oracle side of differential tests.
-std::vector<std::uint8_t> decompress_reference(
-    std::span<const std::uint8_t> input);
 
 /// gzip member (RFC 1952): 10-byte header + DEFLATE + CRC-32 + ISIZE.
 std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> input,

@@ -270,6 +270,8 @@ ParsedBlob parse_blob(std::span<const std::uint8_t> blob,
   }
   WAVESZ_REQUIRE(kraft_complete(p.lengths),
                  "Huffman table is not a complete prefix code");
+  WAVESZ_REQUIRE(p.distinct > 0 || p.count == 0,
+                 "Huffman symbols without a code table");
   p.payload_bits = r.u64();
   if (allow_truncated_payload) {
     p.payload = r.bytes(std::min<std::uint64_t>((p.payload_bits + 7) / 8,
@@ -302,35 +304,12 @@ constexpr int kWindowBits = 11;
 constexpr int kRunSymbols = 4;
 
 /// The decode tables of one blob's code: the canonical decoder, whose
-/// bit-at-a-time walk is the oracle and whose two-level table takes codes
-/// longer than the window, and the multi-symbol window table.
+/// two-level table takes codes longer than the window, and the
+/// multi-symbol window table.
 class BlobDecoder {
  public:
-  /// The window table is left out under `reference`, and when the
-  /// two-level table cannot be built (a forged header): the oracle decodes.
-  BlobDecoder(std::span<const std::uint8_t> lengths, bool reference)
+  explicit BlobDecoder(std::span<const std::uint8_t> lengths)
       : dec_(lengths) {
-    if (!reference && dec_.has_fast_table()) build_window();
-  }
-
-  /// Decode `n` symbols into `dst` from absolute bit `start_bit` of
-  /// `payload`; returns the bit position after the last one.
-  std::uint64_t run(std::span<const std::uint8_t> payload,
-                    std::uint64_t start_bit, std::uint16_t* dst,
-                    std::uint64_t n) const {
-    if (lanes_.empty()) {
-      BitReaderMSB br(payload, start_bit);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::uint16_t>(
-            dec_.decode([&] { return br.bit(); }));
-      }
-      return br.position();
-    }
-    return run_fast(payload, start_bit, dst, n);
-  }
-
- private:
-  void build_window() {
     const CanonicalDecoder::MsbTable table = dec_.msb_table();
     lanes_.assign(std::size_t{1} << kWindowBits, 0);
     spans_.assign(lanes_.size(), 0);
@@ -352,13 +331,15 @@ class BlobDecoder {
     }
   }
 
-  /// One refill per lookup, with the reader's registers in locals. While
-  /// four or more symbols remain, a window entry stores all four of its
-  /// lanes and advances by its count; the last few symbols, and codes
-  /// longer than the window, go through the two-level table one at a time.
-  std::uint64_t run_fast(std::span<const std::uint8_t> payload,
-                         std::uint64_t start_bit, std::uint16_t* dst,
-                         std::uint64_t n) const {
+  /// Decode `n` symbols into `dst` from absolute bit `start_bit` of
+  /// `payload`; returns the bit position after the last one. One refill
+  /// per lookup, with the reader's registers in locals. While four or more
+  /// symbols remain, a window entry stores all four of its lanes and
+  /// advances by its count; the last few symbols, and codes longer than
+  /// the window, go through the two-level table one at a time.
+  std::uint64_t run(std::span<const std::uint8_t> payload,
+                    std::uint64_t start_bit, std::uint16_t* dst,
+                    std::uint64_t n) const {
     BitReaderMSB br(payload, start_bit);
     const std::span<const std::uint8_t> in = br.source();
     const std::uint64_t* const lanes = lanes_.data();
@@ -399,6 +380,7 @@ class BlobDecoder {
     return br.position();
   }
 
+ private:
   CanonicalDecoder dec_;
   /// The window table, one slot per kWindowBits-bit window: the symbols
   /// whose codes complete inside it, in stream order and at most
@@ -411,37 +393,15 @@ class BlobDecoder {
 };
 
 /// Build a blob's decode tables, timed into huffman_table_ns.
-BlobDecoder make_decoder(const ParsedBlob& p, bool reference) {
+BlobDecoder make_decoder(const ParsedBlob& p) {
   const std::uint64_t t0 =
       telemetry::enabled() ? telemetry::detail::now_ns() : 0;
-  BlobDecoder dec(p.lengths, reference);
+  BlobDecoder dec(p.lengths);
   if (telemetry::enabled()) {
     telemetry::counter_add(telemetry::Counter::HuffmanTableBuildNs,
                            telemetry::detail::now_ns() - t0);
   }
   return dec;
-}
-
-std::vector<std::uint16_t> huffman_decode_impl(
-    std::span<const std::uint8_t> blob, bool reference) {
-  telemetry::Span span(telemetry::spans::kHuffmanDecode);
-  const ParsedBlob p = parse_blob(blob, /*allow_truncated_payload=*/false);
-  if (p.count == 0) return {};
-  if (p.distinct == 1) {
-    // Degenerate single-symbol stream: each symbol is one bit.
-    WAVESZ_REQUIRE(p.payload_bits == p.count, "payload size mismatch");
-    return std::vector<std::uint16_t>(p.count, degenerate_symbol(p.lengths));
-  }
-  // This entry point stays serial: without an index, finding chunk
-  // boundaries takes a serial table walk that costs as much as the decode
-  // itself. Containers carrying the v2 offset table go through
-  // huffman_decode_indexed(), whose workers seek straight to their recorded
-  // start bits.
-  const BlobDecoder dec = make_decoder(p, reference);
-  std::vector<std::uint16_t> out(p.count);
-  WAVESZ_REQUIRE(dec.run(p.payload, 0, out.data(), p.count) == p.payload_bits,
-                 "Huffman payload has trailing data");
-  return out;
 }
 
 /// Decode the first `chunk_count` index chunks of a parsed blob into `out`
@@ -450,7 +410,7 @@ std::vector<std::uint16_t> huffman_decode_impl(
 /// and is verified against the recorded end bit, the running CRC-32 resumed
 /// from the previous entry's digest, and the recorded unpredictable count.
 void decode_index_chunks(const ParsedBlob& p, const CodeChunkIndex& idx,
-                         std::size_t chunk_count, bool reference, int threads,
+                         std::size_t chunk_count, int threads,
                          std::vector<std::uint16_t>& out) {
   WAVESZ_ASSERT(chunk_count <= idx.entries.size(), "chunk range overflow");
   const auto& entries = idx.entries;
@@ -471,7 +431,7 @@ void decode_index_chunks(const ParsedBlob& p, const CodeChunkIndex& idx,
     return;
   }
 
-  const BlobDecoder dec = make_decoder(p, reference);
+  const BlobDecoder dec = make_decoder(p);
   const auto decode_chunk = [&](std::size_t k) {
     const std::uint64_t start_bit = k == 0 ? 0 : entries[k - 1].end_bit;
     const std::uint64_t start_elem = k == 0 ? 0 : entries[k - 1].end_element;
@@ -496,12 +456,24 @@ void decode_index_chunks(const ParsedBlob& p, const CodeChunkIndex& idx,
 }  // namespace
 
 std::vector<std::uint16_t> huffman_decode(std::span<const std::uint8_t> blob) {
-  return huffman_decode_impl(blob, reference_decode_enabled());
-}
-
-std::vector<std::uint16_t> huffman_decode_reference(
-    std::span<const std::uint8_t> blob) {
-  return huffman_decode_impl(blob, /*reference=*/true);
+  telemetry::Span span(telemetry::spans::kHuffmanDecode);
+  const ParsedBlob p = parse_blob(blob, /*allow_truncated_payload=*/false);
+  if (p.count == 0) return {};
+  if (p.distinct == 1) {
+    // Degenerate single-symbol stream: each symbol is one bit.
+    WAVESZ_REQUIRE(p.payload_bits == p.count, "payload size mismatch");
+    return std::vector<std::uint16_t>(p.count, degenerate_symbol(p.lengths));
+  }
+  // This entry point stays serial: without an index, finding chunk
+  // boundaries takes a serial table walk that costs as much as the decode
+  // itself. Containers carrying the v2 offset table go through
+  // huffman_decode_indexed(), whose workers seek straight to their recorded
+  // start bits.
+  const BlobDecoder dec = make_decoder(p);
+  std::vector<std::uint16_t> out(p.count);
+  WAVESZ_REQUIRE(dec.run(p.payload, 0, out.data(), p.count) == p.payload_bits,
+                 "Huffman payload has trailing data");
+  return out;
 }
 
 std::vector<std::uint16_t> huffman_decode_indexed(
@@ -518,8 +490,7 @@ std::vector<std::uint16_t> huffman_decode_indexed(
   WAVESZ_REQUIRE(idx.payload_byte_offset == payload_offset_for(p.distinct),
                  "chunk index payload offset mismatch");
   std::vector<std::uint16_t> out(p.count);
-  decode_index_chunks(p, idx, idx.entries.size(), reference_decode_enabled(),
-                      threads, out);
+  decode_index_chunks(p, idx, idx.entries.size(), threads, out);
   if (telemetry::enabled()) {
     telemetry::counter_add(telemetry::Counter::IndexChunksDecoded,
                            idx.entries.size());
@@ -544,8 +515,7 @@ std::vector<std::uint16_t> huffman_decode_prefix(
   WAVESZ_REQUIRE((end_bit + 7) / 8 <= p.payload.size(),
                  "inflated payload prefix too short for requested chunks");
   std::vector<std::uint16_t> out(idx.entries[chunks - 1].end_element);
-  decode_index_chunks(p, idx, chunks, reference_decode_enabled(), threads,
-                      out);
+  decode_index_chunks(p, idx, chunks, threads, out);
   if (telemetry::enabled()) {
     telemetry::counter_add(telemetry::Counter::IndexChunksDecoded, chunks);
   }

@@ -36,10 +36,8 @@ std::vector<std::uint8_t> huffman_encode_indexed(
 /// Inverse of huffman_encode(); throws wavesz::Error on malformed input.
 /// Decodes through an 11-bit multi-symbol table (up to four symbols per
 /// lookup, one bit-buffer refill each) with the flat two-level table behind
-/// it for longer codes, unless WAVESZ_REFERENCE_DECODE /
-/// set_reference_decode() selects the bit-at-a-time oracle; outputs are
-/// identical. This entry point is serial: without a chunk index, finding
-/// chunk boundaries costs a full serial table walk, which makes any
+/// it for longer codes. This entry point is serial: without a chunk index,
+/// finding chunk boundaries costs a full serial table walk, which makes any
 /// two-pass parallel scheme slower than one pass through the table.
 /// Containers that do carry the v2 index decode through
 /// huffman_decode_indexed() instead.
@@ -62,11 +60,6 @@ std::vector<std::uint16_t> huffman_decode_indexed(
 std::vector<std::uint16_t> huffman_decode_prefix(
     std::span<const std::uint8_t> blob, const CodeChunkIndex& idx,
     std::uint64_t symbols, int threads);
-
-/// huffman_decode() pinned to the bit-at-a-time reference decoder; the
-/// oracle side of the differential tests.
-std::vector<std::uint16_t> huffman_decode_reference(
-    std::span<const std::uint8_t> blob);
 
 /// Mean code length in bits for the given stream (diagnostics/benches).
 double huffman_mean_bits(std::span<const std::uint16_t> codes);

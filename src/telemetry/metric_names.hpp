@@ -44,7 +44,7 @@ enum class Counter : std::uint32_t {
   DeflateChunks,       ///< DEFLATE chunks encoded (1 per input when serial)
   PqdDiagonalBatches,  ///< anti-diagonal hyperplane batches swept
   StreamChunks,        ///< chunks emitted/decoded by the streaming API
-  InflateBlocks,       ///< DEFLATE blocks inflated (fast or reference path)
+  InflateBlocks,       ///< DEFLATE Huffman-coded blocks inflated
   CrcBytes,            ///< bytes checksummed while verifying gzip members
   IndexChunksDecoded,  ///< v2 chunk-index chunks decoded (parallel or serial)
   RegionBytesRead,     ///< compressed bytes consumed by decode_region()
@@ -79,7 +79,7 @@ inline constexpr MetricInfo kCounterInfo[] = {
     {"stream_chunks", "chunks",
      "chunks emitted/decoded by the streaming API"},
     {"inflate_blocks", "blocks",
-     "DEFLATE blocks inflated (fast or reference path)"},
+     "DEFLATE Huffman-coded blocks inflated"},
     {"crc_bytes", "bytes",
      "bytes checksummed while verifying gzip members"},
     {"index_chunks_decoded", "chunks",

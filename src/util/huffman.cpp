@@ -1,8 +1,6 @@
 #include "util/huffman.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "util/error.hpp"
 
@@ -24,12 +22,18 @@ struct PmNode {
 /// short) while keeping the root table at 4 KiB.
 constexpr int kRootBits = 10;
 
-/// Hard cap on root + subtable entries (4 MiB of std::uint32_t). Real
-/// tables stay far below this — a uniform 65,536-symbol code needs ~66K
-/// entries — but a forged (symbol, length) header can demand a deep
-/// subtable under every root prefix; refusing to build simply drops that
-/// blob onto the reference decoder, which is O(length) and allocates
-/// nothing per symbol.
+/// Longest code any caller builds: DEFLATE codes stop at 15 bits, H⋆
+/// codes at 24.
+constexpr int kMaxCodeBits = 24;
+
+/// Cap on root + subtable entries (4 MiB of std::uint32_t), which no
+/// admitted length set reaches. In canonical order code lengths never
+/// decrease as codes rise, so every root prefix but the last is tiled
+/// completely. A prefix whose codes all have one length takes one entry
+/// per code; the prefixes that mix lengths have strictly rising longest
+/// tails, at most 2^1 + ... + 2^14 < 2^15 entries between them; the last
+/// prefix takes at most 2^14. With at most 65,536 symbols that bounds the
+/// table by 2^10 + 2^15 + 2^14 + 65,536 = 115,712 entries.
 constexpr std::size_t kMaxTableEntries = 1u << 20;
 
 std::uint32_t reverse_code_bits(std::uint32_t code, int len) {
@@ -38,23 +42,7 @@ std::uint32_t reverse_code_bits(std::uint32_t code, int len) {
   return out;
 }
 
-std::atomic<int> g_reference_decode{-1};  // -1 = env not read yet
-
 }  // namespace
-
-bool reference_decode_enabled() {
-  int v = g_reference_decode.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("WAVESZ_REFERENCE_DECODE");
-    v = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
-    g_reference_decode.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_reference_decode(bool on) {
-  g_reference_decode.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 std::vector<std::uint8_t> huffman_code_lengths(
     std::span<const std::uint64_t> freqs, int max_length) {
@@ -181,54 +169,56 @@ CanonicalDecoder::CanonicalDecoder(std::span<const std::uint8_t> lengths,
   // matters for the 65,536-entry H⋆ alphabet of which a few hundred are
   // used.
   std::vector<std::uint32_t> used;
+  int max_len = 0;
   for (std::size_t s = 0; s < lengths.size(); ++s) {
     if (lengths[s] == 0) continue;
     used.push_back(static_cast<std::uint32_t>(s));
-    max_len_ = std::max(max_len_, static_cast<int>(lengths[s]));
+    max_len = std::max(max_len, static_cast<int>(lengths[s]));
   }
-  first_code_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
-  count_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
-  first_index_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
-  for (const std::uint32_t s : used) ++count_[lengths[s]];
-  std::uint32_t code = 0, index = 0;
-  for (int len = 1; len <= max_len_; ++len) {
-    code = (code + (len > 1 ? count_[static_cast<std::size_t>(len) - 1] : 0))
-           << 1;
-    first_code_[static_cast<std::size_t>(len)] = code;
-    first_index_[static_cast<std::size_t>(len)] = index;
-    index += count_[static_cast<std::size_t>(len)];
+  WAVESZ_ASSERT(max_len <= kMaxCodeBits, "Huffman code length above 24");
+  // First canonical code and first canonical index per length, in 64 bits:
+  // an over-subscribed set's codes outgrow their own widths, and the check
+  // below must see them whole.
+  const auto levels = static_cast<std::size_t>(max_len) + 1;
+  std::vector<std::uint32_t> count(levels, 0);
+  for (const std::uint32_t s : used) ++count[lengths[s]];
+  std::vector<std::uint64_t> first_code(levels, 0);
+  std::vector<std::uint32_t> first_index(levels, 0);
+  std::uint64_t first = 0;
+  std::uint32_t index = 0;
+  for (std::size_t len = 1; len < levels; ++len) {
+    first = (first + count[len - 1]) << 1;
+    first_code[len] = first;
+    first_index[len] = index;
+    index += count[len];
   }
-  sorted_symbols_.resize(index);
-  std::vector<std::uint32_t> next(first_index_);
-  for (const std::uint32_t s : used) sorted_symbols_[next[lengths[s]]++] = s;
-  build_fast_table(lengths, order);
-}
-
-void CanonicalDecoder::build_fast_table(std::span<const std::uint8_t> lengths,
-                                        BitOrder order) {
-  if (max_len_ == 0 || max_len_ > 31) return;
-  root_bits_ = std::min(max_len_, kRootBits);
-  const std::size_t root_size = std::size_t{1} << root_bits_;
-  // The used symbols in canonical order: sorted_symbols_[k] has length
-  // len and code first_code_[len] + (k - first_index_[len]), the values
-  // canonical_codes() assigns.
-  const auto code_of = [this](std::size_t k, int len) {
+  // The used symbols in canonical order: sorted[k] has length len and code
+  // first_code[len] + (k - first_index[len]), the values canonical_codes()
+  // assigns.
+  std::vector<std::uint32_t> sorted(index);
+  std::vector<std::uint32_t> next_index(first_index);
+  for (const std::uint32_t s : used) sorted[next_index[lengths[s]]++] = s;
+  const auto code_of = [&](std::size_t k, int len) {
     const auto l = static_cast<std::size_t>(len);
-    return first_code_[l] + static_cast<std::uint32_t>(k - first_index_[l]);
+    return first_code[l] + (k - first_index[l]);
   };
 
+  // A 1-bit root when the code is empty: its two slots stay invalid.
+  root_bits_ = std::clamp(max_len, 1, kRootBits);
+  const std::size_t root_size = std::size_t{1} << root_bits_;
+
   // Pass 1: per-root-prefix subtable width (the longest tail under that
-  // prefix), plus the over-subscription guard — an over-full length set
-  // makes the canonical codes overflow some code past its own width, which
-  // would index out of the table. Such streams stay on the reference
-  // decoder, which walks them memory-safely and throws on the first gap.
+  // prefix), and the over-subscription check. Canonical codes tile the
+  // code space from 0 upwards in order, so a set whose Kraft sum exceeds 1
+  // is exactly one in which some code overflows its own width.
   std::vector<std::uint8_t> sub_bits(root_size, 0);
   std::size_t total = root_size;
-  for (std::size_t k = 0; k < sorted_symbols_.size(); ++k) {
-    const int len = lengths[sorted_symbols_[k]];
-    const std::uint32_t code = code_of(k, len);
-    if ((code >> len) != 0) return;  // over-subscribed
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const int len = lengths[sorted[k]];
+    const std::uint64_t wide = code_of(k, len);
+    WAVESZ_REQUIRE((wide >> len) == 0, "over-subscribed Huffman code");
     if (len > root_bits_) {
+      const auto code = static_cast<std::uint32_t>(wide);
       const std::uint32_t c = order == BitOrder::MsbFirst
                                   ? code
                                   : reverse_code_bits(code, len);
@@ -242,9 +232,9 @@ void CanonicalDecoder::build_fast_table(std::span<const std::uint8_t> lengths,
                  (sub_bits[prefix] ? std::size_t{1} << sub_bits[prefix] : 0);
         sub_bits[prefix] = rem;
       }
-      if (total > kMaxTableEntries) return;  // forged header: fall back
     }
   }
+  WAVESZ_ASSERT(total <= kMaxTableEntries, "Huffman table too large");
 
   // Pass 2: lay out the subtables and drop a link into each root slot.
   table_.assign(total, 0);
@@ -263,10 +253,10 @@ void CanonicalDecoder::build_fast_table(std::span<const std::uint8_t> lengths,
   // orientation (DEFLATE) the code occupies the *low* bits of the index,
   // so its slots stride by 2^len. Longer codes fill their subtable the
   // same way with the tail bits.
-  for (std::size_t k = 0; k < sorted_symbols_.size(); ++k) {
-    const std::uint32_t s = sorted_symbols_[k];
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const std::uint32_t s = sorted[k];
     const int len = lengths[s];
-    const std::uint32_t code = code_of(k, len);
+    const auto code = static_cast<std::uint32_t>(code_of(k, len));
     const std::uint32_t c = order == BitOrder::MsbFirst
                                 ? code
                                 : reverse_code_bits(code, len);

@@ -1,21 +1,31 @@
-// The Level::Fast parse as it was before the one-pass encoder: one
-// std::vector<Token> per call, hash chains with one prev entry per input
-// byte, a hash computed separately for find and insert, and a chunked
-// engine that tokenizes each chunk whole before coding it. Kept only as the
-// oracle of the differential tests, which require the production pass to
-// write the same bytes.
+// Oracles of the DEFLATE substrate, kept beside the tests that compare the
+// production code with them:
+//  * the Level::Fast parse as it was before the one-pass encoder: one
+//    std::vector<Token> per call, hash chains with one prev entry per input
+//    byte, a hash computed separately for find and insert, and a chunked
+//    engine that tokenizes each chunk whole before coding it. The
+//    production pass must write the same bytes;
+//  * a bit-at-a-time inflater and gzip reader over the canonical walk of
+//    huffman_oracle.hpp, with the block-header, stored-block and trailer
+//    checks of deflate.cpp. The table-driven decoders must give the same
+//    bytes and the same verdict on every input.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "deflate/deflate.hpp"
+#include "deflate/deflate_tables.hpp"
 #include "deflate/parallel.hpp"
+#include "huffman_oracle.hpp"
 #include "util/bitio.hpp"
 #include "util/bytes.hpp"
+#include "util/checksum.hpp"
+#include "util/error.hpp"
 
 namespace wavesz::deflate::oracle {
 
@@ -136,6 +146,121 @@ inline std::vector<std::uint8_t> compress_fast_chunked(
     whole.append(bw.take(), nbits);
   }
   return whole.take();
+}
+
+/// Bytes of a raw DEFLATE stream, and how many input bytes it took.
+struct Inflated {
+  std::vector<std::uint8_t> bytes;
+  std::size_t consumed = 0;
+};
+
+/// Decode one Huffman-coded block's symbols onto `out`.
+inline void inflate_codes(BitReaderLSB& br,
+                          const wavesz::oracle::CanonicalWalk& litlen,
+                          const wavesz::oracle::CanonicalWalk& dist,
+                          std::vector<std::uint8_t>& out) {
+  const auto next_bit = [&] { return br.bit(); };
+  for (;;) {
+    const std::uint32_t sym = litlen.decode(next_bit);
+    if (sym < 256) {
+      out.push_back(static_cast<std::uint8_t>(sym));
+      continue;
+    }
+    if (sym == kEndOfBlock) return;
+    WAVESZ_REQUIRE(sym <= 285, "invalid length symbol");
+    const std::size_t lc = sym - 257;
+    const std::uint32_t length = kLengthBase[lc] + br.bits(kLengthExtra[lc]);
+    const std::uint32_t dsym = dist.decode(next_bit);
+    WAVESZ_REQUIRE(dsym < kNumDist, "invalid distance symbol");
+    const std::uint32_t distance = kDistBase[dsym] + br.bits(kDistExtra[dsym]);
+    WAVESZ_REQUIRE(distance <= out.size(),
+                   "distance reaches before stream start");
+    const std::size_t from = out.size() - distance;
+    for (std::uint32_t k = 0; k < length; ++k) out.push_back(out[from + k]);
+  }
+}
+
+/// decompress(), one code bit per walk step.
+inline Inflated inflate_stream(std::span<const std::uint8_t> input) {
+  using wavesz::oracle::CanonicalWalk;
+  BitReaderLSB br(input);
+  std::vector<std::uint8_t> out;
+  for (;;) {
+    const bool final_block = br.bit() != 0;
+    const std::uint32_t type = br.bits(2);
+    if (type == 0b00) {
+      br.align_byte();
+      const std::uint32_t len_lo = br.byte();
+      const std::uint32_t len_hi = br.byte();
+      const std::uint32_t nlen_lo = br.byte();
+      const std::uint32_t nlen_hi = br.byte();
+      const std::uint32_t len = len_lo | (len_hi << 8);
+      WAVESZ_REQUIRE((len ^ 0xffffu) == (nlen_lo | (nlen_hi << 8)),
+                     "stored block LEN/NLEN mismatch");
+      for (std::uint32_t i = 0; i < len; ++i) out.push_back(br.byte());
+    } else if (type == 0b01) {
+      const auto ll = fixed_litlen_lengths();
+      const auto dd = fixed_dist_lengths();
+      inflate_codes(br, CanonicalWalk(ll), CanonicalWalk(dd), out);
+    } else if (type == 0b10) {
+      const std::uint32_t hlit = br.bits(5) + 257;
+      const std::uint32_t hdist = br.bits(5) + 1;
+      const std::uint32_t hclen = br.bits(4) + 4;
+      WAVESZ_REQUIRE(hlit <= kMaxHlit && hdist <= kNumDist,
+                     "dynamic header counts out of range");
+      std::array<std::uint8_t, kNumClc> clc_lens{};
+      for (std::uint32_t i = 0; i < hclen; ++i) {
+        clc_lens[kClcOrder[i]] = static_cast<std::uint8_t>(br.bits(3));
+      }
+      const CanonicalWalk clc(clc_lens);
+      std::vector<std::uint8_t> lens;
+      while (lens.size() < hlit + hdist) {
+        const std::uint32_t sym = clc.decode([&] { return br.bit(); });
+        if (sym <= 15) {
+          lens.push_back(static_cast<std::uint8_t>(sym));
+        } else if (sym == 16) {
+          WAVESZ_REQUIRE(!lens.empty(), "repeat with no previous length");
+          const std::uint8_t prev = lens.back();
+          lens.insert(lens.end(), 3 + br.bits(2), prev);
+        } else {
+          lens.insert(lens.end(), sym == 17 ? 3 + br.bits(3) : 11 + br.bits(7),
+                      std::uint8_t{0});
+        }
+      }
+      WAVESZ_REQUIRE(lens.size() == hlit + hdist,
+                     "code-length run overshoots header");
+      const std::span<const std::uint8_t> all(lens);
+      WAVESZ_REQUIRE(all[kEndOfBlock] > 0, "no end-of-block code");
+      inflate_codes(br, CanonicalWalk(all.first(hlit)),
+                    CanonicalWalk(all.subspan(hlit)), out);
+    } else {
+      throw Error("reserved DEFLATE block type");
+    }
+    if (final_block) break;
+  }
+  return {std::move(out), br.consumed()};
+}
+
+inline std::vector<std::uint8_t> inflate(std::span<const std::uint8_t> input) {
+  return inflate_stream(input).bytes;
+}
+
+/// gzip_decompress(): the fixed 10-byte header, the DEFLATE body ending
+/// exactly at the 8-byte trailer, and its CRC-32 and ISIZE.
+inline std::vector<std::uint8_t> gunzip(std::span<const std::uint8_t> member) {
+  WAVESZ_REQUIRE(member.size() >= 18, "gzip member too short");
+  WAVESZ_REQUIRE(member[0] == 0x1f && member[1] == 0x8b && member[2] == 8 &&
+                     member[3] == 0,
+                 "unsupported gzip header");
+  const auto body = member.subspan(10, member.size() - 18);
+  Inflated run = inflate_stream(body);
+  WAVESZ_REQUIRE(run.consumed == body.size(),
+                 "bytes between DEFLATE stream and trailer");
+  ByteReader tail(member.subspan(member.size() - 8));
+  WAVESZ_REQUIRE(tail.u32() == Crc32::of(run.bytes), "gzip CRC mismatch");
+  WAVESZ_REQUIRE(tail.u32() == static_cast<std::uint32_t>(run.bytes.size()),
+                 "gzip ISIZE mismatch");
+  return std::move(run.bytes);
 }
 
 }  // namespace wavesz::deflate::oracle

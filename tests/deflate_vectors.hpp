@@ -4,17 +4,24 @@
 // same malformed streams the unit tests pin.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "deflate/deflate_tables.hpp"
 #include "util/bitio.hpp"
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
+#include "util/huffman.hpp"
 
 namespace wavesz::deflate::vectors {
+
+/// The plain text of oversubscribed_clc_block().
+inline constexpr char kOversubscribedClcText[] =
+    "an over-subscribed code-length code";
 
 /// One final dynamic block that decodes to the single byte 'A' and whose
 /// header declares `hlit` lit/len code lengths, 268..288. RFC 1951 allows
@@ -51,6 +58,138 @@ inline std::vector<std::uint8_t> dynamic_block_with_hlit(int hlit) {
   // Lit/len codes: 'A' is the bit 0, end-of-block the bit 1.
   bw.bits(0, 1);
   bw.bits(1, 1);
+  return bw.take();
+}
+
+/// Append the canonical code `code` of `len` bits, first code bit first,
+/// to the LSB-first DEFLATE stream.
+inline void put_code(BitWriterLSB& bw, std::uint32_t code, int len) {
+  std::uint32_t reversed = 0;
+  for (int i = 0; i < len; ++i) reversed = (reversed << 1) | ((code >> i) & 1u);
+  bw.bits(reversed, len);
+}
+
+/// The header of one final dynamic block: HLIT = litlen.size() and HDIST =
+/// dist.size() code lengths, each sent as its own code-length symbol (no
+/// runs) under the code-length code `clc`, whose 19 lengths are in symbol
+/// order. Codes come from canonical_codes(), so an over-subscribed `clc`
+/// sends the codes an unchecked bit walk would read.
+inline void dynamic_header(BitWriterLSB& bw,
+                           const std::array<std::uint8_t, kNumClc>& clc,
+                           std::span<const std::uint8_t> litlen,
+                           std::span<const std::uint8_t> dist) {
+  bw.bits(1, 1);     // BFINAL
+  bw.bits(0b10, 2);  // dynamic Huffman codes
+  bw.bits(static_cast<std::uint32_t>(litlen.size() - 257), 5);
+  bw.bits(static_cast<std::uint32_t>(dist.size() - 1), 5);
+  std::size_t hclen = kNumClc;
+  while (hclen > 4 && clc[kClcOrder[hclen - 1]] == 0) --hclen;
+  bw.bits(static_cast<std::uint32_t>(hclen - 4), 4);
+  for (std::size_t i = 0; i < hclen; ++i) bw.bits(clc[kClcOrder[i]], 3);
+  const auto codes = canonical_codes(clc);
+  for (const auto lens : {litlen, dist}) {
+    for (const std::uint8_t l : lens) put_code(bw, codes[l], clc[l]);
+  }
+}
+
+/// One final dynamic block of literals only: bytes 0..254 and end-of-block
+/// take 8-bit codes, and the one distance length HDIST sends is 0, an
+/// empty distance code (RFC 1951 §3.2.7 allows it when no match follows).
+/// `plain` must not hold 0xff.
+inline std::vector<std::uint8_t> literal_only_block(
+    std::span<const std::uint8_t> plain) {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = 1;
+  clc[8] = 1;
+  std::vector<std::uint8_t> litlen(257, 8);
+  litlen[255] = 0;
+  const std::vector<std::uint8_t> dist{0};
+  BitWriterLSB bw;
+  dynamic_header(bw, clc, litlen, dist);
+  const auto codes = canonical_codes(litlen);
+  for (const std::uint8_t b : plain) put_code(bw, codes[b], 8);
+  put_code(bw, codes[kEndOfBlock], 8);
+  return bw.take();
+}
+
+/// "AAA", then one 3-byte match in a block whose distance code is empty:
+/// the match has no distance code to read, so decoders must reject it.
+/// The lit/len code is complete: 'A' 1 bit, end-of-block and length
+/// symbol 257 (a 3-byte match) 2 bits each.
+inline std::vector<std::uint8_t> match_without_distance_code() {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = 1;
+  clc[1] = 2;
+  clc[2] = 2;
+  std::vector<std::uint8_t> litlen(258, 0);
+  litlen['A'] = 1;
+  litlen[kEndOfBlock] = 2;
+  litlen[257] = 2;
+  const std::vector<std::uint8_t> dist{0};
+  BitWriterLSB bw;
+  dynamic_header(bw, clc, litlen, dist);
+  const auto codes = canonical_codes(litlen);
+  for (int i = 0; i < 3; ++i) put_code(bw, codes['A'], 1);
+  put_code(bw, codes[257], 2);
+  bw.bits(0, 5);  // where a distance code would go
+  put_code(bw, codes[kEndOfBlock], 2);
+  return bw.take();
+}
+
+/// What match_without_distance_code() would give were its match at
+/// distance 1.
+inline std::vector<std::uint8_t> match_without_distance_code_plain() {
+  return std::vector<std::uint8_t>(6, 'A');
+}
+
+/// "ABAB..." (1,000 bytes) under an over-subscribed lit/len set:
+/// end-of-block 1 bit, 'A', 'B' and 'C' 2 bits each (Kraft sum 5/4), with
+/// one 1-bit distance code. A bit walk that never checks the sum decodes
+/// it; zlib rejects it as an "invalid literal/lengths set".
+inline std::vector<std::uint8_t> oversubscribed_litlen_block() {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = 1;
+  clc[1] = 2;
+  clc[2] = 2;
+  std::vector<std::uint8_t> litlen(257, 0);
+  litlen[kEndOfBlock] = 1;
+  litlen['A'] = litlen['B'] = litlen['C'] = 2;
+  const std::vector<std::uint8_t> dist{1};
+  BitWriterLSB bw;
+  dynamic_header(bw, clc, litlen, dist);
+  const auto codes = canonical_codes(litlen);
+  for (int i = 0; i < 500; ++i) {
+    put_code(bw, codes['A'], 2);
+    put_code(bw, codes['B'], 2);
+  }
+  put_code(bw, codes[kEndOfBlock], 1);
+  return bw.take();
+}
+
+inline std::vector<std::uint8_t> oversubscribed_litlen_plain() {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < 500; ++i) out.insert(out.end(), {'A', 'B'});
+  return out;
+}
+
+/// The text below under an over-subscribed code-length code: symbols 0, 7
+/// and 8 at 1 bit each (Kraft sum 3/2). The header sends only 0 and 7,
+/// whose codes a bit walk reads as 0 and 1: literals 0..126 and
+/// end-of-block take 7-bit codes, and the distance code is empty.
+inline std::vector<std::uint8_t> oversubscribed_clc_block() {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = clc[7] = clc[8] = 1;
+  std::vector<std::uint8_t> litlen(257, 0);
+  for (int b = 0; b < 127; ++b) litlen[static_cast<std::size_t>(b)] = 7;
+  litlen[kEndOfBlock] = 7;
+  const std::vector<std::uint8_t> dist{0};
+  BitWriterLSB bw;
+  dynamic_header(bw, clc, litlen, dist);
+  const auto codes = canonical_codes(litlen);
+  for (const char c : std::string_view(kOversubscribedClcText)) {
+    put_code(bw, codes[static_cast<std::uint8_t>(c)], 7);
+  }
+  put_code(bw, codes[kEndOfBlock], 7);
   return bw.take();
 }
 

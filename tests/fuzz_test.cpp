@@ -12,12 +12,13 @@
 #include "core/wavesz.hpp"
 #include "data/synthetic.hpp"
 #include "deflate/deflate.hpp"
+#include "deflate_oracle.hpp"
 #include "ghostsz/ghostsz.hpp"
+#include "huffman_oracle.hpp"
 #include "sz/compressor.hpp"
 #include "sz/huffman_codec.hpp"
 #include "sz2/sz2.hpp"
 #include "util/error.hpp"
-#include "util/huffman.hpp"
 
 namespace wavesz {
 namespace {
@@ -118,17 +119,34 @@ TEST_P(MutationSweep, Sz2DecoderIsContained) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationSweep,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// The decode fast path (flat Huffman tables + bulk-refill bit readers) has
-// its own failure surface — forged table links, zero-padded peeks past the
-// end, word-wise copies — so the raw gzip and Huffman-blob decoders are
-// fuzzed on BOTH paths: mutations must raise wavesz::Error or decode to an
-// owned buffer, never crash or hang, with the table-driven and the
-// bit-at-a-time reference decoder alike.
+// The table-driven decoders (flat Huffman tables + bulk-refill bit readers)
+// have their own failure surface — forged table links, zero-padded peeks
+// past the end, word-wise copies — so the raw gzip and Huffman-blob
+// decoders are fuzzed beside the bit-at-a-time oracles: each mutation must
+// raise wavesz::Error in both or decode to the same owned buffer in both,
+// never crash or hang.
 
-struct ReferenceDecodeGuard {
-  explicit ReferenceDecodeGuard(bool on) { set_reference_decode(on); }
-  ~ReferenceDecodeGuard() { set_reference_decode(false); }
-};
+/// Run the production `decode` and the `oracle` on one input: both reject
+/// (the production Error is rethrown) or both give the same output.
+template <typename Decode, typename Oracle>
+auto same_verdict(Decode&& decode, Oracle&& oracle) {
+  bool oracle_ok = false;
+  decltype(oracle()) want;
+  try {
+    want = oracle();
+    oracle_ok = true;
+  } catch (const Error&) {
+  }
+  try {
+    auto got = decode();
+    EXPECT_TRUE(oracle_ok) << "the oracle rejected what the decoder took";
+    EXPECT_EQ(got, want);
+    return got;
+  } catch (const Error&) {
+    EXPECT_FALSE(oracle_ok) << "the decoder rejected what the oracle took";
+    throw;
+  }
+}
 
 TEST_P(MutationSweep, GzipDecoderIsContainedOnBothPaths) {
   const Dims dims = Dims::d2(40, 40);
@@ -137,12 +155,12 @@ TEST_P(MutationSweep, GzipDecoderIsContainedOnBothPaths) {
   std::memcpy(raw.data(), field.data(), raw.size());
   const auto gz = deflate::gzip_compress(raw, deflate::Level::Best);
   expect_contained(
-      gz, [](const auto& b) { return deflate::gzip_decompress(b); },
+      gz,
+      [](const auto& b) {
+        return same_verdict([&] { return deflate::gzip_decompress(b); },
+                            [&] { return deflate::oracle::gunzip(b); });
+      },
       GetParam() + 5000);
-  ReferenceDecodeGuard pin(true);
-  expect_contained(
-      gz, [](const auto& b) { return deflate::gzip_decompress(b); },
-      GetParam() + 5000);  // same mutations, reference decoder
 }
 
 TEST_P(MutationSweep, HuffmanBlobDecoderIsContainedOnBothPaths) {
@@ -153,16 +171,18 @@ TEST_P(MutationSweep, HuffmanBlobDecoderIsContainedOnBothPaths) {
   }
   const auto blob = sz::huffman_encode(codes);
   expect_contained(
-      blob, [](const auto& b) { return sz::huffman_decode(b); },
-      GetParam() + 6000);
-  expect_contained(
-      blob, [](const auto& b) { return sz::huffman_decode_reference(b); },
+      blob,
+      [](const auto& b) {
+        return same_verdict([&] { return sz::huffman_decode(b); },
+                            [&] { return oracle::huffman_decode(b); });
+      },
       GetParam() + 6000);
 }
 
 TEST(Fuzz, TruncatedGzipEveryPrefixLength) {
-  // Sweep every prefix of a small member on both decode paths: each cut
-  // must throw (header, body, or trailer check), never hang or overrun.
+  // Sweep every prefix of a small member through the decoder and the
+  // oracle: each cut must throw (header, body, or trailer check), never
+  // hang or overrun.
   std::vector<std::uint8_t> raw(997);
   for (std::size_t i = 0; i < raw.size(); ++i) {
     raw[i] = static_cast<std::uint8_t>(i % 31);
@@ -173,8 +193,7 @@ TEST(Fuzz, TruncatedGzipEveryPrefixLength) {
                                            gz.begin() +
                                                static_cast<std::ptrdiff_t>(cut));
     EXPECT_THROW(deflate::gzip_decompress(prefix), Error) << "cut=" << cut;
-    ReferenceDecodeGuard pin(true);
-    EXPECT_THROW(deflate::gzip_decompress(prefix), Error) << "cut=" << cut;
+    EXPECT_THROW(deflate::oracle::gunzip(prefix), Error) << "cut=" << cut;
   }
 }
 
@@ -189,7 +208,7 @@ TEST(Fuzz, TruncatedHuffmanBlobEveryPrefixLength) {
                                            blob.begin() +
                                                static_cast<std::ptrdiff_t>(cut));
     EXPECT_THROW(sz::huffman_decode(prefix), Error) << "cut=" << cut;
-    EXPECT_THROW(sz::huffman_decode_reference(prefix), Error) << "cut=" << cut;
+    EXPECT_THROW(oracle::huffman_decode(prefix), Error) << "cut=" << cut;
   }
 }
 

@@ -16,7 +16,9 @@
 #include "data/io.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/parallel.hpp"
+#include "deflate_vectors.hpp"
 #include "util/bytes.hpp"
+#include "util/error.hpp"
 
 namespace wavesz::deflate {
 namespace {
@@ -125,6 +127,52 @@ TEST(GzipInterop, SystemGunzipReadsCodeSections) {
                 std::vector<std::uint8_t>(image.begin(), image.end()))
           << codes.size() << " codes, chunk " << opts.chunk_bytes;
     }
+  }
+  fs::remove(gz);
+  fs::remove(out);
+}
+
+TEST(GzipInterop, SystemGunzipGivesOurVerdictsOnCodeLengthSets) {
+  // deflate_vectors.hpp's admission vectors as gzip members: a literal-only
+  // block with an empty distance code decodes; a match under that code, an
+  // over-subscribed lit/len set and an over-subscribed code-length code
+  // are rejected. Each trailer holds the bytes an unchecked decoder gave.
+  if (!have_gzip()) GTEST_SKIP();
+  std::vector<std::uint8_t> literals(3000);
+  std::mt19937 rng(3);
+  for (auto& b : literals) b = static_cast<std::uint8_t>(rng() % 255);
+  const std::string text = vectors::kOversubscribedClcText;
+  const struct {
+    const char* name;
+    std::vector<std::uint8_t> block;
+    std::vector<std::uint8_t> plain;
+    bool accepted;
+  } cases[] = {
+      {"literal-only", vectors::literal_only_block(literals), literals, true},
+      {"match without distance code", vectors::match_without_distance_code(),
+       vectors::match_without_distance_code_plain(), false},
+      {"over-subscribed lit/len", vectors::oversubscribed_litlen_block(),
+       vectors::oversubscribed_litlen_plain(), false},
+      {"over-subscribed code-length code",
+       vectors::oversubscribed_clc_block(),
+       std::vector<std::uint8_t>(text.begin(), text.end()), false},
+  };
+  const auto gz = tmp("verdict.gz");
+  const auto out = tmp("verdict.out");
+  for (const auto& c : cases) {
+    const auto member = vectors::gzip_member(c.block, c.plain);
+    bool ours = false;
+    try {
+      ours = gzip_decompress(member) == c.plain;
+    } catch (const Error&) {
+    }
+    data::write_bytes(gz, member);
+    const std::string cmd = "gunzip -c '" + gz.string() + "' > '" +
+                            out.string() + "' 2>/dev/null";
+    const bool system = std::system(cmd.c_str()) == 0 &&
+                        data::read_bytes(out) == c.plain;
+    EXPECT_EQ(ours, c.accepted) << c.name;
+    EXPECT_EQ(system, c.accepted) << c.name;
   }
   fs::remove(gz);
   fs::remove(out);

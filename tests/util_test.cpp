@@ -15,6 +15,8 @@
 #include <tuple>
 #include <vector>
 
+#include "huffman_oracle.hpp"
+#include "huffman_vectors.hpp"
 #include "util/bitio.hpp"
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
@@ -557,7 +559,7 @@ TEST(Huffman, DecoderInvertsEncoder) {
   freqs[0] = 100000;  // strongly skewed
   const auto lengths = huffman_code_lengths(freqs, 15);
   const auto codes = canonical_codes(lengths);
-  const CanonicalDecoder dec(lengths);
+  const oracle::CanonicalWalk walk(lengths);
 
   std::vector<std::uint32_t> symbols;
   for (std::uint32_t s = 0; s < freqs.size(); ++s) {
@@ -573,7 +575,7 @@ TEST(Huffman, DecoderInvertsEncoder) {
   const auto bytes = bw.take();
   BitReaderMSB br(bytes);
   for (auto expected : message) {
-    EXPECT_EQ(dec.decode([&] { return br.bit(); }), expected);
+    EXPECT_EQ(walk.decode([&] { return br.bit(); }), expected);
   }
 }
 
@@ -581,10 +583,10 @@ TEST(Huffman, DecoderRejectsOversubscribedStream) {
   // With lengths {1,1}, the code space is full; any decoder walk terminates
   // at depth 1, so feed a decoder built from a deliberately sparse table.
   std::vector<std::uint8_t> lengths{3, 0, 0, 0};
-  const CanonicalDecoder dec(lengths);
+  const oracle::CanonicalWalk walk(lengths);
   int calls = 0;
   // bits 111... never matches the only code (000 at depth 3 is code 0).
-  EXPECT_THROW(dec.decode([&] {
+  EXPECT_THROW(walk.decode([&] {
     ++calls;
     return 1u;
   }),
@@ -592,8 +594,68 @@ TEST(Huffman, DecoderRejectsOversubscribedStream) {
   EXPECT_LE(calls, 4);
 }
 
+TEST(Huffman, OversubscribedLengthsAreRejectedAtConstruction) {
+  // Kraft sums above 1, as zlib's inflate_table rejects them: three 1-bit
+  // codes, and the DEFLATE vector's 1-bit end-of-block beside three 2-bit
+  // literals. The canonical codes of such a set overflow their own widths,
+  // so no table can hold them. Complete and incomplete sets are admitted.
+  for (const auto& lengths :
+       {std::vector<std::uint8_t>{1, 1, 1}, std::vector<std::uint8_t>{1, 2, 2, 2},
+        std::vector<std::uint8_t>{24, 1, 1}}) {
+    for (const BitOrder order : {BitOrder::MsbFirst, BitOrder::LsbFirst}) {
+      EXPECT_THROW(CanonicalDecoder(lengths, order), Error);
+    }
+    EXPECT_THROW(oracle::CanonicalWalk{lengths}, Error);
+  }
+  for (const auto& lengths :
+       {std::vector<std::uint8_t>{1, 2, 2}, std::vector<std::uint8_t>{1, 2}}) {
+    EXPECT_NO_THROW(CanonicalDecoder(lengths, BitOrder::LsbFirst));
+    EXPECT_NO_THROW(oracle::CanonicalWalk{lengths});
+  }
+}
+
+TEST(Huffman, EmptyCodeHasOneBitRootOfInvalidSlots) {
+  // A DEFLATE block without matches may send an all-zero distance code.
+  // Its table is a 1-bit root whose slots are both invalid (a 0-bit root
+  // would make msb_table().lookup() shift by 64): every decode throws.
+  const std::vector<std::uint8_t> none(30, 0);
+  for (const BitOrder order : {BitOrder::MsbFirst, BitOrder::LsbFirst}) {
+    const CanonicalDecoder dec(none, order);
+    EXPECT_EQ(dec.root_bits(), 1);
+    EXPECT_EQ(dec.table().size(), 2u);
+    EXPECT_TRUE(std::all_of(dec.table().begin(), dec.table().end(),
+                            [](std::uint32_t e) { return e == 0; }));
+    const std::vector<std::uint8_t> bytes{0x00, 0xff};
+    BitReaderLSB br(bytes);
+    EXPECT_THROW(dec.decode_fast([&](int n) { return br.peek(n); },
+                                 [&](int n) { br.consume(n); }),
+                 Error);
+  }
+  const CanonicalDecoder msb(none);
+  EXPECT_EQ(msb.msb_table().lookup(0), 0u);
+  EXPECT_EQ(msb.msb_table().lookup(~std::uint64_t{0}), 0u);
+}
+
+TEST(Huffman, DeepCompleteSetStaysUnderTheTableBound) {
+  // huffman_vectors.hpp's deep complete H* set: one root prefix for each
+  // tail depth 1..14 and two full prefixes of 24-bit codes. Canonical
+  // lengths never fall as codes rise, which bounds any admitted table by
+  // 2^10 + 2^15 + 2^14 + symbols entries.
+  const auto lengths = huffman_vectors::deep_code_lengths();
+  const auto used = static_cast<std::size_t>(
+      std::count_if(lengths.begin(), lengths.end(),
+                    [](std::uint8_t l) { return l > 0; }));
+  ASSERT_EQ(used, 50173u);
+  EXPECT_TRUE(kraft_complete(lengths));
+  for (const BitOrder order : {BitOrder::MsbFirst, BitOrder::LsbFirst}) {
+    const CanonicalDecoder dec(lengths, order);
+    EXPECT_EQ(dec.table().size(), 66558u);
+    EXPECT_LE(dec.table().size(), (1u << 10) + (1u << 15) + (1u << 14) + used);
+  }
+}
+
 // Differential property: decode_fast over the flat table must emit the very
-// same symbol sequence as the bit-at-a-time oracle, in both bit orders,
+// same symbol sequence as the bit-at-a-time oracle walk, in both bit orders,
 // across skewed random alphabets (including ones deep enough to need
 // subtables past the root-bits boundary).
 TEST(Huffman, DecodeFastMatchesOracleBothOrders) {
@@ -618,15 +680,15 @@ TEST(Huffman, DecodeFastMatchesOracleBothOrders) {
     const auto msb_bytes = bw.take();
 
     const CanonicalDecoder dec_msb(lengths, BitOrder::MsbFirst);
-    ASSERT_TRUE(dec_msb.has_fast_table());
-    BitReaderMSB oracle(msb_bytes);
+    const oracle::CanonicalWalk walk(lengths);
+    BitReaderMSB slow(msb_bytes);
     BitReaderMSB fast(msb_bytes);
     for (auto expected : message) {
-      EXPECT_EQ(dec_msb.decode([&] { return oracle.bit(); }), expected);
+      EXPECT_EQ(walk.decode([&] { return slow.bit(); }), expected);
       EXPECT_EQ(dec_msb.decode_fast([&](int n) { return fast.peek(n); },
                                     [&](int n) { fast.consume(n); }),
                 expected);
-      EXPECT_EQ(fast.position(), oracle.position());
+      EXPECT_EQ(fast.position(), slow.position());
     }
 
     // The same walk over the reader's registers held in locals, refilled
@@ -644,7 +706,7 @@ TEST(Huffman, DecodeFastMatchesOracleBothOrders) {
       ASSERT_GE(st.fill, 0);
     }
     regs.set_state(st);
-    EXPECT_EQ(regs.position(), oracle.position());
+    EXPECT_EQ(regs.position(), slow.position());
 
     // Same message through the DEFLATE bit order: reversed code bits packed
     // LSB-first, decoded with an LsbFirst table.
@@ -656,7 +718,6 @@ TEST(Huffman, DecodeFastMatchesOracleBothOrders) {
     }
     const auto lsb_bytes = lw.take();
     const CanonicalDecoder dec_lsb(lengths, BitOrder::LsbFirst);
-    ASSERT_TRUE(dec_lsb.has_fast_table());
     BitReaderLSB lfast(lsb_bytes);
     for (auto expected : message) {
       EXPECT_EQ(dec_lsb.decode_fast([&](int n) { return lfast.peek(n); },
@@ -671,7 +732,6 @@ TEST(Huffman, DecodeFastRejectsInvalidCodeAndTruncation) {
   // invalid entry in the flat table and must throw, not emit garbage.
   std::vector<std::uint8_t> lengths{3, 0, 0, 0};
   const CanonicalDecoder dec(lengths, BitOrder::MsbFirst);
-  ASSERT_TRUE(dec.has_fast_table());
   std::vector<std::uint8_t> ones{0xff};
   BitReaderMSB bad(ones);
   EXPECT_THROW(dec.decode_fast([&](int n) { return bad.peek(n); },
