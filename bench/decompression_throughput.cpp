@@ -12,7 +12,9 @@
 //      stream of one 900x1800 CESM field through waveSZ H*G*, whose row
 //      also times the H* encoder. The three raw-stream rows also time the
 //      bit-at-a-time oracles of tests/deflate_oracle.hpp and
-//      tests/huffman_oracle.hpp, asserting byte-identical output;
+//      tests/huffman_oracle.hpp, asserting byte-identical output; a
+//      CRC-32 row times Crc32::of on 4 MiB against the same call at
+//      WAVESZ_SIMD=scalar (slice-by-8), asserting the same value;
 //   3. chunk-indexed (v2) decode at 1, 2, 4 and 8 threads, and region
 //      reads against the serial full decode: the top-left quarter of the
 //      512x512 fixture (SZ-1.4 and waveSZ), and an interior box of a
@@ -34,6 +36,8 @@
 #include "sz/huffman_codec.hpp"
 #include "sz2/sz2.hpp"
 #include "util/bytes.hpp"
+#include "util/checksum.hpp"
+#include "util/simd.hpp"
 
 namespace {
 
@@ -135,7 +139,8 @@ void write_decode_json(const bench::Options& opts,
                "default config; H* codes: one 900x1800 CESM-ATM field, "
                "waveSZ H*G*; region rows: the 512x512 quarter, and an "
                "interior box of a 64x128x128 synthetic field, SZ-1.4 "
-               "defaults\",\n  \"repeat\": %u,\n"
+               "defaults; CRC-32: 4 MiB of LCG bytes, its oracle column "
+               "at WAVESZ_SIMD=scalar\",\n  \"repeat\": %u,\n"
                "  \"hardware_threads\": %u,\n  \"rows\": [",
                opts.repeat, std::thread::hardware_concurrency());
   bool first = true;
@@ -239,7 +244,7 @@ int main(int argc, char** argv) {
   std::printf("\n----------------------------------------------------------------\n");
   std::printf("table-driven decoders, raw streams also vs the bit-at-a-time "
               "oracles\n(512x512 synthetic at Level::Best; one NYX G* "
-              "chunk; one CESM H* code stream)\n");
+              "chunk; one CESM H* code stream; CRC-32 vs slice-by-8)\n");
   std::printf("----------------------------------------------------------------\n");
 
   const auto grid = make_synthetic_512();
@@ -288,6 +293,34 @@ int main(int argc, char** argv) {
         "gzip member (G* u16 codes)", opts.repeat,
         [&] { return deflate::gzip_decompress(codes); },
         [&] { return deflate::oracle::gunzip(codes); }));
+  }
+  {
+    // Every gzip trailer and chunk-index check of a decode runs
+    // Crc32::update; its oracle column is the same call capped at
+    // WAVESZ_SIMD=scalar, which runs slice-by-8 alone.
+    std::vector<std::uint8_t> buf(std::size_t{4} << 20);
+    std::uint32_t lcg = 1;
+    for (auto& b : buf) {
+      lcg = lcg * 1664525u + 1013904223u;
+      b = static_cast<std::uint8_t>(lcg >> 24);
+    }
+    const simd::Level level = simd::active();
+    std::uint32_t crc = Crc32::of(buf);
+    std::uint32_t want = crc;
+    const auto secs = bench::interleaved_median_seconds(
+        opts.repeat, {[&] { crc = Crc32::of(buf); },
+                      [&] {
+                        simd::set_level(simd::Level::Scalar);
+                        want = Crc32::of(buf);
+                        simd::set_level(level);
+                      }});
+    DecodeRow row;
+    row.fixture = "CRC-32 (4 MiB)";
+    row.out_bytes = buf.size();
+    row.decode_s = secs[0];
+    row.oracle_s = secs[1];
+    row.identical = crc == want;
+    rows.push_back(row);
   }
 
   {

@@ -127,6 +127,23 @@ int main(int argc, char** argv) {
     write_seed(root / "inflate", 5, match_without_distance_code());
     write_seed(root / "inflate", 6, oversubscribed_litlen_block());
     write_seed(root / "inflate", 7, oversubscribed_clc_block());
+    // zlib's rule on incomplete codes: an incomplete lit/len code and an
+    // incomplete code-length code are rejected, a lone 1-bit lit/len code
+    // decodes.
+    write_seed(root / "inflate", 8, incomplete_litlen_block());
+    write_seed(root / "inflate", 9, incomplete_clc_block());
+    write_seed(root / "inflate", 10, lone_end_of_block_block());
+    // Fixed-code blocks that send a reserved length symbol (286, 287) or
+    // distance code (30, 31), raw and as gzip members.
+    const std::string_view prefix(kReservedFixedPrefix);
+    const std::vector<std::uint8_t> abc(prefix.begin(), prefix.end());
+    int n = 0;
+    for (const auto& [length_symbol, dist_code] : kReservedFixedSymbols) {
+      const auto block = reserved_fixed_symbol_block(length_symbol, dist_code);
+      write_seed(root / "inflate", 11 + n, block);
+      write_seed(root / "gzip", 5 + n, gzip_member(block, abc));
+      ++n;
+    }
   }
 
   {

@@ -405,8 +405,9 @@ std::vector<std::uint8_t> read_dynamic_lengths(BitReaderLSB& br,
 }
 
 /// Room every decoded symbol may write past the output cursor: a
-/// 258-byte match, plus the overrun of its 8-byte word copies (at most 6
-/// bytes; a match shorter than 16 still writes two whole words).
+/// 258-byte match, plus the overrun of its 8-byte stores. A word copy
+/// writes at least two whole words, so a match shorter than 16 bytes still
+/// writes 16; a pattern store ends at most 7 bytes past its match.
 constexpr std::size_t kOutputSlack = kMaxMatch + 16;
 
 /// How far past the needed room `ensure_room` extends the output.
@@ -423,34 +424,98 @@ void ensure_room(std::vector<std::uint8_t>& out, std::size_t produced,
   if (out.size() - produced < room) out.resize(produced + room + kGrowStep);
 }
 
-/// Consume the code under the low bits of `st.acc` and return its table
-/// entry, 0 when no code reaches that slot: one root probe, a second one
-/// through a subtable link for codes longer than the root. Forced inline so
-/// the reader state stays in registers.
-[[gnu::always_inline]] inline std::uint32_t take_code(
-    BitReaderLSB::State& st, const std::uint32_t* table, int root) {
-  std::uint32_t e = table[st.acc & ((std::uint64_t{1} << root) - 1)];
+// Inflate table entries: CanonicalDecoder entries whose payload, in bits
+// 8..31, says what the code decodes to, so that a symbol costs no lookups
+// past its entry. Bits 0..7 stay the decoder's control byte, the code bits
+// left to consume. A lit/len entry is a literal (kLiteralEntry, the byte
+// in bits 16..23), end-of-block (kEndEntry) or a match length: its base in
+// bits 16..24 and its extra-bit count in bits 8..12. A distance entry
+// holds its base in bits 16..30 and its extra-bit count in bits 8..12.
+constexpr std::uint32_t kLiteralEntry = 1u << 31;
+constexpr std::uint32_t kEndEntry = 1u << 30;
+
+/// The payload of every lit/len symbol. Symbols 286 and 287 get 0, so
+/// their fixed-code slots decode as invalid; a dynamic header sends at
+/// most 286 lengths. (Dropping their fixed lengths instead would move
+/// every 9-bit literal code down by 4.)
+constexpr std::array<std::uint32_t, kNumLitLen> kLitLenPayload = [] {
+  std::array<std::uint32_t, kNumLitLen> p{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    p[b] = (kLiteralEntry | b << 16) >> 8;
+  }
+  p[kEndOfBlock] = kEndEntry >> 8;
+  for (std::size_t c = 0; c < kLengthBase.size(); ++c) {
+    p[257 + c] = static_cast<std::uint32_t>(kLengthBase[c]) << 8 |
+                 kLengthExtra[c];
+  }
+  return p;
+}();
+
+constexpr std::array<std::uint32_t, kNumDist> kDistPayload = [] {
+  std::array<std::uint32_t, kNumDist> p{};
+  for (std::size_t c = 0; c < p.size(); ++c) {
+    p[c] = static_cast<std::uint32_t>(kDistBase[c]) << 8 | kDistExtra[c];
+  }
+  return p;
+}();
+
+/// A lit/len or distance decoder over inflate table entries.
+CanonicalDecoder entry_decoder(std::span<const std::uint8_t> lens,
+                               std::span<const std::uint32_t> payload) {
+  return CanonicalDecoder(lens, BitOrder::LsbFirst,
+                          payload.first(lens.size()));
+}
+
+/// Per short distance d (1..7): a word with a 1 at every byte offset that
+/// is a multiple of d, which spreads the d-byte pattern over 8 bytes, and
+/// the stride of its stores, the whole periods that fit in 8 bytes.
+constexpr std::array<std::uint64_t, 8> kPatternRepeat = {
+    0,
+    0x0101010101010101u,
+    0x0001000100010001u,
+    0x0001000001000001u,
+    0x0000000100000001u,
+    0x0000010000000001u,
+    0x0001000000000001u,
+    0x0100000000000001u};
+constexpr std::array<std::uint8_t, 8> kPatternStride = {0, 8, 8, 6,
+                                                       8, 5, 6, 7};
+
+/// Mask of the low `n` (at most 63) bits.
+[[gnu::always_inline]] inline std::uint64_t low_bits(int n) {
+  return (std::uint64_t{1} << n) - 1;
+}
+
+/// The entry of the code under the low bits of `st.acc`, 0 when no code
+/// reaches that slot: one root probe, a second one through a subtable link
+/// for codes longer than the root, which consumes the root bits. Forced
+/// inline so the reader state stays in registers.
+[[gnu::always_inline]] inline std::uint32_t lookup(BitReaderLSB::State& st,
+                                                   const std::uint32_t* table,
+                                                   int root) {
+  std::uint32_t e = table[st.acc & low_bits(root)];
   if ((e & 0xffu) >= CanonicalDecoder::kLinkControl) {
     const auto sub =
         static_cast<int>((e & 0xffu) - CanonicalDecoder::kLinkControl);
     st.acc >>= root;
     st.fill -= root;
-    e = table[(e >> 8) + (st.acc & ((std::uint64_t{1} << sub) - 1))];
+    e = table[(e >> 8) + (st.acc & low_bits(sub))];
   }
-  const auto len = static_cast<int>(e & 0xffu);
-  st.acc >>= len;
-  st.fill -= len;
   return e;
 }
 
-/// Take the next `n` (at most 13) bits of `st.acc`.
-[[gnu::always_inline]] inline std::uint32_t take_bits(BitReaderLSB::State& st,
-                                                      int n) {
-  const auto v =
-      static_cast<std::uint32_t>(st.acc & ((std::uint64_t{1} << n) - 1));
-  st.acc >>= n;
-  st.fill -= n;
-  return v;
+/// Consume the code bits of a length or distance entry `e` and the extra
+/// bits after them, and return its base plus the extra bits' value: at
+/// most 15 code and 13 extra bits.
+[[gnu::always_inline]] inline std::uint32_t take_value(BitReaderLSB::State& st,
+                                                       std::uint32_t e) {
+  const auto code = static_cast<int>(e & 0xffu);
+  const int total = code + static_cast<int>((e >> 8) & 0x1fu);
+  const auto extra =
+      static_cast<std::uint32_t>((st.acc & low_bits(total)) >> code);
+  st.acc >>= total;
+  st.fill -= total;
+  return (e >> 16) + extra;
 }
 
 /// Inflate one Huffman-coded block, writing from `out[produced]` on;
@@ -500,37 +565,41 @@ std::size_t inflate_block(BitReaderLSB& br, const CanonicalDecoder& litlen,
         st.fill += 8;
       }
     }
-    const std::uint32_t e = take_code(st, litlen_table, litlen_root);
-    WAVESZ_REQUIRE(e != 0, "invalid Huffman code in bitstream");
-    WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
-    const std::uint32_t sym = e >> 8;
-    if (sym < 256) {
-      *op++ = static_cast<std::uint8_t>(sym);
+    const std::uint32_t e = lookup(st, litlen_table, litlen_root);
+    if ((e & (kLiteralEntry | kEndEntry)) != 0) {
+      const auto code = static_cast<int>(e & 0xffu);
+      st.acc >>= code;
+      st.fill -= code;
+      WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
+      if ((e & kEndEntry) != 0) break;
+      *op++ = static_cast<std::uint8_t>(e >> 16);
       continue;
     }
-    if (sym == kEndOfBlock) break;
-    WAVESZ_REQUIRE(sym <= 285, "invalid length symbol");
-    const std::size_t lc = sym - 257;
-    const std::size_t length =
-        kLengthBase[lc] + take_bits(st, kLengthExtra[lc]);
-    const std::uint32_t de = take_code(st, dist_table, dist_root);
+    WAVESZ_REQUIRE(e != 0, "invalid Huffman code in bitstream");
+    const std::size_t length = take_value(st, e);
+    const std::uint32_t de = lookup(st, dist_table, dist_root);
     WAVESZ_REQUIRE(de != 0, "invalid Huffman code in bitstream");
-    const std::uint32_t dsym = de >> 8;
-    WAVESZ_REQUIRE(dsym < kNumDist, "invalid distance symbol");
-    const std::size_t distance =
-        kDistBase[dsym] + take_bits(st, kDistExtra[dsym]);
+    const std::size_t distance = take_value(st, de);
     WAVESZ_REQUIRE(st.fill >= 0, "bitstream truncated");
     WAVESZ_REQUIRE(distance <= static_cast<std::size_t>(op - base),
                    "distance reaches before stream start");
     // Once the source trails by 8 or more, every 8-byte step reads bytes
-    // already written; shorter distances replicate a pattern byte by byte.
+    // already written. A shorter distance repeats its d-byte pattern: one
+    // load (at most 7 bytes past the cursor, inside the slack) spread over
+    // a word, stored once per whole number of periods.
     const std::uint8_t* const from = op - distance;
     if (distance >= 8) {
       copy8(op, from);
       copy8(op + 8, from + 8);
       for (std::size_t k = 16; k < length; k += 8) copy8(op + k, from + k);
     } else {
-      for (std::size_t k = 0; k < length; ++k) op[k] = from[k];
+      const std::uint64_t word =
+          (load_le64(from) & low_bits(8 * static_cast<int>(distance))) *
+          kPatternRepeat[distance];
+      const std::size_t stride = kPatternStride[distance];
+      for (std::size_t k = 0; k < length; k += stride) {
+        store_le64(op + k, word);
+      }
     }
     op += length;
   }
@@ -541,7 +610,7 @@ std::size_t inflate_block(BitReaderLSB& br, const CanonicalDecoder& litlen,
 const CanonicalDecoder& fixed_litlen_decoder() {
   static const CanonicalDecoder d = [] {
     const auto ll = fixed_litlen_lengths();
-    return CanonicalDecoder(ll, BitOrder::LsbFirst);
+    return entry_decoder(ll, kLitLenPayload);
   }();
   return d;
 }
@@ -549,9 +618,27 @@ const CanonicalDecoder& fixed_litlen_decoder() {
 const CanonicalDecoder& fixed_dist_decoder() {
   static const CanonicalDecoder d = [] {
     const auto dd = fixed_dist_lengths();
-    return CanonicalDecoder(dd, BitOrder::LsbFirst);
+    return entry_decoder(dd, kDistPayload);
   }();
   return d;
+}
+
+/// zlib's inflate_table rule for the codes a dynamic header sends: the
+/// code must be complete, unless `lone_ok` and it holds exactly one code,
+/// of length 1, or `empty_ok` and it holds none. An over-subscribed set
+/// passes here; the table build rejects it.
+void require_admitted(std::span<const std::uint8_t> lens, bool lone_ok,
+                      bool empty_ok, const char* message) {
+  std::uint32_t kraft = 0;  // in units of 2^-15; every length is <= 15
+  std::size_t used = 0;
+  for (const std::uint8_t l : lens) {
+    if (l == 0) continue;
+    ++used;
+    kraft += 1u << (15 - l);
+  }
+  const bool admitted = kraft >= (1u << 15) || (empty_ok && used == 0) ||
+                        (lone_ok && used == 1 && kraft == (1u << 14));
+  WAVESZ_REQUIRE(admitted, message);
 }
 
 /// Shared block loop behind decompress() and decompress_prefix(): inflate
@@ -596,13 +683,16 @@ PrefixResult inflate_blocks(std::span<const std::uint8_t> input,
       for (std::uint32_t i = 0; i < hclen; ++i) {
         clc_lens[kClcOrder[i]] = static_cast<std::uint8_t>(br.bits(3));
       }
+      require_admitted(clc_lens, false, false, "incomplete code-length code");
       const CanonicalDecoder clc(clc_lens, BitOrder::LsbFirst);
       const auto all = read_dynamic_lengths(br, clc, hlit + hdist);
-      std::vector<std::uint8_t> ll(all.begin(), all.begin() + hlit);
-      std::vector<std::uint8_t> dd(all.begin() + hlit, all.end());
+      const std::span<const std::uint8_t> ll(all.data(), hlit);
+      const std::span<const std::uint8_t> dd(all.data() + hlit, hdist);
       WAVESZ_REQUIRE(ll[kEndOfBlock] > 0, "no end-of-block code");
-      produced = inflate_block(br, CanonicalDecoder(ll, BitOrder::LsbFirst),
-                               CanonicalDecoder(dd, BitOrder::LsbFirst), out,
+      require_admitted(ll, true, false, "incomplete literal/length code");
+      require_admitted(dd, true, true, "incomplete distance code");
+      produced = inflate_block(br, entry_decoder(ll, kLitLenPayload),
+                               entry_decoder(dd, kDistPayload), out,
                                produced);
     } else {
       throw Error("reserved DEFLATE block type");

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "util/bytes.hpp"
+#include "util/simd.hpp"
 
 namespace wavesz {
 namespace {
@@ -36,10 +37,13 @@ const std::array<std::array<std::uint32_t, 256>, 8>& tables() {
 }  // namespace
 
 void Crc32::update(std::span<const std::uint8_t> data) {
-  const auto& t = tables();
-  std::uint32_t c = state_;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
+  const std::size_t folded = simd::crc32_fold(simd::active(), &state_, p, n);
+  p += folded;
+  n -= folded;
+  const auto& t = tables();
+  std::uint32_t c = state_;
   while (n >= 8) {
     const std::uint32_t lo = load_le32(p) ^ c;
     const std::uint32_t hi = load_le32(p + 4);

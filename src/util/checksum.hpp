@@ -1,9 +1,12 @@
-// CRC-32 (ISO 3309 / RFC 1952 polynomial 0xEDB88320), table-driven.
+// CRC-32 (ISO 3309 / RFC 1952 polynomial 0xEDB88320).
 //
-// Used by the gzip framing layer and by container integrity checks. The
-// update loop folds eight bytes per iteration through eight derived tables
-// (slice-by-8); the remainder runs through the classic one-byte table, so
-// streaming updates of any split produce the same value as one shot.
+// Used by the gzip framing layer and by container integrity checks. An
+// update of 64 bytes or more first folds its whole 16-byte blocks with
+// carry-less multiplies (simd::crc32_fold, at SSE2 and above on CPUs with
+// PCLMULQDQ). The rest, and every update at WAVESZ_SIMD=scalar, folds eight
+// bytes per iteration through eight derived tables (slice-by-8), then one
+// byte at a time through the classic table. Both carry the same register,
+// so streaming updates of any split produce the same value as one shot.
 #pragma once
 
 #include <cstdint>

@@ -163,7 +163,10 @@ bool kraft_complete(std::span<const std::uint8_t> lengths) {
 }
 
 CanonicalDecoder::CanonicalDecoder(std::span<const std::uint8_t> lengths,
-                                   BitOrder order) {
+                                   BitOrder order,
+                                   std::span<const std::uint32_t> payload) {
+  WAVESZ_ASSERT(payload.empty() || payload.size() == lengths.size(),
+                "one payload per code length");
   // One pass over the length table collects the used symbols; the counts,
   // the canonical order and the flat table run over them alone, which
   // matters for the 65,536-entry H⋆ alphabet of which a few hundred are
@@ -255,13 +258,15 @@ CanonicalDecoder::CanonicalDecoder(std::span<const std::uint8_t> lengths,
   // same way with the tail bits.
   for (std::size_t k = 0; k < sorted.size(); ++k) {
     const std::uint32_t s = sorted[k];
+    const std::uint32_t value = payload.empty() ? s : payload[s];
+    if (!payload.empty() && value == 0) continue;
     const int len = lengths[s];
     const auto code = static_cast<std::uint32_t>(code_of(k, len));
     const std::uint32_t c = order == BitOrder::MsbFirst
                                 ? code
                                 : reverse_code_bits(code, len);
     if (len <= root_bits_) {
-      const std::uint32_t e = (s << 8) | static_cast<std::uint32_t>(len);
+      const std::uint32_t e = (value << 8) | static_cast<std::uint32_t>(len);
       if (order == BitOrder::MsbFirst) {
         const int pad = root_bits_ - len;
         const std::uint32_t base = c << pad;
@@ -282,7 +287,7 @@ CanonicalDecoder::CanonicalDecoder(std::span<const std::uint8_t> lengths,
         tail = c >> root_bits_;
       }
       const int sb = sub_bits[prefix];
-      const std::uint32_t e = (s << 8) | static_cast<std::uint32_t>(rem);
+      const std::uint32_t e = (value << 8) | static_cast<std::uint32_t>(rem);
       if (order == BitOrder::MsbFirst) {
         const int pad = sb - rem;
         const std::uint32_t base = sub_base[prefix] + (tail << pad);

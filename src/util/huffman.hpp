@@ -52,9 +52,13 @@ class CanonicalDecoder {
   /// Kraft sum exceeds 1), as zlib's inflate_table does; incomplete codes
   /// are accepted, and the slots no code reaches decode as invalid. An
   /// empty code gets a 1-bit root of invalid slots, so every decode of it
-  /// throws.
+  /// throws. With a `payload` (one value below 2^24 per length), a code's
+  /// entries carry payload[s] in place of its symbol s, so a decode loop
+  /// reads what it needs from the entry itself; a symbol whose payload is
+  /// 0 keeps its code, and its slots decode as invalid.
   explicit CanonicalDecoder(std::span<const std::uint8_t> lengths,
-                            BitOrder order = BitOrder::MsbFirst);
+                            BitOrder order = BitOrder::MsbFirst,
+                            std::span<const std::uint32_t> payload = {});
 
   /// Decode one symbol via the flat table. `peek(n)` must return the next
   /// `n` stream bits in this decoder's BitOrder, zero-padded past the end
@@ -107,7 +111,8 @@ class CanonicalDecoder {
   // values >= kLinkControl cannot be lengths:
   //   control 0                — invalid (no code reaches this slot)
   //   control 1..24            — direct: consume `control` bits, emit the
-  //                              symbol in `payload`; in a subtable
+  //                              symbol (or its constructor payload) in
+  //                              `payload`; in a subtable
   //                              `control` excludes the root_bits_ already
   //                              consumed by the link hop
   //   control kLinkControl+b   — root slot shared by codes longer than

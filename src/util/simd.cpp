@@ -43,6 +43,19 @@ Level probe() {
   return Level::Scalar;
 }
 
+/// Whether the CPU has PCLMULQDQ, which an SSE2 CPU may lack (probed once).
+bool clmul_detected() {
+#if WAVESZ_SIMD_X86 && defined(__GNUC__)
+  static const bool probed = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") != 0;
+  }();
+  return probed;
+#else
+  return false;
+#endif
+}
+
 Level clamp_to_detected(Level requested) {
   return static_cast<Level>(
       std::min(static_cast<int>(requested), static_cast<int>(detected())));
@@ -359,6 +372,68 @@ bool wave_lanes(Level level) {
   return level == Level::Avx2 && detected() == Level::Avx2;
 }
 
+// CRC-32 fold after Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in the
+// bit-reflected domain of 0xEDB88320. The constants are those of zlib-ng,
+// Chromium's zlib and the Linux kernel: k1/k2 fold a lane 512 bits on,
+// k3/k4 128 bits on, k5 folds 64 bits into 32, and the last pair is the
+// Barrett reduction (P' and mu, each with its x^32 term).
+alignas(16) constexpr std::uint64_t kFold512[2] = {0x0154442bd4, 0x01c6e41596};
+alignas(16) constexpr std::uint64_t kFold128[2] = {0x01751997d0, 0x00ccaa009e};
+alignas(16) constexpr std::uint64_t kFold64[2] = {0x0163cd6124, 0};
+alignas(16) constexpr std::uint64_t kBarrett[2] = {0x01db710641, 0x01f7011641};
+
+/// `acc` carried 128 bits on (its two halves times the `k` pair), plus
+/// the next 16 bytes.
+__attribute__((target("sse2,pclmul"))) inline __m128i fold16(__m128i acc,
+                                                            __m128i k,
+                                                            __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                                     _mm_clmulepi64_si128(acc, k, 0x11)),
+                       next);
+}
+
+/// The register after `n` bytes at `p`; n is a multiple of 16, at least 64.
+__attribute__((target("sse2,pclmul"))) std::uint32_t crc32_clmul(
+    std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
+  const auto load = [](const std::uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  // Four lanes, 64 bytes per step; the register enters at the first lane.
+  __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  p += 64;
+  n -= 64;
+  __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(kFold512));
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = fold16(x0, k, load(p));
+    x1 = fold16(x1, k, load(p + 16));
+    x2 = fold16(x2, k, load(p + 32));
+    x3 = fold16(x3, k, load(p + 48));
+  }
+  // The lanes into one, then 16 bytes at a time.
+  k = _mm_load_si128(reinterpret_cast<const __m128i*>(kFold128));
+  x0 = fold16(x0, k, x1);
+  x0 = fold16(x0, k, x2);
+  x0 = fold16(x0, k, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = fold16(x0, k, load(p));
+  // 128 bits to 64, then 64 to 32 bits plus the carry above them.
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k, 0x10));
+  k = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(kFold64));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k, 0x00));
+  // Barrett reduction: the quotient's low 32 bits times P' cancel all but
+  // the remainder, which lands in bits 32..63.
+  k = _mm_load_si128(reinterpret_cast<const __m128i*>(kBarrett));
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), k, 0x00);
+  x0 = _mm_xor_si128(x0, q);
+  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x0, 4)));
+}
+
 #endif  // WAVESZ_SIMD_X86
 
 template <typename T>
@@ -480,6 +555,23 @@ std::size_t bound_scan(const float* o, const float* d, std::size_t n,
     default:
       return bound_scan_scalar(o, d, n, thr);
   }
+}
+
+std::size_t crc32_fold(Level level, std::uint32_t* state,
+                       const std::uint8_t* data, std::size_t n) {
+  if (level < Level::Sse2 || detected() < Level::Sse2 || n < 64 ||
+      !clmul_detected()) {
+    return 0;
+  }
+#if WAVESZ_SIMD_X86
+  const std::size_t whole = n & ~std::size_t{15};
+  *state = crc32_clmul(*state, data, whole);
+  return whole;
+#else
+  (void)state;
+  (void)data;
+  return 0;
+#endif
 }
 
 }  // namespace wavesz::simd

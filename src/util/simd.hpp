@@ -2,6 +2,8 @@
 //
 // The contiguous scans (minmax, bound_scan) have a scalar, an SSE2 and an
 // AVX2 implementation, selected once per call from a process-wide level.
+// The CRC-32 fold runs at SSE2 and above on CPUs that also report
+// PCLMULQDQ, and takes the level from its caller (Crc32::update).
 // The wavefront column-run kernels exist at the AVX2 level only and take
 // the level from their caller, who reads it once per walk and keeps the
 // scalar body. The level defaults to the widest ISA the CPU reports (probed
@@ -113,5 +115,15 @@ void minmax(const double* data, std::size_t n, double* lo, double* hi);
 /// index and may resume the scan past it.
 std::size_t bound_scan(const float* o, const float* d, std::size_t n,
                        double thr);
+
+/// Fold data[0, n) into the un-finalized CRC-32 register *state (reflected
+/// polynomial 0xEDB88320) with carry-less multiplies, and return the bytes
+/// consumed: the whole 16-byte blocks of an input of 64 bytes or more, 0
+/// for a shorter one. Returns 0 and leaves *state alone at Level::Scalar
+/// and on CPUs without PCLMULQDQ (probed once). The caller runs the
+/// slice-by-8 loop of Crc32::update, which is this kernel's oracle, on
+/// the bytes left, so every split of a message gives the one-shot value.
+std::size_t crc32_fold(Level level, std::uint32_t* state,
+                       const std::uint8_t* data, std::size_t n);
 
 }  // namespace wavesz::simd

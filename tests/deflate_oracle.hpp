@@ -7,7 +7,8 @@
 //    production pass must write the same bytes;
 //  * a bit-at-a-time inflater and gzip reader over the canonical walk of
 //    huffman_oracle.hpp, with the block-header, stored-block and trailer
-//    checks of deflate.cpp. The table-driven decoders must give the same
+//    checks of deflate.cpp and zlib's admission rule for the codes of a
+//    dynamic header. The table-driven decoders must give the same
 //    bytes and the same verdict on every input.
 #pragma once
 
@@ -154,6 +155,26 @@ struct Inflated {
   std::size_t consumed = 0;
 };
 
+/// zlib's inflate_table verdict on one code of a dynamic header, counted
+/// down the code tree as zlib counts it: over-subscribed sets are left to
+/// CanonicalWalk, and an incomplete one passes only as an empty code (then
+/// every decode of it fails) or, outside the code-length code, as a single
+/// code of length 1.
+inline void require_zlib_admits(std::span<const std::uint8_t> lens,
+                                bool code_lengths) {
+  std::array<int, 16> count{};
+  for (const std::uint8_t l : lens) ++count[l];
+  int max = 0;
+  int left = 1;
+  for (int len = 1; len <= 15; ++len) {
+    left = 2 * left - count[static_cast<std::size_t>(len)];
+    if (left < 0) return;
+    if (count[static_cast<std::size_t>(len)] > 0) max = len;
+  }
+  WAVESZ_REQUIRE(max == 0 || left == 0 || (!code_lengths && max == 1),
+                 "incomplete Huffman code");
+}
+
 /// Decode one Huffman-coded block's symbols onto `out`.
 inline void inflate_codes(BitReaderLSB& br,
                           const wavesz::oracle::CanonicalWalk& litlen,
@@ -212,6 +233,7 @@ inline Inflated inflate_stream(std::span<const std::uint8_t> input) {
       for (std::uint32_t i = 0; i < hclen; ++i) {
         clc_lens[kClcOrder[i]] = static_cast<std::uint8_t>(br.bits(3));
       }
+      require_zlib_admits(clc_lens, true);
       const CanonicalWalk clc(clc_lens);
       std::vector<std::uint8_t> lens;
       while (lens.size() < hlit + hdist) {
@@ -231,6 +253,8 @@ inline Inflated inflate_stream(std::span<const std::uint8_t> input) {
                      "code-length run overshoots header");
       const std::span<const std::uint8_t> all(lens);
       WAVESZ_REQUIRE(all[kEndOfBlock] > 0, "no end-of-block code");
+      require_zlib_admits(all.first(hlit), false);
+      require_zlib_admits(all.subspan(hlit), false);
       inflate_codes(br, CanonicalWalk(all.first(hlit)),
                     CanonicalWalk(all.subspan(hlit)), out);
     } else {

@@ -578,11 +578,12 @@ TEST(Deflate, DynamicHeaderRejectsHlitAbove286) {
 
 // ------------------------------------------- admission of code lengths
 //
-// The table build admits what zlib's inflate_table admits, bar incomplete
-// codes: an empty distance code (a literal-only block) decodes, a match
-// under it fails at its missing distance code, and over-subscribed length
-// sets are rejected as their header is read. interop_test.cpp checks that
-// gzip(1) gives the same verdicts.
+// A dynamic header is admitted as zlib's inflate_table admits it: an empty
+// distance code (a literal-only block) decodes, a match under it fails at
+// its missing distance code, a lit/len code of one 1-bit code decodes, and
+// over-subscribed or otherwise incomplete length sets are rejected as their
+// header is read. interop_test.cpp checks that gzip(1) gives the same
+// verdicts.
 
 std::vector<std::uint8_t> literal_only_plain() {
   std::vector<std::uint8_t> plain(5000);
@@ -632,6 +633,61 @@ TEST(Deflate, OversubscribedLengthSetsAreRejected) {
     EXPECT_THROW(oracle::inflate(block), Error);
     EXPECT_THROW(decompress_prefix(block, 1), Error);
   }
+}
+
+TEST(Deflate, IncompleteLengthSetsAreRejected) {
+  // An incomplete lit/len code and an incomplete code-length code, each of
+  // which a table with invalid unused slots decodes, to "AAAAA" and to the
+  // text of kIncompleteClcText.
+  const struct {
+    std::vector<std::uint8_t> block;
+    const char* message;
+  } cases[] = {
+      {vectors::incomplete_litlen_block(), "incomplete literal/length code"},
+      {vectors::incomplete_clc_block(), "incomplete code-length code"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)decompress(c.block);
+      ADD_FAILURE() << "an incomplete length set decoded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(oracle::inflate(c.block), Error) << c.message;
+    EXPECT_THROW(decompress_prefix(c.block, 1), Error) << c.message;
+  }
+}
+
+TEST(Deflate, LoneOneBitLitLenCodeDecodes) {
+  const auto block = vectors::lone_end_of_block_block();
+  EXPECT_TRUE(decompress(block).empty());
+  EXPECT_TRUE(oracle::inflate(block).empty());
+}
+
+TEST(Deflate, FixedBlocksRejectReservedSymbols) {
+  // Length symbols 286 and 287 and distance codes 30 and 31 take part in
+  // the fixed codes, so their slots exist, and decode as invalid.
+  for (const auto& [length_symbol, dist_code] :
+       vectors::kReservedFixedSymbols) {
+    const auto block =
+        vectors::reserved_fixed_symbol_block(length_symbol, dist_code);
+    const std::string what = "length symbol " + std::to_string(length_symbol) +
+                             ", distance code " + std::to_string(dist_code);
+    try {
+      (void)decompress(block);
+      ADD_FAILURE() << what << " decoded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid Huffman code"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+    EXPECT_THROW(oracle::inflate(block), Error) << what;
+  }
+  // The same block with a legal match decodes, to "abc" and a 3-byte match
+  // at distance 1.
+  EXPECT_EQ(decompress(vectors::reserved_fixed_symbol_block(257, 0)),
+            bytes_of("abcccc"));
 }
 
 TEST(Gzip, RejectsBytesBetweenStreamAndTrailer) {
@@ -699,8 +755,8 @@ void expect_paths_agree(const std::vector<Token>& tokens,
 }
 
 TEST(InflateEdges, OverlappingMatchesAtEveryShortDistance) {
-  // Distances 1..7 replicate a pattern byte by byte; 8..16 copy whole
-  // words whose source overlaps the bytes just written.
+  // Distances 1..7 store a pattern word every whole number of periods;
+  // 8..16 copy whole words whose source overlaps the bytes just written.
   for (int distance = 1; distance <= 16; ++distance) {
     std::vector<Token> tokens;
     for (int i = 0; i < distance; ++i) tokens.push_back(literal_token('a' + i));
@@ -730,8 +786,8 @@ TEST(InflateEdges, MatchEndsAtEveryOffsetAroundOutputGrowth) {
   // than 258 + 16 bytes of room left. Shifting a run of 258-byte matches
   // by every phase 0..257 ends a match at every output offset up to 36000
   // (past the second growth), so some match leaves exactly that room and
-  // another one byte less — for byte-wise (distance 1) and word-wise
-  // (distance 9) copies.
+  // another one byte less — for pattern (distance 1) and word (distance 9)
+  // copies, whose 8-byte stores run past the match into that room.
   for (const int distance : {1, 9}) {
     for (int phase = 0; phase < kMaxMatch; ++phase) {
       std::vector<Token> tokens;

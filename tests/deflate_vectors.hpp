@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "deflate/deflate_tables.hpp"
@@ -92,15 +93,14 @@ inline void dynamic_header(BitWriterLSB& bw,
   }
 }
 
-/// One final dynamic block of literals only: bytes 0..254 and end-of-block
-/// take 8-bit codes, and the one distance length HDIST sends is 0, an
-/// empty distance code (RFC 1951 §3.2.7 allows it when no match follows).
-/// `plain` must not hold 0xff.
-inline std::vector<std::uint8_t> literal_only_block(
+/// One final dynamic block of literals only, whose code-length code is
+/// `clc`: bytes 0..254 and end-of-block take 8-bit codes, and the one
+/// distance length HDIST sends is 0, an empty distance code (RFC 1951
+/// §3.2.7 allows it when no match follows). `clc` must give symbols 0 and
+/// 8 codes; `plain` must not hold 0xff.
+inline std::vector<std::uint8_t> literal_block(
+    const std::array<std::uint8_t, kNumClc>& clc,
     std::span<const std::uint8_t> plain) {
-  std::array<std::uint8_t, kNumClc> clc{};
-  clc[0] = 1;
-  clc[8] = 1;
   std::vector<std::uint8_t> litlen(257, 8);
   litlen[255] = 0;
   const std::vector<std::uint8_t> dist{0};
@@ -110,6 +110,16 @@ inline std::vector<std::uint8_t> literal_only_block(
   for (const std::uint8_t b : plain) put_code(bw, codes[b], 8);
   put_code(bw, codes[kEndOfBlock], 8);
   return bw.take();
+}
+
+/// literal_block() under a complete code-length code: symbols 0 and 8 at
+/// 1 bit each.
+inline std::vector<std::uint8_t> literal_only_block(
+    std::span<const std::uint8_t> plain) {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = 1;
+  clc[8] = 1;
+  return literal_block(clc, plain);
 }
 
 /// "AAA", then one 3-byte match in a block whose distance code is empty:
@@ -192,6 +202,97 @@ inline std::vector<std::uint8_t> oversubscribed_clc_block() {
   put_code(bw, codes[kEndOfBlock], 7);
   return bw.take();
 }
+
+/// The plain text of incomplete_clc_block().
+inline constexpr char kIncompleteClcText[] = "an incomplete code-length code";
+
+/// literal_block() of kIncompleteClcText under an incomplete code-length
+/// code: symbol 0 at 1 bit and symbol 8 at 2 bits (Kraft sum 3/4). A table
+/// that leaves the unused slot invalid decodes it; zlib rejects it as an
+/// "invalid code lengths set".
+inline std::vector<std::uint8_t> incomplete_clc_block() {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = 1;
+  clc[8] = 2;
+  const std::string_view text(kIncompleteClcText);
+  const std::vector<std::uint8_t> plain(text.begin(), text.end());
+  return literal_block(clc, plain);
+}
+
+/// "AAAAA" under an incomplete lit/len code: 'A' 1 bit and end-of-block
+/// 2 bits (Kraft sum 3/4), with one 1-bit distance code. A table that
+/// leaves the unused slot invalid decodes it; zlib rejects it as an
+/// "invalid literal/lengths set".
+inline std::vector<std::uint8_t> incomplete_litlen_block() {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = 1;
+  clc[1] = 2;
+  clc[2] = 2;
+  std::vector<std::uint8_t> litlen(257, 0);
+  litlen['A'] = 1;
+  litlen[kEndOfBlock] = 2;
+  const std::vector<std::uint8_t> dist{1};
+  BitWriterLSB bw;
+  dynamic_header(bw, clc, litlen, dist);
+  const auto codes = canonical_codes(litlen);
+  for (int i = 0; i < 5; ++i) put_code(bw, codes['A'], 1);
+  put_code(bw, codes[kEndOfBlock], 2);
+  return bw.take();
+}
+
+inline std::vector<std::uint8_t> incomplete_litlen_plain() {
+  return std::vector<std::uint8_t>(5, 'A');
+}
+
+/// An empty block whose lit/len code is end-of-block alone, at 1 bit, and
+/// whose distance code is empty. zlib admits an incomplete lit/len code
+/// that holds exactly one code of length 1, so it decodes to nothing.
+inline std::vector<std::uint8_t> lone_end_of_block_block() {
+  std::array<std::uint8_t, kNumClc> clc{};
+  clc[0] = 1;
+  clc[1] = 1;
+  std::vector<std::uint8_t> litlen(257, 0);
+  litlen[kEndOfBlock] = 1;
+  const std::vector<std::uint8_t> dist{0};
+  BitWriterLSB bw;
+  dynamic_header(bw, clc, litlen, dist);
+  put_code(bw, 0, 1);  // end-of-block
+  return bw.take();
+}
+
+/// The literals before the reserved symbol of reserved_fixed_symbol_block().
+inline constexpr char kReservedFixedPrefix[] = "abc";
+
+/// One final fixed-code block: the literals of kReservedFixedPrefix, one
+/// match of length symbol `length_symbol` at distance code `dist_code`,
+/// then end-of-block. RFC 1951 §3.2.6 reserves length symbols 286 and 287
+/// and distance codes 30 and 31, which take part in the fixed codes but
+/// never occur in compressed data, so decoders must reject a block that
+/// sends one.
+inline std::vector<std::uint8_t> reserved_fixed_symbol_block(int length_symbol,
+                                                           int dist_code) {
+  const auto lens = fixed_litlen_lengths();
+  const auto codes = canonical_codes(lens);
+  BitWriterLSB bw;
+  const auto put_symbol = [&](int sym) {
+    const auto s = static_cast<std::size_t>(sym);
+    put_code(bw, codes[s], lens[s]);
+  };
+  bw.bits(1, 1);     // BFINAL
+  bw.bits(0b01, 2);  // fixed Huffman codes
+  for (const char c : std::string_view(kReservedFixedPrefix)) {
+    put_symbol(static_cast<std::uint8_t>(c));
+  }
+  put_symbol(length_symbol);
+  put_code(bw, static_cast<std::uint32_t>(dist_code), 5);
+  put_symbol(kEndOfBlock);
+  return bw.take();
+}
+
+/// The four reserved fixed-code symbols as (length symbol, distance code):
+/// a 3-byte match (symbol 257) where the distance code is the reserved one.
+inline constexpr std::array<std::pair<int, int>, 4> kReservedFixedSymbols = {
+    {{286, 0}, {287, 0}, {257, 30}, {257, 31}}};
 
 /// A gzip member (RFC 1952): fixed header, the raw DEFLATE `body`, then
 /// the CRC-32 and ISIZE of `plain`, the bytes the body decodes to.

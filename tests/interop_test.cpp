@@ -134,14 +134,16 @@ TEST(GzipInterop, SystemGunzipReadsCodeSections) {
 
 TEST(GzipInterop, SystemGunzipGivesOurVerdictsOnCodeLengthSets) {
   // deflate_vectors.hpp's admission vectors as gzip members: a literal-only
-  // block with an empty distance code decodes; a match under that code, an
-  // over-subscribed lit/len set and an over-subscribed code-length code
-  // are rejected. Each trailer holds the bytes an unchecked decoder gave.
+  // block with an empty distance code and a lit/len code of one 1-bit code
+  // decode; a match under the empty code, over-subscribed and incomplete
+  // lit/len sets and over-subscribed and incomplete code-length codes are
+  // rejected. Each trailer holds the bytes an unchecked decoder gave.
   if (!have_gzip()) GTEST_SKIP();
   std::vector<std::uint8_t> literals(3000);
   std::mt19937 rng(3);
   for (auto& b : literals) b = static_cast<std::uint8_t>(rng() % 255);
   const std::string text = vectors::kOversubscribedClcText;
+  const std::string incomplete_text = vectors::kIncompleteClcText;
   const struct {
     const char* name;
     std::vector<std::uint8_t> block;
@@ -156,6 +158,14 @@ TEST(GzipInterop, SystemGunzipGivesOurVerdictsOnCodeLengthSets) {
       {"over-subscribed code-length code",
        vectors::oversubscribed_clc_block(),
        std::vector<std::uint8_t>(text.begin(), text.end()), false},
+      {"lone 1-bit lit/len code", vectors::lone_end_of_block_block(), {},
+       true},
+      {"incomplete lit/len", vectors::incomplete_litlen_block(),
+       vectors::incomplete_litlen_plain(), false},
+      {"incomplete code-length code", vectors::incomplete_clc_block(),
+       std::vector<std::uint8_t>(incomplete_text.begin(),
+                                 incomplete_text.end()),
+       false},
   };
   const auto gz = tmp("verdict.gz");
   const auto out = tmp("verdict.out");
@@ -173,6 +183,31 @@ TEST(GzipInterop, SystemGunzipGivesOurVerdictsOnCodeLengthSets) {
                         data::read_bytes(out) == c.plain;
     EXPECT_EQ(ours, c.accepted) << c.name;
     EXPECT_EQ(system, c.accepted) << c.name;
+  }
+  fs::remove(gz);
+  fs::remove(out);
+}
+
+TEST(GzipInterop, SystemGunzipRejectsReservedFixedSymbols) {
+  // deflate_vectors.hpp's fixed-code blocks that send length symbol 286 or
+  // 287 or distance code 30 or 31, as gzip members whose trailers hold the
+  // literals before the reserved symbol.
+  if (!have_gzip()) GTEST_SKIP();
+  const std::string prefix = vectors::kReservedFixedPrefix;
+  const std::vector<std::uint8_t> plain(prefix.begin(), prefix.end());
+  const auto gz = tmp("reserved.gz");
+  const auto out = tmp("reserved.out");
+  for (const auto& [length_symbol, dist_code] :
+       vectors::kReservedFixedSymbols) {
+    const auto member = vectors::gzip_member(
+        vectors::reserved_fixed_symbol_block(length_symbol, dist_code), plain);
+    EXPECT_THROW(gzip_decompress(member), Error) << length_symbol;
+    data::write_bytes(gz, member);
+    const std::string cmd = "gunzip -c '" + gz.string() + "' > '" +
+                            out.string() + "' 2>/dev/null";
+    EXPECT_NE(std::system(cmd.c_str()), 0)
+        << "length symbol " << length_symbol << ", distance code "
+        << dist_code;
   }
   fs::remove(gz);
   fs::remove(out);

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sz/pqd_detail.hpp"
 #include "sz/predictor.hpp"
 #include "sz/quantizer.hpp"
+#include "util/checksum.hpp"
 #include "util/dims.hpp"
 #include "util/simd.hpp"
 
@@ -453,6 +455,101 @@ TEST(SimdParity, BoundScanAllLevels) {
     // flagged by the filter — identically at every level.
     EXPECT_EQ(0u, sweep("inf-flag"));
   }
+}
+
+// ----------------------------------------------------------------- CRC-32
+//
+// The fold's oracle is slice-by-8: Crc32 with the level capped at scalar.
+
+std::vector<std::uint8_t> crc_message(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng() >> 24);
+  return out;
+}
+
+std::uint32_t slice_by_8(std::span<const std::uint8_t> data) {
+  LevelOverride guard(simd::Level::Scalar);
+  return Crc32::of(data);
+}
+
+TEST(SimdParity, Crc32FoldMatchesSliceBy8) {
+  // Every length 0..300, then sparse lengths up to 1 MiB, at offsets 0..15.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n = 301; n < (std::size_t{1} << 20); n = n * 3 / 2 + 7) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(std::size_t{1} << 20);
+  const auto buf = crc_message((std::size_t{1} << 20) + 16, 1952);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (const std::size_t n : lengths) {
+      const std::span<const std::uint8_t> msg(buf.data() + off, n);
+      const std::uint32_t want = slice_by_8(msg);
+      for (simd::Level l : sweep_levels()) {
+        SCOPED_TRACE(std::string(simd::level_name(l)) + " offset " +
+                     std::to_string(off) + " length " + std::to_string(n));
+        LevelOverride guard(l);
+        ASSERT_EQ(want, Crc32::of(msg));
+        // The kernel alone: the register it returns, resumed by slice-by-8
+        // over the bytes it left.
+        std::uint32_t state = 0xffffffffu;
+        const std::size_t used =
+            simd::crc32_fold(l, &state, msg.data(), msg.size());
+        ASSERT_EQ(0u, used % 16);
+        ASSERT_LE(used, n);
+        if (n < 64 || l == simd::Level::Scalar) {
+          ASSERT_EQ(0u, used);
+        }
+        LevelOverride scalar(simd::Level::Scalar);
+        Crc32 rest = Crc32::resume(state ^ 0xffffffffu);
+        rest.update(msg.subspan(used));
+        ASSERT_EQ(want, rest.value());
+      }
+    }
+  }
+}
+
+TEST(SimdParity, Crc32EverySplitGivesTheOneShotValue) {
+  const auto msg = crc_message(300, 1953);
+  const std::span<const std::uint8_t> whole(msg);
+  const std::uint32_t want = slice_by_8(whole);
+  for (simd::Level l : sweep_levels()) {
+    LevelOverride guard(l);
+    for (std::size_t cut = 0; cut <= msg.size(); ++cut) {
+      SCOPED_TRACE(std::string(simd::level_name(l)) + " cut " +
+                   std::to_string(cut));
+      Crc32 c;
+      c.update(whole.first(cut));
+      c.update(whole.subspan(cut));
+      EXPECT_EQ(want, c.value());
+      Crc32 resumed = Crc32::resume(Crc32::of(whole.first(cut)));
+      resumed.update(whole.subspan(cut));
+      EXPECT_EQ(want, resumed.value());
+    }
+  }
+}
+
+TEST(SimdParity, Crc32FoldRunsWhereverTheCpuHasPclmul) {
+  // Asks the CPU directly rather than through the dispatch's own probe, so
+  // a probe or kernel that silently falls back to slice-by-8 fails here.
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  __builtin_cpu_init();
+  const bool pclmul = __builtin_cpu_supports("pclmul") != 0;
+#else
+  const bool pclmul = false;
+#endif
+  const auto msg = crc_message(100, 1954);
+  for (simd::Level l : sweep_levels()) {
+    SCOPED_TRACE(simd::level_name(l));
+    const bool folds = pclmul && l >= simd::Level::Sse2;
+    std::uint32_t state = 0xffffffffu;
+    EXPECT_EQ(folds ? 96u : 0u,
+              simd::crc32_fold(l, &state, msg.data(), msg.size()));
+    EXPECT_EQ(folds ? 64u : 0u, simd::crc32_fold(l, &state, msg.data(), 64));
+    EXPECT_EQ(0u, simd::crc32_fold(l, &state, msg.data(), 63));
+  }
+  if (!pclmul) GTEST_SKIP() << "no PCLMULQDQ: every level runs slice-by-8";
 }
 
 // ------------------------------------------- whole-pipeline / entry points
