@@ -7,7 +7,9 @@
 // The input and the bytes it decodes to, read as 16-bit codes, must also
 // survive the code-section encoder, in one stream and in sync-flushed
 // chunks of an odd requested size (rounded up to even), so the matcher's
-// window ring sees arbitrary input.
+// window ring sees arbitrary input. Both also round-trip through the H*
+// section encoder, gzip_compress_probed(), in one chunk and in 16 KiB
+// chunks, so the probe, the run parse and the resumed hash chains see it.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -41,6 +43,18 @@ void code_section_round_trip(std::span<const std::uint8_t> bytes) {
   }
 }
 
+void probed_round_trip(std::span<const std::uint8_t> bytes) {
+  using namespace wavesz;
+  for (const std::size_t chunk : {deflate::kDefaultChunkBytes,
+                                  std::size_t{16384}}) {
+    const auto back = deflate::gzip_decompress(
+        deflate::gzip_compress_probed(bytes, {chunk, 1}));
+    if (!std::equal(back.begin(), back.end(), bytes.begin(), bytes.end())) {
+      std::abort();
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -49,6 +63,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (size > fuzz::kMaxInput) return 0;
   const std::span<const std::uint8_t> input(data, size);
   code_section_round_trip(input);
+  probed_round_trip(input);
 
   std::vector<std::uint8_t> plain;
   try {
@@ -61,5 +76,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (back != plain) std::abort();
 
   code_section_round_trip(plain);
+  probed_round_trip(plain);
   return 0;
 }

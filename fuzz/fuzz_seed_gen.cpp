@@ -102,6 +102,26 @@ int main(int argc, char** argv) {
                deflate::gzip_compress(codes, deflate::Level::Fast));
   }
 
+  // An H* payload, the customized-Huffman coding of such codes, past the
+  // window and the 8 KiB probe: fuzz_gzip sends what it decodes to through
+  // the H* section encoder, whose chunks each probe runs against the hash
+  // chains.
+  {
+    std::vector<std::uint16_t> codes;
+    std::uint32_t lcg = 7;
+    int offset = 0;
+    for (int i = 0; i < 90000; ++i) {
+      lcg = lcg * 1664525u + 1013904223u;
+      offset = std::clamp(offset + static_cast<int>(lcg >> 29) % 5 - 2, -24,
+                          24);
+      codes.push_back(static_cast<std::uint16_t>(
+          32768 + (lcg >> 26 == 0 ? offset : offset / 8)));
+    }
+    write_seed(root / "gzip", 9,
+               deflate::gzip_compress(sz::huffman_encode(codes),
+                                      deflate::Level::Fast));
+  }
+
   // Malformed on purpose, next to the decoder checks that reject them: a
   // dynamic header declaring 287 lit/len code lengths (RFC 1951 allows
   // 286), and a member with 3 bytes between its DEFLATE stream and trailer.

@@ -97,11 +97,21 @@ std::uint64_t block_cost_bits(const TokenBlock& b,
 
 void emit_tokens(BitWriterLSB& bw, std::span<const Token> tokens,
                  const BlockCodes& codes) {
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      put(bw, codes.litlen[t.value]);
+  for (auto it = tokens.begin(); it != tokens.end();) {
+    if (it->length == 0) {
+      // Up to three literals, at most 45 bits, in one write.
+      std::uint64_t bits = 0;
+      int n = 0;
+      for (int k = 0; k < 3 && it != tokens.end() && it->length == 0;
+           ++k, ++it) {
+        const PackedCode c = codes.litlen[it->value];
+        bits |= static_cast<std::uint64_t>(c >> 8) << n;
+        n += static_cast<int>(c & 0xffu);
+      }
+      bw.bits(bits, n);
       continue;
     }
+    const Token& t = *it++;
     // A match is at most 20 length bits and 28 distance bits.
     const PackedCode len = codes.length[t.length];
     const auto dc = static_cast<std::size_t>(distance_code(t.value));
@@ -254,10 +264,26 @@ void emit_stored_blocks(BitWriterLSB& bw,
   } while (off < raw_bytes.size());
 }
 
-/// Emit one counted block as stored, fixed or dynamic, whichever costs
-/// least; `covered` is the input it encodes (for the stored form).
-void write_block(BitWriterLSB& bw, const TokenBlock& block,
-                 std::span<const std::uint8_t> covered, bool final_block) {
+/// A counted block's dynamic code and the bits of its three forms.
+struct BlockPlan {
+  std::vector<std::uint8_t> dyn_ll;
+  std::vector<std::uint8_t> dyn_dd;
+  DynamicHeader header;
+  std::uint64_t dynamic_bits = 0;
+  std::uint64_t fixed_bits = 0;
+  std::uint64_t stored_bits = 0;
+
+  bool stored() const {
+    return stored_bits < dynamic_bits && stored_bits < fixed_bits;
+  }
+  bool fixed() const { return fixed_bits <= dynamic_bits; }
+  std::uint64_t least() const {
+    return std::min({dynamic_bits, fixed_bits, stored_bits});
+  }
+};
+
+BlockPlan plan_block(const TokenBlock& block) {
+  BlockPlan p;
   // Ensure at least one distance code exists so the dynamic header is
   // always well-formed (a zero-frequency code still gets a slot).
   auto dist_freq = block.dist_freq();
@@ -265,25 +291,30 @@ void write_block(BitWriterLSB& bw, const TokenBlock& block,
                   [](std::uint64_t f) { return f == 0; })) {
     dist_freq[0] = 1;
   }
-  const auto dyn_ll = huffman_code_lengths(block.litlen_freq(), 15);
-  const auto dyn_dd = huffman_code_lengths(dist_freq, 15);
-  const DynamicHeader header = build_dynamic_header(dyn_ll, dyn_dd);
-
-  const std::uint64_t cost_dyn =
-      3 + header.header_bits + block_cost_bits(block, dyn_ll, dyn_dd);
-  const std::uint64_t cost_fix =
+  p.dyn_ll = huffman_code_lengths(block.litlen_freq(), 15);
+  p.dyn_dd = huffman_code_lengths(dist_freq, 15);
+  p.header = build_dynamic_header(p.dyn_ll, p.dyn_dd);
+  p.dynamic_bits =
+      3 + p.header.header_bits + block_cost_bits(block, p.dyn_ll, p.dyn_dd);
+  p.fixed_bits =
       3 + block_cost_bits(block, fixed_litlen_lengths(), fixed_dist_lengths());
-  const std::uint64_t cost_stored =
-      (3 + 7 + 32) * ((covered.size() + 65534) / 65535) +
-      8ull * static_cast<std::uint64_t>(covered.size());
+  const std::uint64_t covered = block.covered();
+  p.stored_bits = (3 + 7 + 32) * ((covered + 65534) / 65535) + 8 * covered;
+  return p;
+}
 
-  if (cost_stored < cost_dyn && cost_stored < cost_fix) {
+/// Emit one counted block as stored, fixed or dynamic, whichever costs
+/// least; `covered` is the input it encodes (for the stored form).
+void write_block(BitWriterLSB& bw, const TokenBlock& block,
+                 std::span<const std::uint8_t> covered, bool final_block) {
+  const BlockPlan p = plan_block(block);
+  if (p.stored()) {
     emit_stored_blocks(bw, covered, final_block);
-  } else if (cost_fix <= cost_dyn) {
+  } else if (p.fixed()) {
     emit_fixed_block(bw, block.tokens(), final_block);
   } else {
-    emit_dynamic_block(bw, block.tokens(), header,
-                       BlockCodes(dyn_ll, dyn_dd), final_block);
+    emit_dynamic_block(bw, block.tokens(), p.header,
+                       BlockCodes(p.dyn_ll, p.dyn_dd), final_block);
   }
 }
 
@@ -291,12 +322,8 @@ void write_block(BitWriterLSB& bw, const TokenBlock& block,
 
 namespace detail {
 
-void deflate_window(BitWriterLSB& bw, std::span<const std::uint8_t> window,
-                    std::size_t dict_len, Level level, Stride stride,
-                    bool mark_final) {
-  WAVESZ_REQUIRE(dict_len <= window.size(),
-                 "dictionary longer than the input span");
-  const auto live = window.subspan(dict_len);
+void deflate_parsed(BitWriterLSB& bw, std::span<const std::uint8_t> live,
+                    const Parser& parser, bool mark_final) {
   TokenBlock block(live.size());
   std::size_t raw_off = 0;
   const auto write = [&](TokenBlock& b, bool final_block) {
@@ -304,13 +331,30 @@ void deflate_window(BitWriterLSB& bw, std::span<const std::uint8_t> window,
     raw_off += b.covered();
     b.clear();
   };
-  parse(window, dict_len, level, stride, block,
-        [&](TokenBlock& b) { write(b, false); });
+  parser(block, [&](TokenBlock& b) { write(b, false); });
   if (!block.empty()) {
     write(block, mark_final);
   } else if (mark_final) {
     emit_fixed_block(bw, {}, true);
   }
+  WAVESZ_ASSERT(raw_off == live.size(), "token coverage mismatch");
+}
+
+void deflate_window(BitWriterLSB& bw, std::span<const std::uint8_t> window,
+                    std::size_t dict_len, Level level, Stride stride,
+                    bool mark_final) {
+  WAVESZ_REQUIRE(dict_len <= window.size(),
+                 "dictionary longer than the input span");
+  deflate_parsed(
+      bw, window.subspan(dict_len),
+      [&](TokenBlock& block, const std::function<void(TokenBlock&)>& on_full) {
+        parse(window, dict_len, level, stride, block, on_full);
+      },
+      mark_final);
+}
+
+std::uint64_t block_bits(const TokenBlock& block) {
+  return plan_block(block).least();
 }
 
 void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -60,17 +61,31 @@ PrefixResult gzip_decompress_prefix(std::span<const std::uint8_t> input,
 
 namespace detail {
 
-/// Emit the DEFLATE blocks of `window[dict_len..]`, parsed in one pass
-/// (lz77.hpp's parse(), `window[..dict_len]` priming the matcher). Each
-/// block holds at most kTokensPerBlock tokens and picks stored/fixed/dynamic
-/// by estimated cost.
-/// When `mark_final` is set the last block carries BFINAL=1 (empty input
-/// then emits one empty fixed block); otherwise the stream is left open
-/// for further blocks. Shared by the serial compress() and the parallel
-/// chunked engine (parallel.hpp).
+/// A parse of some live bytes into `block`, handing each full block to
+/// `on_full` and leaving the last tokens in `block` (lz77.hpp's parse()
+/// contract).
+using Parser = std::function<void(
+    TokenBlock& block, const std::function<void(TokenBlock&)>& on_full)>;
+
+/// Emit the DEFLATE blocks of `live` as `parser` tokenizes it, in one
+/// pass. Each block holds at most kTokensPerBlock tokens and picks
+/// stored/fixed/dynamic by estimated cost. When `mark_final` is set the
+/// last block carries BFINAL=1 (empty input then emits one empty fixed
+/// block); otherwise the stream is left open for further blocks.
+void deflate_parsed(BitWriterLSB& bw, std::span<const std::uint8_t> live,
+                    const Parser& parser, bool mark_final);
+
+/// deflate_parsed() over lz77.hpp's parse() of `window[dict_len..]`,
+/// `window[..dict_len]` priming the matcher. Shared by the serial
+/// compress() and the parallel chunked engine (parallel.hpp).
 void deflate_window(BitWriterLSB& bw, std::span<const std::uint8_t> window,
                     std::size_t dict_len, Level level, Stride stride,
                     bool mark_final);
+
+/// Bits of `block` written as one block: the least of its stored, fixed
+/// and dynamic forms, header included, as the block coder picks them. The
+/// price parse_probed() compares its probes by.
+std::uint64_t block_bits(const TokenBlock& block);
 
 /// Emit the blocks coding a given token stream, which must expand exactly
 /// to `covered` (needed for the stored-block fallback), split every

@@ -90,7 +90,10 @@ class Matcher {
 
   bool done() const { return pos_ >= window_.size(); }
 
-  void fill(TokenBlock& block) {
+  /// Parse on until `stop` (a window offset) is covered or `block` has no
+  /// room for the next step. Matches end at `stop` at the latest.
+  void fill(TokenBlock& block, std::size_t stop) {
+    stop_ = std::min(stop, window_.size());
     if (codes_) {
       fill_codes(block);
     } else {
@@ -115,8 +118,7 @@ class Matcher {
   Match find(std::uint32_t hash, std::size_t pos) const {
     const std::uint8_t* base = window_.data();
     const std::size_t limit = pos >= kWindowSize ? pos - kWindowSize : 0;
-    const std::size_t tail = std::min<std::size_t>(
-        kMaxMatch, window_.size() - pos);
+    const std::size_t tail = std::min<std::size_t>(kMaxMatch, stop_ - pos);
     const int max_len =
         static_cast<int>(codes_ ? tail & ~(kCodeBytes - 1) : tail);
     const int min_len = codes_ ? static_cast<int>(kPairBytes) : kMinMatch;
@@ -152,7 +154,7 @@ class Matcher {
   void fill_bytes(TokenBlock& block) {
     const std::uint8_t* base = window_.data();
     const std::size_t n = window_.size();
-    while (pos_ < n && block.size() < block.capacity()) {
+    while (pos_ < stop_ && block.size() < block.capacity()) {
       if (pos_ + kMinMatch > n) {
         block.literal(base[pos_++]);
         continue;
@@ -186,7 +188,7 @@ class Matcher {
   void fill_codes(TokenBlock& block) {
     const std::uint8_t* base = window_.data();
     const std::size_t n = window_.size();
-    while (pos_ < n && block.size() + kCodeBytes <= block.capacity()) {
+    while (pos_ < stop_ && block.size() + kCodeBytes <= block.capacity()) {
       // A tail shorter than a code pair goes out byte by byte.
       if (pos_ + kPairBytes > n) {
         block.literal(base[pos_++]);
@@ -213,6 +215,7 @@ class Matcher {
 
   std::span<const std::uint8_t> window_;
   std::size_t pos_;
+  std::size_t stop_ = 0;
   bool codes_;
   MatcherConfig cfg_;
   /// head_[hash] is the newest position with that hash; prev_[p & mask] is
@@ -225,8 +228,76 @@ class Matcher {
 };
 
 /// Largest window the 32-bit chain positions can address (kNil is
-/// reserved).
+/// reserved), and the segment parse() cuts larger windows into.
 constexpr std::size_t kIndexLimit = 0xffffffffull;
+constexpr std::size_t kSegment = 1ull << 30;
+
+/// First p in [from, lim) at which the byte before p repeats kMinMatch
+/// times (base[p - 1] == base[p] == base[p + 1] == base[p + 2]), or lim.
+/// from >= 1 and lim + 2 <= the bytes readable at base. Six positions per
+/// step: byte k of the XOR of the words at p - 1 and p is zero where base[p
+/// + k] repeats the byte before it, and three zero bytes in a row make a
+/// run.
+std::size_t next_run(const std::uint8_t* base, std::size_t from,
+                     std::size_t lim) {
+  static_assert(kMinMatch == 3);
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+  std::size_t p = from;
+  for (; p + 6 <= lim; p += 6) {
+    const std::uint64_t d = load_le64(base + p - 1) ^ load_le64(base + p);
+    const std::uint64_t zero = ~(((d & kLow7) + kLow7) | d | kLow7);
+    const std::uint64_t runs = zero & (zero >> 8) & (zero >> 16);
+    if (runs != 0) {
+      return p + static_cast<std::size_t>(std::countr_zero(runs) >> 3);
+    }
+  }
+  for (; p < lim; ++p) {
+    if (base[p - 1] == base[p] && base[p] == base[p + 1] &&
+        base[p + 1] == base[p + 2]) {
+      return p;
+    }
+  }
+  return lim;
+}
+
+/// The run parse of `window[pos..stop)` into `block`, until it is full;
+/// returns where it stopped. The literals before each run go in at once.
+std::size_t fill_runs(std::span<const std::uint8_t> window, std::size_t pos,
+                      std::size_t stop, TokenBlock& block) {
+  const std::uint8_t* base = window.data();
+  while (pos < stop && block.size() < block.capacity()) {
+    const std::size_t end =
+        std::min(stop, pos + (block.capacity() - block.size()));
+    // A run needs the byte before it and kMinMatch bytes up to stop.
+    const std::size_t lim =
+        std::min(end, stop - std::min<std::size_t>(stop, kMinMatch - 1));
+    const std::size_t from = std::max<std::size_t>(pos, 1);
+    const std::size_t run = from < lim ? next_run(base, from, lim) : lim;
+    const std::size_t lits = (run < lim ? run : end) - pos;
+    block.literals(window.subspan(pos, lits));
+    pos += lits;
+    if (run < lim) {
+      const int len = match_extend(
+          base + pos - 1, base + pos,
+          static_cast<int>(std::min<std::size_t>(kMaxMatch, stop - pos)));
+      block.match(len, 1);
+      pos += static_cast<std::size_t>(len);
+    }
+  }
+  return pos;
+}
+
+/// The run parse from `pos` to the window's end, `block` handed to
+/// `on_full` whenever it fills.
+void runs_from(std::span<const std::uint8_t> window, std::size_t pos,
+               TokenBlock& block,
+               const std::function<void(TokenBlock&)>& on_full) {
+  const std::size_t n = window.size();
+  for (pos = fill_runs(window, pos, n, block); pos < n;
+       pos = fill_runs(window, pos, n, block)) {
+    on_full(block);
+  }
+}
 
 }  // namespace
 
@@ -235,6 +306,15 @@ TokenBlock::TokenBlock(std::size_t live_bytes)
                          std::max<std::size_t>(live_bytes, 1) + 1)) {
   tokens_ = std::make_unique_for_overwrite<Token[]>(capacity_);
   clear();
+}
+
+void TokenBlock::assign(const TokenBlock& other) {
+  WAVESZ_ASSERT(other.count_ <= capacity_, "token block too small");
+  std::copy_n(other.tokens_.get(), other.count_, tokens_.get());
+  count_ = other.count_;
+  covered_ = other.covered_;
+  litlen_ = other.litlen_;
+  dist_ = other.dist_;
 }
 
 void TokenBlock::clear() {
@@ -254,7 +334,6 @@ void parse(std::span<const std::uint8_t> window, std::size_t dict_len,
   // kWindowSize bytes of the dictionary could only end a chain walk, so
   // leaving them out parses the same. With an even dict_len every segment
   // starts on a code.
-  constexpr std::size_t kSegment = 1ull << 30;
   const std::size_t n = window.size();
   const std::size_t step = n >= kIndexLimit ? kSegment : n;
   for (std::size_t start = dict_len; start < n;) {
@@ -262,9 +341,60 @@ void parse(std::span<const std::uint8_t> window, std::size_t dict_len,
     const std::size_t primed = std::min(kWindowSize, start);
     const std::size_t from = start - primed;
     Matcher m(window.subspan(from, primed + take), primed, level, stride);
-    for (m.fill(block); !m.done(); m.fill(block)) on_full(block);
+    const std::size_t end = primed + take;
+    for (m.fill(block, end); !m.done(); m.fill(block, end)) on_full(block);
     start += take;
   }
+}
+
+void parse_runs(std::span<const std::uint8_t> window, std::size_t dict_len,
+                TokenBlock& block,
+                const std::function<void(TokenBlock&)>& on_full) {
+  WAVESZ_REQUIRE(dict_len <= window.size(),
+                 "dictionary longer than the input span");
+  runs_from(window, dict_len, block, on_full);
+}
+
+bool parse_probed(std::span<const std::uint8_t> window, std::size_t dict_len,
+                  TokenBlock& block,
+                  const std::function<void(TokenBlock&)>& on_full,
+                  const std::function<std::uint64_t(const TokenBlock&)>& bits) {
+  WAVESZ_REQUIRE(dict_len <= window.size(),
+                 "dictionary longer than the input span");
+  WAVESZ_ASSERT(block.empty(), "probed parse into a non-empty block");
+  // Only the dictionary's last kWindowSize bytes can be matched; the hash
+  // chains address at most kSegment live bytes, and parse() takes any
+  // rest.
+  const std::size_t from = dict_len - std::min(kWindowSize, dict_len);
+  window = window.subspan(from);
+  dict_len -= from;
+  const std::size_t n = window.size();
+  const std::size_t probe_end = dict_len + std::min(kProbeBytes, n - dict_len);
+
+  // The run probe goes straight into `block`, which holds at least one
+  // token per probe byte; the chain probe into a block of its own.
+  fill_runs(window, dict_len, probe_end, block);
+  const std::size_t chain_end = std::min(n, dict_len + kSegment);
+  Matcher chain(window.first(chain_end), dict_len, Level::Fast,
+                Stride::Bytes);
+  TokenBlock probe(probe_end - dict_len);
+  chain.fill(probe, probe_end);
+  const std::uint64_t run_bits = bits(block);
+  const std::uint64_t chain_bits = bits(probe);
+  if (chain_bits >= run_bits ||
+      100 * (run_bits - chain_bits) < kChainGainPercent * run_bits) {
+    runs_from(window, probe_end, block, on_full);
+    return true;
+  }
+  block.assign(probe);
+  for (chain.fill(block, chain_end); !chain.done();
+       chain.fill(block, chain_end)) {
+    on_full(block);
+  }
+  if (chain_end < n) {
+    parse(window, chain_end, Level::Fast, Stride::Bytes, block, on_full);
+  }
+  return false;
 }
 
 std::vector<Token> tokenize(std::span<const std::uint8_t> input, Level level,

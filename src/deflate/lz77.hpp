@@ -6,7 +6,10 @@
 // paper's artifact uses for the SZ-1.4 baseline (best_speed) and the ratio
 // study. The chains live in a ring of one entry per window position, and
 // the parse streams its tokens into a TokenBlock one DEFLATE block at a
-// time, counting symbol frequencies as it goes.
+// time, counting symbol frequencies as it goes. Beside it, a run parse
+// (distance-1 matches only, zlib's Z_RLE) with no tables at all, and a
+// probed parse that runs both on a window's first bytes and keeps the
+// hash chains only where they pay.
 #pragma once
 
 #include <array>
@@ -79,6 +82,15 @@ class TokenBlock {
     ++dist_[static_cast<std::size_t>(distance_code(distance))];
     covered_ += static_cast<std::size_t>(length);
   }
+  void literals(std::span<const std::uint8_t> bytes) {
+    Token* out = tokens_.get() + count_;
+    for (std::size_t k = 0; k < bytes.size(); ++k) {
+      out[k] = Token{0, bytes[k]};
+      ++litlen_[bytes[k]];
+    }
+    count_ += bytes.size();
+    covered_ += bytes.size();
+  }
   void add(const Token& t) {
     if (t.length == 0) {
       literal(static_cast<std::uint8_t>(t.value));
@@ -87,6 +99,8 @@ class TokenBlock {
     }
   }
   void clear();
+  /// Become a copy of `other`, which must fit.
+  void assign(const TokenBlock& other);
 
  private:
   std::unique_ptr<Token[]> tokens_;
@@ -114,6 +128,36 @@ class TokenBlock {
 void parse(std::span<const std::uint8_t> window, std::size_t dict_len,
            Level level, Stride stride, TokenBlock& block,
            const std::function<void(TokenBlock&)>& on_full);
+
+/// The run parse of `window[dict_len..]`, as zlib's Z_RLE: a byte repeated
+/// at least kMinMatch times after the byte before it (the dictionary's last
+/// byte included) goes out as one distance-1 match of up to kMaxMatch, and
+/// every other byte as a literal. It keeps no hash tables. Same block and
+/// `on_full` contract as parse().
+void parse_runs(std::span<const std::uint8_t> window, std::size_t dict_len,
+                TokenBlock& block,
+                const std::function<void(TokenBlock&)>& on_full);
+
+/// The probe of parse_probed(): a window's first kProbeBytes live bytes. The
+/// hash chains are kept when their probe costs at least kChainGainPercent
+/// percent fewer bits than the run parse's.
+inline constexpr std::size_t kProbeBytes = 8 * 1024;
+inline constexpr std::uint64_t kChainGainPercent = 2;
+
+/// A byte parse of `window[dict_len..]` that picks its matcher from a
+/// probe. The first kProbeBytes live bytes are parsed twice: with runs, and
+/// with Level::Fast's hash chains primed with the dictionary (its last
+/// kWindowSize bytes). `bits` prices each probe's tokens as one block.
+/// Unless the chains save at least kChainGainPercent percent of the run
+/// probe's bits, the rest of the window goes on with runs. Either way the
+/// winner's probe tokens stay in `block` and its parse resumes after them,
+/// so the choice depends only on the window's bytes. `block` must start
+/// empty; otherwise the contract is parse()'s. Returns true when the
+/// window went to runs.
+bool parse_probed(std::span<const std::uint8_t> window, std::size_t dict_len,
+                  TokenBlock& block,
+                  const std::function<void(TokenBlock&)>& on_full,
+                  const std::function<std::uint64_t(const TokenBlock&)>& bits);
 
 /// The production parse of `input[dict_len..]`, collected (for tests and
 /// token statistics). With dict_len == 0 the tokens, expanded, reproduce

@@ -1,6 +1,7 @@
 #include "deflate/parallel.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "telemetry/span_names.hpp"
@@ -20,15 +21,20 @@ struct ChunkBits {
   std::size_t nbits = 0;
 };
 
-/// Chunk [offset, offset + length) of `whole`, its matcher primed with the
-/// previous kWindowSize bytes so cross-chunk matches survive.
+/// Emits the blocks of `window[dict_len..]`, the last with BFINAL when
+/// `mark_final` is set (detail::deflate_window()'s contract).
+using WindowCoder = std::function<void(BitWriterLSB& bw,
+                                       std::span<const std::uint8_t> window,
+                                       std::size_t dict_len, bool mark_final)>;
+
+/// Chunk [offset, offset + length) of `whole`, coded with the previous
+/// kWindowSize bytes as its dictionary so cross-chunk matches survive.
 ChunkBits compress_chunk(std::span<const std::uint8_t> whole,
-                         std::size_t offset, std::size_t length, Level level,
-                         Stride stride, bool final_chunk) {
+                         std::size_t offset, std::size_t length,
+                         const WindowCoder& code, bool final_chunk) {
   const std::size_t dict = std::min(kWindowSize, offset);
   BitWriterLSB bw;
-  detail::deflate_window(bw, whole.subspan(offset - dict, dict + length),
-                         dict, level, stride, final_chunk);
+  code(bw, whole.subspan(offset - dict, dict + length), dict, final_chunk);
   if (!final_chunk) detail::sync_flush(bw);
   ChunkBits out;
   out.nbits = bw.bit_count();
@@ -37,8 +43,8 @@ ChunkBits compress_chunk(std::span<const std::uint8_t> whole,
 }
 
 std::vector<std::uint8_t> compress_chunks(std::span<const std::uint8_t> input,
-                                          Level level, Stride stride,
-                                          const ParallelOptions& opts) {
+                                          const ParallelOptions& opts,
+                                          const WindowCoder& code) {
   WAVESZ_REQUIRE(opts.chunk_bytes > 0, "chunk size must be positive");
   // The layout follows the requested budget, not the thread count it
   // resolves to, so the bytes are the same on every host.
@@ -47,8 +53,7 @@ std::vector<std::uint8_t> compress_chunks(std::span<const std::uint8_t> input,
     telemetry::Span span(telemetry::spans::kDeflateChunk);
     telemetry::counter_add(telemetry::Counter::DeflateChunks, 1);
     BitWriterLSB bw;
-    detail::deflate_window(bw, input, 0, level, stride,
-                           /*mark_final=*/true);
+    code(bw, input, 0, /*mark_final=*/true);
     auto out = bw.take();
     telemetry::observe(telemetry::Histo::DeflateChunkBytes, out.size());
     return out;
@@ -62,8 +67,8 @@ std::vector<std::uint8_t> compress_chunks(std::span<const std::uint8_t> input,
     telemetry::Span span(telemetry::spans::kDeflateChunk);
     const std::size_t offset = c * opts.chunk_bytes;
     pieces[c] = compress_chunk(input, offset,
-                               std::min(opts.chunk_bytes, n - offset), level,
-                               stride, c + 1 == chunks);
+                               std::min(opts.chunk_bytes, n - offset), code,
+                               c + 1 == chunks);
     telemetry::observe(telemetry::Histo::DeflateChunkBytes,
                        pieces[c].bytes.size());
   });
@@ -78,12 +83,21 @@ std::vector<std::uint8_t> compress_chunks(std::span<const std::uint8_t> input,
   return bw.take();
 }
 
+/// The hash-chain parse at `level` in `stride` positions.
+WindowCoder chain_coder(Level level, Stride stride) {
+  return [level, stride](BitWriterLSB& bw,
+                         std::span<const std::uint8_t> window,
+                         std::size_t dict_len, bool mark_final) {
+    detail::deflate_window(bw, window, dict_len, level, stride, mark_final);
+  };
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> compress_parallel(
     std::span<const std::uint8_t> input, Level level,
     const ParallelOptions& opts) {
-  return compress_chunks(input, level, Stride::Bytes, opts);
+  return compress_chunks(input, opts, chain_coder(level, Stride::Bytes));
 }
 
 std::vector<std::uint8_t> gzip_compress_parallel(
@@ -105,7 +119,30 @@ std::vector<std::uint8_t> gzip_compress_codes(
   }
   const auto bytes = bytes_of(codes);
   return detail::gzip_member(
-      bytes, level, compress_chunks(bytes, level, Stride::Codes, even));
+      bytes, level,
+      compress_chunks(bytes, even, chain_coder(level, Stride::Codes)));
+}
+
+std::vector<std::uint8_t> gzip_compress_probed(
+    std::span<const std::uint8_t> input, const ParallelOptions& opts) {
+  ParallelOptions chunked = opts;
+  chunked.force_chunking = true;
+  const WindowCoder probed = [](BitWriterLSB& bw,
+                                std::span<const std::uint8_t> window,
+                                std::size_t dict_len, bool mark_final) {
+    detail::deflate_parsed(
+        bw, window.subspan(dict_len),
+        [&](TokenBlock& block,
+            const std::function<void(TokenBlock&)>& on_full) {
+          if (parse_probed(window, dict_len, block, on_full,
+                           detail::block_bits)) {
+            telemetry::counter_add(telemetry::Counter::DeflateRunChunks, 1);
+          }
+        },
+        mark_final);
+  };
+  return detail::gzip_member(input, Level::Fast,
+                             compress_chunks(input, chunked, probed));
 }
 
 std::vector<std::vector<std::uint8_t>> gzip_decompress_batch(

@@ -65,6 +65,14 @@ std::vector<std::uint8_t> gzip_compress_codes(
     std::span<const std::uint16_t> codes, Level level,
     const ParallelOptions& opts = {});
 
+/// gzip member of an H* section at Level::Fast, chunked at every budget
+/// (force_chunking is implied), so the bytes are the same at every budget.
+/// Each chunk takes lz77.hpp's parse_probed(): the run parse, unless its
+/// first kProbeBytes show the hash chains paying. The choice depends only on
+/// the chunk and the kWindowSize bytes before it.
+std::vector<std::uint8_t> gzip_compress_probed(
+    std::span<const std::uint8_t> input, const ParallelOptions& opts = {});
+
 /// Inflate several independent gzip members concurrently, one worker per
 /// member (a single DEFLATE stream inflates serially — cross-block history
 /// forbids splitting it without an index). `threads` follows the usual

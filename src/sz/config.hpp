@@ -55,7 +55,9 @@ struct Config {
   /// value, never the host's thread count, picks the section layout: v2
   /// containers are chunked at every budget; index-less and GhostSZ
   /// containers write one DEFLATE stream per section at budget 1 and the
-  /// chunked stream at any other budget. Not recorded in the container —
+  /// chunked stream at any other budget. H* sections at Level::Fast are
+  /// chunked at every budget in both layouts, since each chunk picks its
+  /// parse from a probe of its own bytes. Not recorded in the container —
   /// the emitted stream is plain gzip either way.
   int codec_threads = 1;
   /// Worker granularity of the chunked DEFLATE engine.

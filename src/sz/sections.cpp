@@ -55,8 +55,10 @@ void SectionStaged::deflate_section(std::size_t s) {
   // bytes. Raw G* codes of SZ-1.4 and waveSZ go in as codes, so the
   // matcher steps in whole codes. GhostSZ's raw codes keep the byte parse:
   // matched in whole codes, its Table 7 ratio fell on 10 of 18 fields, by
-  // up to 2.6% (EXPERIMENTS.md, Table 7). H* bytes and unpredictable
-  // values are parsed as bytes.
+  // up to 2.6% (EXPERIMENTS.md, Table 7). H* bytes at Level::Fast take the
+  // probed chunk mode, runs unless the hash chains pay (DESIGN.md, "Runs
+  // for H* sections"); at Level::Best, and for unpredictable values, the
+  // byte parse.
   telemetry::Span span(telemetry::spans::kDeflateSerialize);
   const deflate::ParallelOptions opts = cfg_.chunk_index
                                             ? cfg_.indexed_deflate_options()
@@ -65,10 +67,14 @@ void SectionStaged::deflate_section(std::size_t s) {
   const std::span<const std::uint8_t> plain =
       raw_codes ? bytes_of(std::span<const std::uint16_t>(codes_))
                 : std::span<const std::uint8_t>(plain_[s]);
-  blobs_[s] = raw_codes && head_.variant != Variant::GhostSz
-                  ? deflate::gzip_compress_codes(codes_, cfg_.gzip_level, opts)
-                  : deflate::gzip_compress_parallel(plain, cfg_.gzip_level,
-                                                    opts);
+  if (raw_codes && head_.variant != Variant::GhostSz) {
+    blobs_[s] = deflate::gzip_compress_codes(codes_, cfg_.gzip_level, opts);
+  } else if (s == 0 && cfg_.huffman &&
+             cfg_.gzip_level == deflate::Level::Fast) {
+    blobs_[s] = deflate::gzip_compress_probed(plain, opts);
+  } else {
+    blobs_[s] = deflate::gzip_compress_parallel(plain, cfg_.gzip_level, opts);
+  }
   telemetry::counter_add(s == 0 ? telemetry::Counter::CodeBytesIn
                                 : telemetry::Counter::UnpredBytesIn,
                          plain.size());

@@ -42,6 +42,7 @@ enum class Counter : std::uint32_t {
   HuffmanSymbols,      ///< symbols the customized Huffman coder encoded
   HuffmanPayloadBits,  ///< payload bits those symbols were packed into
   DeflateChunks,       ///< DEFLATE chunks encoded (1 per input when serial)
+  DeflateRunChunks,    ///< of those, H* chunks the probe put on runs
   PqdDiagonalBatches,  ///< anti-diagonal hyperplane batches swept
   StreamChunks,        ///< chunks emitted/decoded by the streaming API
   InflateBlocks,       ///< DEFLATE Huffman-coded blocks inflated
@@ -74,6 +75,9 @@ inline constexpr MetricInfo kCounterInfo[] = {
      "payload bits the customized Huffman coder wrote (per "
      "huffman_symbols: achieved bits/symbol)"},
     {"deflate_chunks", "chunks", "DEFLATE chunks encoded"},
+    {"deflate_run_chunks", "chunks",
+     "H* DEFLATE chunks the probe put on the run parse (per "
+     "deflate_chunks: the share left to the hash chains is the rest)"},
     {"pqd_diagonal_batches", "batches",
      "anti-diagonal hyperplane batches swept"},
     {"stream_chunks", "chunks",

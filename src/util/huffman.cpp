@@ -7,15 +7,6 @@
 namespace wavesz {
 namespace {
 
-/// Entry in a package-merge list: either a leaf (symbol index) or a package
-/// of two entries from the previous level.
-struct PmNode {
-  std::uint64_t weight;
-  std::int32_t symbol;         // >= 0 for leaves
-  std::int32_t left = -1;      // package children: indices into prev level
-  std::int32_t right = -1;
-};
-
 /// Width of the root lookup table: codes this short resolve in one probe.
 /// 10 covers every hot symbol of both alphabets (DEFLATE codes cap at 15;
 /// SZ's quantization codes are sharply peaked, so the frequent ones are
@@ -51,76 +42,70 @@ std::vector<std::uint8_t> huffman_code_lengths(
   const std::size_t n = freqs.size();
   std::vector<std::uint8_t> lengths(n, 0);
 
-  // Leaves sorted by (weight, symbol) — deterministic.
-  std::vector<PmNode> leaves;
+  // Used symbols sorted by (weight, symbol) — deterministic.
+  std::vector<std::uint32_t> order;
   for (std::size_t s = 0; s < n; ++s) {
-    if (freqs[s] > 0) {
-      leaves.push_back(PmNode{freqs[s], static_cast<std::int32_t>(s)});
-    }
+    if (freqs[s] > 0) order.push_back(static_cast<std::uint32_t>(s));
   }
-  if (leaves.empty()) return lengths;
-  if (leaves.size() == 1) {
-    lengths[static_cast<std::size_t>(leaves[0].symbol)] = 1;
+  const std::size_t m = order.size();
+  if (m == 0) return lengths;
+  if (m == 1) {
+    lengths[order[0]] = 1;
     return lengths;
   }
-  WAVESZ_REQUIRE(static_cast<std::uint64_t>(leaves.size()) <=
-                     (1ull << max_length),
+  WAVESZ_REQUIRE(static_cast<std::uint64_t>(m) <= (1ull << max_length),
                  "alphabet too large for requested code-length limit");
-  std::sort(leaves.begin(), leaves.end(), [](const PmNode& a,
-                                             const PmNode& b) {
-    if (a.weight != b.weight) return a.weight < b.weight;
-    return a.symbol < b.symbol;
-  });
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return freqs[a] != freqs[b] ? freqs[a] < freqs[b] : a < b;
+            });
+  std::vector<std::uint64_t> leaf(m);
+  for (std::size_t i = 0; i < m; ++i) leaf[i] = freqs[order[i]];
 
-  // Package-merge (Larmore & Hirschberg): build L levels of sorted lists,
-  // each level = leaves merged with pairwise packages of the previous level.
-  // Selecting the cheapest 2n-2 entries of the last level yields optimal,
-  // Kraft-complete code lengths bounded by max_length.
-  std::vector<std::vector<PmNode>> levels;
-  levels.reserve(static_cast<std::size_t>(max_length));
-  levels.push_back(leaves);
-  for (int level = 1; level < max_length; ++level) {
-    const auto& prev = levels.back();
-    std::vector<PmNode> packages;
-    packages.reserve(prev.size() / 2);
-    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
-      packages.push_back(PmNode{prev[i].weight + prev[i + 1].weight, -1,
-                                static_cast<std::int32_t>(i),
-                                static_cast<std::int32_t>(i + 1)});
+  // Package-merge (Larmore & Hirschberg). Level 0 is the leaves; level l
+  // merges the leaves with the pairwise packages of level l - 1, leaves
+  // first on weight ties, so it holds fewer than 2m entries. Only the
+  // previous level's weights are kept, and per level which entries are
+  // packages.
+  const auto levels = static_cast<std::size_t>(max_length);
+  const std::size_t stride = 2 * m;
+  std::vector<std::uint8_t> is_package(levels * stride, 0);
+  std::vector<std::uint64_t> prev(leaf);
+  std::vector<std::uint64_t> cur;
+  cur.reserve(stride);
+  for (std::size_t l = 1; l < levels; ++l) {
+    std::uint8_t* flags = &is_package[l * stride];
+    const std::size_t packages = prev.size() / 2;
+    cur.clear();
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < m || j < packages) {
+      const std::uint64_t pw =
+          j < packages ? prev[2 * j] + prev[2 * j + 1] : 0;
+      if (j < packages && (i == m || pw < leaf[i])) {
+        flags[cur.size()] = 1;
+        cur.push_back(pw);
+        ++j;
+      } else {
+        cur.push_back(leaf[i++]);
+      }
     }
-    std::vector<PmNode> merged;
-    merged.reserve(leaves.size() + packages.size());
-    std::merge(leaves.begin(), leaves.end(), packages.begin(), packages.end(),
-               std::back_inserter(merged),
-               [](const PmNode& a, const PmNode& b) {
-                 // Leaves before packages on weight ties keeps the tree flat.
-                 if (a.weight != b.weight) return a.weight < b.weight;
-                 return (a.symbol >= 0) > (b.symbol >= 0);
-               });
-    levels.push_back(std::move(merged));
+    prev.swap(cur);
   }
 
-  // Count, per symbol, in how many selected entries it participates.
-  // Iterative expansion: a work item is (level, index).
-  std::vector<std::pair<int, std::int32_t>> stack;
-  const std::size_t take = 2 * leaves.size() - 2;
-  WAVESZ_ASSERT(levels.back().size() >= take,
+  // Select the 2m - 2 lightest entries of the last level. A selected
+  // package selects its two entries one level down, so every level's
+  // selection is a prefix of it, and the leaves in that prefix are the
+  // lightest ones: each adds one bit to their codes.
+  WAVESZ_ASSERT(prev.size() >= 2 * m - 2,
                 "package-merge produced too few entries");
-  for (std::size_t i = 0; i < take; ++i) {
-    stack.emplace_back(static_cast<int>(levels.size()) - 1,
-                       static_cast<std::int32_t>(i));
-  }
-  while (!stack.empty()) {
-    const auto [level, idx] = stack.back();
-    stack.pop_back();
-    const PmNode& node =
-        levels[static_cast<std::size_t>(level)][static_cast<std::size_t>(idx)];
-    if (node.symbol >= 0) {
-      ++lengths[static_cast<std::size_t>(node.symbol)];
-    } else {
-      stack.emplace_back(level - 1, node.left);
-      stack.emplace_back(level - 1, node.right);
-    }
+  std::size_t take = 2 * m - 2;
+  for (std::size_t l = levels; l-- > 0;) {
+    const std::uint8_t* flags = &is_package[l * stride];
+    const auto packages =
+        static_cast<std::size_t>(std::count(flags, flags + take, 1));
+    for (std::size_t k = 0; k < take - packages; ++k) ++lengths[order[k]];
+    take = 2 * packages;
   }
   return lengths;
 }

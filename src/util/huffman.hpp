@@ -2,9 +2,9 @@
 //
 // Shared by the DEFLATE substrate (lit/len, distance and code-length
 // alphabets, limits 15/15/7) and by SZ's customized Huffman coder over
-// 16-bit quantization symbols (limit 24). Lengths are produced by a heap
-// Huffman build followed by the classic zlib-style overflow fix, which keeps
-// the Kraft sum exactly 1; codes are assigned canonically per RFC 1951.
+// 16-bit quantization symbols (limit 24). Lengths come from package-merge
+// (Larmore & Hirschberg), optimal under the length limit with a Kraft sum
+// of exactly 1; codes are assigned canonically per RFC 1951.
 #pragma once
 
 #include <cstdint>

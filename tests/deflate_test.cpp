@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 #include <string>
 #include <tuple>
@@ -1200,6 +1201,221 @@ TEST(CodeMode, OddLengthsRoundTrip) {
               std::vector<std::uint8_t>(bytes.begin(), bytes.end()))
         << n << " bytes";
   }
+}
+
+// ------------------------------------------------ the run parse and probe
+//
+// H* sections take gzip_compress_probed(): each chunk is parsed with runs
+// (distance-1 matches only, no hash tables) unless a probe of its first
+// kProbeBytes shows the hash chains paying.
+
+/// Every token `parse` writes into a TokenBlock sized for `live` bytes,
+/// across all its blocks.
+template <typename Parse>
+std::vector<Token> collect_tokens(std::size_t live, Parse&& parse) {
+  std::vector<Token> out;
+  TokenBlock block(live);
+  const std::function<void(TokenBlock&)> take = [&](TokenBlock& b) {
+    out.insert(out.end(), b.tokens().begin(), b.tokens().end());
+    b.clear();
+  };
+  parse(block, take);
+  take(block);
+  return out;
+}
+
+/// The window `tokens` rebuild after its first `dict_len` bytes.
+std::vector<std::uint8_t> expand_after(std::span<const std::uint8_t> window,
+                                       std::size_t dict_len,
+                                       std::span<const Token> tokens) {
+  std::vector<Token> all;
+  for (std::size_t i = 0; i < dict_len; ++i) all.push_back({0, window[i]});
+  all.insert(all.end(), tokens.begin(), tokens.end());
+  return expand(all);
+}
+
+/// zlib's Z_RLE parse of `w[dict_len..]`, a byte at a time.
+std::vector<Token> byte_at_a_time_runs(std::span<const std::uint8_t> w,
+                                       std::size_t dict_len) {
+  std::vector<Token> out;
+  for (std::size_t pos = dict_len; pos < w.size();) {
+    std::size_t len = 0;
+    while (pos > 0 && len < kMaxMatch && pos + len < w.size() &&
+           w[pos + len] == w[pos - 1]) {
+      ++len;
+    }
+    if (len >= kMinMatch) {
+      out.push_back({static_cast<std::uint16_t>(len), 1});
+      pos += len;
+    } else {
+      out.push_back({0, w[pos++]});
+    }
+  }
+  return out;
+}
+
+std::vector<Token> runs_of(std::span<const std::uint8_t> window,
+                           std::size_t dict_len) {
+  return collect_tokens(window.size() - dict_len, [&](TokenBlock& b,
+                                                      const auto& on_full) {
+    parse_runs(window, dict_len, b, on_full);
+  });
+}
+
+/// parse_probed()'s tokens and whether it took runs.
+std::pair<std::vector<Token>, bool> probed_of(
+    std::span<const std::uint8_t> window, std::size_t dict_len) {
+  bool on_runs = false;
+  auto tokens = collect_tokens(
+      window.size() - dict_len, [&](TokenBlock& b, const auto& on_full) {
+        on_runs = parse_probed(window, dict_len, b, on_full,
+                               detail::block_bits);
+      });
+  return {std::move(tokens), on_runs};
+}
+
+/// Random bytes with runs of 3 to 20 repeats between them: the shape of an
+/// H* payload, where the chains find little beyond the runs.
+std::vector<std::uint8_t> skewed_bytes(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> out;
+  while (out.size() < n) {
+    const auto b = static_cast<std::uint8_t>(rng() % 5 == 0 ? 0 : rng());
+    const std::size_t reps = rng() % 6 == 0 ? 3 + rng() % 18 : 1;
+    out.insert(out.end(), std::min(reps, n - out.size()), b);
+  }
+  return out;
+}
+
+bool same_tokens(std::span<const Token> a, std::span<const Token> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Token& x, const Token& y) {
+                      return x.length == y.length && x.value == y.value;
+                    });
+}
+
+bool only_distance_one(std::span<const Token> tokens) {
+  return std::all_of(tokens.begin(), tokens.end(), [](const Token& t) {
+    return t.length == 0 || t.value == 1;
+  });
+}
+
+TEST(RunParse, IsTheByteAtATimeParseWithDistanceOneMatchesOnly) {
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
+  for (const std::size_t n : {0, 1, 2, 3, 4, 5, 9, 10, 11}) {
+    cases.emplace_back("run " + std::to_string(n),
+                       std::vector<std::uint8_t>(n, 'a'));
+  }
+  cases.emplace_back("long run", std::vector<std::uint8_t>(1000, 0));
+  cases.emplace_back("runs", byte_runs(300000, 15));  // several blocks
+  cases.emplace_back("skewed", skewed_bytes(100000, 16));
+  cases.emplace_back("random", random_bytes(70000, 17));
+  cases.emplace_back("H*", sz::huffman_encode(walk_codes(150000, 18)));
+  for (const auto& [name, bytes] : cases) {
+    for (const std::size_t dict : {std::size_t{0}, bytes.size() / 3}) {
+      const auto tokens = runs_of(bytes, dict);
+      EXPECT_TRUE(same_tokens(tokens, byte_at_a_time_runs(bytes, dict)))
+          << name << " dict " << dict;
+      EXPECT_TRUE(only_distance_one(tokens)) << name;
+      EXPECT_EQ(expand_after(bytes, dict, tokens), bytes)
+          << name << " dict " << dict;
+    }
+  }
+}
+
+TEST(RunParse, MatchesReachIntoTheDictionary) {
+  // The live bytes open with the byte the dictionary ends on: the first
+  // token is a distance-1 match whose source is the dictionary's last byte.
+  std::vector<std::uint8_t> window = random_bytes(1000, 19);
+  window.back() = 'q';
+  const std::size_t dict = window.size();
+  window.insert(window.end(), 300, 'q');
+  window.push_back('z');
+  const auto tokens = runs_of(window, dict);
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0].length, kMaxMatch);
+  EXPECT_EQ(tokens[0].value, 1);
+  EXPECT_EQ(tokens[1].length, 300 - kMaxMatch);
+  EXPECT_EQ(tokens[2].length, 0);
+  EXPECT_EQ(expand_after(window, dict, tokens), window);
+}
+
+TEST(ProbedParse, KeepsTheChainOnAPeriodFivePattern) {
+  // No byte repeats the one before it, so runs find nothing, while the
+  // chains match every period after the first.
+  std::vector<std::uint8_t> window(kWindowSize + 3 * kProbeBytes);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    window[i] = static_cast<std::uint8_t>("waveS"[i % 5]);
+  }
+  for (const std::size_t dict : {std::size_t{0}, kWindowSize}) {
+    const auto [tokens, on_runs] = probed_of(window, dict);
+    EXPECT_FALSE(on_runs) << "dict " << dict;
+    EXPECT_TRUE(std::any_of(tokens.begin(), tokens.end(), [](const Token& t) {
+      return t.length > 0 && t.value % 5 == 0;
+    }));
+    EXPECT_LT(tokens.size(), (window.size() - dict) / 100);
+    EXPECT_EQ(expand_after(window, dict, tokens), window);
+  }
+}
+
+TEST(ProbedParse, TakesRunsOnSkewedRandomBytes) {
+  // The chains find the runs too, and little else: the probe keeps runs,
+  // whose tokens are then exactly parse_runs()'s.
+  const auto window = skewed_bytes(kWindowSize + 100000, 20);
+  for (const std::size_t dict : {std::size_t{0}, kWindowSize}) {
+    const auto [tokens, on_runs] = probed_of(window, dict);
+    EXPECT_TRUE(on_runs) << "dict " << dict;
+    EXPECT_TRUE(only_distance_one(tokens));
+    EXPECT_TRUE(same_tokens(tokens, runs_of(window, dict)));
+  }
+}
+
+TEST(ProbedParse, ExpandsAtEveryProbeEdge) {
+  // Windows ending before, at and after the probe, either way the probe
+  // goes, rebuild their bytes.
+  auto skewed = skewed_bytes(kWindowSize + 2 * kProbeBytes, 21);
+  std::vector<std::uint8_t> periodic(skewed.size());
+  for (std::size_t i = 0; i < periodic.size(); ++i) {
+    periodic[i] = static_cast<std::uint8_t>(i % 5 * 37);
+  }
+  for (const auto* source : {&skewed, &periodic}) {
+    for (const std::size_t live :
+         {std::size_t{0}, std::size_t{1}, kProbeBytes - 1, kProbeBytes,
+          kProbeBytes + 1, 2 * kProbeBytes}) {
+      for (const std::size_t dict : {std::size_t{0}, kWindowSize}) {
+        const auto window = std::span(*source).first(dict + live);
+        EXPECT_EQ(expand_after(window, dict, probed_of(window, dict).first),
+                  std::vector<std::uint8_t>(window.begin(), window.end()))
+            << "live " << live << " dict " << dict;
+      }
+    }
+  }
+}
+
+TEST(ProbedGzip, SameMemberAtEveryBudget) {
+  // The probe reads only a chunk and the window before it, so the member
+  // is the same at every budget, with or without force_chunking; and the
+  // serial inflate reads it.
+  std::vector<std::uint8_t> input = skewed_bytes(200000, 22);
+  const auto hstar = sz::huffman_encode(walk_codes(100000, 23));
+  input.insert(input.end(), hstar.begin(), hstar.end());
+  for (std::size_t i = 0; i < 50000; ++i) {
+    input.push_back(static_cast<std::uint8_t>(i % 5 * 37));
+  }
+  for (const std::size_t chunk : {4096u, 65536u}) {
+    const auto want = gzip_compress_probed(input, {chunk, 1});
+    EXPECT_EQ(gzip_decompress(want), input);
+    for (const int threads : {1, 2, 4}) {
+      for (const bool forced : {false, true}) {
+        ParallelOptions opts{chunk, threads};
+        opts.force_chunking = forced;
+        EXPECT_EQ(gzip_compress_probed(input, opts), want)
+            << "chunk " << chunk << " threads " << threads;
+      }
+    }
+  }
+  EXPECT_EQ(gzip_decompress(gzip_compress_probed({}, {4096, 2})),
+            std::vector<std::uint8_t>{});
 }
 
 }  // namespace

@@ -3,11 +3,16 @@
 // of each length, the H* blob framing parsed on its own, and index-chunk
 // runs over the same walk. Kept only as the oracle that the differential
 // tests, fuzzers and bench rows compare the production decoders with: the
-// same symbols, and the same verdict on every input.
+// same symbols, and the same verdict on every input. Beside them, the
+// package-merge build that kept every level's nodes and expanded the
+// selected packages on a stack: the production build must give the same
+// code lengths.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -148,6 +153,82 @@ inline std::vector<std::uint16_t> huffman_decode(
                              out.data(), b.count) == b.payload_bits,
                  "trailing payload bits");
   return out;
+}
+
+/// Package-merge over explicit node lists: every level holds its leaves
+/// and packages as nodes, and the 2n - 2 entries selected from the last
+/// level are expanded back to their leaves on a stack.
+inline std::vector<std::uint8_t> huffman_code_lengths(
+    std::span<const std::uint64_t> freqs, int max_length) {
+  struct Node {
+    std::uint64_t weight;
+    std::int32_t symbol;     // >= 0 for leaves
+    std::int32_t left = -1;  // package children: indices into prev level
+    std::int32_t right = -1;
+  };
+  WAVESZ_REQUIRE(max_length >= 1 && max_length <= 31,
+                 "max code length out of range");
+  const std::size_t n = freqs.size();
+  std::vector<std::uint8_t> lengths(n, 0);
+  std::vector<Node> leaves;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (freqs[s] > 0) {
+      leaves.push_back(Node{freqs[s], static_cast<std::int32_t>(s)});
+    }
+  }
+  if (leaves.empty()) return lengths;
+  if (leaves.size() == 1) {
+    lengths[static_cast<std::size_t>(leaves[0].symbol)] = 1;
+    return lengths;
+  }
+  WAVESZ_REQUIRE(static_cast<std::uint64_t>(leaves.size()) <=
+                     (1ull << max_length),
+                 "alphabet too large for requested code-length limit");
+  std::sort(leaves.begin(), leaves.end(), [](const Node& a, const Node& b) {
+    if (a.weight != b.weight) return a.weight < b.weight;
+    return a.symbol < b.symbol;
+  });
+  std::vector<std::vector<Node>> levels;
+  levels.push_back(leaves);
+  for (int level = 1; level < max_length; ++level) {
+    const auto& prev = levels.back();
+    std::vector<Node> packages;
+    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
+      packages.push_back(Node{prev[i].weight + prev[i + 1].weight, -1,
+                              static_cast<std::int32_t>(i),
+                              static_cast<std::int32_t>(i + 1)});
+    }
+    std::vector<Node> merged;
+    std::merge(leaves.begin(), leaves.end(), packages.begin(),
+               packages.end(), std::back_inserter(merged),
+               [](const Node& a, const Node& b) {
+                 // Leaves before packages on weight ties.
+                 if (a.weight != b.weight) return a.weight < b.weight;
+                 return (a.symbol >= 0) > (b.symbol >= 0);
+               });
+    levels.push_back(std::move(merged));
+  }
+  std::vector<std::pair<int, std::int32_t>> stack;
+  const std::size_t take = 2 * leaves.size() - 2;
+  WAVESZ_REQUIRE(levels.back().size() >= take,
+                 "package-merge produced too few entries");
+  for (std::size_t i = 0; i < take; ++i) {
+    stack.emplace_back(static_cast<int>(levels.size()) - 1,
+                       static_cast<std::int32_t>(i));
+  }
+  while (!stack.empty()) {
+    const auto [level, idx] = stack.back();
+    stack.pop_back();
+    const Node& node =
+        levels[static_cast<std::size_t>(level)][static_cast<std::size_t>(idx)];
+    if (node.symbol >= 0) {
+      ++lengths[static_cast<std::size_t>(node.symbol)];
+    } else {
+      stack.emplace_back(level - 1, node.left);
+      stack.emplace_back(level - 1, node.right);
+    }
+  }
+  return lengths;
 }
 
 }  // namespace wavesz::oracle

@@ -132,6 +132,32 @@ TEST(GzipInterop, SystemGunzipReadsCodeSections) {
   fs::remove(out);
 }
 
+TEST(GzipInterop, SystemGunzipReadsProbedMembers) {
+  // H* sections: chunks on runs and chunks on the hash chains, as one
+  // stream and as sync-flushed chunks on a team.
+  if (!have_gzip()) GTEST_SKIP();
+  std::vector<std::uint8_t> mixed = sample_payload(0, 40000);
+  const auto text = sample_payload(1, 40000);
+  mixed.insert(mixed.end(), text.begin(), text.end());
+  const auto steps = sample_payload(2, 40000);
+  mixed.insert(mixed.end(), steps.begin(), steps.end());
+  const auto gz = tmp("probed.gz");
+  const auto out = tmp("probed.out");
+  for (const auto& payload : {mixed, std::vector<std::uint8_t>{}}) {
+    for (const ParallelOptions& opts :
+         {ParallelOptions{kDefaultChunkBytes, 1}, ParallelOptions{16384, 2}}) {
+      data::write_bytes(gz, gzip_compress_probed(payload, opts));
+      const std::string cmd = "gunzip -c '" + gz.string() + "' > '" +
+                              out.string() + "' 2>/dev/null";
+      ASSERT_EQ(std::system(cmd.c_str()), 0) << payload.size() << " bytes";
+      EXPECT_EQ(data::read_bytes(out), payload)
+          << payload.size() << " bytes, chunk " << opts.chunk_bytes;
+    }
+  }
+  fs::remove(gz);
+  fs::remove(out);
+}
+
 TEST(GzipInterop, SystemGunzipGivesOurVerdictsOnCodeLengthSets) {
   // deflate_vectors.hpp's admission vectors as gzip members: a literal-only
   // block with an empty distance code and a lit/len code of one 1-bit code

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "huffman_oracle.hpp"
@@ -550,6 +551,48 @@ TEST(Huffman, CanonicalCodesAreOrderedAndPrefixFree) {
   EXPECT_EQ(codes[0], 0b10u);
   EXPECT_EQ(codes[2], 0b110u);
   EXPECT_EQ(codes[3], 0b111u);
+}
+
+TEST(Huffman, LengthsMatchTheNodeListBuild) {
+  // The rolling-list build against the node-list oracle: the same lengths
+  // for random, geometric, Fibonacci and all-equal weights, at the DEFLATE
+  // and H* limits and the code-length code's 7.
+  std::mt19937_64 rng(29);
+  std::size_t sets = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t alphabet =
+        round % 50 == 0 ? 2000 + rng() % 2000 : 2 + rng() % 320;
+    std::vector<std::uint64_t> freqs(alphabet);
+    const int shape = round % 4;
+    std::uint64_t a = 1, b = 1;
+    for (auto& f : freqs) {
+      switch (shape) {
+        case 0:  // sparse, wide range
+          f = rng() % 3 == 0 ? 0 : 1 + rng() % 100000;
+          break;
+        case 1:  // geometric: deep optimal trees
+          f = std::uint64_t{1} << (rng() % 40);
+          break;
+        case 2:  // Fibonacci
+          f = a;
+          b = std::exchange(a, a + b);
+          if (a > (std::uint64_t{1} << 50)) a = b = 1;
+          break;
+        default:  // ties everywhere
+          f = rng() % 4 == 0 ? 0 : 7;
+      }
+    }
+    for (int limit : {7, 9, 12, 15, 24}) {
+      const auto used = static_cast<std::uint64_t>(std::count_if(
+          freqs.begin(), freqs.end(), [](std::uint64_t f) { return f > 0; }));
+      if (used > (std::uint64_t{1} << limit)) continue;
+      ASSERT_EQ(huffman_code_lengths(freqs, limit),
+                oracle::huffman_code_lengths(freqs, limit))
+          << "round " << round << " limit " << limit;
+      ++sets;
+    }
+  }
+  EXPECT_GT(sets, 1500u);
 }
 
 TEST(Huffman, DecoderInvertsEncoder) {

@@ -24,6 +24,10 @@ Metric policy, by field name:
   * compression ratio (contains "ratio"): higher is better with --tol-ratio.
   * booleans (roundtrip_ok, bound_ok, identical, bit_exact, ...): hard
     gate — regression whenever baseline true becomes fresh false.
+  * cross-codec quotients (ending in "_vs_entropy", such as SZx's
+    compress_speedup_vs_entropy): informational only. They divide one
+    codec's speed by another's, so a faster entropy pipeline would read as
+    an SZx regression; each codec's own mbps columns gate instead.
   * anything else (counts, parameters that slipped past key detection):
     informational only.
 
@@ -62,6 +66,8 @@ def row_key(row):
 
 def classify(name):
     lowered = name.lower()
+    if lowered.endswith("_vs_entropy"):
+        return "info"
     if any(tag in lowered for tag in ("mbps", "speedup", "psnr")) or \
             lowered == "ipc" or lowered.startswith("ipc_"):
         return "higher"
@@ -263,6 +269,24 @@ def self_test():
     per_input.compare(inputs, grown)
     assert len(per_input.failures) == 1 and \
         "input=raw_u16" in per_input.failures[0], per_input.failures
+
+    # SZx's *_vs_entropy columns divide its speed by the entropy
+    # pipeline's: a faster entropy row halves the quotient, yet SZx itself
+    # did not slow down, so only the entropy row's own columns move.
+    szx = {"results": [
+        {"shape": "64x256x256", "codec": "entropy_fast",
+         "compress_mbps": 120.0},
+        {"shape": "64x256x256", "codec": "szx", "compress_mbps": 680.0,
+         "compress_speedup_vs_entropy": 5.667}]}
+    faster = json.loads(json.dumps(szx))
+    faster["results"][0]["compress_mbps"] = 240.0
+    faster["results"][1]["compress_speedup_vs_entropy"] = 2.833
+    quotient = Comparison(argparse.Namespace(
+        tol_speed=0.15, tol_ratio=0.02, tol_size=0.02, warn_speed=False))
+    quotient.compare(szx, faster)
+    assert not quotient.failures and not quotient.warnings, \
+        (quotient.failures, quotient.warnings)
+    assert any("compress_speedup_vs_entropy" in m for m in quotient.infos)
 
     print("bench_compare: self-test OK")
     return 0
