@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/stream.hpp"
@@ -185,6 +187,80 @@ TEST(Interop, WaveAndSzAgreeWithinTwiceTheBound) {
       cfg.error_bound * metrics::value_range(grid).span() +
       c.header.eb_absolute;
   EXPECT_TRUE(metrics::within_bound(a, b, tol));
+}
+
+/// The absolute bound each codec writes for `values` under `cfg`: SZ-1.4,
+/// waveSZ and SZx, and GhostSZ for float32.
+template <typename T>
+std::map<std::string, double> codec_bounds(const std::vector<T>& values,
+                                           const Dims& dims,
+                                           const sz::Config& cfg) {
+  sz::Config szx = cfg;
+  szx.codec = sz::Codec::Szx;
+  std::map<std::string, double> out{
+      {"sz", sz::compress(std::span<const T>(values), dims, cfg)
+                 .header.eb_absolute},
+      {"wave", wave::compress(std::span<const T>(values), dims, cfg)
+                   .header.eb_absolute},
+      {"szx", sz::compress(std::span<const T>(values), dims, szx)
+                  .header.eb_absolute},
+  };
+  if constexpr (std::is_same_v<T, float>) {
+    out["ghost"] = ghost::compress(values, dims, cfg).header.eb_absolute;
+  }
+  return out;
+}
+
+TEST(FieldBound, EveryCodecWritesTheSameBound) {
+  data::FieldRecipe recipe;
+  recipe.seed = 31;
+  const Dims dims = Dims::d2(48, 64);
+  const auto f32 = data::generate(recipe, dims);
+  const std::vector<double> f64(f32.begin(), f32.end());
+  for (const auto mode :
+       {sz::EbMode::ValueRangeRelative, sz::EbMode::Absolute}) {
+    for (const auto base : {sz::EbBase::Ten, sz::EbBase::Two}) {
+      sz::Config cfg;
+      cfg.mode = mode;
+      cfg.base = base;
+      cfg.error_bound = mode == sz::EbMode::Absolute ? 2e-3 : 1e-3;
+      const auto b32 = codec_bounds(f32, dims, cfg);
+      const auto b64 = codec_bounds(f64, dims, cfg);
+      const double want = b32.at("sz");
+      EXPECT_GT(want, 0.0);
+      for (const auto* bounds : {&b32, &b64}) {
+        for (const auto& [codec, bound] : *bounds) {
+          EXPECT_EQ(bound, want)
+              << codec << (bounds == &b64 ? " f64" : " f32") << " mode "
+              << static_cast<int>(mode) << " base " << static_cast<int>(base);
+        }
+      }
+    }
+  }
+}
+
+TEST(FieldBound, EveryCodecRejectsAFieldThatMissesItsDims) {
+  const Dims dims = Dims::d2(16, 20);
+  const std::vector<float> f32(dims.count() - 1, 1.5f);
+  const std::vector<double> f64(dims.count() - 1, 1.5);
+  for (const auto mode :
+       {sz::EbMode::ValueRangeRelative, sz::EbMode::Absolute}) {
+    sz::Config cfg;
+    cfg.mode = mode;
+    sz::Config szx = cfg;
+    szx.codec = sz::Codec::Szx;
+    for (const std::size_t n : {std::size_t{0}, f32.size()}) {
+      const std::span<const float> s32(f32.data(), n);
+      const std::span<const double> s64(f64.data(), n);
+      EXPECT_THROW(sz::compress(s32, dims, cfg), Error) << n;
+      EXPECT_THROW(sz::compress(s64, dims, cfg), Error) << n;
+      EXPECT_THROW(wave::compress(s32, dims, cfg), Error) << n;
+      EXPECT_THROW(wave::compress(s64, dims, cfg), Error) << n;
+      EXPECT_THROW(sz::compress(s32, dims, szx), Error) << n;
+      EXPECT_THROW(sz::compress(s64, dims, szx), Error) << n;
+      EXPECT_THROW(ghost::compress(s32, dims, cfg), Error) << n;
+    }
+  }
 }
 
 TEST(EndToEnd, ThroughputModelAgreesWithCompressionRatioStory) {

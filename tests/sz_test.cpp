@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "data/datasets.hpp"
@@ -432,6 +435,73 @@ TEST(GoldenBytes, HuffmanEncodeIndexed) {
   }
 }
 
+/// Pins of one truncation sweep: the blob, and the value bytes it decodes
+/// to. `e_p` is floor(log2(bound)).
+struct TruncationSweepPin {
+  const char* name;
+  bool f64;
+  double bound;
+  int e_p;
+  GoldenPin blob;
+  GoldenPin decoded;
+};
+
+template <typename T>
+void check_truncation_sweep(const TruncationSweepPin& c) {
+  using Bits =
+      std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  constexpr int kMantissa = std::numeric_limits<T>::digits - 1;
+  constexpr int kBias = std::numeric_limits<T>::max_exponent - 1;
+  constexpr Bits kMantissaMask = (Bits{1} << kMantissa) - 1;
+  std::mt19937_64 rng(1954);
+  std::vector<T> values;
+  const auto push = [&](int biased) {
+    const Bits word = static_cast<Bits>(rng());
+    const Bits sign = (word & 1) << (8 * sizeof(T) - 1);
+    values.push_back(std::bit_cast<T>(
+        sign | static_cast<Bits>(biased) << kMantissa |
+        ((word >> 1) & kMantissaMask)));
+  };
+  for (int k = 0; k <= kMantissa + 2; ++k) {
+    if (kBias + c.e_p + k < 1) continue;  // below the normal range
+    for (int i = 0; i < 16; ++i) push(kBias + c.e_p + k);
+  }
+  for (int i = 0; i < 16; ++i) push(0);
+  const T bound = static_cast<T>(c.bound);  // exact in both widths
+  const T under = std::bit_cast<T>(std::bit_cast<Bits>(bound) - 1);
+  for (const T v : {bound, -bound, bound / 2, under, T{0}, -T{0}}) {
+    values.push_back(v);
+  }
+
+  std::vector<std::uint8_t> blob;
+  std::vector<T> decoded;
+  if constexpr (std::is_same_v<T, float>) {
+    blob = truncation_encode(values, c.bound);
+    decoded = truncation_decode(blob, values.size(), c.bound);
+  } else {
+    blob = truncation_encode64(values, c.bound);
+    decoded = truncation_decode64(blob, values.size(), c.bound);
+  }
+  expect_pin(blob, c.blob, std::string(c.name) + " blob");
+  expect_pin(golden::value_bytes(decoded), c.decoded,
+             std::string(c.name) + " decoded");
+  ASSERT_EQ(decoded.size(), values.size()) << c.name;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    T rt;
+    if constexpr (std::is_same_v<T, float>) {
+      rt = truncation_roundtrip(values[i], c.bound);
+    } else {
+      rt = truncation_roundtrip64(values[i], c.bound);
+    }
+    EXPECT_EQ(std::bit_cast<Bits>(rt), std::bit_cast<Bits>(decoded[i]))
+        << c.name << " value " << i;
+    EXPECT_LE(std::fabs(static_cast<double>(values[i]) -
+                        static_cast<double>(decoded[i])),
+              c.bound)
+        << c.name << " value " << i;
+  }
+}
+
 TEST(GoldenBytes, TruncationEncode) {
   // Exact binary fractions in [-2048, 2048) at a power-of-two bound.
   std::mt19937 rng(1953);
@@ -443,6 +513,28 @@ TEST(GoldenBytes, TruncationEncode) {
   }
   expect_pin(truncation_encode(values, 1.0 / 16), {69992, 0x73922c48u},
              "truncation");
+
+  // Sweeps over every kept-bit count k of each width, k > 32 included for
+  // float64: 16 values of each biased exponent from the bound's up (k past
+  // the mantissa width clamps to it), random mantissas and signs, then 16
+  // subnormals, the bound, values under it and both zeros. At the smallest
+  // subnormal bound the subnormals keep every bit.
+  for (const auto& c : std::vector<TruncationSweepPin>{
+           {"f32 0x1.8p-11", false, 0x1.8p-11, -11, {1415, 0xa2c12460u},
+            {1752, 0xcd8da0e8u}},
+           {"f32 denorm_min", false, 0x1p-149, -149, {305, 0x5f4125cau},
+            {280, 0x4d1a3200u}},
+           {"f64 0x1.8p-11", true, 0x1.8p-11, -11, {5044, 0xd56ff869u},
+            {7216, 0xadc432c4u}},
+           {"f64 denorm_min", true, 0x1p-1074, -1074, {569, 0x09571f63u},
+            {560, 0x7232512bu}},
+       }) {
+    if (c.f64) {
+      check_truncation_sweep<double>(c);
+    } else {
+      check_truncation_sweep<float>(c);
+    }
+  }
 }
 
 // ------------------------------------------------------------ compressor
