@@ -1,9 +1,10 @@
-// google-benchmark microbenchmarks of the hot kernels: quantization (both
-// datapaths), Lorenzo PQD, wavefront transform, customized Huffman, DEFLATE,
+// google-benchmark microbenchmarks of the hot kernels: quantization (at a
+// base-10 and a base-2 bound), Lorenzo PQD, wavefront transform, customized Huffman, DEFLATE,
 // truncation coding, and the telemetry enabled/disabled overhead pair.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <vector>
 
@@ -70,7 +71,7 @@ void BM_QuantizeBase10(benchmark::State& state) {
 BENCHMARK(BM_QuantizeBase10);
 
 void BM_QuantizeBase2(benchmark::State& state) {
-  const sz::Base2Quantizer q(-10, 16);
+  const sz::LinearQuantizer q(std::ldexp(1.0, -10), 16);  // EbBase::Two
   std::vector<float> vals(8192);
   for (std::size_t i = 0; i < vals.size(); ++i) {
     vals[i] = static_cast<float>(i % 131) * 1e-4f;

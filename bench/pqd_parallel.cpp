@@ -68,7 +68,7 @@ std::vector<T> make_field(const Dims& dims) {
 /// originals.
 template <typename T>
 struct Reference {
-  typename sz::detail::FpOps<T>::PqdType pqd;
+  sz::PqdT<T> pqd;
   std::vector<T> unpred;
 
   Reference(std::span<const T> data, const Dims& dims,
@@ -76,12 +76,12 @@ struct Reference {
       : pqd(sz::detail::lorenzo_pqd_raster_t<T>(data, dims, q)),
         unpred(pqd.unpredictable) {
     for (auto& v : unpred) {
-      v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
+      v = sz::truncation_roundtrip(v, q.precision());
     }
   }
 
   /// Whether a PQD and a reconstruction both match the reference bits.
-  bool matches(const typename sz::detail::FpOps<T>::PqdType& got,
+  bool matches(const sz::PqdT<T>& got,
                const std::vector<T>& rec) const {
     const std::size_t bytes = pqd.reconstructed.size() * sizeof(T);
     return got.codes == pqd.codes &&

@@ -23,11 +23,11 @@ int main() {
        "FPGA (simulated)"},
       {"base-10 error bound", "sz::Config{EbBase::Ten}", "x", "x", "x", "x",
        " "},
-      {"base-2 bound mapping", "util/float_bits + sz::Base2Quantizer",
+      {"base-2 bound mapping", "util/float_bits + sz::EbBase::Two",
        " ", " ", " ", " ", "x"},
       {"logarithmic transform (PW-rel)", "sz2 log_forward/log_inverse",
        " ", " ", "x", " ", " "},
-      {"blocking / partition", "sz2 blocks, omp slabs, fpga lane chunks",
+      {"blocking / partition", "sz2 blocks, PQD tiles, fpga lane chunks",
        " ", "x", "x", "x", "x"},
       {"memory-layout transform", "core/wavefront", " ", " ", " ", " ",
        "x"},

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   // 4. Decompress and verify.
   Dims out_dims;
   const std::vector<float> restored =
-      wave::decompress(compressed.bytes, &out_dims);
+      wave::decompress(compressed.bytes, {}, &out_dims);
   const auto stats = metrics::distortion(field, restored);
   const bool ok = metrics::within_bound(field, restored,
                                         compressed.header.eb_absolute);

@@ -24,7 +24,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   try {
     Dims dims;
-    const auto out = sz::decompress(input, &dims);
+    const auto out = sz::decompress(input, {}, &dims);
     if (out.size() != dims.count()) std::abort();
     // Touch every element: proves the buffer is fully owned under ASan.
     for (float v : out) (void)v;
@@ -32,7 +32,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   try {
     Dims dims;
-    const auto out = sz::decompress64(input, &dims);
+    const auto out = sz::decompress64(input, {}, &dims);
     if (out.size() != dims.count()) std::abort();
     for (double v : out) (void)v;
   } catch (const Error&) {

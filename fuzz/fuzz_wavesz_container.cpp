@@ -58,8 +58,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size > fuzz::kMaxInput) return 0;
   const std::span<const std::uint8_t> input(data, size);
-  expect_one_answer([&](Dims* dims) { return wave::decompress(input, dims); });
   expect_one_answer(
-      [&](Dims* dims) { return wave::decompress64(input, dims); });
+      [&](Dims* dims) { return wave::decompress(input, {}, dims); });
+  expect_one_answer(
+      [&](Dims* dims) { return wave::decompress64(input, {}, dims); });
   return 0;
 }

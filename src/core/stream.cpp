@@ -78,8 +78,8 @@ Dims chunk_dims(const Dims& dims, std::size_t planes) {
 /// Every chunk's plane count is checked against the archive geometry.
 template <typename T>
 std::vector<T> stream_decompress_t(std::span<const std::uint8_t> bytes,
-                                   Dims* dims_out,
-                                   const sz::DecodeOptions& opts) {
+                                   const sz::DecodeOptions& opts,
+                                   Dims* dims_out) {
   telemetry::Span span_all(telemetry::spans::kStreamDecodeParallel);
   ByteReader r(bytes);
   const auto idx = parse_index(bytes, r);
@@ -258,10 +258,9 @@ void StreamCompressor::emit_chunk() {
   WAVESZ_ASSERT(points >= 1 && points % plane_points_ == 0,
                 "emit_chunk with no pending data");
   const Dims cdims = chunk_dims(dims_, points / plane_points_);
-  // Codec::Szx chunks bypass the wave transform entirely — each chunk is an
-  // SZx container, and the archive decoders delegate on its variant tag.
-  const bool szx = cfg_.codec == sz::Codec::Szx;
 
+  // Under Codec::Szx, wave::compress and wave::make_staged write each chunk
+  // as an SZx container, and the archive decoders delegate on its variant.
   if (!pipe_) {
     telemetry::Span span(telemetry::spans::kStreamChunk,
                          telemetry::Histo::StreamChunkNs);
@@ -269,14 +268,12 @@ void StreamCompressor::emit_chunk() {
     sz::Compressed compressed;
     if (f64) {
       const std::span<const double> chunk(stage64_.data(), points);
-      compressed = szx ? sz::compress(chunk, cdims, cfg_)
-                       : wave::compress(chunk, cdims, cfg_);
+      compressed = wave::compress(chunk, cdims, cfg_);
       arena_.f64.release(std::move(stage64_));
       stage64_ = {};
     } else {
       const std::span<const float> chunk(stage32_.data(), points);
-      compressed = szx ? sz::compress(chunk, cdims, cfg_)
-                       : wave::compress(chunk, cdims, cfg_);
+      compressed = wave::compress(chunk, cdims, cfg_);
       arena_.f32.release(std::move(stage32_));
       stage32_ = {};
     }
@@ -299,14 +296,12 @@ void StreamCompressor::emit_chunk() {
     slot.f64 = std::move(stage64_);
     stage64_ = {};
     const std::span<const double> chunk(slot.f64.data(), points);
-    slot.job = szx ? sz::make_staged(chunk, cdims, cfg_)
-                   : wave::make_staged(chunk, cdims, cfg_);
+    slot.job = wave::make_staged(chunk, cdims, cfg_);
   } else {
     slot.f32 = std::move(stage32_);
     stage32_ = {};
     const std::span<const float> chunk(slot.f32.data(), points);
-    slot.job = szx ? sz::make_staged(chunk, cdims, cfg_)
-                   : wave::make_staged(chunk, cdims, cfg_);
+    slot.job = wave::make_staged(chunk, cdims, cfg_);
   }
   stage_fill_ = 0;
   pipe_->ex.submit();
@@ -363,7 +358,7 @@ StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
   out.first_plane = index * idx.chunk_planes;
   Dims cdims;
   out.data = wave::decompress(bytes.subspan(idx.payload_base + offset, size),
-                              &cdims);
+                              {}, &cdims);
   out.plane_count = cdims[0];
   WAVESZ_REQUIRE(out.first_plane + out.plane_count <= idx.dims[0],
                  "chunk exceeds archive geometry");
@@ -371,25 +366,15 @@ StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
-                                     Dims* dims_out) {
-  return stream_decompress_t<float>(bytes, dims_out, {});
-}
-
-std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
-                                        Dims* dims_out) {
-  return stream_decompress_t<double>(bytes, dims_out, {});
-}
-
-std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
                                      const sz::DecodeOptions& opts,
                                      Dims* dims_out) {
-  return stream_decompress_t<float>(bytes, dims_out, opts);
+  return stream_decompress_t<float>(bytes, opts, dims_out);
 }
 
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
                                         const sz::DecodeOptions& opts,
                                         Dims* dims_out) {
-  return stream_decompress_t<double>(bytes, dims_out, opts);
+  return stream_decompress_t<double>(bytes, opts, dims_out);
 }
 
 }  // namespace wavesz::wave

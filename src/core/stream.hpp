@@ -89,24 +89,18 @@ class StreamCompressor {
   std::unique_ptr<Pipe> pipe_;  ///< null when cfg.pipeline_depth <= 0
 };
 
-/// Decode a whole streamed archive back into the full field, serially.
+/// Decode a whole streamed archive back into the full field; optionally
+/// reports dims. The archive's chunks are independent wave containers, so
+/// `opts.decode_threads > 1` assigns whole chunks to a worker pool (each
+/// decoded serially into its own slot of the output — no inner nesting).
+/// The output is bit-identical to the serial decode at every setting.
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
+                                     const sz::DecodeOptions& opts = {},
                                      Dims* dims_out = nullptr);
 
 /// float64 counterpart (archives written from double feeds).
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
-                                        Dims* dims_out = nullptr);
-
-/// stream_decompress() with decode-side control: the archive's chunks are
-/// independent wave containers, so `opts.decode_threads > 1` assigns whole
-/// chunks to a worker pool (each decoded serially into its own slot of the
-/// output — no inner nesting). The output is bit-identical to the serial
-/// decode at every setting.
-std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
-                                     const sz::DecodeOptions& opts,
-                                     Dims* dims_out = nullptr);
-std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
-                                        const sz::DecodeOptions& opts,
+                                        const sz::DecodeOptions& opts = {},
                                         Dims* dims_out = nullptr);
 
 /// Number of independently decodable chunks in a streamed archive.

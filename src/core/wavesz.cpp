@@ -15,8 +15,6 @@
 namespace wavesz::wave {
 namespace {
 
-using sz::detail::FpOps;
-
 /// waveSZ's unpredictable-value codec: border and non-quantizable points
 /// go verbatim as raw little-endian T (§3.2), sizeof(T) bytes each.
 template <typename T>
@@ -120,8 +118,7 @@ void encode_columns(std::span<T> wf, const WavefrontLayout& layout,
         c.n, lanes_on, [&](std::size_t k) { return lanes(c, k); },
         [&](std::size_t k) {
           const std::size_t i = c.off + k;
-          const auto r =
-              FpOps<T>::quantize(q, predict(i, c.w + k, c.nw + k), v[i]);
+          const auto r = q.quantize<T>(predict(i, c.w + k, c.nw + k), v[i]);
           codes[i] = r.code;
           if (r.code != 0) v[i] = r.reconstructed;  // in-place writeback
         });
@@ -241,7 +238,7 @@ std::vector<T> wave_reconstruct_2d_t(std::span<const std::uint16_t> codes,
       [r, &q](std::size_t off, std::size_t w, std::size_t nw,
               std::uint16_t code) {
         const double pred = sz::lorenzo2d(r[nw], r[w - 1], r[w]);
-        r[off] = FpOps<T>::reconstruct(q, pred, code);
+        r[off] = q.reconstruct<T>(pred, code);
       });
   return rec;
 }
@@ -264,7 +261,7 @@ void wave_reconstruct_slice3d(std::span<const std::uint16_t> codes,
                  const std::size_t n = w - 1;
                  const double pred = sz::lorenzo3d(p[nw], c[nw], p[n], p[w],
                                                    c[n], c[w], p[off]);
-                 c[off] = FpOps<T>::reconstruct(q, pred, code);
+                 c[off] = q.reconstruct<T>(pred, code);
                });
 }
 
@@ -278,31 +275,23 @@ class WaveStaged final : public sz::SectionStaged {
   WaveStaged(std::span<const T> data, const Dims& dims, const sz::Config& cfg,
              LayoutMode mode)
       : SectionStaged(cfg, sz::Variant::WaveSz,
-                      static_cast<std::uint8_t>(mode), FpOps<T>::kDtype, dims,
+                      static_cast<std::uint8_t>(mode), sz::kDtype<T>, dims,
                       data.size()),
         data_(data),
         mode_(mode) {}
 
   void pqd() override {
     const Dims& dims = head_.dims;
-    WAVESZ_REQUIRE(data_.size() == dims.count(),
-                   "data size disagrees with dims");
     WAVESZ_REQUIRE(
         dims.rank >= 2,
         "waveSZ targets 2D+ datasets (1D degenerates to all-border)");
+    WAVESZ_REQUIRE(mode_ != LayoutMode::True3D || dims.rank == 3,
+                   "True3D layout requires a 3D dataset");
     WAVESZ_REQUIRE(!cfg_.chunk_index || cfg_.index_chunk_symbols > 0,
                    "index_chunk_symbols must be positive");
     pqd_nt_ = sz::resolve_thread_budget(cfg_.pqd_threads);
-    double range = 0.0;
-    {
-      telemetry::Span span(telemetry::spans::kValueRange);
-      range = sz::value_range(data_, pqd_nt_);
-    }
-    head_.eb_absolute = resolve_bound(cfg_, range);
+    head_.eb_absolute = sz::field_bound(data_, dims, cfg_);
     const sz::LinearQuantizer q(head_.eb_absolute, cfg_.quant_bits);
-    if (mode_ == LayoutMode::True3D) {
-      WAVESZ_REQUIRE(dims.rank == 3, "True3D layout requires a 3D dataset");
-    }
 
     codes_.resize(data_.size());
     if (mode_ == LayoutMode::Flatten2D || dims.rank <= 2) {
@@ -352,6 +341,7 @@ class WaveStaged final : public sz::SectionStaged {
 template <typename T>
 sz::Compressed compress_t(std::span<const T> data, const Dims& dims,
                           const sz::Config& cfg, LayoutMode mode) {
+  if (cfg.codec == sz::Codec::Szx) return sz::compress(data, dims, cfg);
   telemetry::Span span_all(telemetry::spans::kWaveCompress,
                            telemetry::Histo::CompressNs, telemetry::kSampleHw);
   return WaveStaged<T>(data, dims, cfg, mode).run();
@@ -361,7 +351,7 @@ sz::Compressed compress_t(std::span<const T> data, const Dims& dims,
 /// layout mode.
 template <typename T>
 LayoutMode expect_wave(const sz::ContainerHeader& h) {
-  sz::expect_variant(h, sz::Variant::WaveSz, FpOps<T>::kDtype,
+  sz::expect_variant(h, sz::Variant::WaveSz, sz::kDtype<T>,
                      "container is not a waveSZ stream");
   WAVESZ_REQUIRE(h.aux <= 1, "unknown waveSZ layout mode");
   return static_cast<LayoutMode>(h.aux);
@@ -401,14 +391,14 @@ std::vector<T> reconstruct_true3d(std::span<const std::uint16_t> codes,
 
 template <typename T>
 std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
-                            Dims* dims_out, const sz::DecodeOptions& opts) {
+                            const sz::DecodeOptions& opts, Dims* dims_out) {
   telemetry::Span span_all(telemetry::spans::kWaveDecompress,
                            telemetry::Histo::DecompressNs,
                            telemetry::kSampleHw);
   ByteReader r(bytes);
   const sz::ContainerHeader h = sz::read_header(r);
-  // A stream archive may carry SZx chunks (StreamCompressor with
-  // Codec::Szx); delegate so chunk decode works through this entry point.
+  // compress() writes SZx containers under Codec::Szx, and so do the
+  // chunks of a stream archive; delegate on the variant.
   if (h.variant == sz::Variant::SzxFast) {
     return sz::detail::szx_decompress_t<T>(bytes, dims_out);
   }
@@ -471,7 +461,7 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
 
   if (!s.idx.present() || prefix_symbols == h.point_count) {
     // Index-less stream, or the prefix is the whole stream anyway.
-    res.data = sz::gather_region<T>(decompress_t<T>(bytes, nullptr, opts),
+    res.data = sz::gather_region<T>(decompress_t<T>(bytes, opts, nullptr),
                                     h.dims, rg, res.region_dims);
     res.compressed_bytes_read = bytes.size();
   } else {
@@ -578,24 +568,14 @@ std::unique_ptr<sz::StagedCompressor> make_staged(std::span<const double> data,
 }
 
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              Dims* dims_out) {
-  return decompress_t<float>(bytes, dims_out, {});
-}
-
-std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 Dims* dims_out) {
-  return decompress_t<double>(bytes, dims_out, {});
-}
-
-std::vector<float> decompress(std::span<const std::uint8_t> bytes,
                               const sz::DecodeOptions& opts, Dims* dims_out) {
-  return decompress_t<float>(bytes, dims_out, opts);
+  return decompress_t<float>(bytes, opts, dims_out);
 }
 
 std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
                                  const sz::DecodeOptions& opts,
                                  Dims* dims_out) {
-  return decompress_t<double>(bytes, dims_out, opts);
+  return decompress_t<double>(bytes, opts, dims_out);
 }
 
 sz::RegionResult decompress_region(std::span<const std::uint8_t> bytes,

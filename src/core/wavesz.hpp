@@ -34,10 +34,13 @@ enum class LayoutMode : std::uint8_t { Flatten2D = 0, True3D = 1 };
 sz::Config default_config();
 
 /// Output of the fully pipelined PQD kernel over one wavefront-layout grid.
-struct KernelResult {
+template <typename T>
+struct KernelResultT {
   std::vector<std::uint16_t> codes;  ///< wavefront visit order, 0 = verbatim
-  std::vector<float> verbatim;       ///< border + non-quantizable originals
+  std::vector<T> verbatim;           ///< border + non-quantizable originals
 };
+using KernelResult = KernelResultT<float>;
+using KernelResult64 = KernelResultT<double>;
 
 /// Run prediction-quantization-decompression over `wavefront` (mutated in
 /// place to hold decompressor-visible values, as the HLS kernel writes back
@@ -69,17 +72,12 @@ std::vector<float> wave_reconstruct_2d(std::span<const std::uint16_t> codes,
                                        const sz::LinearQuantizer& q,
                                        int threads = 1);
 
-/// float64 counterpart of KernelResult.
-struct KernelResult64 {
-  std::vector<std::uint16_t> codes;
-  std::vector<double> verbatim;
-};
-
 KernelResult64 wave_pqd_2d_64(std::span<double> wavefront,
                               const WavefrontLayout& layout,
                               const sz::LinearQuantizer& q);
 
-/// Full waveSZ compression (float32).
+/// Full waveSZ compression (float32); an SZx container when cfg.codec is
+/// Codec::Szx, as sz::compress writes it.
 sz::Compressed compress(std::span<const float> data, const Dims& dims,
                         const sz::Config& cfg,
                         LayoutMode mode = LayoutMode::Flatten2D);
@@ -99,27 +97,21 @@ std::unique_ptr<sz::StagedCompressor> make_staged(
     std::span<const double> data, const Dims& dims, const sz::Config& cfg,
     LayoutMode mode = LayoutMode::Flatten2D);
 
-/// Inverse for float32 containers, serially; throws on a float64
-/// container.
+/// Inverse for float32 containers (waveSZ, or SZx by the container's
+/// variant); optionally reports dims. Throws on a float64 container.
+/// `opts.decode_threads > 1` runs the v2 chunk-index parallel path
+/// (concurrent section inflates + chunk-parallel Huffman decode with
+/// per-chunk CRC verification), falling back to the serial decode for v1
+/// streams or a stripped index. The wavefront reconstruct is serial at
+/// every budget, so `opts.pqd_threads` has no effect. The output is
+/// bit-identical to the serial path at every setting.
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
+                              const sz::DecodeOptions& opts = {},
                               Dims* dims_out = nullptr);
 
 /// Inverse for float64 containers.
 std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 Dims* dims_out = nullptr);
-
-/// decompress() with decode-side control: `opts.decode_threads > 1` runs
-/// the v2 chunk-index parallel path (concurrent section inflates +
-/// chunk-parallel Huffman decode with per-chunk CRC verification), falling
-/// back to the serial decode for v1 streams or a stripped index. The
-/// wavefront reconstruct is serial at every budget, so `opts.pqd_threads`
-/// has no effect. The output is bit-identical to the serial path at every
-/// setting.
-std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              const sz::DecodeOptions& opts,
-                              Dims* dims_out = nullptr);
-std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 const sz::DecodeOptions& opts,
+                                 const sz::DecodeOptions& opts = {},
                                  Dims* dims_out = nullptr);
 
 /// Decode only the stream prefix needed for a hyperslab of the field.

@@ -130,7 +130,7 @@ std::vector<float> device_decompress(std::span<const std::uint8_t> archive,
     auto view = r.bytes(sizes[i]);
     Dims cdims;
     const auto chunk =
-        wave::decompress({view.begin(), view.end()}, &cdims);
+        wave::decompress({view.begin(), view.end()}, {}, &cdims);
     WAVESZ_REQUIRE(cdims.rank == 2 && cdims[0] == d0,
                    "lane chunk geometry mismatch");
     const std::size_t width = cdims[1];

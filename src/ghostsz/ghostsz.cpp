@@ -1,6 +1,5 @@
 #include "ghostsz/ghostsz.hpp"
 
-#include "metrics/stats.hpp"
 #include "sz/predictor.hpp"
 #include "sz/sections.hpp"
 #include "util/error.hpp"
@@ -150,9 +149,7 @@ class GhostStaged final : public sz::SectionStaged {
         data_(data) {}
 
   void pqd() override {
-    WAVESZ_REQUIRE(!data_.empty(), "cannot compress an empty field");
-    const double range = metrics::value_range(data_).span();
-    head_.eb_absolute = resolve_bound(cfg_, range);
+    head_.eb_absolute = sz::field_bound(data_, head_.dims, cfg_);
     sz::Pqd result = ghost_pqd(
         data_, head_.dims,
         sz::LinearQuantizer(head_.eb_absolute, kGhostQuantBits));

@@ -16,8 +16,6 @@
 namespace wavesz::sz {
 namespace {
 
-using detail::FpOps;
-
 /// Serial-identical min/max scan, split into one part per worker. Every
 /// accumulator is seeded with data[0] and folded with the same
 /// std::min/std::max calls as the serial loop, so the result (including the
@@ -52,19 +50,14 @@ class Sz14Staged final : public SectionStaged {
   Sz14Staged(std::span<const T> data, const Dims& dims, const Config& cfg)
       : SectionStaged(cfg, Variant::Sz14,
                       static_cast<std::uint8_t>(cfg.predictor),
-                      FpOps<T>::kDtype, dims, data.size()),
+                      kDtype<T>, dims, data.size()),
         data_(data) {}
 
   void pqd() override {
-    pqd_nt_ = resolve_thread_budget(cfg_.pqd_threads);
-    double range = 0.0;
-    {
-      telemetry::Span span(telemetry::spans::kValueRange);
-      range = range_of<T>(data_, pqd_nt_);
-    }
-    head_.eb_absolute = resolve_bound(cfg_, range);
-    const LinearQuantizer q(head_.eb_absolute, cfg_.quant_bits);
     const Dims& dims = head_.dims;
+    head_.eb_absolute = field_bound(data_, dims, cfg_);
+    pqd_nt_ = resolve_thread_budget(cfg_.pqd_threads);
+    const LinearQuantizer q(head_.eb_absolute, cfg_.quant_bits);
     WAVESZ_REQUIRE(cfg_.predictor == PredictorKind::Lorenzo1Layer ||
                        dims.rank <= 2,
                    "2-layer Lorenzo is implemented for 1D/2D data");
@@ -95,11 +88,11 @@ class Sz14Staged final : public SectionStaged {
  private:
   std::vector<std::uint8_t> encode_unpredictable() override {
     telemetry::Span span(telemetry::spans::kEncodeUnpred);
-    return FpOps<T>::encode(pqd_.unpredictable, head_.eb_absolute);
+    return truncation_encode<T>(pqd_.unpredictable, head_.eb_absolute);
   }
 
   std::span<const T> data_;
-  typename FpOps<T>::PqdType pqd_;
+  PqdT<T> pqd_;
 };
 
 /// Staged facade over the SZx block codec. The codec has no separable
@@ -150,15 +143,10 @@ Compressed compress_t(std::span<const T> data, const Dims& dims,
   return Sz14Staged<T>(data, dims, cfg).run();
 }
 
-/// The most plain bits one truncation-coded value takes: 1+5+1+8+23 = 38
-/// for float32, 1+6+1+11+52 = 71 for float64.
-template <typename T>
-constexpr std::uint64_t kTruncationBits = FpOps<T>::kDtype == 1 ? 71 : 38;
-
 /// The sections of an SZ-1.4 container whose header `h` was read from `r`.
 template <typename T>
 Sections read_sz14(ByteReader& r, const ContainerHeader& h) {
-  expect_variant(h, Variant::Sz14, FpOps<T>::kDtype,
+  expect_variant(h, Variant::Sz14, kDtype<T>,
                  "container is not an SZ-1.4 stream");
   return read_sections(r, h);
 }
@@ -206,7 +194,7 @@ std::vector<T> reconstruct(const ContainerHeader& h, SectionsDecoded d,
   std::vector<T> unpred;
   {
     telemetry::Span span(telemetry::spans::kDecodeUnpred);
-    unpred = FpOps<T>::decode(d.unpred, d.unpred_count, h.eb_absolute);
+    unpred = truncation_decode<T>(d.unpred, d.unpred_count, h.eb_absolute);
   }
   if (box.count() != d.codes.size()) cut_box<T>(d.codes, unpred, h.dims, box);
   WAVESZ_REQUIRE(h.aux <= 1, "unknown SZ-1.4 predictor kind");
@@ -226,7 +214,7 @@ std::vector<T> reconstruct(const ContainerHeader& h, SectionsDecoded d,
 
 template <typename T>
 std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
-                            Dims* dims_out, const DecodeOptions& opts) {
+                            const DecodeOptions& opts, Dims* dims_out) {
   telemetry::Span span_all(telemetry::spans::kSzDecompress,
                            telemetry::Histo::DecompressNs,
                            telemetry::kSampleHw);
@@ -266,13 +254,13 @@ RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
     // enough that a full decode is still cheap), or the box is the whole
     // field anyway.
     const auto field = szx ? detail::szx_decompress_t<T>(bytes, nullptr)
-                           : decompress_t<T>(bytes, nullptr, opts);
+                           : decompress_t<T>(bytes, opts, nullptr);
     res.data = gather_region<T>(field, h.dims, rg, res.region_dims);
     res.compressed_bytes_read = bytes.size();
   } else {
     SectionsDecoded d = decode_section_prefix(
         s, rg.hi[0] * h.dims.extent[1] * h.dims.extent[2], opts,
-        kTruncationBits<T>);
+        TruncationFormat<T>::kMaxBits);
     res.compressed_bytes_read = d.bytes_read;
     res.data = gather_region<T>(reconstruct<T>(h, std::move(d), box, opts),
                                 box, rg, res.region_dims);
@@ -283,6 +271,23 @@ RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
 }
 
 }  // namespace
+
+template <typename T>
+double field_bound(std::span<const T> data, const Dims& dims,
+                   const Config& cfg) {
+  WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
+  double range = 0.0;
+  if (cfg.mode == EbMode::ValueRangeRelative) {
+    telemetry::Span span(telemetry::spans::kValueRange);
+    range = range_of<T>(data, resolve_thread_budget(cfg.pqd_threads));
+  }
+  return resolve_bound(cfg, range);
+}
+
+template double field_bound<float>(std::span<const float>, const Dims&,
+                                   const Config&);
+template double field_bound<double>(std::span<const double>, const Dims&,
+                                    const Config&);
 
 double value_range(std::span<const float> data, int threads) {
   return range_of<float>(data, threads);
@@ -342,23 +347,13 @@ Compressed compress(std::span<const double> data, const Dims& dims,
 }
 
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              Dims* dims_out) {
-  return decompress_t<float>(bytes, dims_out, {});
-}
-
-std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 Dims* dims_out) {
-  return decompress_t<double>(bytes, dims_out, {});
-}
-
-std::vector<float> decompress(std::span<const std::uint8_t> bytes,
                               const DecodeOptions& opts, Dims* dims_out) {
-  return decompress_t<float>(bytes, dims_out, opts);
+  return decompress_t<float>(bytes, opts, dims_out);
 }
 
 std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
                                  const DecodeOptions& opts, Dims* dims_out) {
-  return decompress_t<double>(bytes, dims_out, opts);
+  return decompress_t<double>(bytes, opts, dims_out);
 }
 
 RegionResult decompress_region(std::span<const std::uint8_t> bytes,

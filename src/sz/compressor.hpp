@@ -22,11 +22,14 @@ namespace wavesz::sz {
 
 /// Raw prediction-quantization-decompression pass, exposed for the benches
 /// (Fig. 1 prediction errors, ablations) and for cross-implementation tests.
-struct Pqd {
-  std::vector<std::uint16_t> codes;    ///< one per point, 0 = unpredictable
-  std::vector<float> reconstructed;    ///< decompressor-visible values
-  std::vector<float> unpredictable;    ///< originals of code-0 points, in order
+template <typename T>
+struct PqdT {
+  std::vector<std::uint16_t> codes;  ///< one per point, 0 = unpredictable
+  std::vector<T> reconstructed;      ///< decompressor-visible values
+  std::vector<T> unpredictable;      ///< originals of code-0 points, in order
 };
+using Pqd = PqdT<float>;
+using Pqd64 = PqdT<double>;
 
 /// Lorenzo PQD with zero-padded borders (rank 1/2/3). Codes, history and
 /// the unpredictable stream are those of the raster-order loop; the 1-layer
@@ -42,13 +45,6 @@ std::vector<float> lorenzo_reconstruct(
     const Dims& dims, const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer);
 
-/// float64 counterpart of Pqd.
-struct Pqd64 {
-  std::vector<std::uint16_t> codes;
-  std::vector<double> reconstructed;
-  std::vector<double> unpredictable;
-};
-
 Pqd64 lorenzo_pqd64(std::span<const double> data, const Dims& dims,
                     const LinearQuantizer& q,
                     PredictorKind kind = PredictorKind::Lorenzo1Layer);
@@ -58,6 +54,15 @@ std::vector<double> lorenzo_reconstruct64(
     std::span<const double> unpredictable, const Dims& dims,
     const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer);
+
+/// The absolute error bound of a field under `cfg`: the one bound step of
+/// SZ-1.4, waveSZ, GhostSZ and SZx. Checks that `data` fills `dims` (every
+/// extent is positive, so an empty field fails here too), scans the value
+/// range at the cfg.pqd_threads budget when the bound is range-relative,
+/// and resolves the bound (resolve_bound).
+template <typename T>
+double field_bound(std::span<const T> data, const Dims& dims,
+                   const Config& cfg);
 
 /// Value range (max - min) of a field, computed with up to `threads` OpenMP
 /// threads (budget semantics of Config::pqd_threads). Deterministic and
@@ -133,26 +138,21 @@ Compressed compress(std::span<const float> data, const Dims& dims,
 Compressed compress(std::span<const double> data, const Dims& dims,
                     const Config& cfg);
 
-/// Inverse of compress() for float32 containers, serially; optionally
-/// reports dims. Throws wavesz::Error when applied to a float64 container.
-std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              Dims* dims_out = nullptr);
-
-/// Inverse of compress() for float64 containers.
-std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 Dims* dims_out = nullptr);
-
-/// decompress() with decode budgets: `opts.decode_threads > 1` runs the v2
+/// Inverse of compress() for float32 containers (SZ-1.4 or SZx by the
+/// container's variant); optionally reports dims. Throws wavesz::Error when
+/// applied to a float64 container. `opts.decode_threads > 1` runs the v2
 /// chunk-index parallel path (concurrent section inflates + chunk-parallel
 /// Huffman decode with per-chunk CRC verification), falling back to the
 /// serial full decode for v1 streams or a stripped index;
 /// `opts.pqd_threads` budgets the Lorenzo reconstruction. The output is
 /// bit-identical to the serial path at every setting.
 std::vector<float> decompress(std::span<const std::uint8_t> bytes,
-                              const DecodeOptions& opts,
+                              const DecodeOptions& opts = {},
                               Dims* dims_out = nullptr);
+
+/// Inverse of compress() for float64 containers.
 std::vector<double> decompress64(std::span<const std::uint8_t> bytes,
-                                 const DecodeOptions& opts,
+                                 const DecodeOptions& opts = {},
                                  Dims* dims_out = nullptr);
 
 /// Decode only the part of the stream needed for a hyperslab of the field.

@@ -30,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sz/config.hpp"
@@ -64,6 +65,10 @@ struct ContainerHeader {
   std::uint64_t unpredictable_count = 0;
   int version = 1;  ///< 1 = index-less, 2 = per-chunk offset table follows
 };
+
+/// The header's dtype byte for T values.
+template <typename T>
+inline constexpr std::uint8_t kDtype = std::is_same_v<T, double> ? 1 : 0;
 
 /// Cumulative end-of-chunk record of the v2 offset table.
 struct ChunkEntry {

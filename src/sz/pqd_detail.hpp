@@ -116,66 +116,13 @@ double predict_interior(const T* rec, int rank, std::size_t s0,
   }
 }
 
-/// Width-generic glue: the quantizer/truncation entry points differ between
-/// float32 and float64 but the PQD structure does not.
-template <typename T>
-struct FpOps;
-
-template <>
-struct FpOps<float> {
-  using PqdType = Pqd;
-  static constexpr std::uint8_t kDtype = 0;
-  static auto quantize(const LinearQuantizer& q, double pred, float orig) {
-    return q.quantize(pred, orig);
-  }
-  static float reconstruct(const LinearQuantizer& q, double pred,
-                           std::uint16_t code) {
-    return q.reconstruct(pred, code);
-  }
-  static float roundtrip(float v, double bound) {
-    return truncation_roundtrip(v, bound);
-  }
-  static std::vector<std::uint8_t> encode(std::span<const float> v,
-                                          double bound) {
-    return truncation_encode(v, bound);
-  }
-  static std::vector<float> decode(std::span<const std::uint8_t> blob,
-                                   std::size_t count, double bound) {
-    return truncation_decode(blob, count, bound);
-  }
-};
-
-template <>
-struct FpOps<double> {
-  using PqdType = Pqd64;
-  static constexpr std::uint8_t kDtype = 1;
-  static auto quantize(const LinearQuantizer& q, double pred, double orig) {
-    return q.quantize64(pred, orig);
-  }
-  static double reconstruct(const LinearQuantizer& q, double pred,
-                            std::uint16_t code) {
-    return q.reconstruct64(pred, code);
-  }
-  static double roundtrip(double v, double bound) {
-    return truncation_roundtrip64(v, bound);
-  }
-  static std::vector<std::uint8_t> encode(std::span<const double> v,
-                                          double bound) {
-    return truncation_encode64(v, bound);
-  }
-  static std::vector<double> decode(std::span<const std::uint8_t> blob,
-                                    std::size_t count, double bound) {
-    return truncation_decode64(blob, count, bound);
-  }
-};
-
 /// Quantize data[i] against `pred`, write the code and the
 /// decompressor-visible history. Returns false when the point is
 /// unpredictable (code 0).
 template <typename T>
 inline bool pqd_point(const T* data, T* rec, std::uint16_t* codes,
                       const LinearQuantizer& q, double pred, std::size_t i) {
-  const auto r = FpOps<T>::quantize(q, pred, data[i]);
+  const auto r = q.quantize<T>(pred, data[i]);
   codes[i] = r.code;
   if (r.code != 0) {
     rec[i] = r.reconstructed;
@@ -183,7 +130,7 @@ inline bool pqd_point(const T* data, T* rec, std::uint16_t* codes,
   }
   // History must hold what the decompressor will see: the truncation-decoded
   // value, not the original.
-  rec[i] = FpOps<T>::roundtrip(data[i], q.precision());
+  rec[i] = truncation_roundtrip(data[i], q.precision());
   return false;
 }
 
@@ -225,8 +172,8 @@ inline T reconstruct_step(const std::uint16_t* codes, const Padded<T>& padded,
                           PredictorKind kind, std::size_t s0, std::size_t s1,
                           std::size_t i0, std::size_t i1, std::size_t i2,
                           std::size_t i) {
-  return FpOps<T>::reconstruct(
-      q, predict_at(padded, dims, kind, s0, s1, i0, i1, i2, i), codes[i]);
+  return q.reconstruct<T>(
+      predict_at(padded, dims, kind, s0, s1, i0, i1, i2, i), codes[i]);
 }
 
 /// POD view of the quantizer for the simd kernels (which must not depend on
@@ -371,8 +318,8 @@ void reconstruct_box(const std::uint16_t* codes, T* rec,
         },
         [=](std::size_t i) {
           if (codes[i] == 0) return;
-          rec[i] = FpOps<T>::reconstruct(
-              q, predict_interior(rec, decltype(rank)::value, s0, s1, i),
+          rec[i] = q.reconstruct<T>(
+              predict_interior(rec, decltype(rank)::value, s0, s1, i),
               codes[i]);
         });
   });
@@ -410,12 +357,12 @@ void place_unpredictable(std::span<const std::uint16_t> codes,
 /// Raster-order reference PQD: the kernel of rank 1 and the 2-layer
 /// stencil, and the oracle of the skewed walk.
 template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_raster_t(
+PqdT<T> lorenzo_pqd_raster_t(
     std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer) {
   WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
   const auto [n0, n1, n2] = shape_of(dims);
-  typename FpOps<T>::PqdType out;
+  PqdT<T> out;
   out.codes.resize(data.size());
   out.reconstructed.resize(data.size());
   T* rec = out.reconstructed.data();
@@ -471,12 +418,12 @@ std::vector<T> lorenzo_reconstruct_raster_t(
 /// Serial PQD entry point: the skewed walk for the 1-layer stencil at rank
 /// 2 and 3, the raster loop otherwise. Bit-identical either way.
 template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_t(
+PqdT<T> lorenzo_pqd_t(
     std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
     PredictorKind kind = PredictorKind::Lorenzo1Layer) {
   if (!walks(dims, kind)) return lorenzo_pqd_raster_t<T>(data, dims, q, kind);
   WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
-  typename FpOps<T>::PqdType out;
+  PqdT<T> out;
   out.codes.resize(data.size());
   out.reconstructed.resize(data.size());
   pqd_box(data.data(), out.reconstructed.data(), out.codes.data(), q, dims,

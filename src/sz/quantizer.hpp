@@ -13,11 +13,13 @@
 //     accept iff |d_re - d| <= p            (overbound check, line 10)
 //   else: unpredictable (code 0)
 //
-// code 0 is reserved for unpredictable points in every SZ variant. Both
-// quantizers scale by a precomputed reciprocal (the overbound check keeps
-// the contract exact either way); for Base2Quantizer the reciprocal is an
-// exact power of two, so the multiply is the hardware exponent-add of §3.3
-// and bit-identical to division (tested property).
+// code 0 is reserved for unpredictable points in every SZ variant. The
+// quantizer scales by a precomputed reciprocal (the overbound check keeps
+// the contract exact either way); at a power-of-two bound (EbBase::Two)
+// the reciprocal is exact, so the multiply is the hardware exponent-add of
+// §3.3 and bit-identical to division (tested property). One body serves
+// float32 and float64 data: only the width the reconstruction is stored
+// at differs.
 #pragma once
 
 #include <cmath>
@@ -27,15 +29,12 @@
 
 namespace wavesz::sz {
 
-struct QuantResult {
-  std::uint16_t code = 0;      ///< 0 => unpredictable
-  float reconstructed = 0.0f;  ///< valid when code != 0
+template <typename T>
+struct QuantResultT {
+  std::uint16_t code = 0;  ///< 0 => unpredictable
+  T reconstructed = 0;     ///< valid when code != 0
 };
-
-struct QuantResult64 {
-  std::uint16_t code = 0;
-  double reconstructed = 0.0;
-};
+using QuantResult = QuantResultT<float>;
 
 class LinearQuantizer {
  public:
@@ -52,7 +51,9 @@ class LinearQuantizer {
   std::uint32_t capacity() const { return capacity_; }
   std::uint32_t radius() const { return radius_; }
 
-  QuantResult quantize(double pred, double orig) const {
+  /// Quantize `orig` against `pred` for data stored as T (float or double).
+  template <typename T = float>
+  QuantResultT<T> quantize(double pred, double orig) const {
     const double diff = orig - pred;
     // Reciprocal multiply: cheaper than division on the loop-carried
     // dependency chain; the explicit overbound check below keeps the error
@@ -68,108 +69,24 @@ class LinearQuantizer {
     if (code <= 0 || code >= static_cast<std::int64_t>(capacity_)) {
       return {};
     }
-    const auto rec = static_cast<float>(
-        pred + 2.0 * static_cast<double>(q) * p_);
+    const auto rec = static_cast<T>(pred + 2.0 * static_cast<double>(q) * p_);
     if (!(std::fabs(static_cast<double>(rec) - orig) <= p_)) {
-      return {};  // overbound check (float rounding at the cell edge)
+      return {};  // overbound check (rounding to T at the cell edge)
     }
     return {static_cast<std::uint16_t>(code), rec};
   }
 
   /// Reconstruction used by the decompressor; code must be nonzero.
-  float reconstruct(double pred, std::uint16_t code) const {
+  template <typename T = float>
+  T reconstruct(double pred, std::uint16_t code) const {
     const std::int64_t q =
         static_cast<std::int64_t>(code) - static_cast<std::int64_t>(radius_);
-    return static_cast<float>(pred + 2.0 * static_cast<double>(q) * p_);
-  }
-
-  /// float64 data path: identical algorithm, no narrowing to float.
-  QuantResult64 quantize64(double pred, double orig) const {
-    const double diff = orig - pred;
-    const double scaled = std::fabs(diff) * inv_p_;
-    if (!(scaled < static_cast<double>(capacity_ - 1))) {
-      return {};
-    }
-    const auto code0 = static_cast<std::int64_t>(scaled) + 1;
-    const std::int64_t signed0 = diff >= 0.0 ? code0 : -code0;
-    const std::int64_t q = signed0 / 2;
-    const std::int64_t code = q + static_cast<std::int64_t>(radius_);
-    if (code <= 0 || code >= static_cast<std::int64_t>(capacity_)) {
-      return {};
-    }
-    const double rec = pred + 2.0 * static_cast<double>(q) * p_;
-    if (!(std::fabs(rec - orig) <= p_)) {
-      return {};
-    }
-    return {static_cast<std::uint16_t>(code), rec};
-  }
-
-  double reconstruct64(double pred, std::uint16_t code) const {
-    const std::int64_t q =
-        static_cast<std::int64_t>(code) - static_cast<std::int64_t>(radius_);
-    return pred + 2.0 * static_cast<double>(q) * p_;
+    return static_cast<T>(pred + 2.0 * static_cast<double>(q) * p_);
   }
 
  private:
   double p_;
   double inv_p_;
-  std::uint32_t capacity_;
-  std::uint32_t radius_;
-};
-
-/// Exponent-only variant of the same algorithm (paper §3.3, "Base-2
-/// Operation"): division by p == 2^e and multiplication by 2p become exact
-/// power-of-two multiplies — integer adds on the exponent field in
-/// hardware. Requires a power-of-two precision.
-class Base2Quantizer {
- public:
-  Base2Quantizer(int exponent, int quant_bits)
-      : p_(std::ldexp(1.0, exponent)),
-        inv_p_(std::ldexp(1.0, -exponent)),      // exact: 2^-e
-        two_p_(std::ldexp(1.0, exponent + 1)),   // exact: 2^(e+1)
-        capacity_(1u << quant_bits), radius_(capacity_ / 2) {
-    WAVESZ_REQUIRE(quant_bits >= 2 && quant_bits <= 16,
-                   "quantization symbols are stored as 16-bit codes");
-  }
-
-  double precision() const { return p_; }
-  std::uint32_t capacity() const { return capacity_; }
-  std::uint32_t radius() const { return radius_; }
-
-  QuantResult quantize(double pred, double orig) const {
-    const double diff = orig - pred;
-    // Multiplying by an exact power of two only touches the exponent field:
-    // this is precisely the hardware exponent-add of §3.3 (and bit-identical
-    // to division by p, since p is a power of two).
-    const double scaled = std::fabs(diff) * inv_p_;
-    if (!(scaled < static_cast<double>(capacity_ - 1))) {
-      return {};
-    }
-    const auto code0 = static_cast<std::int64_t>(scaled) + 1;
-    const std::int64_t signed0 = diff >= 0.0 ? code0 : -code0;
-    const std::int64_t q = signed0 / 2;
-    const std::int64_t code = q + static_cast<std::int64_t>(radius_);
-    if (code <= 0 || code >= static_cast<std::int64_t>(capacity_)) {
-      return {};
-    }
-    const auto rec =
-        static_cast<float>(pred + static_cast<double>(q) * two_p_);
-    if (!(std::fabs(static_cast<double>(rec) - orig) <= p_)) {
-      return {};
-    }
-    return {static_cast<std::uint16_t>(code), rec};
-  }
-
-  float reconstruct(double pred, std::uint16_t code) const {
-    const std::int64_t q =
-        static_cast<std::int64_t>(code) - static_cast<std::int64_t>(radius_);
-    return static_cast<float>(pred + static_cast<double>(q) * two_p_);
-  }
-
- private:
-  double p_;
-  double inv_p_;
-  double two_p_;
   std::uint32_t capacity_;
   std::uint32_t radius_;
 };

@@ -67,14 +67,8 @@ Compressed szx_compress_t(std::span<const T> data, const Dims& dims,
                           const Config& cfg) {
   telemetry::Span span_all(telemetry::spans::kSzCompress,
                            telemetry::Histo::CompressNs, telemetry::kSampleHw);
-  WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
   WAVESZ_REQUIRE(cfg.szx_block_elems > 0, "szx_block_elems must be positive");
-  double range = 0.0;
-  if (cfg.mode == EbMode::ValueRangeRelative) {
-    telemetry::Span span(telemetry::spans::kValueRange);
-    range = value_range(data, resolve_thread_budget(cfg.pqd_threads));
-  }
-  const double bound = resolve_bound(cfg, range);
+  const double bound = field_bound(data, dims, cfg);
   // A NaN-poisoned range (NaN first element in relative mode) surfaces here
   // instead of as llrint UB deep in the block loop; NaN *values* are fine —
   // their blocks demote to the raw fallback.
@@ -167,7 +161,7 @@ Compressed szx_compress_t(std::span<const T> data, const Dims& dims,
   out.header.huffman = false;
   out.header.gzip_level = cfg.gzip_level;
   out.header.aux = 0;
-  out.header.dtype = std::is_same_v<T, double> ? 1 : 0;
+  out.header.dtype = kDtype<T>;
   out.header.point_count = n;
   out.header.unpredictable_count = raw_values;
   out.header.version = 1;
@@ -188,19 +182,18 @@ Compressed szx_compress_t(std::span<const T> data, const Dims& dims,
   return out;
 }
 
+// No span here: every caller (the sz and wave decompress entries, region
+// decode) already holds one, and a nested sz::decompress span would count
+// one decode as two calls.
 template <typename T>
-// No histogram/hw binding here: every caller (sz decompress_t, the wave
-// container dispatch, region decode) already holds an instrumented span, and
-// nesting two would double-count DecompressNs.
 std::vector<T> szx_decompress_t(std::span<const std::uint8_t> bytes,
                                 Dims* dims_out) {
-  telemetry::Span span_all(telemetry::spans::kSzDecompress);
   ByteReader r(bytes);
   const ContainerHeader h = read_header(r);
   WAVESZ_REQUIRE(h.variant == Variant::SzxFast,
                  "container is not an SZx fast stream");
   WAVESZ_REQUIRE(h.version == 1, "SZx containers are index-less (v1)");
-  WAVESZ_REQUIRE(h.dtype == (std::is_same_v<T, double> ? 1 : 0),
+  WAVESZ_REQUIRE(h.dtype == kDtype<T>,
                  "container value type mismatch (float32 vs float64)");
   const auto payload = read_section(r);
   ByteReader pr(payload);

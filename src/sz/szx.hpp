@@ -35,8 +35,9 @@
 namespace wavesz::sz::detail {
 
 /// SZx-mode compress/decompress, instantiated for float and double in
-/// szx.cpp. Reached through sz::compress (cfg.codec == Codec::Szx) and
-/// sz::decompress (container variant SzxFast) rather than called directly.
+/// szx.cpp. Reached through sz::compress and wave::compress (cfg.codec ==
+/// Codec::Szx) and their decompress entries (container variant SzxFast)
+/// rather than called directly.
 template <typename T>
 Compressed szx_compress_t(std::span<const T> data, const Dims& dims,
                           const Config& cfg);

@@ -1,7 +1,6 @@
 #include "sz/unpredictable.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "util/bitio.hpp"
@@ -19,169 +18,144 @@ int bound_exponent(double bound) {
   return e - 1;
 }
 
+template <typename T>
+using Bits = typename TruncationFormat<T>::Bits;
+
+template <typename T>
+constexpr Bits<T> kMantissaMask =
+    (Bits<T>{1} << TruncationFormat<T>::kMantissa) - 1;
+
+/// The biased exponent field of `bits`.
+template <typename T>
+int biased_exponent(Bits<T> bits) {
+  using F = TruncationFormat<T>;
+  return static_cast<int>((bits >> F::kMantissa) &
+                          ((Bits<T>{1} << F::kExponent) - 1));
+}
+
 /// Number of leading mantissa bits to keep so the truncation error of a
-/// normal float with unbiased exponent e_v stays <= 2^e_p <= bound.
-int mantissa_bits_needed(int e_v, int e_p) {
-  return std::clamp(e_v - e_p, 0, 23);
+/// value with biased exponent `biased` stays <= 2^e_p <= bound; a
+/// subnormal keeps every bit (exact).
+template <typename T>
+int kept_bits(int biased, int e_p) {
+  using F = TruncationFormat<T>;
+  return biased == 0 ? F::kMantissa
+                     : std::clamp(biased - F::kBias - e_p, 0, F::kMantissa);
+}
+
+/// Writes the k-bit value `top` through the writer's 32-bit bits(): a
+/// float64 keeps up to 52 bits, so k > 32 goes as two words.
+template <typename T>
+void put_kept(BitWriterMSB& bw, Bits<T> top, int k) {
+  if constexpr (TruncationFormat<T>::kMantissa > 32) {
+    if (k > 32) {
+      bw.bits(static_cast<std::uint32_t>(top >> 32), k - 32);
+      bw.bits(static_cast<std::uint32_t>(top), 32);
+      return;
+    }
+  }
+  if (k > 0) bw.bits(static_cast<std::uint32_t>(top), k);
+}
+
+/// Reads what put_kept wrote.
+template <typename T>
+Bits<T> get_kept(BitReaderMSB& br, int k) {
+  if constexpr (TruncationFormat<T>::kMantissa > 32) {
+    if (k > 32) {
+      const auto hi = static_cast<Bits<T>>(br.bits(k - 32)) << 32;
+      return hi | br.bits(32);
+    }
+  }
+  return k > 0 ? static_cast<Bits<T>>(br.bits(k)) : Bits<T>{0};
 }
 
 }  // namespace
 
-int truncation_bits(float value, double bound) {
+template <typename T>
+int truncation_bits(T value, double bound) {
+  using F = TruncationFormat<T>;
   if (std::fabs(static_cast<double>(value)) <= bound) return 1;
-  const auto bits = std::bit_cast<std::uint32_t>(value);
-  const int biased = static_cast<int>((bits >> 23) & 0xff);
-  const int k = (biased == 0)
-                    ? 23  // subnormal: keep everything (exact)
-                    : mantissa_bits_needed(biased - 127,
-                                           bound_exponent(bound));
-  return 1 + 5 + 1 + 8 + k;
+  const int k = kept_bits<T>(biased_exponent<T>(std::bit_cast<Bits<T>>(value)),
+                             bound_exponent(bound));
+  return 1 + F::kKeptField + 1 + F::kExponent + k;
 }
 
-float truncation_roundtrip(float value, double bound) {
-  if (std::fabs(static_cast<double>(value)) <= bound) return 0.0f;
-  const auto bits = std::bit_cast<std::uint32_t>(value);
-  const int biased = static_cast<int>((bits >> 23) & 0xff);
-  const int k = (biased == 0)
-                    ? 23
-                    : mantissa_bits_needed(biased - 127,
-                                           bound_exponent(bound));
-  const std::uint32_t keep_mask =
-      k == 0 ? 0u : (0x7fffffu >> (23 - k)) << (23 - k);
-  return std::bit_cast<float>(bits & (0xff800000u | keep_mask));
+template <typename T>
+T truncation_roundtrip(T value, double bound) {
+  using F = TruncationFormat<T>;
+  if (std::fabs(static_cast<double>(value)) <= bound) return T{0};
+  const auto bits = std::bit_cast<Bits<T>>(value);
+  const int k = kept_bits<T>(biased_exponent<T>(bits), bound_exponent(bound));
+  const Bits<T> keep_mask =
+      k == 0 ? Bits<T>{0}
+             : (kMantissaMask<T> >> (F::kMantissa - k)) << (F::kMantissa - k);
+  return std::bit_cast<T>(bits & (~kMantissaMask<T> | keep_mask));
 }
 
-std::vector<std::uint8_t> truncation_encode(std::span<const float> values,
-                                            double bound) {
+template <typename T>
+std::vector<std::uint8_t> truncation_encode(
+    std::span<const std::type_identity_t<T>> values, double bound) {
+  using F = TruncationFormat<T>;
   const int e_p = bound_exponent(bound);
   BitWriterMSB bw;
-  for (float v : values) {
+  for (const T v : values) {
     WAVESZ_REQUIRE(std::isfinite(v), "cannot truncation-encode non-finite");
     if (std::fabs(static_cast<double>(v)) <= bound) {
       bw.bits(0, 1);
       continue;
     }
     bw.bits(1, 1);
-    const auto bits = std::bit_cast<std::uint32_t>(v);
-    const int biased = static_cast<int>((bits >> 23) & 0xff);
-    const int k =
-        (biased == 0) ? 23 : mantissa_bits_needed(biased - 127, e_p);
-    bw.bits(static_cast<std::uint32_t>(k), 5);
-    bw.bits(bits >> 31, 1);                           // sign
-    bw.bits(static_cast<std::uint32_t>(biased), 8);   // exponent
-    if (k > 0) {
-      bw.bits((bits & 0x7fffffu) >> (23 - k), k);     // top mantissa bits
-    }
+    const auto bits = std::bit_cast<Bits<T>>(v);
+    const int biased = biased_exponent<T>(bits);
+    const int k = kept_bits<T>(biased, e_p);
+    bw.bits(static_cast<std::uint32_t>(k), F::kKeptField);
+    bw.bits(static_cast<std::uint32_t>(bits >> (F::kMantissa + F::kExponent)),
+            1);                                                // sign
+    bw.bits(static_cast<std::uint32_t>(biased), F::kExponent);  // exponent
+    put_kept<T>(bw, (bits & kMantissaMask<T>) >> (F::kMantissa - k), k);
   }
   return bw.take();
 }
 
-std::vector<float> truncation_decode(std::span<const std::uint8_t> blob,
-                                     std::size_t count, double bound) {
+template <typename T>
+std::vector<T> truncation_decode(std::span<const std::uint8_t> blob,
+                                 std::size_t count, double bound) {
+  using F = TruncationFormat<T>;
   (void)bound;  // symmetric format: bound only affects how many bits exist
   // Every value costs at least one bit; a larger count is a forged header.
   WAVESZ_REQUIRE(count <= blob.size() * 8,
                  "value count exceeds payload capacity");
   BitReaderMSB br(blob);
-  std::vector<float> out;
+  std::vector<T> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     if (br.bit() == 0) {
-      out.push_back(0.0f);
+      out.push_back(T{0});
       continue;
     }
-    const int k = static_cast<int>(br.bits(5));
-    WAVESZ_REQUIRE(k <= 23, "corrupt truncation stream");
-    const std::uint32_t sign = br.bit();
-    const std::uint32_t exp = br.bits(8);
-    std::uint32_t mant = 0;
-    if (k > 0) mant = br.bits(k) << (23 - k);
-    out.push_back(std::bit_cast<float>((sign << 31) | (exp << 23) | mant));
+    const int k = static_cast<int>(br.bits(F::kKeptField));
+    WAVESZ_REQUIRE(k <= F::kMantissa, "corrupt truncation stream");
+    const Bits<T> sign = br.bit();
+    const Bits<T> exp = br.bits(F::kExponent);
+    const Bits<T> mant = get_kept<T>(br, k) << (F::kMantissa - k);
+    out.push_back(std::bit_cast<T>(
+        (sign << (F::kMantissa + F::kExponent)) | (exp << F::kMantissa) |
+        mant));
   }
   return out;
 }
 
-namespace {
-
-/// Mantissa bits to keep for a float64 with unbiased exponent e_v.
-int mantissa_bits_needed64(int e_v, int e_p) {
-  return std::clamp(e_v - e_p, 0, 52);
-}
-
-}  // namespace
-
-double truncation_roundtrip64(double value, double bound) {
-  if (std::fabs(value) <= bound) return 0.0;
-  const auto bits = std::bit_cast<std::uint64_t>(value);
-  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
-  const int k = (biased == 0)
-                    ? 52
-                    : mantissa_bits_needed64(biased - 1023,
-                                             bound_exponent(bound));
-  const std::uint64_t mantissa_mask = 0xfffffffffffffull;
-  const std::uint64_t keep_mask =
-      k == 0 ? 0ull : (mantissa_mask >> (52 - k)) << (52 - k);
-  return std::bit_cast<double>(bits & (0xfff0000000000000ull | keep_mask));
-}
-
-std::vector<std::uint8_t> truncation_encode64(std::span<const double> values,
-                                              double bound) {
-  const int e_p = bound_exponent(bound);
-  BitWriterMSB bw;
-  for (double v : values) {
-    WAVESZ_REQUIRE(std::isfinite(v), "cannot truncation-encode non-finite");
-    if (std::fabs(v) <= bound) {
-      bw.bits(0, 1);
-      continue;
-    }
-    bw.bits(1, 1);
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    const int biased = static_cast<int>((bits >> 52) & 0x7ff);
-    const int k =
-        (biased == 0) ? 52 : mantissa_bits_needed64(biased - 1023, e_p);
-    bw.bits(static_cast<std::uint32_t>(k), 6);
-    bw.bits(static_cast<std::uint32_t>(bits >> 63), 1);          // sign
-    bw.bits(static_cast<std::uint32_t>(biased), 11);             // exponent
-    const std::uint64_t mant = bits & 0xfffffffffffffull;
-    if (k > 32) {
-      bw.bits(static_cast<std::uint32_t>(mant >> (52 - k + 32)), k - 32);
-      bw.bits(static_cast<std::uint32_t>((mant >> (52 - k)) & 0xffffffffull),
-              32);
-    } else if (k > 0) {
-      bw.bits(static_cast<std::uint32_t>(mant >> (52 - k)), k);
-    }
-  }
-  return bw.take();
-}
-
-std::vector<double> truncation_decode64(std::span<const std::uint8_t> blob,
-                                        std::size_t count, double bound) {
-  (void)bound;
-  WAVESZ_REQUIRE(count <= blob.size() * 8,
-                 "value count exceeds payload capacity");
-  BitReaderMSB br(blob);
-  std::vector<double> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (br.bit() == 0) {
-      out.push_back(0.0);
-      continue;
-    }
-    const int k = static_cast<int>(br.bits(6));
-    WAVESZ_REQUIRE(k <= 52, "corrupt truncation stream");
-    const std::uint64_t sign = br.bit();
-    const std::uint64_t exp = br.bits(11);
-    std::uint64_t mant = 0;
-    if (k > 32) {
-      mant = static_cast<std::uint64_t>(br.bits(k - 32)) << 32;
-      mant |= br.bits(32);
-      mant <<= (52 - k);
-    } else if (k > 0) {
-      mant = static_cast<std::uint64_t>(br.bits(k)) << (52 - k);
-    }
-    out.push_back(std::bit_cast<double>((sign << 63) | (exp << 52) | mant));
-  }
-  return out;
-}
+template int truncation_bits<float>(float, double);
+template int truncation_bits<double>(double, double);
+template float truncation_roundtrip<float>(float, double);
+template double truncation_roundtrip<double>(double, double);
+template std::vector<std::uint8_t> truncation_encode<float>(
+    std::span<const float>, double);
+template std::vector<std::uint8_t> truncation_encode<double>(
+    std::span<const double>, double);
+template std::vector<float> truncation_decode<float>(
+    std::span<const std::uint8_t>, std::size_t, double);
+template std::vector<double> truncation_decode<double>(
+    std::span<const std::uint8_t>, std::size_t, double);
 
 }  // namespace wavesz::sz

@@ -10,7 +10,6 @@
 namespace wavesz::sz {
 namespace {
 
-using detail::FpOps;
 using detail::Padded;
 using detail::shape_of;
 
@@ -111,11 +110,9 @@ void set_wavefront_min_points_per_thread(std::size_t points) {
 namespace detail {
 
 template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_wavefront_t(std::span<const T> data,
-                                                   const Dims& dims,
-                                                   const LinearQuantizer& q,
-                                                   PredictorKind kind,
-                                                   int threads) {
+PqdT<T> lorenzo_pqd_wavefront_t(std::span<const T> data, const Dims& dims,
+                                const LinearQuantizer& q, PredictorKind kind,
+                                int threads) {
   const int nt = util::team_size(threads, dims.count(),
                                  wavefront_min_points_per_thread());
   if (nt <= 1 || dims.rank < 2) {
@@ -123,7 +120,7 @@ typename FpOps<T>::PqdType lorenzo_pqd_wavefront_t(std::span<const T> data,
   }
   WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
   const auto shape = shape_of(dims);
-  typename FpOps<T>::PqdType out;
+  PqdT<T> out;
   out.codes.resize(data.size());
   out.reconstructed.resize(data.size());
   T* rec = out.reconstructed.data();

@@ -71,11 +71,9 @@ namespace detail {
 /// Width-generic entry points used by compress_t/decompress_t; instantiated
 /// for float and double in wavefront_pqd.cpp.
 template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_wavefront_t(std::span<const T> data,
-                                                   const Dims& dims,
-                                                   const LinearQuantizer& q,
-                                                   PredictorKind kind,
-                                                   int threads);
+PqdT<T> lorenzo_pqd_wavefront_t(std::span<const T> data, const Dims& dims,
+                                const LinearQuantizer& q, PredictorKind kind,
+                                int threads);
 
 template <typename T>
 std::vector<T> lorenzo_reconstruct_wavefront_t(

@@ -78,8 +78,8 @@ inline constexpr std::size_t kWaveLanes = 4;
 /// the in-place decompression writeback; a code-0 point keeps its original
 /// bits. Returns the points done: n rounded down to a whole block at
 /// Level::Avx2, 0 below it. The caller's scalar body does the rest of the
-/// run, and each lane is bit-identical to it (LinearQuantizer::quantize /
-/// quantize64 after lorenzo2d). Requires q.capacity <= 65536.
+/// run, and each lane is bit-identical to it (LinearQuantizer::quantize
+/// after lorenzo2d). Requires q.capacity <= 65536.
 std::size_t wave_pqd_run(Level level, float* cur, std::uint16_t* codes,
                          const float* west, const float* nw, std::size_t n,
                          const QuantSpec& q);

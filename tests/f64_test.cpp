@@ -49,12 +49,12 @@ TEST(Quantizer64, MatchesFloatPathOnCoarseData) {
     const double pred = vals(rng);
     const double orig = vals(rng);
     const auto a = q.quantize(pred, orig);
-    const auto b = q.quantize64(pred, orig);
+    const auto b = q.quantize<double>(pred, orig);
     EXPECT_EQ(a.code, b.code);
     if (a.code != 0) {
       EXPECT_NEAR(static_cast<double>(a.reconstructed), b.reconstructed,
                   1e-5);
-      EXPECT_EQ(q.reconstruct64(pred, b.code), b.reconstructed);
+      EXPECT_EQ(q.reconstruct<double>(pred, b.code), b.reconstructed);
     }
   }
 }
@@ -70,7 +70,7 @@ TEST(Quantizer64, BoundsBelowFloatPrecisionHold) {
   for (int i = 0; i < 5000; ++i) {
     const double pred = vals(rng);
     const double orig = pred + diffs(rng);
-    const auto r = q.quantize64(pred, orig);
+    const auto r = q.quantize<double>(pred, orig);
     if (r.code != 0) {
       ++quantized;
       EXPECT_LE(std::fabs(r.reconstructed - orig), eb);
@@ -91,12 +91,12 @@ TEST_P(Truncation64Bound, RoundTripWithinBound) {
   values.push_back(bound / 2);
   values.push_back(-1e-300);  // deep subnormal-adjacent
 
-  const auto blob = sz::truncation_encode64(values, bound);
-  const auto decoded = sz::truncation_decode64(blob, values.size(), bound);
+  const auto blob = sz::truncation_encode<double>(values, bound);
+  const auto decoded = sz::truncation_decode<double>(blob, values.size(), bound);
   ASSERT_EQ(decoded.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_LE(std::fabs(values[i] - decoded[i]), bound) << values[i];
-    EXPECT_EQ(sz::truncation_roundtrip64(values[i], bound), decoded[i]);
+    EXPECT_EQ(sz::truncation_roundtrip(values[i], bound), decoded[i]);
   }
   // Fewer bits than raw float64 whenever the bound carries real slack.
   EXPECT_LT(blob.size(), values.size() * sizeof(double));
@@ -109,10 +109,10 @@ TEST(Truncation64, LongMantissaKeepsExactPrefix) {
   // k > 32 exercises the split-word bit packing.
   const double v = 1.0 + std::ldexp(1.0, -45);
   const double bound = std::ldexp(1.0, -50);
-  const double rt = sz::truncation_roundtrip64(v, bound);
+  const double rt = sz::truncation_roundtrip(v, bound);
   EXPECT_LE(std::fabs(v - rt), bound);
-  const auto blob = sz::truncation_encode64(std::vector<double>{v}, bound);
-  EXPECT_EQ(sz::truncation_decode64(blob, 1, bound)[0], rt);
+  const auto blob = sz::truncation_encode<double>(std::vector<double>{v}, bound);
+  EXPECT_EQ(sz::truncation_decode<double>(blob, 1, bound)[0], rt);
 }
 
 class F64RoundTrip
@@ -129,7 +129,7 @@ TEST_P(F64RoundTrip, SzAndWaveHonourTightBounds) {
   const auto c_sz = sz::compress(std::span<const double>(field), dims, cfg);
   EXPECT_EQ(c_sz.header.dtype, 1);
   Dims out_dims;
-  const auto d_sz = sz::decompress64(c_sz.bytes, &out_dims);
+  const auto d_sz = sz::decompress64(c_sz.bytes, {}, &out_dims);
   EXPECT_EQ(out_dims, dims);
   EXPECT_TRUE(within64(field, d_sz, eb));
 

@@ -483,17 +483,7 @@ TEST(GoldenBytes, WholeContainers) {
   }
 }
 
-/// Little-endian bytes of decoded values.
-template <typename T>
-std::vector<std::uint8_t> value_bytes(const std::vector<T>& values) {
-  ByteWriter w;
-  if constexpr (std::is_same_v<T, float>) {
-    w.floats(values);
-  } else {
-    w.doubles(values);
-  }
-  return w.take();
-}
+using golden::value_bytes;
 
 /// Full decode of a pinned container at `opts`, as value bytes.
 std::vector<std::uint8_t> full_decode(const PinContainer& c,

@@ -249,6 +249,29 @@ void expect_stream_identical(const Dims& dims, sz::Config cfg,
   EXPECT_EQ(restored.size(), field.size());
 }
 
+/// sz:: and wave:: each document make_staged(...)->run() as their
+/// compress(): the same container for either codec.
+template <typename T>
+void expect_staged_run_is_compress(const std::vector<T>& field,
+                                   const Dims& dims, const sz::Config& cfg) {
+  const std::span<const T> s(field);
+  EXPECT_EQ(sz::make_staged(s, dims, cfg)->run().bytes,
+            sz::compress(s, dims, cfg).bytes);
+  EXPECT_EQ(wave::make_staged(s, dims, cfg)->run().bytes,
+            wave::compress(s, dims, cfg).bytes);
+}
+
+TEST(PipelineStream, StagedRunWritesTheCompressContainer) {
+  const Dims dims = Dims::d2(64, 64);
+  for (const auto codec : {sz::Codec::Entropy, sz::Codec::Szx}) {
+    SCOPED_TRACE(static_cast<int>(codec));
+    auto cfg = wave::default_config();
+    cfg.codec = codec;
+    expect_staged_run_is_compress(volume(dims, 41), dims, cfg);
+    expect_staged_run_is_compress(volume64(dims, 41), dims, cfg);
+  }
+}
+
 TEST(PipelineStream, WaveDefaultArchiveIdentical) {
   expect_stream_identical(Dims::d3(11, 24, 24), wave::default_config(), 31);
 }

@@ -129,13 +129,7 @@ template <typename T>
 void pqd_points(ColumnRun<T>& r, std::size_t from,
                 const sz::LinearQuantizer& q) {
   for (std::size_t j = from; j < r.size(); ++j) {
-    const auto res = [&] {
-      if constexpr (std::is_same_v<T, float>) {
-        return q.quantize(r.pred(j), r.cur[j]);
-      } else {
-        return q.quantize64(r.pred(j), r.cur[j]);
-      }
-    }();
+    const auto res = q.quantize<T>(r.pred(j), r.cur[j]);
     r.codes[j] = res.code;
     if (res.code != 0) r.cur[j] = res.reconstructed;
   }
@@ -147,13 +141,8 @@ template <typename T>
 void reconstruct_points(ColumnRun<T>& r, std::size_t from, std::size_t to,
                         const sz::LinearQuantizer& q, T verbatim) {
   for (std::size_t j = from; j < to; ++j) {
-    if (r.codes[j] == 0) {
-      r.cur[j] = verbatim;
-    } else if constexpr (std::is_same_v<T, float>) {
-      r.cur[j] = q.reconstruct(r.pred(j), r.codes[j]);
-    } else {
-      r.cur[j] = q.reconstruct64(r.pred(j), r.codes[j]);
-    }
+    r.cur[j] = r.codes[j] == 0 ? verbatim
+                               : q.reconstruct<T>(r.pred(j), r.codes[j]);
   }
 }
 

@@ -34,7 +34,7 @@ TEST(Stream, RoundTripEqualsOneShotSemantics) {
   const auto archive = sc.finish();
 
   Dims out_dims;
-  const auto restored = stream_decompress(archive, &out_dims);
+  const auto restored = stream_decompress(archive, {}, &out_dims);
   EXPECT_EQ(out_dims, dims);
   ASSERT_EQ(restored.size(), field.size());
   // Each chunk independently obeys the bound, so the whole does too.

@@ -70,7 +70,7 @@ TEST(Szx, RoundTripF32AllRanks) {
         sz::compress(std::span<const float>(data), dims, szx_config());
     EXPECT_EQ(sz::Variant::SzxFast, c.header.variant);
     Dims got;
-    const auto dec = sz::decompress(c.bytes, &got);
+    const auto dec = sz::decompress(c.bytes, {}, &got);
     EXPECT_EQ(dims.rank, got.rank);
     expect_bound_holds(data, dec, c.header.eb_absolute);
     EXPECT_TRUE(metrics::within_bound(data, dec, c.header.eb_absolute));
@@ -207,7 +207,7 @@ TEST(Szx, StreamCompressorEmitsSzxChunks) {
   sc.feed(std::span<const float>(data));
   const auto archive = sc.finish();
   Dims got;
-  const auto dec = wave::stream_decompress(archive, &got);
+  const auto dec = wave::stream_decompress(archive, {}, &got);
   EXPECT_EQ(dims.count(), got.count());
   // Resolve the per-chunk absolute bound (VR-relative per chunk): just
   // check against the loosest possible bound, the global range.

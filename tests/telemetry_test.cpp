@@ -316,6 +316,34 @@ TEST(Telemetry, CompressPipelineEmitsStageSpans) {
 #endif
 }
 
+TEST(Telemetry, SzxDecodeRecordsOneDecompressSpan) {
+  // The stage table counts spans as calls: one SZx decode through each
+  // entry point is one decompress call, not an sz::decompress span nested
+  // in the caller's.
+  const Dims dims = Dims::d2(64, 64);
+  data::FieldRecipe recipe;
+  recipe.seed = 5;
+  const auto field = data::generate(recipe, dims);
+  const auto c = sz::compress(field, dims, sz::Config::ultrafast());
+
+  Session session;
+  (void)sz::decompress(c.bytes);
+  (void)wave::decompress(c.bytes);
+  const Report r = session.stop();
+#ifdef WAVESZ_TELEMETRY_DISABLED
+  EXPECT_TRUE(r.events.empty());
+#else
+  auto calls = [&](const char* name) {
+    return std::count_if(r.events.begin(), r.events.end(), [&](const auto& e) {
+      return std::string(e.name) == name;
+    });
+  };
+  EXPECT_EQ(calls("sz::decompress"), 1);
+  EXPECT_EQ(calls("wave::decompress"), 1);
+  EXPECT_EQ(r.histogram(Histo::DecompressNs).count, 2u);
+#endif
+}
+
 TEST(Telemetry, OmpDriverSpansCarryWorkerThreads) {
   // Chunked DEFLATE on four OpenMP threads: every chunk records one
   // deflate.chunk span on the worker that encoded it.

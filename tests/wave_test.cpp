@@ -278,16 +278,7 @@ TEST(WaveKernel, ColumnWalkMatchesPointOracle) {
   }
 }
 
-template <typename T>
-std::vector<std::uint8_t> value_bytes(const std::vector<T>& values) {
-  ByteWriter w;
-  if constexpr (std::is_same_v<T, float>) {
-    w.floats(values);
-  } else {
-    w.doubles(values);
-  }
-  return w.take();
-}
+using golden::value_bytes;
 
 /// A v1 G* True3D container against the per-point oracle run plane by
 /// plane: plane 0 through the 2D kernel, the rest through the 3D slice
@@ -515,7 +506,7 @@ TEST_P(WaveRoundTrip, BoundHolds) {
   cfg.error_bound = eb;
   const auto c = wave::compress(field, dims, cfg, mode);
   Dims out_dims;
-  const auto decoded = decompress(c.bytes, &out_dims);
+  const auto decoded = decompress(c.bytes, {}, &out_dims);
   EXPECT_EQ(out_dims, dims);
   EXPECT_TRUE(metrics::within_bound(field, decoded, c.header.eb_absolute))
       << "violation at "

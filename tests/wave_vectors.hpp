@@ -31,15 +31,6 @@ struct OraclePqd {
   std::vector<T> verbatim;
 };
 
-template <typename T>
-auto oracle_quantize(const sz::LinearQuantizer& q, double pred, T orig) {
-  if constexpr (std::is_same_v<T, float>) {
-    return q.quantize(pred, orig);
-  } else {
-    return q.quantize64(pred, orig);
-  }
-}
-
 /// The per-point waveSZ PQD kernel (Listing 1 semantics: column-major walk
 /// of the wavefront layout, in-place decompression writeback into
 /// `wavefront`). It finds every Lorenzo tap through
@@ -71,7 +62,7 @@ OraclePqd<T> point_oracle_2d(std::span<T> wavefront,
       const double pred = sz::lorenzo2d(wavefront[layout.offset(x - 1, y - 1)],
                                         wavefront[layout.offset(x - 1, y)],
                                         wavefront[layout.offset(x, y - 1)]);
-      const auto r = oracle_quantize(q, pred, wavefront[off]);
+      const auto r = q.quantize<T>(pred, wavefront[off]);
       if (r.code != 0) {
         out.codes.push_back(r.code);
         wavefront[off] = r.reconstructed;  // in-place decompression writeback
@@ -110,7 +101,7 @@ void point_oracle_slice3d(std::span<T> cur, std::span<const T> prev,
       const double pred = sz::lorenzo3d(
           prev[o_nw], cur[o_nw], prev[o_n], prev[o_w], cur[o_n], cur[o_w],
           prev[off]);
-      const auto r = oracle_quantize(q, pred, cur[off]);
+      const auto r = q.quantize<T>(pred, cur[off]);
       if (r.code != 0) {
         out.codes.push_back(r.code);
         cur[off] = r.reconstructed;
