@@ -433,6 +433,14 @@ template <typename T>
 sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
                                          const sz::Region& region,
                                          const sz::DecodeOptions& opts) {
+  // compress() writes SZx containers under Codec::Szx; sz:: reads them.
+  if (sz::inspect(bytes).variant == sz::Variant::SzxFast) {
+    if constexpr (std::is_same_v<T, float>) {
+      return sz::decompress_region(bytes, region, opts);
+    } else {
+      return sz::decompress_region64(bytes, region, opts);
+    }
+  }
   telemetry::Span span_all(telemetry::spans::kDecodeRegion);
   ByteReader r(bytes);
   const sz::ContainerHeader h = sz::read_header(r);

@@ -294,6 +294,25 @@ TEST(RegionDecode, WaveFloat64Region) {
   }
 }
 
+TEST(RegionDecode, WaveReadsTheSzxContainersItWrites) {
+  // wave::compress writes an SZx container under Codec::Szx, and
+  // wave::decompress_region reads it back like sz::decompress_region.
+  const Dims dims = Dims::d2(40, 60);
+  const auto grid = field(dims);
+  const std::vector<double> wide(grid.begin(), grid.end());
+  const auto c32 = wave::compress(grid, dims, sz::Config::ultrafast());
+  const auto c64 = wave::compress(wide, dims, sz::Config::ultrafast());
+  ASSERT_EQ(c32.header.variant, sz::Variant::SzxFast);
+  const auto full32 = wave::decompress(c32.bytes);
+  const auto full64 = wave::decompress64(c64.bytes);
+  for (const auto& rg : regions_2d(40, 60)) {
+    EXPECT_EQ(wave::decompress_region(c32.bytes, rg).data,
+              slice(full32, dims, rg));
+    EXPECT_EQ(wave::decompress_region64(c64.bytes, rg).data,
+              slice(full64, dims, rg));
+  }
+}
+
 TEST(RegionDecode, PrefixRegionReadsFewerBytes) {
   const Dims dims = Dims::d2(256, 256);
   const auto grid = field(dims);
