@@ -23,7 +23,7 @@ namespace {
 /// split.
 template <typename T>
 double range_of(std::span<const T> data, int threads) {
-  WAVESZ_REQUIRE(!data.empty(), "cannot compress an empty field");
+  WAVESZ_REQUIRE(!data.empty(), "value range of an empty field");
   const double seed = static_cast<double>(data[0]);
   // Below ~1 MiB the scan is memory-latency bound on one core anyway.
   const auto parts = static_cast<std::size_t>(
