@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/wavefront.hpp"
