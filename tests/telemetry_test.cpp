@@ -676,7 +676,7 @@ TEST(Telemetry, HuffmanCountersGiveBitsPerSymbol) {
     (void)br.u16();
     (void)br.u8();
   }
-  const std::uint64_t payload_bits = br.u64();
+  [[maybe_unused]] const std::uint64_t payload_bits = br.u64();
   const std::string text = prometheus_text(r);
   std::string why;
   EXPECT_TRUE(prometheus_format_ok(text, &why)) << why;
